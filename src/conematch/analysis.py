@@ -1,9 +1,10 @@
 """Ground-truth verifiers for matchings produced by the DA engine.
 
-Everything here is an oracle: exhaustive blocking-pair search over the
-interview edges, brute-force enumeration of the whole stable set on small
-instances, and the uniqueness / rural-hospital cross-checks between the
-two DA orientations.
+The comparisons are predicates over matchings the caller already holds:
+one blocking-pair scan, and the rural-hospital invariant and uniqueness
+as functions of the doctor- and hospital-optimal matchings.  The public
+checks compose them: the full scan, brute-force enumeration of the stable
+set on small instances, and both DA orientations run once and compared.
 """
 
 from __future__ import annotations
@@ -29,47 +30,58 @@ class BlockingPair:
     hospital_side_witness: str   # "under capacity" or "displaces <id>"
 
 
-def find_blocking_pairs(assignment: InterviewAssignment,
-                        matching: Matching,
-                        capacities=None,
-                        prefs: Optional[tuple] = None,
-                        unmatched_utility: float = -math.inf) -> List[BlockingPair]:
-    """Exhaustive blocking-pair scan; an empty result certifies stability.
-
-    A pair blocks when both sides rank each other, the doctor strictly
-    prefers the hospital to her match (an unmatched doctor values her
-    position at `unmatched_utility`), and the hospital is under capacity
-    or ranks her above its worst held doctor.
-    """
+def _defaults(assignment: InterviewAssignment, capacities, prefs):
     if capacities is None:
         capacities = assignment.instance.capacities
     if prefs is None:
         prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
-    matching.validate(capacities, [set(lst) for lst in assignment.doctor_lists])
+    return capacities, prefs
 
-    hospital_ranks = build_ranks(hospital_prefs)
-    out: List[BlockingPair] = []
+
+def _blocking_scan(doctor_prefs, hospital_ranks, doctor_utils, doctor_of,
+                   doctors_of, capacities, unmatched_utility):
+    """Yield every blocking pair of the matching (doctor_of, doctors_of).
+
+    A pair blocks when both sides rank each other, the doctor strictly
+    prefers the hospital to her match (an unmatched doctor values her
+    position at `unmatched_utility`), and the hospital is under capacity
+    or ranks her above its worst held doctor.  Preference lists need not
+    be utility-sorted: every listed hospital is examined.
+    """
     for d, ranked in enumerate(doctor_prefs):
-        cur = matching.doctor_of[d]
-        cur_u = assignment.doctor_utils[d][cur] if cur is not None else unmatched_utility
+        cur = doctor_of[d]
+        cur_u = doctor_utils[d][cur] if cur is not None else unmatched_utility
         for h in ranked:
             if h == cur:
                 continue
-            u = assignment.doctor_utils[d][h]
+            u = doctor_utils[d][h]
             if u <= cur_u:
                 continue
             rank_d = hospital_ranks[h].get(d)
             if rank_d is None:
                 continue
-            held = matching.doctors_of[h]
+            held = doctors_of[h]
             if len(held) < capacities[h]:
-                out.append(BlockingPair(d, h, u - cur_u, "under capacity"))
+                yield BlockingPair(d, h, u - cur_u, "under capacity")
                 continue
             worst = max(held, key=lambda x: hospital_ranks[h][x])
             if rank_d < hospital_ranks[h][worst]:
-                out.append(BlockingPair(d, h, u - cur_u, f"displaces {worst}"))
-    return out
+                yield BlockingPair(d, h, u - cur_u, f"displaces {worst}")
+
+
+def find_blocking_pairs(assignment: InterviewAssignment,
+                        matching: Matching,
+                        capacities=None,
+                        prefs: Optional[tuple] = None,
+                        unmatched_utility: float = -math.inf) -> List[BlockingPair]:
+    """Exhaustive blocking-pair scan; an empty result certifies stability."""
+    capacities, (doctor_prefs, hospital_prefs) = _defaults(assignment,
+                                                           capacities, prefs)
+    matching.validate(capacities, [set(lst) for lst in assignment.doctor_lists])
+    return list(_blocking_scan(doctor_prefs, build_ranks(hospital_prefs),
+                               assignment.doctor_utils, matching.doctor_of,
+                               matching.doctors_of, capacities,
+                               unmatched_utility))
 
 
 def enumerate_stable(assignment: InterviewAssignment,
@@ -82,11 +94,8 @@ def enumerate_stable(assignment: InterviewAssignment,
     spare capacity (and staying unmatched), then filters by blocking-pair
     freeness.
     """
-    if capacities is None:
-        capacities = assignment.instance.capacities
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
+    capacities, (doctor_prefs, hospital_prefs) = _defaults(assignment,
+                                                           capacities, prefs)
     n_doc, n_hosp = len(doctor_prefs), len(hospital_prefs)
     if (n_doc > MAX_ORACLE_DOCTORS or n_hosp > MAX_ORACLE_HOSPITALS
             or sum(capacities) > MAX_ORACLE_PLACES):
@@ -97,34 +106,17 @@ def enumerate_stable(assignment: InterviewAssignment,
     hospital_ranks = build_ranks(hospital_prefs)
     mutual = [[h for h in doctor_prefs[d] if d in hospital_ranks[h]]
               for d in range(n_doc)]
-    utils = assignment.doctor_utils
 
     stable: Set[tuple] = set()
     slots = list(capacities)
     choice: List[Optional[int]] = [None] * n_doc
     held: List[List[int]] = [[] for _ in range(n_hosp)]
 
-    def leaf_is_stable() -> bool:
-        # inline equivalent of find_blocking_pairs(...) == []; doctor lists
-        # are utility-descending, so only the prefix above the match matters
-        for d in range(n_doc):
-            cur = choice[d]
-            cur_u = utils[d][cur] if cur is not None else -math.inf
-            for h in doctor_prefs[d]:
-                if utils[d][h] <= cur_u:
-                    break
-                rd = hospital_ranks[h].get(d)
-                if rd is None:
-                    continue
-                if len(held[h]) < capacities[h]:
-                    return False
-                if rd < max(hospital_ranks[h][x] for x in held[h]):
-                    return False
-        return True
-
     def walk(d: int):
         if d == n_doc:
-            if leaf_is_stable():
+            if next(_blocking_scan(doctor_prefs, hospital_ranks,
+                                   assignment.doctor_utils, choice, held,
+                                   capacities, -math.inf), None) is None:
                 stable.add(tuple(-1 if h is None else h for h in choice))
             return
         choice[d] = None
@@ -158,6 +150,28 @@ def doctor_utility_vector(assignment, matching,
             for d, h in enumerate(matching.doctor_of)]
 
 
+def orientations_coincide(doctor_optimal: Matching,
+                          hospital_optimal: Matching) -> bool:
+    """True iff the two DA orientations deliver the same matching.
+
+    Equivalent to the stable matching being unique.
+    """
+    return doctor_optimal.key() == hospital_optimal.key()
+
+
+def rural_hospital_invariant(doctor_optimal: Matching,
+                             hospital_optimal: Matching) -> bool:
+    """Matched-doctor set and per-hospital fills agree across orientations."""
+    return (doctor_optimal.matched_doctors() == hospital_optimal.matched_doctors()
+            and doctor_optimal.fills() == hospital_optimal.fills())
+
+
+def _both_orientations(assignment: InterviewAssignment, capacities, prefs):
+    capacities, prefs = _defaults(assignment, capacities, prefs)
+    return (doctor_proposing_da(*prefs, capacities),
+            hospital_proposing_da(*prefs, capacities))
+
+
 def uniqueness_check_school(assignment: InterviewAssignment,
                             capacities=None,
                             prefs: Optional[tuple] = None) -> bool:
@@ -167,26 +181,13 @@ def uniqueness_check_school(assignment: InterviewAssignment,
     must hold there; on residency instances the result is reported without
     any contract being violated.
     """
-    if capacities is None:
-        capacities = assignment.instance.capacities
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
-    a = doctor_proposing_da(doctor_prefs, hospital_prefs, capacities)
-    b = hospital_proposing_da(doctor_prefs, hospital_prefs, capacities)
-    return a.key() == b.key()
+    return orientations_coincide(*_both_orientations(assignment, capacities,
+                                                     prefs))
 
 
 def rural_hospital_check(assignment: InterviewAssignment,
                          capacities=None,
                          prefs: Optional[tuple] = None) -> bool:
-    """Matched-doctor set and per-hospital fills agree across orientations."""
-    if capacities is None:
-        capacities = assignment.instance.capacities
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
-    a = doctor_proposing_da(doctor_prefs, hospital_prefs, capacities)
-    b = hospital_proposing_da(doctor_prefs, hospital_prefs, capacities)
-    return (a.matched_doctors() == b.matched_doctors()
-            and a.fills() == b.fills())
+    """rural_hospital_invariant over the two DA orientations of the market."""
+    return rural_hospital_invariant(*_both_orientations(assignment, capacities,
+                                                        prefs))

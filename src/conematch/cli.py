@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 audit failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -25,7 +26,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import analysis, deviation, double_cut, metrics
-from .da import doctor_proposing_da, order_invariance_check
+from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
+                 order_invariance_check)
 from .market import (ConfigError, MarketConfig, RESIDENCY, REQUEST_INTERVIEW,
                      SCHOOL_CHOICE, generate, make_config)
 from .strategy import build_assignment, build_preferences
@@ -131,28 +133,30 @@ def _run_one(cfg, run_index, campaign, slug):
     instance = generate(cfg, run_index)
     assignment = build_assignment(instance)
     prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
-    matching = doctor_proposing_da(doctor_prefs, hospital_prefs,
-                                   instance.capacities)
+    matching = doctor_proposing_da(*prefs, instance.capacities)
+    # the audits are predicates over the matchings held here: each DA
+    # orientation runs at most once, the hospital-proposing one on first use
+    hospital_optimal = functools.cache(
+        lambda: hospital_proposing_da(*prefs, instance.capacities))
 
-    if campaign.stability_audit:
-        pairs = analysis.find_blocking_pairs(assignment, matching, prefs=prefs)
-        if pairs:
-            raise AuditFailure(slug, run_index, "stability")
+    if campaign.stability_audit and analysis.find_blocking_pairs(
+            assignment, matching, prefs=prefs):
+        raise AuditFailure(slug, run_index, "stability")
 
-    if campaign.oracle_audit and (
-            cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
-            and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
-            and cfg.total_places() <= analysis.MAX_ORACLE_PLACES):
+    oracle_sized = campaign.oracle_audit and (
+        cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
+        and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
+        and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
+    if oracle_sized:
         stable = analysis.enumerate_stable(assignment, prefs=prefs)
         if matching.key() not in stable:
             raise AuditFailure(slug, run_index, "oracle-membership")
-        if not analysis.rural_hospital_check(assignment, prefs=prefs):
+        if not analysis.rural_hospital_invariant(matching, hospital_optimal()):
             raise AuditFailure(slug, run_index, "rural-hospital")
 
-    if cfg.setting == SCHOOL_CHOICE:
-        if not analysis.uniqueness_check_school(assignment, prefs=prefs):
-            raise AuditFailure(slug, run_index, "school-uniqueness")
+    if cfg.setting == SCHOOL_CHOICE and not analysis.orientations_coincide(
+            matching, hospital_optimal()):
+        raise AuditFailure(slug, run_index, "school-uniqueness")
 
     surplus_rows = []
     if _audit_this_run(cfg, run_index, campaign.audit_sample):
@@ -161,14 +165,17 @@ def _run_one(cfg, run_index, campaign, slug):
         focal_d = int(gen.integers(cfg.n_doctors))
         for scenario in (double_cut.scenario_for_hospital(instance, focal_h),
                          double_cut.scenario_for_doctor(instance, focal_d)):
-            if not double_cut.dominance_audit(instance, assignment, scenario,
-                                              prefs=prefs):
+            cut, report = double_cut.run_double_cut(instance, assignment,
+                                                    scenario, prefs)
+            full = matching if scenario.orientation == DOCTORS_PROPOSE \
+                else hospital_optimal()
+            if not double_cut.receivers_dominate(assignment, scenario.orientation,
+                                                 full, cut):
                 raise AuditFailure(slug, run_index,
                                    f"double-cut-dominance:{scenario.focal_side}")
-            _, report = double_cut.run_double_cut(instance, assignment,
-                                                  scenario, prefs)
             surplus_rows.append(report.csv_row(scenario))
-        if not analysis.rural_hospital_check(assignment, prefs=prefs):
+        if not oracle_sized and not analysis.rural_hospital_invariant(
+                matching, hospital_optimal()):
             raise AuditFailure(slug, run_index, "rural-hospital")
 
     return (metrics.run_stats(instance, assignment, matching, prefs=prefs,
@@ -325,6 +332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.verify_only:
         return verify_only(args.seed)
     try:
+        if args.group_size < 1:
+            raise ConfigError("--group-size must be >= 1")
+        if not 0.0 <= args.audit_sample <= 1.0:    # also refuses NaN
+            raise ConfigError("--audit-sample must lie in [0, 1]")
         if args.config is not None:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -335,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             configs = expand_grid(raw)
         elif args.preset is not None:
             configs = preset_configs(args.preset, args.seed,
-                                     args.runs if args.runs else 100)
+                                     100 if args.runs is None else args.runs)
         else:
             print("need --config, --preset, or --verify-only", file=sys.stderr)
             return EXIT_CONFIG

@@ -4,8 +4,10 @@ A double-cut run is an initial portion of a DA run in which only agents
 above a rating threshold propose, proposers near the focal stop below a
 utility floor, and a proposal to the focal agent ends that proposer's run.
 Because every proposer uses a prefix of her list, the full run's outcome
-weakly dominates the truncated one for every receiver; dominance_audit
-checks that inequality directly.
+weakly dominates the truncated one for every receiver.  receivers_dominate
+is that inequality as a predicate over two matchings the caller holds (the
+full DA of the scenario's orientation and the double-cut run);
+dominance_audit composes it with run_double_cut and the full DA.
 
 The floor is the proposer's ceiling utility at the focal minus alpha: for
 doctors proposing to hospital h that is r(h) + 1 + nu_d - alpha, and for
@@ -22,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EventLog, Matching,
-                 TruncationRule, truncated_da)
+                 TruncationRule, doctor_proposing_da, hospital_proposing_da,
+                 truncated_da)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences
 
@@ -244,32 +247,20 @@ def run_double_cut(instance: MarketInstance,
                    scenario: DoubleCutScenario,
                    prefs: Optional[tuple] = None):
     """Execute the scenario's truncated run; returns (Matching, SurplusReport)."""
-    doctor_prefs, hospital_prefs = prefs if prefs is not None \
-        else build_preferences(assignment)
-
-    if scenario.orientation == HOSPITALS_PROPOSE:
-        proposer_ratings = instance.hospital_ratings
-        proposer_prefs = hospital_prefs
-    else:
-        proposer_ratings = instance.doctor_ratings
-        proposer_prefs = doctor_prefs
+    lists = list(prefs if prefs is not None else build_preferences(assignment))
+    side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0   # proposers
+    proposer_ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
     if scenario.exclusions:
-        proposer_prefs = [([] if p in scenario.exclusions else lst)
-                          for p, lst in enumerate(proposer_prefs)]
+        lists[side] = [([] if p in scenario.exclusions else lst)
+                       for p, lst in enumerate(lists[side])]
 
-    rule = _rule_for(scenario, len(proposer_prefs), proposer_ratings)
-    if scenario.orientation == HOSPITALS_PROPOSE:
-        matching, log = truncated_da(
-            doctor_prefs, proposer_prefs, instance.capacities, rule,
-            orientation=HOSPITALS_PROPOSE,
-            hospital_utils=assignment.hospital_utils,
-            proposer_ratings=proposer_ratings)
-    else:
-        matching, log = truncated_da(
-            proposer_prefs, hospital_prefs, instance.capacities, rule,
-            orientation=DOCTORS_PROPOSE,
-            doctor_utils=assignment.doctor_utils,
-            proposer_ratings=proposer_ratings)
+    rule = _rule_for(scenario, len(lists[side]), proposer_ratings)
+    # truncated_da reads the utilities of the proposing side only
+    matching, log = truncated_da(
+        *lists, instance.capacities, rule, orientation=scenario.orientation,
+        doctor_utils=assignment.doctor_utils,
+        hospital_utils=assignment.hospital_utils,
+        proposer_ratings=proposer_ratings)
 
     report = _surplus_report(instance, assignment, scenario, matching, log)
     return matching, report
@@ -431,42 +422,35 @@ def _receiver_outcomes_hospitals(assignment, matching):
     return outs
 
 
+def receivers_dominate(assignment: InterviewAssignment, orientation: str,
+                       full: Matching, cut: Matching) -> bool:
+    """True iff `full` weakly dominates `cut` for every receiver.
+
+    Receivers are the side that does not propose in `orientation`; a
+    hospital's outcome dominates when its fill count does not drop and its
+    sorted seat utilities are pointwise at least the cut run's.  Unmatched
+    doctors count as utility minus infinity.
+    """
+    if orientation == DOCTORS_PROPOSE:
+        full_out = _receiver_outcomes_hospitals(assignment, full)
+        cut_out = _receiver_outcomes_hospitals(assignment, cut)
+        return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
+                   for f, c in zip(full_out, cut_out))
+    utils = assignment.doctor_utils    # .get(None) is -inf: unmatched
+    return all(utils[d].get(full_h, -math.inf) >= utils[d].get(cut_h, -math.inf)
+               for d, (full_h, cut_h) in enumerate(zip(full.doctor_of,
+                                                       cut.doctor_of)))
+
+
 def dominance_audit(instance: MarketInstance,
                     assignment: InterviewAssignment,
                     scenario: DoubleCutScenario,
                     prefs: Optional[tuple] = None) -> bool:
-    """True iff the full run weakly dominates the double-cut run receiver-wise.
-
-    Receivers are the non-proposing side; a hospital's outcome dominates
-    when its fill count does not drop and its sorted seat utilities are
-    pointwise at least the truncated run's.  Unmatched doctors count as
-    utility minus infinity.
-    """
+    """True iff the full run weakly dominates the double-cut run receiver-wise."""
     if prefs is None:
         prefs = build_preferences(assignment)
-    doctor_prefs, hospital_prefs = prefs
-    cut_matching, _ = run_double_cut(instance, assignment, scenario, prefs)
-
-    from .da import doctor_proposing_da, hospital_proposing_da
-    if scenario.orientation == DOCTORS_PROPOSE:
-        full = doctor_proposing_da(doctor_prefs, hospital_prefs, instance.capacities)
-        cut_out = _receiver_outcomes_hospitals(assignment, cut_matching)
-        full_out = _receiver_outcomes_hospitals(assignment, full)
-        for h in range(len(hospital_prefs)):
-            if len(full_out[h]) < len(cut_out[h]):
-                return False
-            if any(fu < cu for fu, cu in zip(full_out[h], cut_out[h])):
-                return False
-        return True
-
-    full = hospital_proposing_da(doctor_prefs, hospital_prefs, instance.capacities)
-    for d in range(len(doctor_prefs)):
-        cut_h = cut_matching.doctor_of[d]
-        full_h = full.doctor_of[d]
-        cut_u = assignment.doctor_utils[d].get(cut_h, -math.inf) \
-            if cut_h is not None else -math.inf
-        full_u = assignment.doctor_utils[d].get(full_h, -math.inf) \
-            if full_h is not None else -math.inf
-        if full_u < cut_u:
-            return False
-    return True
+    cut, _ = run_double_cut(instance, assignment, scenario, prefs)
+    full_da = doctor_proposing_da if scenario.orientation == DOCTORS_PROPOSE \
+        else hospital_proposing_da
+    full = full_da(*prefs, instance.capacities)
+    return receivers_dominate(assignment, scenario.orientation, full, cut)

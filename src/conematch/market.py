@@ -72,6 +72,8 @@ class MarketConfig:
             raise ConfigError("need at least one agent on each side")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.k < 2 and self.alpha is None and self.cone_override is None:
+            raise ConfigError("k < 2 needs alpha or cone_override")
         if self.k > self.n_hospitals:
             raise ConfigError(
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")
@@ -145,14 +147,13 @@ def derive_alpha(config: MarketConfig, factor: float = DEFAULT_ALPHA_FACTOR) -> 
     SchoolChoice:                  factor*(4a+1)*ln k / k
 
     An explicit `alpha` or `cone_override` on the config bypasses the
-    derivation.  Requires k >= 2 (ln 1 = 0 leaves the formula degenerate).
+    derivation; MarketConfig refuses k < 2 without one (ln 1 = 0 leaves the
+    formula degenerate).
     """
     if config.alpha is not None:
         return config.alpha
     if config.cone_override is not None:
         return config.cone_override / config.a
-    if config.k < 2:
-        raise ConfigError("alpha formula needs k >= 2; pass alpha or cone_override")
     base = factor * (4.0 * config.a + 1.0) * math.log(config.k) / config.k
     if config.setting == SCHOOL_CHOICE:
         return base

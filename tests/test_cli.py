@@ -1,7 +1,9 @@
 import json
 
-from conematch import cli
-from conematch.market import RESIDENCY, SCHOOL_CHOICE
+import pytest
+
+from conematch import cli, da
+from conematch.market import RESIDENCY, SCHOOL_CHOICE, make_config
 
 
 def write_config(tmp_path, **overrides):
@@ -120,3 +122,74 @@ def test_deviation_csv_written(tmp_path):
     lines = dev_files[0].read_text().splitlines()
     assert lines[0] == "focal,kind,param,gain_mean,gain_se,replicates"
     assert len(lines) > 1
+
+
+def _generate_calls(monkeypatch):
+    calls = []
+    real = cli.generate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(cli, "generate", counting)
+    return calls
+
+
+def test_preset_zero_runs_exits_config_error(tmp_path, monkeypatch):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--preset", "paper-500", "--runs", "0",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+def test_group_size_below_one_exits_config_error(tmp_path, monkeypatch):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--config", str(write_config(tmp_path)), "--group-size", "0",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+@pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])
+def test_audit_sample_out_of_range_exits_config_error(tmp_path, monkeypatch,
+                                                      rate):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--config", str(write_config(tmp_path)),
+                   "--audit-sample", rate, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+def test_k1_without_cone_exits_config_error(tmp_path, monkeypatch):
+    calls = _generate_calls(monkeypatch)
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"n_doctors": 30, "n_hospitals": 10,
+                                "capacity": 3, "k": 1, "seed": 5, "runs": 2}))
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
+    calls = []
+    real = da._engine
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(da, "_engine", counting)
+    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path,
+                            audit_sample=audit_sample)
+    cli._run_one(cfg, 0, campaign, cli.config_slug(cfg))
+    return len(calls)
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
+def test_audited_run_computes_each_orientation_once(tmp_path, monkeypatch,
+                                                    setting):
+    # base DA, hospital-optimal DA and one truncated run per scenario
+    cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3,
+                      setting=setting)
+    assert _engine_calls(monkeypatch, tmp_path, cfg, 1.0) <= 4
+
+
+def test_unaudited_residency_run_is_one_da(tmp_path, monkeypatch):
+    cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
+    assert _engine_calls(monkeypatch, tmp_path, cfg, 0.0) == 1

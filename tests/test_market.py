@@ -45,8 +45,8 @@ def test_cone_override_is_absolute_half_width():
 
 
 def test_alpha_requires_k_at_least_2():
-    cfg = MarketConfig(n_doctors=10, n_hospitals=10, k=1)
     with pytest.raises(ConfigError):
+        cfg = MarketConfig(n_doctors=10, n_hospitals=10, k=1)
         derive_alpha(cfg)
 
 
