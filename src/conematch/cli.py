@@ -178,14 +178,15 @@ def _run_one(cfg, run_index, campaign, slug):
                 matching, hospital_optimal()):
             raise AuditFailure(slug, run_index, "rural-hospital")
 
-    return (metrics.run_stats(instance, assignment, matching, prefs=prefs,
-                              check_stability=False), instance, surplus_rows)
+    stats = metrics.run_stats(instance, assignment, matching, prefs=prefs,
+                              check_stability=False)
+    return stats, (instance, assignment, prefs), surplus_rows
 
 
-def _deviation_csv(cfg, campaign, stats_instances, path):
+def _deviation_csv(cfg, campaign, run0, path):
+    # run0: run 0's (instance, assignment, prefs), as _run_one built them
     rows = [deviation.DEVIATION_CSV_HEADER]
-    instance = stats_instances[0][1]
-    assignment = build_assignment(instance)
+    instance, assignment, prefs = run0
     half = instance.half_width
     alpha = instance.alpha_eff
     gen = np.random.default_rng((cfg.seed, 0xDE71A7E))
@@ -193,7 +194,7 @@ def _deviation_csv(cfg, campaign, stats_instances, path):
         instance.doctor_ratings >= instance.doctor_range[0] + half)
     count = min(campaign.deviation_focals, non_bottom.size)
     focals = gen.choice(non_bottom, size=count, replace=False)
-    ctx = deviation._PatchContext(instance, assignment)
+    ctx = deviation._PatchContext(instance, assignment, prefs)
     specs = [(deviation.SWAP_IN_CONE, 0.0), (deviation.TOP_K_OF_ALL, 0.0),
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, alpha),
              (deviation.ABOVE_CONE, 2 * alpha), (deviation.BELOW_CONE, 0.0)]
@@ -231,22 +232,23 @@ def run_campaign(campaign: Campaign) -> int:
     try:
         for cfg, slug in zip(campaign.configs, _unique_slugs(campaign.configs)):
             started = time.perf_counter()
-            stats_instances = []
+            stats = []
             surplus_rows = [double_cut.SURPLUS_CSV_HEADER]
             for run_index in range(cfg.runs):
-                st, inst, rows = _run_one(cfg, run_index, campaign, slug)
-                stats_instances.append((st, inst))
+                st, built, rows = _run_one(cfg, run_index, campaign, slug)
+                if run_index == 0:      # the deviation CSV probes run 0
+                    run0 = built
+                stats.append(st)
                 surplus_rows.extend(rows)
-            stats = [s for s, _ in stats_instances]
             series = metrics.aggregate(stats, group_size=campaign.group_size)
-            half = stats_instances[0][1].half_width
+            half = run0[0].half_width
             out_csv = campaign.out_dir / f"{slug}.csv"
             metrics.write_metrics_csv(out_csv, series, cfg, half)
             if len(surplus_rows) > 1:
                 (campaign.out_dir / f"{slug}_double_cut.csv").write_text(
                     "\n".join(surplus_rows) + "\n")
             if campaign.deviation_focals > 0:
-                _deviation_csv(cfg, campaign, stats_instances,
+                _deviation_csv(cfg, campaign, run0,
                                campaign.out_dir / f"{slug}_deviation.csv")
             wall = time.perf_counter() - started
             summary_lines.append(

@@ -123,12 +123,74 @@ def _materialize(instance, doctor_lists, nu_d, nu_h) -> InterviewAssignment:
                                doctor_utils, hospital_lists, hospital_utils)
 
 
-def _top_by_value(ids: np.ndarray, values: np.ndarray, count: int) -> List[int]:
-    # highest values win; ties go to the lowest id
-    if len(ids) <= count:
-        return sorted(int(i) for i in ids)
-    order = np.lexsort((ids, -values))
-    return sorted(int(ids[i]) for i in order[:count])
+# elements of one padded (doctors x widest cone) chunk; bounds the
+# selection's working memory independently of n and the cone width
+_WINDOW_BUDGET = 1 << 16
+
+
+def _leading(group: np.ndarray, limit) -> np.ndarray:
+    # mask of the first `limit` entries of each run of equal values in
+    # the sorted array `group`; `limit` is a scalar or one per entry
+    return np.arange(group.size) - np.searchsorted(group, group) < limit
+
+
+def _top_in_cones(instance: MarketInstance, count: int):
+    """Each doctor's `count` in-cone hospitals of highest private value.
+
+    Returns flat (doctor, hospital) arrays; a doctor with at most `count`
+    cone members keeps them all, and equal values go to the lower
+    hospital id.
+
+    A cone is the contiguous slice i0[d]:i1[d] of instance.hospital_sorted,
+    so a chunk of doctors becomes a padded (rows x widest cone) matrix of
+    values, -inf in the padding, of at most _WINDOW_BUDGET cells (one row
+    if a cone is wider).  v(d,h) is drawn once per in-cone cell.  Every
+    in-cone entry at least as large as its row's count-th largest value
+    survives the partition, ties at the cut included; the exact order
+    (value descending, id ascending) is applied to the survivors only.
+    """
+    n = instance.config.n_doctors
+    lo_bound, hi_bound = instance.hospital_range
+    lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
+    highs = np.minimum(hi_bound, instance.doctor_ratings + instance.half_width)
+    i0 = np.searchsorted(instance.hospital_sorted, lows, side="left")
+    widths = np.searchsorted(instance.hospital_sorted, highs, side="left") - i0
+    last = instance.hospital_order.size - 1
+    step = max(1, _WINDOW_BUDGET // max(1, int(widths.max())))
+    empty = np.zeros(0, dtype=np.int64)
+    cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0)]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        w = widths[lo:hi]
+        width = int(w.max())
+        if width == 0:
+            continue
+        in_cone = np.arange(width) < w[:, None]
+        ids = instance.hospital_order[
+            np.minimum(i0[lo:hi, None] + np.arange(width), last)]
+        d_cells = np.repeat(np.arange(lo, hi), w)
+        h_cells = ids[in_cone]
+        v_cells = instance.private_dh(d_cells, h_cells)
+        values = np.full(ids.shape, -np.inf)
+        values[in_cone] = v_cells
+        kth = max(0, width - count)
+        cut = np.partition(values, kth, axis=1)[:, kth]
+        survive = v_cells >= np.repeat(cut, w)
+        cand_d.append(d_cells[survive])
+        cand_h.append(h_cells[survive])
+        cand_v.append(v_cells[survive])
+    d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
+    order = np.lexsort((h, -v, d))
+    d, h = d[order], h[order]
+    keep = _leading(d, count)
+    return d[keep], h[keep]
+
+
+def _lists(n_doctors: int, d: np.ndarray, h: np.ndarray) -> List[List[int]]:
+    # (doctor, hospital) pairs to one ascending-id list per doctor
+    order = np.lexsort((h, d))
+    bounds = np.searchsorted(d[order], np.arange(1, n_doctors))
+    return [chunk.tolist() for chunk in np.split(h[order], bounds)]
 
 
 def select_interviews(instance: MarketInstance) -> InterviewAssignment:
@@ -136,69 +198,41 @@ def select_interviews(instance: MarketInstance) -> InterviewAssignment:
 
     A doctor whose cone holds fewer than k hospitals interviews all of
     them; an empty cone leaves her with no interviews (strategy-unmatched).
+    Equal private values go to the lower hospital id.  The top k come from
+    a partition of padded cone windows, chunk by chunk (_top_in_cones), so
+    the working memory is a fixed cell budget, not a sort over every cone
+    member of every doctor.
     """
     cfg = instance.config
-    n = cfg.n_doctors
-    lo_bound, hi_bound = instance.hospital_range
-    lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
-    highs = np.minimum(hi_bound, instance.doctor_ratings + instance.half_width)
-    i0 = np.searchsorted(instance.hospital_sorted, lows, side="left")
-    i1 = np.searchsorted(instance.hospital_sorted, highs, side="left")
-    counts = i1 - i0
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    within = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
-    members_flat = instance.hospital_order[np.repeat(i0, counts) + within]
-    d_flat = np.repeat(np.arange(n), counts)
-    values = instance.private_dh(d_flat, members_flat)
-    # within each doctor block: value descending, hospital id ascending
-    order = np.lexsort((members_flat, -values, d_flat))
-    keep = within < cfg.k
-    sel_counts = np.minimum(counts, cfg.k)
-    sel_d = np.repeat(np.arange(n), sel_counts)
-    sel_h = members_flat[order][keep]
-    resort = np.argsort(sel_d * np.int64(cfg.n_hospitals) + sel_h,
-                        kind="stable")       # ascending id within each doctor
-    lists = [chunk.tolist()
-             for chunk in np.split(sel_h[resort], np.cumsum(sel_counts)[:-1])]
-    return _materialize(instance, lists, cfg.nu_d, cfg.nu_h)
+    d, h = _top_in_cones(instance, cfg.k)
+    return _materialize(instance, _lists(cfg.n_doctors, d, h),
+                        cfg.nu_d, cfg.nu_h)
 
 
 def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     """Request/grant variant: k^2 requests, capacity*k^1.5 grants.
 
-    Doctors request their in-cone top k^2 hospitals by private value.  Each
-    hospital grants up to floor(capacity * k^1.5) (at least 1) of the
-    requests it received, keeping the doctors with its highest private
-    values v(h,d).  Preference-list truncation to the capacity*k best
-    interviews happens in build_preferences.
+    Doctors request their in-cone top k^2 hospitals by private value, with
+    the window selection of select_interviews.  Each hospital grants up to
+    floor(capacity * k^1.5) (at least 1) of the requests it received,
+    keeping the doctors with its highest private values v(h,d), equal
+    values going to the lower doctor id; one flat sort over all requests,
+    by hospital, then value, then doctor, orders every hospital's at once.
+    Preference-list truncation to the capacity*k best interviews happens
+    in build_preferences.
     """
     cfg = instance.config
     if cfg.setting != REQUEST_INTERVIEW:
         raise ValueError("request_interview_protocol needs setting=RequestInterview")
     k = cfg.k
-    requests: List[List[int]] = []
-    for d in range(cfg.n_doctors):
-        members = compute_cone(instance, d).member_hospitals
-        if members.size == 0:
-            requests.append([])
-            continue
-        requests.append(_top_by_value(members, instance.private_dh(d, members), k * k))
-
-    received = _invert(cfg.n_hospitals, requests)
-    caps = instance.capacities
-    lists: List[List[int]] = [[] for _ in range(cfg.n_doctors)]
-    for h in range(cfg.n_hospitals):
-        ds = received[h]
-        if not ds:
-            continue
-        budget = max(1, int(caps[h] * k ** 1.5))
-        arr = np.asarray(ds, dtype=np.int64)
-        granted = _top_by_value(arr, instance.private_hd(h, arr), budget)
-        for d in granted:
-            lists[d].append(h)
-    for d in range(cfg.n_doctors):
-        lists[d].sort()
-    return _materialize(instance, lists, cfg.nu_d, cfg.nu_h)
+    req_d, req_h = _top_in_cones(instance, k * k)
+    order = np.lexsort((req_d, -instance.private_hd(req_h, req_d), req_h))
+    req_d, req_h = req_d[order], req_h[order]
+    budgets = np.maximum(1, (instance.capacities * k ** 1.5).astype(np.int64))
+    granted = _leading(req_h, budgets[req_h])
+    return _materialize(instance, _lists(cfg.n_doctors, req_d[granted],
+                                         req_h[granted]),
+                        cfg.nu_d, cfg.nu_h)
 
 
 def build_assignment(instance: MarketInstance) -> InterviewAssignment:

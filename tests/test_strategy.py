@@ -58,14 +58,17 @@ def test_selection_is_top_k_by_private_value():
 
 
 def test_empty_cone_allowed():
-    # two far-apart clusters force some empty cones with a tiny override
-    cfg = MarketConfig(n_doctors=12, n_hospitals=12, capacity=1, k=2,
-                       cone_override=0.001, seed=3)
-    inst = generate(cfg, 0)
-    asg = select_interviews(inst)
-    sizes = [len(lst) for lst in asg.doctor_lists]
-    assert min(sizes) >= 0  # doctors with no in-range hospital stay empty
-    assert all(size <= 2 for size in sizes)
+    # a narrow cone over 12 hospitals leaves some doctors' bands empty;
+    # at 0.05 the others hold 1 to 3 hospitals, below and above k
+    for cone in (0.001, 0.05):
+        cfg = MarketConfig(n_doctors=12, n_hospitals=12, capacity=1, k=2,
+                           cone_override=cone, seed=3)
+        inst = generate(cfg, 0)
+        asg = select_interviews(inst)
+        sizes = [len(lst) for lst in asg.doctor_lists]
+        assert 0 in sizes  # doctors with no in-range hospital stay empty
+        assert sizes == [min(2, compute_cone(inst, d).member_hospitals.size)
+                         for d in range(cfg.n_doctors)]
 
 
 def test_edge_symmetry():
@@ -185,3 +188,116 @@ def test_request_interview_edge_symmetry():
     for d, hs in enumerate(asg.doctor_lists):
         for h in hs:
             assert d in asg.hospital_lists[h]
+
+
+# -- reference: the selection before the window top-k, kept as an oracle --
+
+def _reference_top(ids, values, count):
+    # highest values win; ties go to the lowest id
+    if len(ids) <= count:
+        return sorted(int(i) for i in ids)
+    order = np.lexsort((ids, -values))
+    return sorted(int(ids[i]) for i in order[:count])
+
+
+def reference_select(inst):
+    """One global lexsort over every cone member of every doctor."""
+    cfg = inst.config
+    n = cfg.n_doctors
+    lo_bound, hi_bound = inst.hospital_range
+    lows = np.maximum(lo_bound, inst.doctor_ratings - inst.half_width)
+    highs = np.minimum(hi_bound, inst.doctor_ratings + inst.half_width)
+    i0 = np.searchsorted(inst.hospital_sorted, lows, side="left")
+    i1 = np.searchsorted(inst.hospital_sorted, highs, side="left")
+    counts = i1 - i0
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    within = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
+    members_flat = inst.hospital_order[np.repeat(i0, counts) + within]
+    d_flat = np.repeat(np.arange(n), counts)
+    values = inst.private_dh(d_flat, members_flat)
+    order = np.lexsort((members_flat, -values, d_flat))
+    keep = within < cfg.k
+    sel_counts = np.minimum(counts, cfg.k)
+    sel_d = np.repeat(np.arange(n), sel_counts)
+    sel_h = members_flat[order][keep]
+    resort = np.argsort(sel_d * np.int64(cfg.n_hospitals) + sel_h,
+                        kind="stable")
+    return [chunk.tolist()
+            for chunk in np.split(sel_h[resort], np.cumsum(sel_counts)[:-1])]
+
+
+def reference_request(inst):
+    """Per-doctor request loop and per-hospital grant loop."""
+    cfg = inst.config
+    k = cfg.k
+    requests = []
+    for d in range(cfg.n_doctors):
+        members = compute_cone(inst, d).member_hospitals
+        requests.append(_reference_top(members, inst.private_dh(d, members),
+                                       k * k) if members.size else [])
+    received = [[] for _ in range(cfg.n_hospitals)]
+    for d, hs in enumerate(requests):
+        for h in hs:
+            received[h].append(d)
+    lists = [[] for _ in range(cfg.n_doctors)]
+    for h, ds in enumerate(received):
+        if not ds:
+            continue
+        budget = max(1, int(inst.capacities[h] * k ** 1.5))
+        arr = np.asarray(ds, dtype=np.int64)
+        for d in _reference_top(arr, inst.private_hd(h, arr), budget):
+            lists[d].append(h)
+    return [sorted(hs) for hs in lists]
+
+
+REFERENCES = {market.RESIDENCY: reference_select,
+              market.SCHOOL_CHOICE: reference_select,
+              market.REQUEST_INTERVIEW: reference_request}
+
+
+def assert_matches_reference(monkeypatch, inst):
+    # the default chunking, one row per chunk (every cone wider than the
+    # budget), and two rows per chunk, which leaves the last chunk of an
+    # odd n partial
+    widest = max(compute_cone(inst, d).member_hospitals.size
+                 for d in range(inst.config.n_doctors))
+    expected = REFERENCES[inst.config.setting](inst)
+    for budget in (strategy._WINDOW_BUDGET, 1, 2 * widest + 1):
+        monkeypatch.setattr(strategy, "_WINDOW_BUDGET", budget)
+        assert strategy.build_assignment(inst).doctor_lists == expected
+
+
+@pytest.mark.parametrize("setting", market.SETTINGS)
+@pytest.mark.parametrize("kappa", [1, 5])
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_window_top_k_matches_reference(monkeypatch, setting, kappa, k):
+    cones = (0.3,) if k == 1 else (0.3, None)   # None: derived, clamped
+    for seed in (0, 1, 2):
+        for cone in cones:
+            cfg = make_config(211, kappa=kappa, k=k, cone_override=cone,
+                              seed=seed, setting=setting)
+            assert_matches_reference(monkeypatch, generate(cfg, 0))
+
+
+@pytest.mark.parametrize("setting", market.SETTINGS)
+def test_window_top_k_ties_match_reference(monkeypatch, setting):
+    # private values on a grid of quarters: most cones wider than the
+    # selection tie at the cut
+    cut_ties = 0
+    for kappa, k in ((1, 1), (1, 5), (5, 5), (5, 12)):
+        cfg = make_config(211, kappa=kappa, k=k, cone_override=0.3, seed=7,
+                          setting=setting)
+        inst = generate(cfg, 0)
+        dh, hd = inst.private_dh, inst.private_hd
+        monkeypatch.setattr(inst, "private_dh",
+                            lambda d, h: np.floor(dh(d, h) * 4) / 4)
+        monkeypatch.setattr(inst, "private_hd",
+                            lambda h, d: np.floor(hd(h, d) * 4) / 4)
+        count = k * k if setting == market.REQUEST_INTERVIEW else k
+        for d in range(cfg.n_doctors):
+            members = compute_cone(inst, d).member_hospitals
+            if members.size > count:
+                v = np.sort(inst.private_dh(d, members))[::-1]
+                cut_ties += v[count - 1] == v[count]
+        assert_matches_reference(monkeypatch, inst)
+    assert cut_ties > 100
