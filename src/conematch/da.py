@@ -4,7 +4,9 @@ One proposal engine drives four entry points: plain doctor-proposing DA,
 plain hospital-proposing DA, the truncated runs used by the double-cut
 harness, and an order-invariance checker.  Proposers are processed from a
 FIFO work queue; the matching is invariant to that order, which
-order_invariance_check verifies directly.
+order_invariance_check verifies directly.  The engine's state (DAState) can
+also be resumed: one more proposer is inserted into a settled run on a
+copy-on-write overlay, which is how deviation probes avoid re-running DA.
 
 A truncation rule can stop a proposer three ways, checked before each
 proposal in this sequence: utility below her floor (no proposal is made),
@@ -142,6 +144,160 @@ def build_ranks(pref_lists: List[List[int]]) -> List[Dict[int, int]]:
     return [{j: r for r, j in enumerate(lst)} for lst in pref_lists]
 
 
+class _Overlay:
+    """Copy-on-write view of a per-agent list: writes never reach `base`.
+
+    With copy_on_read, reading an entry stores a private copy of it first,
+    for entries (the receivers' heaps) that the proposal step mutates in
+    place.
+    """
+
+    __slots__ = ("base", "changed", "copy_on_read")
+
+    def __init__(self, base, changed=None, copy_on_read=False):
+        self.base = base
+        self.changed = {} if changed is None else changed
+        self.copy_on_read = copy_on_read
+
+    def __getitem__(self, i):
+        if i in self.changed:
+            return self.changed[i]
+        value = self.base[i]
+        if self.copy_on_read:
+            value = self.changed[i] = list(value)
+        return value
+
+    def __setitem__(self, i, value):
+        self.changed[i] = value
+
+    def __iter__(self):
+        changed = self.changed
+        return (changed.get(i, v) for i, v in enumerate(self.base))
+
+
+class DAState:
+    """Proposers' pointers and receivers' held sets of one DA run.
+
+    `_engine` settles every proposer.  `insert` then adds one more proposer
+    and follows the rejection chain it starts, on copy-on-write overlays, so
+    this state stays as it was for the next insert.  Both run the same
+    proposal step, `_settle`.  The outcome does not depend on the order in
+    which proposals are made (McVitie & Wilson 1971), so a settled run plus
+    one insert is the run with that proposer present from the start.
+    """
+
+    def __init__(self, proposer_prefs, receiver_ranks, proposer_slots,
+                 receiver_caps, rule: Optional[TruncationRule] = None,
+                 proposer_utils=None, log: Optional[EventLog] = None):
+        n_prop = len(proposer_prefs)
+        self.prefs = proposer_prefs
+        self.ranks = receiver_ranks
+        self.slots = proposer_slots
+        self.caps = receiver_caps
+        self.rule = None if rule is None or rule.is_trivial() else rule
+        self.utils = proposer_utils
+        self.log = log
+        self.pointer = [0] * n_prop
+        self.held = [0] * n_prop
+        self.halted = [False] * n_prop
+        self.in_queue = [False] * n_prop
+        self.heaps: list = [[] for _ in range(len(receiver_ranks))]  # (-rank, proposer)
+
+    def _settle(self, queue: deque) -> None:
+        """Run proposals from a FIFO queue until no proposer can move."""
+        prefs, ranks, slots, caps = self.prefs, self.ranks, self.slots, self.caps
+        pointer, held, halted = self.pointer, self.held, self.halted
+        in_queue, heaps, rule, utils = self.in_queue, self.heaps, self.rule, self.utils
+        events = None if self.log is None else self.log.events
+        u = math.nan
+        floor, windows, focal = -math.inf, (), None
+        for p in queue:
+            in_queue[p] = True
+        while queue:
+            p = queue.popleft()
+            in_queue[p] = False
+            if halted[p]:
+                continue
+            lst = prefs[p]
+            if rule is not None:
+                floor, windows, focal = (rule.floor_for(p), rule.windows_for(p),
+                                         rule.focal_target)
+            while held[p] < slots[p]:
+                i = pointer[p]
+                if i >= len(lst):
+                    halted[p] = True
+                    if events is not None:
+                        events.append((len(events), p, None, math.nan, HALT_EXHAUSTED))
+                    break
+                t = lst[i]
+                if utils is not None:
+                    u = utils[p].get(t, -math.inf)
+                if rule is not None:
+                    stop = HALT_FLOOR if u < floor else None
+                    if stop is None and t != focal and any(lo <= u < hi for lo, hi in windows):
+                        stop = HALT_WINDOW
+                    if stop is not None:
+                        halted[p] = True
+                        if events is not None:
+                            events.append((len(events), p, t, u, stop))
+                        break
+                pointer[p] = i + 1
+                rank = ranks[t].get(p)
+                outcome = REJECT
+                if rank is not None:
+                    heap = heaps[t]
+                    if len(heap) < caps[t]:
+                        heapq.heappush(heap, (-rank, p))
+                        held[p] += 1
+                        outcome = HOLD
+                    elif rank < -heap[0][0]:
+                        worst = heapq.heapreplace(heap, (-rank, p))[1]
+                        held[p] += 1
+                        held[worst] -= 1
+                        if not halted[worst] and not in_queue[worst]:
+                            queue.append(worst)
+                            in_queue[worst] = True
+                        outcome = DISPLACE
+                if events is not None:
+                    events.append((len(events), p, t, u, outcome))
+                if rule is not None and t == focal:
+                    halted[p] = True
+                    if events is not None:
+                        events.append((len(events), p, None, u, HALT_FOCAL))
+                    break
+
+    def insert(self, proposer: int, pref_list: Sequence[int],
+               rank_overlay: Dict[int, float]) -> "DAState":
+        """This state with `proposer` added and settled, as a new state.
+
+        `proposer` has an empty list here.  `rank_overlay[t]` is the rank
+        receiver t gives it: any number that orders it among the ranks t
+        already holds.  Only the agents on the rejection chain are copied.
+        """
+        if self.rule is not None or self.log is not None:
+            raise ValueError("insert needs a run without truncation or event log")
+        if self.prefs[proposer]:
+            raise ValueError(f"proposer {proposer} already has a list")
+        child = DAState.__new__(DAState)
+        child.prefs = _Overlay(self.prefs, {proposer: pref_list})
+        child.ranks = _Overlay(self.ranks, {t: {**self.ranks[t], proposer: r}
+                                            for t, r in rank_overlay.items()})
+        child.slots, child.caps = self.slots, self.caps
+        child.rule = child.utils = child.log = None
+        child.pointer, child.held, child.halted, child.in_queue = (
+            _Overlay(self.pointer), _Overlay(self.held),
+            _Overlay(self.halted), _Overlay(self.in_queue))
+        child.heaps = _Overlay(self.heaps, copy_on_read=True)
+        child._settle(deque([proposer]))
+        return child
+
+    def partner(self, proposer: int) -> Optional[int]:
+        """The receiver a one-slot proposer holds, or None."""
+        if not self.held[proposer]:
+            return None
+        return self.prefs[proposer][self.pointer[proposer] - 1]
+
+
 def _engine(proposer_prefs: List[List[int]],
             receiver_ranks: List[Dict[int, int]],
             proposer_slots: Sequence[int],
@@ -150,9 +306,8 @@ def _engine(proposer_prefs: List[List[int]],
             proposer_utils: Optional[List[Dict[int, float]]],
             proposer_ratings,
             order: Optional[Sequence[int]],
-            log: Optional[EventLog]):
+            log: Optional[EventLog]) -> DAState:
     n_prop = len(proposer_prefs)
-    n_recv = len(receiver_ranks)
     trivial = rule is None or rule.is_trivial()
 
     if not trivial and rule.utility_floor is not None and proposer_utils is None:
@@ -167,79 +322,11 @@ def _engine(proposer_prefs: List[List[int]],
         allowed = [bool(rule.proposer_filter(float(proposer_ratings[p])))
                    for p in range(n_prop)]
 
-    pointer = [0] * n_prop
-    halted = [False] * n_prop
-    held_count = [0] * n_prop
-    heaps: List[list] = [[] for _ in range(n_recv)]   # (-rank, proposer)
-    holder_of: List[List[int]] = [[] for _ in range(n_recv)]  # via heaps only
-
+    state = DAState(proposer_prefs, receiver_ranks, proposer_slots,
+                    receiver_caps, rule, proposer_utils, log)
     start = range(n_prop) if order is None else order
-    queue = deque(p for p in start if allowed[p] and proposer_prefs[p])
-    in_queue = [False] * n_prop
-    for p in queue:
-        in_queue[p] = True
-
-    step = 0
-
-    def emit(p, t, u, outcome):
-        nonlocal step
-        if log is not None:
-            log.events.append((step, p, t, u, outcome))
-        step += 1
-
-    while queue:
-        p = queue.popleft()
-        in_queue[p] = False
-        if halted[p]:
-            continue
-        floor = -math.inf if trivial else rule.floor_for(p)
-        windows = () if trivial else rule.windows_for(p)
-        focal = None if trivial else rule.focal_target
-        while held_count[p] < proposer_slots[p] and not halted[p]:
-            if pointer[p] >= len(proposer_prefs[p]):
-                halted[p] = True
-                emit(p, None, math.nan, HALT_EXHAUSTED)
-                break
-            t = proposer_prefs[p][pointer[p]]
-            if proposer_utils is not None:
-                u = proposer_utils[p].get(t, -math.inf)
-            else:
-                u = math.nan
-            if u < floor:
-                halted[p] = True
-                emit(p, t, u, HALT_FLOOR)
-                break
-            is_focal = focal is not None and t == focal
-            if not is_focal and any(lo <= u < hi for lo, hi in windows):
-                halted[p] = True
-                emit(p, t, u, HALT_WINDOW)
-                break
-            pointer[p] += 1
-            rank = receiver_ranks[t].get(p)
-            if rank is None:
-                emit(p, t, u, REJECT)
-            else:
-                heap = heaps[t]
-                if len(heap) < receiver_caps[t]:
-                    heapq.heappush(heap, (-rank, p))
-                    held_count[p] += 1
-                    emit(p, t, u, HOLD)
-                else:
-                    worst_negrank, worst = heap[0]
-                    if rank < -worst_negrank:
-                        heapq.heapreplace(heap, (-rank, p))
-                        held_count[p] += 1
-                        held_count[worst] -= 1
-                        if not halted[worst] and not in_queue[worst]:
-                            queue.append(worst)
-                            in_queue[worst] = True
-                        emit(p, t, u, DISPLACE)
-                    else:
-                        emit(p, t, u, REJECT)
-            if is_focal:
-                halted[p] = True
-                emit(p, None, u, HALT_FOCAL)
-    return heaps
+    state._settle(deque(p for p in start if allowed[p] and proposer_prefs[p]))
+    return state
 
 
 def _matching_from_heaps(heaps, orientation, n_doctors, n_hospitals) -> Matching:
@@ -258,6 +345,35 @@ def _matching_from_heaps(heaps, orientation, n_doctors, n_hospitals) -> Matching
     return Matching(doctor_of, doctors_of)
 
 
+class LazyMatching(Matching):
+    """The matching a DAState holds, built on the first read of its fields."""
+
+    def __init__(self, state: DAState, orientation: str,
+                 n_doctors: int, n_hospitals: int):
+        self._source = (state, orientation, n_doctors, n_hospitals)
+        self._built: Optional[Matching] = None
+
+    def _matching(self) -> Matching:
+        if self._built is None:
+            state, orientation, n_doctors, n_hospitals = self._source
+            self._built = _matching_from_heaps(state.heaps, orientation,
+                                               n_doctors, n_hospitals)
+        return self._built
+
+    doctor_of = property(lambda self: self._matching().doctor_of)
+    doctors_of = property(lambda self: self._matching().doctors_of)
+
+
+def doctor_proposing_state(doctor_prefs: List[List[int]],
+                           hospital_ranks: List[Dict[int, int]],
+                           capacities,
+                           order: Optional[Sequence[int]] = None) -> DAState:
+    """The settled doctor-proposing run, which `DAState.insert` extends."""
+    return _engine(doctor_prefs, hospital_ranks,
+                   [1] * len(doctor_prefs), list(capacities),
+                   None, None, None, order, None)
+
+
 def doctor_proposing_da(doctor_prefs: List[List[int]],
                         hospital_prefs: List[List[int]],
                         capacities,
@@ -266,10 +382,8 @@ def doctor_proposing_da(doctor_prefs: List[List[int]],
     """Doctor-optimal stable matching over the given preference lists."""
     if hospital_ranks is None:
         hospital_ranks = build_ranks(hospital_prefs)
-    heaps = _engine(doctor_prefs, hospital_ranks,
-                    [1] * len(doctor_prefs), list(capacities),
-                    None, None, None, order, None)
-    return _matching_from_heaps(heaps, DOCTORS_PROPOSE,
+    state = doctor_proposing_state(doctor_prefs, hospital_ranks, capacities, order)
+    return _matching_from_heaps(state.heaps, DOCTORS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
 
@@ -281,10 +395,10 @@ def hospital_proposing_da(doctor_prefs: List[List[int]],
     """Hospital-optimal (doctor-pessimal) stable matching."""
     if doctor_ranks is None:
         doctor_ranks = build_ranks(doctor_prefs)
-    heaps = _engine(hospital_prefs, doctor_ranks,
+    state = _engine(hospital_prefs, doctor_ranks,
                     list(capacities), [1] * len(doctor_prefs),
                     None, None, None, order, None)
-    return _matching_from_heaps(heaps, HOSPITALS_PROPOSE,
+    return _matching_from_heaps(state.heaps, HOSPITALS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
 
@@ -305,16 +419,16 @@ def truncated_da(doctor_prefs: List[List[int]],
     """
     log = EventLog(orientation)
     if orientation == DOCTORS_PROPOSE:
-        heaps = _engine(doctor_prefs, build_ranks(hospital_prefs),
+        state = _engine(doctor_prefs, build_ranks(hospital_prefs),
                         [1] * len(doctor_prefs), list(capacities),
                         rule, doctor_utils, proposer_ratings, order, log)
     elif orientation == HOSPITALS_PROPOSE:
-        heaps = _engine(hospital_prefs, build_ranks(doctor_prefs),
+        state = _engine(hospital_prefs, build_ranks(doctor_prefs),
                         list(capacities), [1] * len(doctor_prefs),
                         rule, hospital_utils, proposer_ratings, order, log)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    return (_matching_from_heaps(heaps, orientation,
+    return (_matching_from_heaps(state.heaps, orientation,
                                  len(doctor_prefs), len(hospital_prefs)), log)
 
 

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .da import TruncationRule, doctor_proposing_da, truncated_da
+from .da import (DOCTORS_PROPOSE, DAState, LazyMatching, TruncationRule,
+                 doctor_proposing_state, truncated_da)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, compute_cone
 
@@ -57,7 +58,13 @@ class DeviationResult:
 
 
 class _PatchContext:
-    """Precomputed base structures shared by all replicates of one market."""
+    """Precomputed base structures shared by all replicates of one market.
+
+    Plain runs warm-start: DA is run once per focal doctor with the focal's
+    list empty, and each replicate inserts the focal into that settled state
+    (see da.DAState.insert).  Only the most recent focal's state is kept, so
+    callers loop focal-major.
+    """
 
     def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
                  prefs: Optional[tuple] = None):
@@ -72,6 +79,15 @@ class _PatchContext:
             for h, lst in enumerate(self.hospital_prefs)]
         self.base_ranks: List[Dict[int, int]] = [
             {d: i for i, (_, d) in enumerate(keys)} for keys in self.hospital_keys]
+        self._absent: Optional[Tuple[int, DAState]] = None
+
+    def _focal_absent(self, focal: int) -> DAState:
+        if self._absent is None or self._absent[0] != focal:
+            doctor_prefs = list(self.doctor_prefs)
+            doctor_prefs[focal] = []
+            self._absent = (focal, doctor_proposing_state(
+                doctor_prefs, self.base_ranks, self.instance.capacities))
+        return self._absent[1]
 
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
                     iota_d: np.ndarray, iota_h: np.ndarray,
@@ -79,58 +95,53 @@ class _PatchContext:
         """Doctor-proposing DA with the focal doctor's edges re-pointed.
 
         slot_hospitals[s] is the hospital occupying slot s; iota_d/iota_h
-        are that slot's fresh interview values for the two sides.
+        are that slot's fresh interview values for the two sides.  Returns
+        (focal utility, matching, event log or None); the log comes from a
+        full truncated_da run, the plain run warm-starts.
         """
-        inst, asg = self.instance, self.assignment
+        inst = self.instance
         cfg = inst.config
         r_focal = inst.doctor_ratings[focal]
         school = cfg.setting == SCHOOL_CHOICE
 
         u_focal = {}
+        u_hosp = {}
         for s, h in enumerate(slot_hospitals):
             u_focal[h] = float(inst.hospital_ratings[h]
                                + inst.private_dh(focal, h)
                                + cfg.nu_d * iota_d[s])
+            u_hosp[h] = float(r_focal) if school else \
+                float(r_focal + cfg.nu_h * iota_h[s])
         focal_list = sorted(u_focal, key=lambda h: (-u_focal[h], h))
 
-        doctor_prefs = list(self.doctor_prefs)
-        doctor_prefs[focal] = focal_list
-        doctor_utils = None
-        hospital_prefs = self.hospital_prefs
         if want_log:
-            doctor_utils = list(asg.doctor_utils)
+            doctor_prefs = list(self.doctor_prefs)
+            doctor_prefs[focal] = focal_list
+            doctor_utils = list(self.assignment.doctor_utils)
             doctor_utils[focal] = u_focal
+            # hospitals the focal no longer lists keep the focal's old rank,
+            # unused: the focal never proposes there
             hospital_prefs = list(self.hospital_prefs)
-
-        ranks = list(self.base_ranks)
-        touched = set(slot_hospitals) | set(asg.doctor_lists[focal])
-        for s, h in enumerate(slot_hospitals):
-            u_h = float(r_focal) if school else \
-                float(r_focal + cfg.nu_h * iota_h[s])
-            keys = [kd for kd in self.hospital_keys[h] if kd[1] != focal]
-            bisect.insort(keys, (-u_h, focal))
-            ranks[h] = {d: i for i, (_, d) in enumerate(keys)}
-            if want_log:
+            for h, u_h in u_hosp.items():
+                keys = [kd for kd in self.hospital_keys[h] if kd[1] != focal]
+                bisect.insort(keys, (-u_h, focal))
                 hospital_prefs[h] = [d for _, d in keys]
-            touched.discard(h)
-        for h in touched:  # hospitals that lost the focal edge
-            keys = [kd for kd in self.hospital_keys[h] if kd[1] != focal]
-            ranks[h] = {d: i for i, (_, d) in enumerate(keys)}
-            if want_log:
-                hospital_prefs[h] = [d for _, d in keys]
-
-        if want_log:
             matching, log = truncated_da(
                 doctor_prefs, hospital_prefs, inst.capacities,
                 TruncationRule(), doctor_utils=doctor_utils)
+            h_match = matching.doctor_of[focal]
         else:
-            matching = doctor_proposing_da(
-                doctor_prefs, self.hospital_prefs, inst.capacities,
-                hospital_ranks=ranks)
+            # positions in hospital_keys[h] are the base ranks; the focal
+            # ranks half a position before the first key greater than its
+            # own (its old key, on either side, is never compared)
+            ranks = {h: bisect.bisect_left(self.hospital_keys[h], (-u_h, focal)) - 0.5
+                     for h, u_h in u_hosp.items()}
+            state = self._focal_absent(focal).insert(focal, focal_list, ranks)
+            h_match = state.partner(focal)
+            matching = LazyMatching(state, DOCTORS_PROPOSE, cfg.n_doctors,
+                                    cfg.n_hospitals)
             log = None
-        h_match = matching.doctor_of[focal]
-        utility = u_focal.get(h_match, UNMATCHED_UTILITY) \
-            if h_match is not None else UNMATCHED_UTILITY
+        utility = UNMATCHED_UTILITY if h_match is None else u_focal[h_match]
         return utility, matching, log
 
 
@@ -154,6 +165,8 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
     Unchanged hospitals keep their base slots; replacements take over the
     vacated slots, so common-random-number draws line up edge for edge.
     """
+    if spec.kind not in KINDS and spec.kind != NULL_DEVIATION:
+        raise ValueError(f"unknown deviation kind {spec.kind!r}")
     focal = spec.focal_doctor
     inst = instance
     base = list(assignment.doctor_lists[focal])
@@ -194,25 +207,23 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
         slots[_marginal_slot(inst, base, focal)] = target
         return slots, float(inst.hospital_ratings[target] - r)
 
-    if spec.kind == TOP_K_OF_ALL:
-        k = inst.config.k
-        all_h = np.arange(inst.config.n_hospitals, dtype=np.int64)
-        pre = inst.hospital_ratings + inst.private_dh(focal, all_h)
-        order = np.lexsort((all_h, -pre))
-        chosen = sorted(int(all_h[i]) for i in order[:k])
-        slots = list(base)
-        keep = [s for s, h in enumerate(slots) if h in chosen]
-        kept = {slots[s] for s in keep}
-        incoming = [h for h in chosen if h not in kept]
-        free = [s for s in range(len(slots)) if s not in keep]
-        for s, h in zip(free, incoming):
-            slots[s] = h
-        extra = incoming[len(free):]          # k grew beyond the base list
-        slots.extend(extra)
-        top = max((inst.hospital_ratings[h] for h in chosen), default=r)
-        return slots, float(top - r)
-
-    raise ValueError(f"unknown deviation kind {spec.kind!r}")
+    # TOP_K_OF_ALL
+    k = inst.config.k
+    all_h = np.arange(inst.config.n_hospitals, dtype=np.int64)
+    pre = inst.hospital_ratings + inst.private_dh(focal, all_h)
+    order = np.lexsort((all_h, -pre))
+    chosen = sorted(int(all_h[i]) for i in order[:k])
+    slots = list(base)
+    keep = [s for s, h in enumerate(slots) if h in chosen]
+    kept = {slots[s] for s in keep}
+    incoming = [h for h in chosen if h not in kept]
+    free = [s for s in range(len(slots)) if s not in keep]
+    for s, h in zip(free, incoming):
+        slots[s] = h
+    extra = incoming[len(free):]          # k grew beyond the base list
+    slots.extend(extra)
+    top = max((inst.hospital_ratings[h] for h in chosen), default=r)
+    return slots, float(top - r)
 
 
 def _replicate_salt(focal: int, replicate: int) -> int:
@@ -232,6 +243,8 @@ def evaluate_deviation(instance: MarketInstance,
                        spec: DeviationSpec,
                        context: Optional[_PatchContext] = None) -> DeviationResult:
     """Monte Carlo (base, deviant, gain) for one deviation spec."""
+    if spec.replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {spec.replicates}")
     ctx = context or _PatchContext(instance, assignment)
     focal = spec.focal_doctor
     base_slots = list(assignment.doctor_lists[focal])

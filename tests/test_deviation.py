@@ -176,3 +176,20 @@ def test_deviation_csv_rows():
     assert cols[0] == str(focal) and cols[1] == SWAP_IN_CONE
     assert int(cols[5]) == 3
     assert deviation.DEVIATION_CSV_HEADER.count(",") == rows[0].count(",")
+
+
+def test_unknown_kind_rejected_even_for_an_empty_list():
+    inst, asg = make_market(seed=13, cone=0.002)
+    empty = next(d for d, hs in enumerate(asg.doctor_lists) if not hs)
+    listed = next(d for d, hs in enumerate(asg.doctor_lists) if hs)
+    for focal in (empty, listed):
+        with pytest.raises(ValueError, match="unknown deviation kind"):
+            deviant_slots(inst, asg, DeviationSpec(focal, "sideways"))
+
+
+@pytest.mark.parametrize("replicates", [0, -2])
+def test_evaluate_deviation_needs_a_replicate(replicates):
+    inst, asg = make_market(seed=14)
+    spec = DeviationSpec(pick_focal(inst), SWAP_IN_CONE, replicates=replicates)
+    with pytest.raises(ValueError, match="replicates"):
+        evaluate_deviation(inst, asg, spec)
