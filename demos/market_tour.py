@@ -26,11 +26,11 @@ print(f"\ndoctor {d}: rating {inst.doctor_ratings[d]:.3f}, "
       f"{len(cone.member_hospitals)} hospitals")
 
 assignment = select_interviews(inst)
-chosen = assignment.doctor_lists[d]
+chosen = assignment.doctor_list(d)
 print(f"she interviews at {chosen} (her top-{cfg.k} in-cone private values)")
 for h in chosen:
     print(f"  hospital {h}: rating {inst.hospital_ratings[h]:.3f}, "
-          f"her utility {assignment.doctor_utils[d][h]:.3f}")
+          f"her utility {assignment.u_doc[assignment.edge_index([d], [h])[0]]:.3f}")
 
 # both sides rank their interview partners by utility, then DA matches
 doctor_prefs, hospital_prefs = build_preferences(assignment)

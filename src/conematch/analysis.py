@@ -1,10 +1,11 @@
 """Ground-truth verifiers for matchings produced by the DA engine.
 
 The comparisons are predicates over matchings the caller already holds:
-one blocking-pair scan, and the rural-hospital invariant and uniqueness
-as functions of the doctor- and hospital-optimal matchings.  The public
-checks compose them: the full scan, brute-force enumeration of the stable
-set on small instances, and both DA orientations run once and compared.
+one blocking-pair scan, vectorised over the interview edge table, and the
+rural-hospital invariant and uniqueness as functions of the doctor- and
+hospital-optimal matchings.  The public checks compose them: the full
+scan, brute-force enumeration of the stable set on small instances, and
+both DA orientations run once and compared.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from .da import (Matching, build_ranks, doctor_proposing_da,
-                 hospital_proposing_da)
+import numpy as np
+
+from .da import Matching, doctor_proposing_da, hospital_proposing_da
 from .strategy import InterviewAssignment, build_preferences
 
 MAX_ORACLE_DOCTORS = 8
@@ -30,43 +32,68 @@ class BlockingPair:
     hospital_side_witness: str   # "under capacity" or "displaces <id>"
 
 
-def _defaults(assignment: InterviewAssignment, capacities, prefs):
-    if capacities is None:
-        capacities = assignment.instance.capacities
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    return capacities, prefs
+def _flatten(lists):
+    # (owner, item) arrays of a list of lists, in list order
+    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+    items = np.fromiter((x for lst in lists for x in lst), np.int64,
+                        int(sizes.sum()))
+    return np.repeat(np.arange(len(lists)), sizes), items
 
 
-def _blocking_scan(doctor_prefs, hospital_ranks, doctor_utils, doctor_of,
-                   doctors_of, capacities, unmatched_utility):
-    """Yield every blocking pair of the matching (doctor_of, doctors_of).
+def _scan_edges(assignment: InterviewAssignment, prefs):
+    """(scan, rank): the edges doctor_prefs lists, in list order, and the
+    rank hospital_prefs gives each edge (-1: not ranked).
 
-    A pair blocks when both sides rank each other, the doctor strictly
-    prefers the hospital to her match (an unmatched doctor values her
-    position at `unmatched_utility`), and the hospital is under capacity
-    or ranks her above its worst held doctor.  Preference lists need not
-    be utility-sorted: every listed hospital is examined.
+    build_preferences(assignment) is the table itself; other lists are
+    looked up edge by edge.
     """
-    for d, ranked in enumerate(doctor_prefs):
-        cur = doctor_of[d]
-        cur_u = doctor_utils[d][cur] if cur is not None else unmatched_utility
-        for h in ranked:
-            if h == cur:
-                continue
-            u = doctor_utils[d][h]
-            if u <= cur_u:
-                continue
-            rank_d = hospital_ranks[h].get(d)
-            if rank_d is None:
-                continue
-            held = doctors_of[h]
-            if len(held) < capacities[h]:
-                yield BlockingPair(d, h, u - cur_u, "under capacity")
-                continue
-            worst = max(held, key=lambda x: hospital_ranks[h][x])
-            if rank_d < hospital_ranks[h][worst]:
-                yield BlockingPair(d, h, u - cur_u, f"displaces {worst}")
+    if prefs is None or all(getattr(p, "source", None) is assignment
+                            for p in prefs):
+        return np.arange(assignment.edge_d.size), assignment.hospital_rank
+    doctor_prefs, hospital_prefs = prefs
+    scan = assignment.edge_index(*_flatten(doctor_prefs))
+    if (scan < 0).any():
+        raise ValueError("doctor_prefs lists a pair that is no interview edge")
+    owner, doctors = _flatten(hospital_prefs)
+    edges = assignment.edge_index(doctors, owner)
+    listed = edges >= 0
+    rank = np.full(assignment.edge_d.size, -1, dtype=np.int64)
+    rank[edges[listed]] = (np.arange(owner.size)
+                           - np.searchsorted(owner, owner))[listed]
+    return scan, rank
+
+
+def _blocking_scan(assignment: InterviewAssignment, scan, rank, matched,
+                   capacities, unmatched_utility):
+    """Which entries of `scan` block the matching `matched`.
+
+    matched[d] is doctor d's matched edge (-1: unmatched).  Edge (d, h)
+    blocks when h ranks d, d strictly prefers h to her match (an unmatched
+    doctor values her position at `unmatched_utility`), and h is under
+    capacity or ranks d above its worst held doctor.  The scan need not be
+    utility-sorted: every entry is examined.  Returns, per entry, the
+    doctor's gain (blocking entries only, else 0) and the worst held
+    doctor it displaces (-1 when h is under capacity).
+    """
+    edge_h, u = assignment.edge_h, assignment.u_doc
+    held = np.flatnonzero(matched >= 0)
+    seat = matched[held]
+    cur_u = np.append(u, unmatched_utility)[matched]      # edge -1: unmatched
+    seat_h = edge_h[seat]
+    fill = np.bincount(seat_h, minlength=len(capacities))
+    # each hospital's worst held doctor; one it does not rank is worst of all
+    seat_rank = np.where(rank[seat] < 0, np.iinfo(np.int64).max, rank[seat])
+    worst_rank = np.full(fill.size, -1, dtype=np.int64)
+    np.maximum.at(worst_rank, seat_h, seat_rank)
+    worst_doc = np.full(fill.size, -1, dtype=np.int64)
+    at_worst = seat_rank == worst_rank[seat_h]
+    worst_doc[seat_h[at_worst]] = held[at_worst]
+
+    d, h, r = assignment.edge_d[scan], edge_h[scan], rank[scan]
+    free = fill[h] < np.asarray(capacities)[h]
+    gain = u[scan] - cur_u[d]
+    blocks = (scan != matched[d]) & (gain > 0) & (r >= 0) & (free | (r < worst_rank[h]))
+    return np.where(blocks, gain, 0.0), np.where(free, -1, worst_doc[h])
 
 
 def find_blocking_pairs(assignment: InterviewAssignment,
@@ -74,14 +101,22 @@ def find_blocking_pairs(assignment: InterviewAssignment,
                         capacities=None,
                         prefs: Optional[tuple] = None,
                         unmatched_utility: float = -math.inf) -> List[BlockingPair]:
-    """Exhaustive blocking-pair scan; an empty result certifies stability."""
-    capacities, (doctor_prefs, hospital_prefs) = _defaults(assignment,
-                                                           capacities, prefs)
-    matching.validate(capacities, [set(lst) for lst in assignment.doctor_lists])
-    return list(_blocking_scan(doctor_prefs, build_ranks(hospital_prefs),
-                               assignment.doctor_utils, matching.doctor_of,
-                               matching.doctors_of, capacities,
-                               unmatched_utility))
+    """Exhaustive blocking-pair scan; an empty result certifies stability.
+
+    Pairs come in the order of doctor_prefs: by doctor, then by her list.
+    """
+    if capacities is None:
+        capacities = assignment.instance.capacities
+    matching.validate(capacities)
+    scan, rank = _scan_edges(assignment, prefs)
+    gain, displaced = _blocking_scan(assignment, scan, rank,
+                                     assignment.matched_edges(matching),
+                                     capacities, unmatched_utility)
+    at = np.flatnonzero(gain)
+    return [BlockingPair(d, h, g, "under capacity" if w < 0 else f"displaces {w}")
+            for d, h, g, w in zip(assignment.edge_d[scan[at]].tolist(),
+                                  assignment.edge_h[scan[at]].tolist(),
+                                  gain[at].tolist(), displaced[at].tolist())]
 
 
 def enumerate_stable(assignment: InterviewAssignment,
@@ -94,41 +129,39 @@ def enumerate_stable(assignment: InterviewAssignment,
     spare capacity (and staying unmatched), then filters by blocking-pair
     freeness.
     """
-    capacities, (doctor_prefs, hospital_prefs) = _defaults(assignment,
-                                                           capacities, prefs)
-    n_doc, n_hosp = len(doctor_prefs), len(hospital_prefs)
+    if capacities is None:
+        capacities = assignment.instance.capacities
+    n_doc, n_hosp = assignment.n_doctors(), assignment.n_hospitals()
     if (n_doc > MAX_ORACLE_DOCTORS or n_hosp > MAX_ORACLE_HOSPITALS
             or sum(capacities) > MAX_ORACLE_PLACES):
         raise ValueError(
             f"oracle limited to {MAX_ORACLE_DOCTORS} doctors, "
             f"{MAX_ORACLE_HOSPITALS} hospitals, {MAX_ORACLE_PLACES} places")
 
-    hospital_ranks = build_ranks(hospital_prefs)
-    mutual = [[h for h in doctor_prefs[d] if d in hospital_ranks[h]]
-              for d in range(n_doc)]
+    scan, rank = _scan_edges(assignment, prefs)
+    edge_h = assignment.edge_h.tolist()
+    mutual: List[List[int]] = [[] for _ in range(n_doc)]
+    for e in scan[rank[scan] >= 0].tolist():
+        mutual[assignment.edge_d[e]].append(e)
 
     stable: Set[tuple] = set()
     slots = list(capacities)
-    choice: List[Optional[int]] = [None] * n_doc
-    held: List[List[int]] = [[] for _ in range(n_hosp)]
+    choice = np.full(n_doc, -1, dtype=np.int64)
 
     def walk(d: int):
         if d == n_doc:
-            if next(_blocking_scan(doctor_prefs, hospital_ranks,
-                                   assignment.doctor_utils, choice, held,
-                                   capacities, -math.inf), None) is None:
-                stable.add(tuple(-1 if h is None else h for h in choice))
+            if not _blocking_scan(assignment, scan, rank, choice, capacities,
+                                  -math.inf)[0].any():
+                stable.add(tuple(-1 if e < 0 else edge_h[e] for e in choice.tolist()))
             return
-        choice[d] = None
         walk(d + 1)
-        for h in mutual[d]:
+        for e in mutual[d]:
+            h = edge_h[e]
             if slots[h] > 0:
                 slots[h] -= 1
-                choice[d] = h
-                held[h].append(d)
+                choice[d] = e
                 walk(d + 1)
-                held[h].pop()
-                choice[d] = None
+                choice[d] = -1
                 slots[h] += 1
 
     walk(0)
@@ -146,8 +179,8 @@ def matching_from_key(key: tuple, n_hospitals: int) -> Matching:
 
 def doctor_utility_vector(assignment, matching,
                           unmatched_utility: float = -math.inf):
-    return [assignment.doctor_utils[d][h] if h is not None else unmatched_utility
-            for d, h in enumerate(matching.doctor_of)]
+    utility = np.append(assignment.u_doc, unmatched_utility)  # edge -1: unmatched
+    return utility[assignment.matched_edges(matching)].tolist()
 
 
 def orientations_coincide(doctor_optimal: Matching,
@@ -167,7 +200,10 @@ def rural_hospital_invariant(doctor_optimal: Matching,
 
 
 def _both_orientations(assignment: InterviewAssignment, capacities, prefs):
-    capacities, prefs = _defaults(assignment, capacities, prefs)
+    if capacities is None:
+        capacities = assignment.instance.capacities
+    if prefs is None:
+        prefs = build_preferences(assignment)
     return (doctor_proposing_da(*prefs, capacities),
             hospital_proposing_da(*prefs, capacities))
 

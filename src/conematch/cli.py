@@ -29,7 +29,7 @@ from . import analysis, deviation, double_cut, metrics
 from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
                  order_invariance_check)
 from .market import (ConfigError, MarketConfig, RESIDENCY, REQUEST_INTERVIEW,
-                     SCHOOL_CHOICE, generate, make_config)
+                     SCHOOL_CHOICE, generate, make_config, require_int)
 from .strategy import build_assignment, build_preferences
 
 EXIT_OK = 0
@@ -71,6 +71,8 @@ def config_hash(cfg: MarketConfig) -> str:
 
 def expand_grid(raw: dict) -> List[MarketConfig]:
     """Cross every list-valued field; n_hospitals defaults to n/kappa."""
+    if not isinstance(raw, dict):
+        raise ConfigError("a config must be one JSON object of MarketConfig fields")
     known = {f.name for f in fields(MarketConfig)}
     unknown = set(raw) - known
     if unknown:
@@ -79,21 +81,24 @@ def expand_grid(raw: dict) -> List[MarketConfig]:
     pools = []
     for key in keys:
         v = raw[key]
-        if key == "capacity":
-            if isinstance(v, list) and v and isinstance(v[0], list):
-                pools.append([tuple(x) for x in v])     # explicit vectors
-            elif isinstance(v, list):
-                pools.append(v)
-            else:
-                pools.append([v])
+        if key == "capacity" and isinstance(v, list) and v and isinstance(v[0], list):
+            pools.append([tuple(x) for x in v])     # explicit vectors
         else:
             pools.append(v if isinstance(v, list) else [v])
+        if not pools[-1]:
+            raise ConfigError(f"{key}: an empty list leaves no config to run")
     configs = []
     for combo in itertools.product(*pools):
         data = dict(zip(keys, combo))
-        if "n_hospitals" not in data:
+        if "n_hospitals" not in data:     # n / kappa, once both are valid
             cap = data.get("capacity", 1)
-            kappa = cap if isinstance(cap, int) else max(1, round(float(np.mean(cap))))
+            caps = cap if isinstance(cap, tuple) else (cap,)
+            for name, value in (("n_doctors", data.get("n_doctors")),
+                                *(("capacity", c) for c in caps)):
+                require_int(name, value)
+            if min(caps, default=0) < 1:
+                raise ConfigError("every capacity must be >= 1")
+            kappa = max(1, round(float(np.mean(caps))))
             data["n_hospitals"] = max(1, round(data["n_doctors"] / kappa))
         configs.append(MarketConfig.from_dict(data))
     return configs
@@ -341,10 +346,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config is not None:
             with open(args.config) as fh:
                 raw = json.load(fh)
-            if args.seed is not None:
+            if isinstance(raw, dict):      # expand_grid refuses anything else
                 raw.setdefault("seed", args.seed)
-            if args.runs is not None:
-                raw["runs"] = args.runs
+                if args.runs is not None:
+                    raw["runs"] = args.runs
             configs = expand_grid(raw)
         elif args.preset is not None:
             configs = preset_configs(args.preset, args.seed,

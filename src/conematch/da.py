@@ -8,6 +8,9 @@ order_invariance_check verifies directly.  The engine's state (DAState) can
 also be resumed: one more proposer is inserted into a settled run on a
 copy-on-write overlay, which is how deviation probes avoid re-running DA.
 
+The engine reads, next to each proposer's list, the rank every listed
+receiver gives it (EdgeLists); plain lists are ranked with build_ranks.
+
 A truncation rule can stop a proposer three ways, checked before each
 proposal in this sequence: utility below her floor (no proposal is made),
 the target is the focal agent (that proposal is made, then she stops), or
@@ -71,8 +74,11 @@ class Matching:
     def fills(self) -> List[int]:
         return [len(s) for s in self.doctors_of]
 
-    def validate(self, capacities, interview_lists=None) -> None:
-        """Raise on broken mutual consistency, capacity, or edge membership."""
+    def validate(self, capacities) -> None:
+        """Raise on broken mutual consistency or capacity.
+
+        InterviewAssignment.matched_edges checks edge membership.
+        """
         seen = 0
         for h, ds in enumerate(self.doctors_of):
             if len(ds) > capacities[h]:
@@ -83,10 +89,6 @@ class Matching:
                 seen += 1
         if seen != len(self.matched_doctors()):
             raise ValueError("doctor_of and doctors_of disagree")
-        if interview_lists is not None:
-            for d, h in enumerate(self.doctor_of):
-                if h is not None and h not in interview_lists[d]:
-                    raise ValueError(f"match ({d},{h}) is not an interview edge")
 
     def key(self) -> tuple:
         return tuple(-1 if h is None else h for h in self.doctor_of)
@@ -144,6 +146,35 @@ def build_ranks(pref_lists: List[List[int]]) -> List[Dict[int, int]]:
     return [{j: r for r, j in enumerate(lst)} for lst in pref_lists]
 
 
+class EdgeLists(list):
+    """One side's preference lists, partners best first, with per entry
+    the rank the partner gives back (ranks[p][i], None: unranked) and, if
+    present, p's own utility (utils[p][i]).
+
+    The DA entry points take the ranks as they are only when both sides'
+    lists share a `source` (the table they were read from).  Treat as
+    read-only: list(x) is a plain list and is ranked anew.
+    """
+
+    def __init__(self, lists, ranks, utils=None, source=None):
+        super().__init__(lists)
+        self.ranks = ranks
+        self.utils = utils
+        self.source = source
+
+
+def _edge_ranks(proposer_prefs, receiver_prefs, receiver_ranks=None):
+    # per proposer, the rank each listed receiver gives it
+    if (receiver_ranks is None and isinstance(proposer_prefs, EdgeLists)
+            and proposer_prefs.source is not None
+            and proposer_prefs.source is getattr(receiver_prefs, "source", None)):
+        return proposer_prefs.ranks
+    if receiver_ranks is None:
+        receiver_ranks = build_ranks(receiver_prefs)
+    return [[receiver_ranks[t].get(p) for t in lst]
+            for p, lst in enumerate(proposer_prefs)]
+
+
 class _Overlay:
     """Copy-on-write view of a per-agent list: writes never reach `base`.
 
@@ -186,12 +217,12 @@ class DAState:
     one insert is the run with that proposer present from the start.
     """
 
-    def __init__(self, proposer_prefs, receiver_ranks, proposer_slots,
+    def __init__(self, proposer_prefs, proposer_ranks, proposer_slots,
                  receiver_caps, rule: Optional[TruncationRule] = None,
                  proposer_utils=None, log: Optional[EventLog] = None):
         n_prop = len(proposer_prefs)
         self.prefs = proposer_prefs
-        self.ranks = receiver_ranks
+        self.ranks = proposer_ranks
         self.slots = proposer_slots
         self.caps = receiver_caps
         self.rule = None if rule is None or rule.is_trivial() else rule
@@ -201,7 +232,7 @@ class DAState:
         self.held = [0] * n_prop
         self.halted = [False] * n_prop
         self.in_queue = [False] * n_prop
-        self.heaps: list = [[] for _ in range(len(receiver_ranks))]  # (-rank, proposer)
+        self.heaps: list = [[] for _ in range(len(receiver_caps))]  # (-rank, proposer)
 
     def _settle(self, queue: deque) -> None:
         """Run proposals from a FIFO queue until no proposer can move."""
@@ -218,7 +249,9 @@ class DAState:
             in_queue[p] = False
             if halted[p]:
                 continue
-            lst = prefs[p]
+            lst, rks = prefs[p], ranks[p]
+            if utils is not None:
+                ulst = utils[p]
             if rule is not None:
                 floor, windows, focal = (rule.floor_for(p), rule.windows_for(p),
                                          rule.focal_target)
@@ -231,7 +264,7 @@ class DAState:
                     break
                 t = lst[i]
                 if utils is not None:
-                    u = utils[p].get(t, -math.inf)
+                    u = ulst[i]
                 if rule is not None:
                     stop = HALT_FLOOR if u < floor else None
                     if stop is None and t != focal and any(lo <= u < hi for lo, hi in windows):
@@ -242,7 +275,7 @@ class DAState:
                             events.append((len(events), p, t, u, stop))
                         break
                 pointer[p] = i + 1
-                rank = ranks[t].get(p)
+                rank = rks[i]
                 outcome = REJECT
                 if rank is not None:
                     heap = heaps[t]
@@ -267,12 +300,13 @@ class DAState:
                     break
 
     def insert(self, proposer: int, pref_list: Sequence[int],
-               rank_overlay: Dict[int, float]) -> "DAState":
+               rank_list: Sequence[float]) -> "DAState":
         """This state with `proposer` added and settled, as a new state.
 
-        `proposer` has an empty list here.  `rank_overlay[t]` is the rank
-        receiver t gives it: any number that orders it among the ranks t
-        already holds.  Only the agents on the rejection chain are copied.
+        `proposer` has an empty list here.  rank_list[i] is the rank that
+        pref_list[i] gives it: any number that orders it among the ranks
+        that receiver already holds.  Only the agents on the rejection chain
+        are copied.
         """
         if self.rule is not None or self.log is not None:
             raise ValueError("insert needs a run without truncation or event log")
@@ -280,8 +314,7 @@ class DAState:
             raise ValueError(f"proposer {proposer} already has a list")
         child = DAState.__new__(DAState)
         child.prefs = _Overlay(self.prefs, {proposer: pref_list})
-        child.ranks = _Overlay(self.ranks, {t: {**self.ranks[t], proposer: r}
-                                            for t, r in rank_overlay.items()})
+        child.ranks = _Overlay(self.ranks, {proposer: rank_list})
         child.slots, child.caps = self.slots, self.caps
         child.rule = child.utils = child.log = None
         child.pointer, child.held, child.halted, child.in_queue = (
@@ -299,11 +332,11 @@ class DAState:
 
 
 def _engine(proposer_prefs: List[List[int]],
-            receiver_ranks: List[Dict[int, int]],
+            proposer_ranks: List[List[Optional[float]]],
             proposer_slots: Sequence[int],
             receiver_caps: Sequence[int],
             rule: Optional[TruncationRule],
-            proposer_utils: Optional[List[Dict[int, float]]],
+            proposer_utils: Optional[List[List[float]]],
             proposer_ratings,
             order: Optional[Sequence[int]],
             log: Optional[EventLog]) -> DAState:
@@ -322,7 +355,7 @@ def _engine(proposer_prefs: List[List[int]],
         allowed = [bool(rule.proposer_filter(float(proposer_ratings[p])))
                    for p in range(n_prop)]
 
-    state = DAState(proposer_prefs, receiver_ranks, proposer_slots,
+    state = DAState(proposer_prefs, proposer_ranks, proposer_slots,
                     receiver_caps, rule, proposer_utils, log)
     start = range(n_prop) if order is None else order
     state._settle(deque(p for p in start if allowed[p] and proposer_prefs[p]))
@@ -365,11 +398,14 @@ class LazyMatching(Matching):
 
 
 def doctor_proposing_state(doctor_prefs: List[List[int]],
-                           hospital_ranks: List[Dict[int, int]],
+                           hospital_prefs: List[List[int]],
                            capacities,
-                           order: Optional[Sequence[int]] = None) -> DAState:
+                           order: Optional[Sequence[int]] = None,
+                           hospital_ranks: Optional[List[Dict[int, int]]] = None
+                           ) -> DAState:
     """The settled doctor-proposing run, which `DAState.insert` extends."""
-    return _engine(doctor_prefs, hospital_ranks,
+    return _engine(doctor_prefs,
+                   _edge_ranks(doctor_prefs, hospital_prefs, hospital_ranks),
                    [1] * len(doctor_prefs), list(capacities),
                    None, None, None, order, None)
 
@@ -380,9 +416,8 @@ def doctor_proposing_da(doctor_prefs: List[List[int]],
                         hospital_ranks: Optional[List[Dict[int, int]]] = None,
                         order: Optional[Sequence[int]] = None) -> Matching:
     """Doctor-optimal stable matching over the given preference lists."""
-    if hospital_ranks is None:
-        hospital_ranks = build_ranks(hospital_prefs)
-    state = doctor_proposing_state(doctor_prefs, hospital_ranks, capacities, order)
+    state = doctor_proposing_state(doctor_prefs, hospital_prefs, capacities,
+                                   order, hospital_ranks)
     return _matching_from_heaps(state.heaps, DOCTORS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
@@ -393,9 +428,8 @@ def hospital_proposing_da(doctor_prefs: List[List[int]],
                           doctor_ranks: Optional[List[Dict[int, int]]] = None,
                           order: Optional[Sequence[int]] = None) -> Matching:
     """Hospital-optimal (doctor-pessimal) stable matching."""
-    if doctor_ranks is None:
-        doctor_ranks = build_ranks(doctor_prefs)
-    state = _engine(hospital_prefs, doctor_ranks,
+    state = _engine(hospital_prefs,
+                    _edge_ranks(hospital_prefs, doctor_prefs, doctor_ranks),
                     list(capacities), [1] * len(doctor_prefs),
                     None, None, None, order, None)
     return _matching_from_heaps(state.heaps, HOSPITALS_PROPOSE,
@@ -414,20 +448,25 @@ def truncated_da(doctor_prefs: List[List[int]],
     """Truncated DA run; returns the partial matching and its event log.
 
     A degenerate rule reproduces the untruncated DA.  Utilities for the
-    proposing side must be supplied whenever the rule involves a floor or
-    forbidden windows (floors are expressed in proposer utility).
+    proposing side (per agent, partner -> utility, or else those its
+    EdgeLists carry) must be available whenever the rule involves a floor
+    or forbidden windows (floors are expressed in proposer utility).
     """
     log = EventLog(orientation)
     if orientation == DOCTORS_PROPOSE:
-        state = _engine(doctor_prefs, build_ranks(hospital_prefs),
-                        [1] * len(doctor_prefs), list(capacities),
-                        rule, doctor_utils, proposer_ratings, order, log)
+        proposers, receivers, utils = doctor_prefs, hospital_prefs, doctor_utils
+        slots, caps = [1] * len(doctor_prefs), list(capacities)
     elif orientation == HOSPITALS_PROPOSE:
-        state = _engine(hospital_prefs, build_ranks(doctor_prefs),
-                        list(capacities), [1] * len(doctor_prefs),
-                        rule, hospital_utils, proposer_ratings, order, log)
+        proposers, receivers, utils = hospital_prefs, doctor_prefs, hospital_utils
+        slots, caps = list(capacities), [1] * len(doctor_prefs)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
+    if utils is not None:
+        utils = [[utils[p].get(t, -math.inf) for t in lst]
+                 for p, lst in enumerate(proposers)]
+    state = _engine(proposers, _edge_ranks(proposers, receivers), slots, caps,
+                    rule, utils or getattr(proposers, "utils", None),
+                    proposer_ratings, order, log)
     return (_matching_from_heaps(state.heaps, orientation,
                                  len(doctor_prefs), len(hospital_prefs)), log)
 

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, DAState, LazyMatching, TruncationRule,
-                 doctor_proposing_state, truncated_da)
+from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, LazyMatching,
+                 TruncationRule, doctor_proposing_state, truncated_da)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, compute_cone
 
@@ -63,7 +63,8 @@ class _PatchContext:
     Plain runs warm-start: DA is run once per focal doctor with the focal's
     list empty, and each replicate inserts the focal into that settled state
     (see da.DAState.insert).  Only the most recent focal's state is kept, so
-    callers loop focal-major.
+    callers loop focal-major.  `prefs`, if given, is
+    build_preferences(assignment).
     """
 
     def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
@@ -72,22 +73,29 @@ class _PatchContext:
         self.assignment = assignment
         if prefs is None:
             prefs = build_preferences(assignment)
+        if any(getattr(p, "source", None) is not assignment for p in prefs):
+            raise ValueError("prefs must be build_preferences(assignment)")
         self.doctor_prefs, self.hospital_prefs = prefs
-        # hospital preference keys (-utility, doctor), ascending = pref order
-        self.hospital_keys: List[List[tuple]] = [
-            [(-assignment.hospital_utils[h][d], d) for d in lst]
-            for h, lst in enumerate(self.hospital_prefs)]
-        self.base_ranks: List[Dict[int, int]] = [
-            {d: i for i, (_, d) in enumerate(keys)} for keys in self.hospital_keys]
         self._absent: Optional[Tuple[int, DAState]] = None
 
     def _focal_absent(self, focal: int) -> DAState:
         if self._absent is None or self._absent[0] != focal:
-            doctor_prefs = list(self.doctor_prefs)
-            doctor_prefs[focal] = []
+            prefs = self.doctor_prefs
+            absent = EdgeLists(prefs, prefs.ranks, None, prefs.source)
+            absent[focal] = []
             self._absent = (focal, doctor_proposing_state(
-                doctor_prefs, self.base_ranks, self.instance.capacities))
+                absent, self.hospital_prefs, self.instance.capacities))
         return self._absent[1]
+
+    def _focal_rank(self, h: int, u: float, focal: int) -> float:
+        # positions in h's list, ordered by keys (-utility, doctor), are the
+        # base ranks; the focal ranks half a position before the first key
+        # greater than (-u, focal) (its old key, on either side, is never
+        # compared)
+        utils = self.hospital_prefs.utils[h]
+        i = bisect.bisect_left(utils, -u, key=float.__neg__)
+        j = bisect.bisect_right(utils, -u, i, key=float.__neg__)
+        return bisect.bisect_left(self.hospital_prefs[h], focal, i, j) - 0.5
 
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
                     iota_d: np.ndarray, iota_h: np.ndarray,
@@ -97,7 +105,7 @@ class _PatchContext:
         slot_hospitals[s] is the hospital occupying slot s; iota_d/iota_h
         are that slot's fresh interview values for the two sides.  Returns
         (focal utility, matching, event log or None); the log comes from a
-        full truncated_da run, the plain run warm-starts.
+        full truncated run, the plain run warm-starts.
         """
         inst = self.instance
         cfg = inst.config
@@ -113,30 +121,20 @@ class _PatchContext:
             u_hosp[h] = float(r_focal) if school else \
                 float(r_focal + cfg.nu_h * iota_h[s])
         focal_list = sorted(u_focal, key=lambda h: (-u_focal[h], h))
+        focal_ranks = [self._focal_rank(h, u_hosp[h], focal) for h in focal_list]
 
         if want_log:
-            doctor_prefs = list(self.doctor_prefs)
-            doctor_prefs[focal] = focal_list
-            doctor_utils = list(self.assignment.doctor_utils)
-            doctor_utils[focal] = u_focal
-            # hospitals the focal no longer lists keep the focal's old rank,
-            # unused: the focal never proposes there
-            hospital_prefs = list(self.hospital_prefs)
-            for h, u_h in u_hosp.items():
-                keys = [kd for kd in self.hospital_keys[h] if kd[1] != focal]
-                bisect.insort(keys, (-u_h, focal))
-                hospital_prefs[h] = [d for _, d in keys]
+            base = self.doctor_prefs
+            prefs, ranks, utils = list(base), list(base.ranks), list(base.utils)
+            prefs[focal], ranks[focal] = focal_list, focal_ranks
+            utils[focal] = [u_focal[h] for h in focal_list]
             matching, log = truncated_da(
-                doctor_prefs, hospital_prefs, inst.capacities,
-                TruncationRule(), doctor_utils=doctor_utils)
+                EdgeLists(prefs, ranks, utils, base.source), self.hospital_prefs,
+                inst.capacities, TruncationRule())
             h_match = matching.doctor_of[focal]
         else:
-            # positions in hospital_keys[h] are the base ranks; the focal
-            # ranks half a position before the first key greater than its
-            # own (its old key, on either side, is never compared)
-            ranks = {h: bisect.bisect_left(self.hospital_keys[h], (-u_h, focal)) - 0.5
-                     for h, u_h in u_hosp.items()}
-            state = self._focal_absent(focal).insert(focal, focal_list, ranks)
+            state = self._focal_absent(focal).insert(focal, focal_list,
+                                                     focal_ranks)
             h_match = state.partner(focal)
             matching = LazyMatching(state, DOCTORS_PROPOSE, cfg.n_doctors,
                                     cfg.n_hospitals)
@@ -169,7 +167,7 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
         raise ValueError(f"unknown deviation kind {spec.kind!r}")
     focal = spec.focal_doctor
     inst = instance
-    base = list(assignment.doctor_lists[focal])
+    base = assignment.doctor_list(focal)
     if spec.kind == NULL_DEVIATION or not base:
         return base, 0.0
     cone = compute_cone(inst, focal)
@@ -247,7 +245,7 @@ def evaluate_deviation(instance: MarketInstance,
         raise ValueError(f"replicates must be at least 1, got {spec.replicates}")
     ctx = context or _PatchContext(instance, assignment)
     focal = spec.focal_doctor
-    base_slots = list(assignment.doctor_lists[focal])
+    base_slots = assignment.doctor_list(focal)
     dev_slots, realized = deviant_slots(instance, assignment, spec)
     n_slots = max(len(base_slots), len(dev_slots))
 
@@ -281,7 +279,7 @@ def locality_check(instance: MarketInstance,
     """
     ctx = context or _PatchContext(instance, assignment)
     focal = spec.focal_doctor
-    base_slots = list(assignment.doctor_lists[focal])
+    base_slots = assignment.doctor_list(focal)
     dev_slots, _ = deviant_slots(instance, assignment, spec)
     n_slots = max(len(base_slots), len(dev_slots))
     iota_d, iota_h = _slot_values(instance, focal, n_slots, replicate)

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EventLog, Matching,
-                 TruncationRule, doctor_proposing_da, hospital_proposing_da,
-                 truncated_da)
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EdgeLists, EventLog,
+                 Matching, TruncationRule, doctor_proposing_da,
+                 hospital_proposing_da, truncated_da)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences
 
@@ -151,14 +151,14 @@ def interval_preprocess(instance: MarketInstance,
 
     edges_into_i: Dict[int, List[int]] = {}
     for d in in_i:
-        for h in assignment.doctor_lists[d]:
+        for h in assignment.doctor_list(d):
             if h in l_hospitals:
                 edges_into_i.setdefault(h, []).append(d)
 
     colliding = {h for h, ds in edges_into_i.items() if len(ds) >= 2}
     removed_doctors = {d for h in colliding for d in edges_into_i[h]}
     neighbor_hospitals = {h for d in removed_doctors
-                          for h in assignment.doctor_lists[d]} - colliding
+                          for h in assignment.doctor_list(d)} - colliding
 
     excluded_h = frozenset(band_hospitals | colliding | neighbor_hospitals)
     excluded_d = frozenset(removed_doctors)
@@ -246,22 +246,27 @@ def run_double_cut(instance: MarketInstance,
                    assignment: InterviewAssignment,
                    scenario: DoubleCutScenario,
                    prefs: Optional[tuple] = None):
-    """Execute the scenario's truncated run; returns (Matching, SurplusReport)."""
-    lists = list(prefs if prefs is not None else build_preferences(assignment))
+    """Execute the scenario's truncated run; returns (Matching, SurplusReport).
+
+    `prefs`, if given, is build_preferences(assignment).
+    """
+    lists = build_preferences(assignment) if prefs is None else prefs
+    if any(getattr(p, "source", None) is not assignment for p in lists):
+        raise ValueError("prefs must be build_preferences(assignment)")
+    lists = list(lists)
     side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0   # proposers
     proposer_ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
     if scenario.exclusions:
-        lists[side] = [([] if p in scenario.exclusions else lst)
-                       for p, lst in enumerate(lists[side])]
+        p = lists[side]
+        lists[side] = EdgeLists([([] if i in scenario.exclusions else lst)
+                                 for i, lst in enumerate(p)],
+                                p.ranks, p.utils, p.source)
 
     rule = _rule_for(scenario, len(lists[side]), proposer_ratings)
-    # truncated_da reads the utilities of the proposing side only
-    matching, log = truncated_da(
-        *lists, instance.capacities, rule, orientation=scenario.orientation,
-        doctor_utils=assignment.doctor_utils,
-        hospital_utils=assignment.hospital_utils,
-        proposer_ratings=proposer_ratings)
-
+    # truncated_da reads the proposing side's utilities from its lists
+    matching, log = truncated_da(*lists, instance.capacities, rule,
+                                 orientation=scenario.orientation,
+                                 proposer_ratings=proposer_ratings)
     report = _surplus_report(instance, assignment, scenario, matching, log)
     return matching, report
 
@@ -304,9 +309,9 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
             instance, matching, r + half + alpha, d_hi)
         surplus = max(0, int(in_scope) - competing_places - unmatched_above)
         proposals = log.proposals_to(h)
-        held = matching.doctors_of[h]
-        utility = (float(np.mean([assignment.hospital_utils[h][d] for d in held]))
-                   if held else math.nan)
+        held = list(matching.doctors_of[h])
+        utility = (float(np.mean(assignment.u_hosp[
+            assignment.edge_index(held, [h] * len(held))])) if held else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
                              len(proposals), bool(held), utility,
                              scenario.bottommost, log)
@@ -324,7 +329,8 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
         surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
         proposals = log.proposals_to(d)
         hm = matching.doctor_of[d]
-        utility = assignment.doctor_utils[d].get(hm, math.nan) if hm is not None else math.nan
+        utility = (float(assignment.u_doc[assignment.edge_index([d], [hm])[0]])
+                   if hm is not None else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
                              len(proposals), hm is not None, utility,
                              scenario.bottommost, log)
@@ -414,12 +420,14 @@ def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
     return float(np.mean(hits < kappa)), closed
 
 
-def _receiver_outcomes_hospitals(assignment, matching):
-    outs = []
-    for h, ds in enumerate(matching.doctors_of):
-        outs.append(sorted((assignment.hospital_utils[h][d] for d in ds),
-                           reverse=True))
-    return outs
+def _seat_utilities(assignment: InterviewAssignment, matching: Matching):
+    # each hospital's seat utilities, best first
+    seats = [[] for _ in range(assignment.n_hospitals())]
+    e = assignment.matched_edges(matching)
+    e = e[e >= 0]
+    for h, u in zip(assignment.edge_h[e].tolist(), assignment.u_hosp[e].tolist()):
+        seats[h].append(u)
+    return [sorted(s, reverse=True) for s in seats]
 
 
 def receivers_dominate(assignment: InterviewAssignment, orientation: str,
@@ -432,14 +440,12 @@ def receivers_dominate(assignment: InterviewAssignment, orientation: str,
     doctors count as utility minus infinity.
     """
     if orientation == DOCTORS_PROPOSE:
-        full_out = _receiver_outcomes_hospitals(assignment, full)
-        cut_out = _receiver_outcomes_hospitals(assignment, cut)
         return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
-                   for f, c in zip(full_out, cut_out))
-    utils = assignment.doctor_utils    # .get(None) is -inf: unmatched
-    return all(utils[d].get(full_h, -math.inf) >= utils[d].get(cut_h, -math.inf)
-               for d, (full_h, cut_h) in enumerate(zip(full.doctor_of,
-                                                       cut.doctor_of)))
+                   for f, c in zip(_seat_utilities(assignment, full),
+                                   _seat_utilities(assignment, cut)))
+    u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
+    return bool(np.all(u[assignment.matched_edges(full)]
+                       >= u[assignment.matched_edges(cut)]))
 
 
 def dominance_audit(instance: MarketInstance,

@@ -43,6 +43,19 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+def require_int(name: str, value) -> None:
+    """ConfigError unless value is an integer (a bool is not one)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """All parameters of one simulated scenario.
@@ -68,6 +81,15 @@ class MarketConfig:
     runs: int = 1
 
     def __post_init__(self):
+        for name in ("n_doctors", "n_hospitals", "k", "seed", "runs"):
+            require_int(name, getattr(self, name))
+        for c in (self.capacity if isinstance(self.capacity, (tuple, list, np.ndarray))
+                  else (self.capacity,)):
+            require_int("capacity", c)
+        for name in ("a", "nu_d", "nu_h", "rating_shift", "alpha", "cone_override"):
+            value = getattr(self, name)
+            if value is not None or name not in ("alpha", "cone_override"):
+                _require_finite(name, value)
         if self.n_doctors < 1 or self.n_hospitals < 1:
             raise ConfigError("need at least one agent on each side")
         if self.k < 1:
@@ -129,6 +151,9 @@ class MarketConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = {"n_doctors", "n_hospitals"} - set(data)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
         kwargs = dict(data)
         if isinstance(kwargs.get("capacity"), list):
             kwargs["capacity"] = tuple(kwargs["capacity"])

@@ -70,28 +70,37 @@ def run_stats(instance: MarketInstance,
     half = instance.half_width
 
     d_rating = instance.doctor_ratings
-    d_matched = np.zeros(n_doc, dtype=bool)
+    matched = assignment.matched_edges(matching)
+    d_matched = matched >= 0
+    seat = matched[d_matched]
     d_utility = np.full(n_doc, np.nan)
-    for d, h in enumerate(matching.doctor_of):
-        if h is not None:
-            d_matched[d] = True
-            d_utility[d] = assignment.doctor_utils[d][h]
-            # structural under the cone strategy, asserted anyway
-            if abs(instance.hospital_ratings[h] - d_rating[d]) >= half + 1e-12:
-                raise AssertionError(f"match ({d},{h}) lies outside the cone")
+    d_utility[d_matched] = assignment.u_doc[seat]
+    # structural under the cone strategy, asserted anyway
+    outside = np.flatnonzero(
+        np.abs(instance.hospital_ratings[assignment.edge_h[seat]]
+               - d_rating[d_matched]) >= half + 1e-12)
+    if outside.size:
+        e = seat[outside[0]]
+        raise AssertionError(f"match ({assignment.edge_d[e]},{assignment.edge_h[e]}) "
+                             f"lies outside the cone")
     benchmark = d_rating + 2.0
     d_loss = np.where(d_matched, benchmark - d_utility, benchmark)
 
     h_rating = instance.hospital_ratings
-    h_fill = np.array([len(s) for s in matching.doctors_of], dtype=np.int64)
+    h_fill = np.fromiter(map(len, matching.doctors_of), np.int64, n_hosp)
     if int(h_fill.sum()) != int(d_matched.sum()):
         raise AssertionError("fill counts disagree with matched doctors")
     h_full = h_fill >= caps
+    # seat utilities hospital by hospital in the order its set yields them,
+    # summed per hospital in that order (np.mean's order, bit for bit)
+    seat_u = assignment.u_hosp[matched[[d for ds in matching.doctors_of
+                                        for d in ds]]]
+    first = np.cumsum(h_fill) - h_fill
     h_loss = np.full(n_hosp, np.nan)
-    for h, ds in enumerate(matching.doctors_of):
-        if ds:
-            seat_u = [assignment.hospital_utils[h][d] for d in ds]
-            h_loss[h] = h_rating[h] + 1.0 - float(np.mean(seat_u))
+    for c in np.unique(h_fill[h_fill > 0]).tolist():
+        hs = np.flatnonzero(h_fill == c)
+        sums = seat_u[first[hs, None] + np.arange(c)].sum(axis=1)
+        h_loss[hs] = h_rating[hs] + 1.0 - sums / c
 
     return RunStats(
         config=cfg, run_index=instance.run_index, half_width=half,
@@ -203,15 +212,12 @@ def series_rows(series: GroupedSeries, cfg: MarketConfig,
     The cone column carries the effective half-width a*alpha, the same
     number the experiment figures are labeled with.
     """
-    rows = []
-    cone = half_width
-    for i in range(series.mean.size):
-        rows.append(
-            f"{series.group_lo[i]},{series.group_hi[i]},{series.metric},"
-            f"{series.mean[i]:.9g},{series.p10[i]:.9g},{series.p90[i]:.9g},"
-            f"{series.runs},{cfg.setting},{cfg.n_doctors},{cfg.k},"
-            f"{cfg.kappa},{cone:.9g},{cfg.seed}")
-    return rows
+    tail = (f"{series.runs},{cfg.setting},{cfg.n_doctors},{cfg.k},"
+            f"{cfg.kappa},{half_width:.9g},{cfg.seed}")
+    return [f"{lo},{hi},{series.metric},{m:.9g},{p10:.9g},{p90:.9g},{tail}"
+            for lo, hi, m, p10, p90 in zip(
+                series.group_lo.tolist(), series.group_hi.tolist(),
+                series.mean.tolist(), series.p10.tolist(), series.p90.tolist())]
 
 
 def write_metrics_csv(path, series_by_metric: Mapping[str, GroupedSeries],

@@ -10,11 +10,12 @@ hospitals grant a budgeted subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
+from .da import EdgeLists
 from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW
 
 
@@ -39,88 +40,114 @@ def compute_cone(instance: MarketInstance, doctor_id: int) -> Cone:
 
 @dataclass
 class InterviewAssignment:
-    """Realized interview edges with cached utilities on both sides.
+    """The realized interview edges as one edge table (CSR).
 
-    doctor_lists[d] and hospital_lists[h] are each other's exact inverse
-    (edge symmetry).  Utilities use the weights the assignment was built
-    with; see weighted_utilities to rescale them.
+    Edge arrays are doctor-major, each doctor's edges in her preference
+    order (-u_doc, h): doctor d's edges are doctor_offsets[d] to
+    doctor_offsets[d + 1].  u_doc[e] is U_d(h) and u_hosp[e] is U_h(d) for
+    edge e = (edge_d[e], edge_h[e]).  hospital_order lists the edges in
+    hospital-major preference order (-u_hosp, d), hospital h's from
+    hospital_offsets[h] to hospital_offsets[h + 1]; hospital_rank[e] is
+    edge e's position in its hospital's list, or -1 where the hospital does
+    not rank the doctor (RequestInterview keeps capacity*k).  Utilities use
+    the weights the assignment was built with; see weighted_utilities to
+    rescale them.
     """
 
-    instance: MarketInstance
+    instance: Optional[MarketInstance]
     nu_d: float
     nu_h: float
-    doctor_lists: List[List[int]]
-    doctor_utils: List[Dict[int, float]]        # U_d(h) for interviewed h
-    hospital_lists: List[List[int]] = field(default_factory=list)
-    hospital_utils: List[Dict[int, float]] = field(default_factory=list)
+    edge_d: np.ndarray
+    edge_h: np.ndarray
+    u_doc: np.ndarray
+    u_hosp: np.ndarray
+    doctor_offsets: np.ndarray
+    hospital_order: np.ndarray
+    hospital_offsets: np.ndarray
+    hospital_rank: np.ndarray
 
-    @property
-    def setting(self) -> str:
-        return self.instance.config.setting
+    @classmethod
+    def from_edges(cls, instance, nu_d, nu_h, d, h, u_doc, u_hosp,
+                   n_doctors: int, n_hospitals: int,
+                   hospital_budget=None) -> "InterviewAssignment":
+        """The table over edges (d[i], h[i]) in any order.
+
+        Equal utilities go to the lower partner id on both sides.  A
+        hospital ranks only its hospital_budget[h] best doctors, if given.
+        """
+        order = np.lexsort((h, -u_doc, d))
+        d, h, u_doc, u_hosp = (np.asarray(x)[order] for x in (d, h, u_doc, u_hosp))
+        doctor_offsets = np.searchsorted(d, np.arange(n_doctors + 1))
+        hospital_order = np.lexsort((d, -u_hosp, h))
+        hospital_offsets = np.searchsorted(h[hospital_order],
+                                           np.arange(n_hospitals + 1))
+        hospital_rank = np.empty_like(hospital_order)
+        hospital_rank[hospital_order] = (np.arange(h.size)
+                                         - hospital_offsets[h[hospital_order]])
+        if hospital_budget is not None:
+            hospital_rank[hospital_rank >= hospital_budget[h]] = -1
+        return cls(instance, nu_d, nu_h, d, h, u_doc, u_hosp, doctor_offsets,
+                   hospital_order, hospital_offsets, hospital_rank)
 
     def n_doctors(self) -> int:
-        return len(self.doctor_lists)
+        return self.doctor_offsets.size - 1
 
     def n_hospitals(self) -> int:
-        return len(self.hospital_lists)
+        return self.hospital_offsets.size - 1
 
-    def edges(self):
-        for d, hs in enumerate(self.doctor_lists):
-            for h in hs:
-                yield d, h
+    def doctor_list(self, d: int) -> List[int]:
+        """Doctor d's interviewed hospitals, ascending id."""
+        off = self.doctor_offsets
+        return sorted(self.edge_h[off[d]:off[d + 1]].tolist())
+
+    @property
+    def doctor_lists(self) -> List[List[int]]:
+        """Every doctor's interviewed hospitals, ascending id."""
+        by_id = self.edge_h[np.lexsort((self.edge_h, self.edge_d))].tolist()
+        off = self.doctor_offsets.tolist()
+        return [by_id[i:j] for i, j in zip(off, off[1:])]
+
+    def edge_index(self, d, h) -> np.ndarray:
+        """Edge id of each pair (d[i], h[i]), -1 where it is no edge."""
+        d, h = np.asarray(d, np.int64), np.asarray(h, np.int64)
+        if not (d.size and self.edge_h.size):
+            return np.full(d.shape, -1, dtype=np.int64)
+        start = self.doctor_offsets[d]
+        degree = self.doctor_offsets[d + 1] - start
+        cols = np.arange(max(1, int(degree.max())))
+        cells = np.minimum(start[:, None] + cols, self.edge_h.size - 1)
+        hit = (cols < degree[:, None]) & (self.edge_h[cells] == h[:, None])
+        return np.where(hit.any(axis=1), start + hit.argmax(axis=1), -1)
+
+    def matched_edges(self, matching) -> np.ndarray:
+        """Each doctor's matched edge, -1 if unmatched.
+
+        Raises ValueError for a match that is no interview edge.
+        """
+        h = np.array(matching.key(), dtype=np.int64)
+        on = np.flatnonzero(h >= 0)
+        edges = np.full(h.size, -1, dtype=np.int64)
+        edges[on] = self.edge_index(on, h[on])
+        bad = on[edges[on] < 0]
+        if bad.size:
+            raise ValueError(f"match ({bad[0]},{h[bad[0]]}) is not an interview edge")
+        return edges
 
 
-def _invert(n_hospitals: int, doctor_lists: List[List[int]]):
-    inv: List[List[int]] = [[] for _ in range(n_hospitals)]
-    for d, hs in enumerate(doctor_lists):
-        for h in hs:
-            inv[h].append(d)
-    return inv
-
-
-def _materialize(instance, doctor_lists, nu_d, nu_h) -> InterviewAssignment:
-    # interview values are drawn only for the edges in doctor_lists;
-    # one batched draw per stream covers the whole market
-    n_doc = instance.config.n_doctors
-    n_hosp = instance.config.n_hospitals
-    counts = np.fromiter((len(hs) for hs in doctor_lists), dtype=np.int64,
-                         count=n_doc)
-    d_flat = np.repeat(np.arange(n_doc), counts)
-    h_flat = np.fromiter((h for hs in doctor_lists for h in hs),
-                         dtype=np.int64, count=int(counts.sum()))
-    u_doc = (instance.hospital_ratings[h_flat]
-             + instance.private_dh(d_flat, h_flat)
-             + nu_d * instance.interview_dh(d_flat, h_flat))
-
-    doctor_utils: List[Dict[int, float]] = []
-    pos = 0
-    for d in range(n_doc):
-        c = int(counts[d])
-        doctor_utils.append(dict(zip(doctor_lists[d],
-                                     u_doc[pos:pos + c].tolist())))
-        pos += c
-
-    hospital_lists = _invert(n_hosp, doctor_lists)
-    school = instance.config.setting == SCHOOL_CHOICE
-    h_counts = np.fromiter((len(ds) for ds in hospital_lists), dtype=np.int64,
-                           count=n_hosp)
-    hh_flat = np.repeat(np.arange(n_hosp), h_counts)
-    dd_flat = np.fromiter((d for ds in hospital_lists for d in ds),
-                          dtype=np.int64, count=int(h_counts.sum()))
-    u_hosp = instance.doctor_ratings[dd_flat]
-    if not school:
-        u_hosp = u_hosp + nu_h * instance.interview_hd(hh_flat, dd_flat)
-
-    hospital_utils: List[Dict[int, float]] = []
-    pos = 0
-    for h in range(n_hosp):
-        c = int(h_counts[h])
-        hospital_utils.append(dict(zip(hospital_lists[h],
-                                       u_hosp[pos:pos + c].tolist())))
-        pos += c
-
-    return InterviewAssignment(instance, nu_d, nu_h, doctor_lists,
-                               doctor_utils, hospital_lists, hospital_utils)
+def _materialize(instance, d, h, nu_d, nu_h) -> InterviewAssignment:
+    # interview values are drawn only for the edges (d, h); one batched
+    # draw per stream covers the whole market
+    cfg = instance.config
+    u_doc = (instance.hospital_ratings[h] + instance.private_dh(d, h)
+             + nu_d * instance.interview_dh(d, h))
+    u_hosp = instance.doctor_ratings[d]
+    if cfg.setting != SCHOOL_CHOICE:
+        u_hosp = u_hosp + nu_h * instance.interview_hd(h, d)
+    budget = (instance.capacities * cfg.k
+              if cfg.setting == REQUEST_INTERVIEW else None)
+    return InterviewAssignment.from_edges(instance, nu_d, nu_h, d, h, u_doc,
+                                          u_hosp, cfg.n_doctors,
+                                          cfg.n_hospitals, budget)
 
 
 # elements of one padded (doctors x widest cone) chunk; bounds the
@@ -186,13 +213,6 @@ def _top_in_cones(instance: MarketInstance, count: int):
     return d[keep], h[keep]
 
 
-def _lists(n_doctors: int, d: np.ndarray, h: np.ndarray) -> List[List[int]]:
-    # (doctor, hospital) pairs to one ascending-id list per doctor
-    order = np.lexsort((h, d))
-    bounds = np.searchsorted(d[order], np.arange(1, n_doctors))
-    return [chunk.tolist() for chunk in np.split(h[order], bounds)]
-
-
 def select_interviews(instance: MarketInstance) -> InterviewAssignment:
     """Each doctor interviews her top-k in-cone hospitals by private value.
 
@@ -205,8 +225,7 @@ def select_interviews(instance: MarketInstance) -> InterviewAssignment:
     """
     cfg = instance.config
     d, h = _top_in_cones(instance, cfg.k)
-    return _materialize(instance, _lists(cfg.n_doctors, d, h),
-                        cfg.nu_d, cfg.nu_h)
+    return _materialize(instance, d, h, cfg.nu_d, cfg.nu_h)
 
 
 def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
@@ -218,8 +237,8 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     keeping the doctors with its highest private values v(h,d), equal
     values going to the lower doctor id; one flat sort over all requests,
     by hospital, then value, then doctor, orders every hospital's at once.
-    Preference-list truncation to the capacity*k best interviews happens
-    in build_preferences.
+    Each hospital ranks only its capacity*k best interviews (the table's
+    hospital_rank is -1 on the rest).
     """
     cfg = instance.config
     if cfg.setting != REQUEST_INTERVIEW:
@@ -230,8 +249,7 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     req_d, req_h = req_d[order], req_h[order]
     budgets = np.maximum(1, (instance.capacities * k ** 1.5).astype(np.int64))
     granted = _leading(req_h, budgets[req_h])
-    return _materialize(instance, _lists(cfg.n_doctors, req_d[granted],
-                                         req_h[granted]),
+    return _materialize(instance, req_d[granted], req_h[granted],
                         cfg.nu_d, cfg.nu_h)
 
 
@@ -242,25 +260,35 @@ def build_assignment(instance: MarketInstance) -> InterviewAssignment:
     return select_interviews(instance)
 
 
-def _ranked(ids: List[int], utils: Dict[int, float]) -> List[int]:
-    # strict descending utility, ties broken toward the lower id
-    return sorted(ids, key=lambda i: (-utils[i], i))
+def _split(flat: list, offsets: list) -> List[list]:
+    return [flat[i:j] for i, j in zip(offsets, offsets[1:])]
 
 
 def build_preferences(assignment: InterviewAssignment):
-    """Ranked lists for both sides: (doctor_prefs, hospital_prefs).
+    """Ranked lists for both sides, read off the edge table.
 
-    Only interviewed partners appear.  In the RequestInterview setting each
-    hospital keeps just its capacity*k highest-utility doctors.
+    Returns (doctor_prefs, hospital_prefs): doctor d's hospitals in order
+    (-u_doc, h) and hospital h's ranked doctors in order (-u_hosp, d),
+    without the edges it does not rank (RequestInterview).  Both are
+    da.EdgeLists: entry by entry they carry the rank the partner gives back
+    (None if it does not) and the listing agent's own utility, so DA, the
+    double-cut runs and the deviation probe read ranks by edge.
     """
-    doctor_prefs = [_ranked(hs, assignment.doctor_utils[d])
-                    for d, hs in enumerate(assignment.doctor_lists)]
-    hospital_prefs = [_ranked(ds, assignment.hospital_utils[h])
-                      for h, ds in enumerate(assignment.hospital_lists)]
-    if assignment.setting == REQUEST_INTERVIEW:
-        caps = assignment.instance.capacities
-        k = assignment.instance.config.k
-        hospital_prefs = [p[: int(caps[h]) * k] for h, p in enumerate(hospital_prefs)]
+    a = assignment
+    d_off = a.doctor_offsets.tolist()
+    back = a.hospital_rank.tolist()
+    if a.hospital_rank.size and a.hospital_rank.min() < 0:
+        back = [None if r < 0 else r for r in back]
+    doctor_prefs = EdgeLists(_split(a.edge_h.tolist(), d_off),
+                             _split(back, d_off),
+                             _split(a.u_doc.tolist(), d_off), a)
+    ranked = a.hospital_order[a.hospital_rank[a.hospital_order] >= 0]
+    h_off = np.searchsorted(a.edge_h[ranked],
+                            np.arange(a.n_hospitals() + 1)).tolist()
+    hospital_prefs = EdgeLists(
+        _split(a.edge_d[ranked].tolist(), h_off),
+        _split((ranked - a.doctor_offsets[a.edge_d[ranked]]).tolist(), h_off),
+        _split(a.u_hosp[ranked].tolist(), h_off), a)
     return doctor_prefs, hospital_prefs
 
 
@@ -273,4 +301,5 @@ def weighted_utilities(assignment: InterviewAssignment,
     """
     if not (0.0 <= nu_d <= 1.0 and 0.0 <= nu_h <= 1.0):
         raise ValueError("nu weights must lie in [0, 1]")
-    return _materialize(assignment.instance, assignment.doctor_lists, nu_d, nu_h)
+    return _materialize(assignment.instance, assignment.edge_d,
+                        assignment.edge_h, nu_d, nu_h)

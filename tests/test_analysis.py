@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conematch import analysis
@@ -9,22 +10,24 @@ from conematch.market import SCHOOL_CHOICE, generate, make_config
 from conematch.strategy import (InterviewAssignment, build_assignment,
                                 build_preferences, select_interviews)
 
+from legacy_edges import utility_maps
 from oracle_helpers import brute_stable_set
 
 
 def manual_assignment(doctor_utils, hospital_utils):
-    """Assignment stub from explicit utility dicts (no market behind it)."""
-    doctor_lists = [sorted(u) for u in doctor_utils]
-    hospital_lists = [sorted(u) for u in hospital_utils]
-    return InterviewAssignment(None, 1.0, 1.0, doctor_lists, doctor_utils,
-                               hospital_lists, hospital_utils)
+    """Edge table from explicit utility dicts (no market behind it)."""
+    d = np.array([i for i, u in enumerate(doctor_utils) for _ in u], dtype=np.int64)
+    h = np.array([j for u in doctor_utils for j in u], dtype=np.int64)
+    u_doc = np.array([x for u in doctor_utils for x in u.values()])
+    u_hosp = np.array([hospital_utils[j][i] for i, j in zip(d, h)])
+    return InterviewAssignment.from_edges(None, 1.0, 1.0, d, h, u_doc, u_hosp,
+                                          len(doctor_utils), len(hospital_utils))
 
 
 def manual_prefs(asg):
-    d = [sorted(lst, key=lambda h: (-asg.doctor_utils[i][h], h))
-         for i, lst in enumerate(asg.doctor_lists)]
-    h = [sorted(lst, key=lambda dd: (-asg.hospital_utils[j][dd], dd))
-         for j, lst in enumerate(asg.hospital_lists)]
+    doctor_utils, hospital_utils = utility_maps(asg)
+    d = [sorted(u, key=lambda h: (-u[h], h)) for u in doctor_utils]
+    h = [sorted(u, key=lambda dd: (-u[dd], dd)) for u in hospital_utils]
     return d, h
 
 
@@ -81,6 +84,26 @@ def test_inconsistent_matching_rejected():
     bad = Matching([0], [set()])   # doctor_of says matched, hospital empty
     with pytest.raises(ValueError):
         find_blocking_pairs(asg, bad, capacities=[1], prefs=prefs)
+
+
+def test_match_off_the_interview_edges_rejected():
+    doctor_utils = [{0: 1.0, 1: 2.0}, {1: 1.0}]
+    asg = manual_assignment(doctor_utils, [{0: 1.0}, {0: 1.0, 1: 2.0}])
+    off_edge = as_matching([0, 0], 2)     # doctor 1 never interviewed at 0
+    with pytest.raises(ValueError, match="not an interview edge"):
+        find_blocking_pairs(asg, off_edge, capacities=[2, 1])
+
+
+def test_held_doctor_the_hospital_does_not_rank_is_displaced_first():
+    # hospital 0 holds doctor 1, whom it does not rank (a planted matching
+    # DA would never make); doctor 0, ranked and preferring it, blocks
+    asg = manual_assignment([{0: 2.0, 1: 1.0}, {0: 1.0}],
+                            [{0: 1.0, 1: 1.0}, {0: 1.0}])
+    prefs = ([[0, 1], [0]], [[0], [0]])
+    m = as_matching([1, 0], 2)
+    pairs = find_blocking_pairs(asg, m, capacities=[1, 1], prefs=prefs)
+    assert [(p.doctor_id, p.hospital_id, p.hospital_side_witness)
+            for p in pairs] == [(0, 0, "displaces 1")]
 
 
 def test_enumerate_singleton():

@@ -167,6 +167,37 @@ def test_k1_without_cone_exits_config_error(tmp_path, monkeypatch):
     assert rc == cli.EXIT_CONFIG and not calls
 
 
+def test_top_level_array_exits_config_error(tmp_path, monkeypatch):
+    calls = _generate_calls(monkeypatch)
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"n_doctors": 30, "n_hospitals": 10}]))
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+def test_empty_list_value_exits_config_error(tmp_path, monkeypatch):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--config", str(write_config(tmp_path, k=[])),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
+@pytest.mark.parametrize("field,value", [
+    ("capacity", 0),             # n_hospitals' default divides by it
+    ("k", 5.5),
+    ("cone_override", float("nan")),
+    ("n_doctors", True),         # a bool is not one doctor
+])
+def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value):
+    calls = _generate_calls(monkeypatch)
+    path = write_config(tmp_path, **{field: value})
+    raw = json.loads(path.read_text())
+    del raw["n_hospitals"]
+    path.write_text(json.dumps(raw))
+    rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+
+
 def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
     calls = []
     real = da._engine

@@ -8,6 +8,7 @@ from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
 from conematch.market import generate, make_config
 from conematch.strategy import build_preferences, select_interviews
 
+from legacy_edges import utility_maps
 from oracle_helpers import brute_stable_set, random_lists
 
 
@@ -108,7 +109,7 @@ def test_floor_respected_in_log():
     floor = 1.1
     rule = TruncationRule(utility_floor=floor)
     _, log = truncated_da(*prefs, inst.capacities, rule, DOCTORS_PROPOSE,
-                          doctor_utils=asg.doctor_utils)
+                          doctor_utils=utility_maps(asg)[0])
     proposals = log.proposals()
     assert proposals
     assert all(e[3] >= floor for e in proposals)
@@ -182,10 +183,11 @@ def test_prefix_superset_never_hurts_receivers():
     caps = inst.capacities
     cut = doctor_proposing_da(cut_prefs, hospital_prefs, caps)
     full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
+    hospital_utils = utility_maps(asg)[1]
     for h in range(inst.config.n_hospitals):
-        cut_seats = sorted((asg.hospital_utils[h][d] for d in cut.doctors_of[h]),
+        cut_seats = sorted((hospital_utils[h][d] for d in cut.doctors_of[h]),
                            reverse=True)
-        full_seats = sorted((asg.hospital_utils[h][d] for d in full.doctors_of[h]),
+        full_seats = sorted((hospital_utils[h][d] for d in full.doctors_of[h]),
                             reverse=True)
         assert len(full_seats) >= len(cut_seats)
         assert all(f >= c for f, c in zip(full_seats, cut_seats))

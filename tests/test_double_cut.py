@@ -17,6 +17,8 @@ from conematch.market import SCHOOL_CHOICE, generate, make_config
 from conematch.strategy import (build_assignment, build_preferences,
                                 compute_cone, select_interviews)
 
+from legacy_edges import utility_maps
+
 
 def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
     cfg = make_config(n, kappa=kappa, k=k, cone_override=cone / 2.0,
@@ -47,10 +49,9 @@ def test_focal_hospital_dominated_by_full_run():
     mid = int(np.argsort(inst.hospital_ratings)[inst.config.n_hospitals // 2])
     cut, report = run_double_cut(inst, asg,
                                  scenario_for_hospital(inst, mid), prefs)
-    cut_seats = sorted((asg.hospital_utils[mid][d] for d in cut.doctors_of[mid]),
-                       reverse=True)
-    full_seats = sorted((asg.hospital_utils[mid][d] for d in full.doctors_of[mid]),
-                        reverse=True)
+    utils = utility_maps(asg)[1][mid]
+    cut_seats = sorted((utils[d] for d in cut.doctors_of[mid]), reverse=True)
+    full_seats = sorted((utils[d] for d in full.doctors_of[mid]), reverse=True)
     assert len(full_seats) >= len(cut_seats)
     assert all(f >= c for f, c in zip(full_seats, cut_seats))
     assert report.proposals_to_focal >= len(cut_seats)
@@ -90,7 +91,7 @@ def test_prefix_property():
     _, report = run_double_cut(inst, asg, scenario_for_doctor(inst, focal), prefs)
     _, full_log = truncated_da(prefs[0], prefs[1], inst.capacities,
                                TruncationRule(), HOSPITALS_PROPOSE,
-                               hospital_utils=asg.hospital_utils)
+                               hospital_utils=utility_maps(asg)[1])
 
     def sequences(log):
         seq = {}

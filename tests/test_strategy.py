@@ -7,6 +7,8 @@ from conematch.strategy import (build_preferences, compute_cone,
                                 request_interview_protocol, select_interviews,
                                 weighted_utilities)
 
+from legacy_edges import utility_maps
+
 
 def small_instance(seed=0, **kw):
     kw.setdefault("cone_override", 0.15)
@@ -71,26 +73,37 @@ def test_empty_cone_allowed():
                          for d in range(cfg.n_doctors)]
 
 
+def assert_edge_symmetry(asg):
+    # the hospital side lists exactly the doctor side's edges, each once,
+    # every hospital's in its own slice
+    edges = asg.edge_d.size
+    assert sorted(asg.hospital_order.tolist()) == list(range(edges))
+    for d, hs in enumerate(asg.doctor_lists):
+        lo, hi = asg.doctor_offsets[d], asg.doctor_offsets[d + 1]
+        assert (asg.edge_d[lo:hi] == d).all()
+        assert sorted(asg.edge_h[lo:hi].tolist()) == hs
+    for h in range(asg.n_hospitals()):
+        lo, hi = asg.hospital_offsets[h], asg.hospital_offsets[h + 1]
+        for e in asg.hospital_order[lo:hi].tolist():
+            assert asg.edge_h[e] == h
+            assert h in asg.doctor_lists[asg.edge_d[e]]
+
+
 def test_edge_symmetry():
     inst = small_instance(seed=6, n=90, kappa=3, k=3)
-    asg = select_interviews(inst)
-    for d, hs in enumerate(asg.doctor_lists):
-        for h in hs:
-            assert d in asg.hospital_lists[h]
-    for h, ds in enumerate(asg.hospital_lists):
-        for d in ds:
-            assert h in asg.doctor_lists[d]
+    assert_edge_symmetry(select_interviews(inst))
 
 
 def test_preferences_sorted_by_utility():
     inst = small_instance(seed=7, n=80, kappa=2, k=4)
     asg = select_interviews(inst)
     doctor_prefs, hospital_prefs = build_preferences(asg)
+    doctor_utils, hospital_utils = utility_maps(asg)
     for d, ranked in enumerate(doctor_prefs):
-        utils = [asg.doctor_utils[d][h] for h in ranked]
+        utils = [doctor_utils[d][h] for h in ranked]
         assert utils == sorted(utils, reverse=True)
     for h, ranked in enumerate(hospital_prefs):
-        utils = [asg.hospital_utils[h][d] for d in ranked]
+        utils = [hospital_utils[h][d] for d in ranked]
         assert utils == sorted(utils, reverse=True)
 
 
@@ -118,8 +131,9 @@ def test_argmax_invariance_scaling():
     inst = small_instance(seed=9, n=50, kappa=1, k=3)
     asg = select_interviews(inst)
     d = next(dd for dd, lst in enumerate(asg.doctor_lists) if len(lst) >= 2)
-    ranked = sorted(asg.doctor_lists[d], key=lambda h: (-asg.doctor_utils[d][h], h))
-    scaled = {h: 3.7 * asg.doctor_utils[d][h] for h in asg.doctor_lists[d]}
+    utils = utility_maps(asg)[0][d]
+    ranked = sorted(asg.doctor_lists[d], key=lambda h: (-utils[h], h))
+    scaled = {h: 3.7 * utils[h] for h in asg.doctor_lists[d]}
     ranked_scaled = sorted(asg.doctor_lists[d], key=lambda h: (-scaled[h], h))
     assert ranked == ranked_scaled
 
@@ -128,14 +142,13 @@ def test_weighted_utilities_identity_and_zero():
     inst = small_instance(seed=10, n=60, kappa=2, k=3)
     base = select_interviews(inst)
     same = weighted_utilities(base, 1.0, 1.0)
-    assert same.doctor_utils == base.doctor_utils
-    assert same.hospital_utils == base.hospital_utils
+    assert utility_maps(same) == utility_maps(base)
 
-    no_interview = weighted_utilities(base, 0.0, 1.0)
+    no_interview = utility_maps(weighted_utilities(base, 0.0, 1.0))[0]
     for d, hs in enumerate(base.doctor_lists):
         for h in hs:
             expect = inst.hospital_ratings[h] + inst.private_dh(d, h)
-            assert no_interview.doctor_utils[d][h] == pytest.approx(float(expect))
+            assert no_interview[d][h] == pytest.approx(float(expect))
 
 
 def test_weighted_hospital_ordering_flip():
@@ -161,8 +174,7 @@ def test_request_interview_budgets():
     inst = generate(cfg, 0)
     assert int(cfg.capacities()[0] * cfg.k ** 1.5) == 8
     asg = request_interview_protocol(inst)
-    for h, ds in enumerate(asg.hospital_lists):
-        assert len(ds) <= 8
+    assert np.bincount(asg.edge_h).max() <= 8
     _, hospital_prefs = build_preferences(asg)
     for ranked in hospital_prefs:
         assert len(ranked) <= cfg.capacities()[0] * cfg.k
@@ -184,10 +196,7 @@ def test_request_interview_edge_symmetry():
     cfg = make_config(50, kappa=2, k=3, cone_override=0.3, seed=13,
                       setting=market.REQUEST_INTERVIEW)
     inst = generate(cfg, 0)
-    asg = request_interview_protocol(inst)
-    for d, hs in enumerate(asg.doctor_lists):
-        for h in hs:
-            assert d in asg.hospital_lists[h]
+    assert_edge_symmetry(request_interview_protocol(inst))
 
 
 # -- reference: the selection before the window top-k, kept as an oracle --

@@ -21,6 +21,7 @@ from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               generate, make_config)
 from conematch.strategy import build_assignment
 
+from legacy_edges import utility_maps
 from oracle_helpers import random_lists
 
 
@@ -33,8 +34,9 @@ def _reference_run(ctx, focal, slots, iota_d, iota_h):
     doctor_prefs = list(ctx.doctor_prefs)
     doctor_prefs[focal] = sorted(u_focal, key=lambda h: (-u_focal[h], h))
     hospital_prefs = []
+    hospital_utils = utility_maps(asg)[1]
     for h, lst in enumerate(ctx.hospital_prefs):
-        utils = {d: asg.hospital_utils[h][d] for d in lst if d != focal}
+        utils = {d: hospital_utils[h][d] for d in lst if d != focal}
         if h in u_focal:
             utils[focal] = float(r_focal) if cfg.setting == SCHOOL_CHOICE \
                 else float(r_focal + cfg.nu_h * iota_h[slots.index(h)])
@@ -87,14 +89,15 @@ def test_insert_leaves_the_shared_state_untouched():
         focal = gen.randrange(9)
         absent = list(doctor_prefs)
         absent[focal] = []
-        state = doctor_proposing_state(absent, ranks, caps)
+        state = doctor_proposing_state(absent, hospital_prefs, caps)
         before = [sorted(heap) for heap in state.heaps]
         for _ in range(3):
             focal_list = gen.sample(range(4), gen.randint(1, 4))
             # the focal's rank at each hospital: between two existing ranks
             overlay = {h: gen.randint(0, len(ranks[h])) - 0.5
                        for h in focal_list}
-            child = state.insert(focal, focal_list, overlay)
+            child = state.insert(focal, focal_list,
+                                 [overlay[h] for h in focal_list])
             patched_prefs = list(doctor_prefs)
             patched_prefs[focal] = focal_list
             patched_ranks = [dict(r) for r in ranks]
@@ -110,10 +113,9 @@ def test_insert_leaves_the_shared_state_untouched():
 
 def test_insert_refuses_a_present_proposer():
     doctor_prefs, hospital_prefs = random_lists(5, 3, 0)
-    state = doctor_proposing_state(doctor_prefs, build_ranks(hospital_prefs),
-                                   [2, 2, 2])
+    state = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
     with pytest.raises(ValueError):
-        state.insert(0, [1], {1: 0.5})
+        state.insert(0, [1], [0.5])
 
 
 def test_full_engine_runs_once_per_focal(monkeypatch):
