@@ -17,9 +17,10 @@ from .double_cut import (DoubleCutScenario, SurplusReport, dominance_audit,
                          scenario_for_interval)
 from .analysis import (BlockingPair, enumerate_stable, find_blocking_pairs,
                        rural_hospital_check, uniqueness_check_school)
-from .metrics import (GroupedSeries, RunStats, aggregate, bound_check,
-                      doctor_non_match_fraction, hospital_non_full_fraction,
-                      run_stats, theorem_non_match_bounds, write_metrics_csv)
+from .metrics import (GroupedSeries, RunGroups, RunStats, aggregate,
+                      bound_check, doctor_non_match_fraction, group_run,
+                      hospital_non_full_fraction, run_stats,
+                      theorem_non_match_bounds, write_metrics_csv)
 from .deviation import (DeviationSpec, DeviationResult, epsilon_estimate,
                         evaluate_deviation, locality_check)
 

@@ -100,17 +100,20 @@ def find_blocking_pairs(assignment: InterviewAssignment,
                         matching: Matching,
                         capacities=None,
                         prefs: Optional[tuple] = None,
-                        unmatched_utility: float = -math.inf) -> List[BlockingPair]:
+                        unmatched_utility: float = -math.inf,
+                        matched: Optional[np.ndarray] = None) -> List[BlockingPair]:
     """Exhaustive blocking-pair scan; an empty result certifies stability.
 
     Pairs come in the order of doctor_prefs: by doctor, then by her list.
+    `matched` is assignment.matched_edges(matching), if the caller holds it.
     """
     if capacities is None:
         capacities = assignment.instance.capacities
     matching.validate(capacities)
+    if matched is None:
+        matched = assignment.matched_edges(matching)
     scan, rank = _scan_edges(assignment, prefs)
-    gain, displaced = _blocking_scan(assignment, scan, rank,
-                                     assignment.matched_edges(matching),
+    gain, displaced = _blocking_scan(assignment, scan, rank, matched,
                                      capacities, unmatched_utility)
     at = np.flatnonzero(gain)
     return [BlockingPair(d, h, g, "under capacity" if w < 0 else f"displaces {w}")

@@ -143,9 +143,11 @@ def _run_one(cfg, run_index, campaign, slug):
     # orientation runs at most once, the hospital-proposing one on first use
     hospital_optimal = functools.cache(
         lambda: hospital_proposing_da(*prefs, instance.capacities))
+    # every check below reads the matching's edges from this one array
+    matched = assignment.matched_edges(matching)
 
     if campaign.stability_audit and analysis.find_blocking_pairs(
-            assignment, matching, prefs=prefs):
+            assignment, matching, prefs=prefs, matched=matched):
         raise AuditFailure(slug, run_index, "stability")
 
     oracle_sized = campaign.oracle_audit and (
@@ -172,7 +174,7 @@ def _run_one(cfg, run_index, campaign, slug):
                          double_cut.scenario_for_doctor(instance, focal_d)):
             cut, report = double_cut.run_double_cut(instance, assignment,
                                                     scenario, prefs)
-            full = matching if scenario.orientation == DOCTORS_PROPOSE \
+            full = matched if scenario.orientation == DOCTORS_PROPOSE \
                 else hospital_optimal()
             if not double_cut.receivers_dominate(assignment, scenario.orientation,
                                                  full, cut):
@@ -184,7 +186,7 @@ def _run_one(cfg, run_index, campaign, slug):
             raise AuditFailure(slug, run_index, "rural-hospital")
 
     stats = metrics.run_stats(instance, assignment, matching, prefs=prefs,
-                              check_stability=False)
+                              check_stability=False, matched=matched)
     return stats, (instance, assignment, prefs), surplus_rows
 
 
@@ -237,15 +239,15 @@ def run_campaign(campaign: Campaign) -> int:
     try:
         for cfg, slug in zip(campaign.configs, _unique_slugs(campaign.configs)):
             started = time.perf_counter()
-            stats = []
+            groups = []     # each run folded as it ends; no RunStats kept
             surplus_rows = [double_cut.SURPLUS_CSV_HEADER]
             for run_index in range(cfg.runs):
                 st, built, rows = _run_one(cfg, run_index, campaign, slug)
                 if run_index == 0:      # the deviation CSV probes run 0
                     run0 = built
-                stats.append(st)
+                groups.append(metrics.group_run(st, campaign.group_size))
                 surplus_rows.extend(rows)
-            series = metrics.aggregate(stats, group_size=campaign.group_size)
+            series = metrics.aggregate(groups, group_size=campaign.group_size)
             half = run0[0].half_width
             out_csv = campaign.out_dir / f"{slug}.csv"
             metrics.write_metrics_csv(out_csv, series, cfg, half)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -420,10 +420,17 @@ def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
     return float(np.mean(hits < kappa)), closed
 
 
-def _seat_utilities(assignment: InterviewAssignment, matching: Matching):
-    # each hospital's seat utilities, best first
+def _matched(assignment: InterviewAssignment,
+             matching: Union[Matching, np.ndarray]) -> np.ndarray:
+    # a Matching's matched edges, or the array when given one already
+    if isinstance(matching, np.ndarray):
+        return matching
+    return assignment.matched_edges(matching)
+
+
+def _seat_utilities(assignment: InterviewAssignment, e: np.ndarray):
+    # each hospital's seat utilities, best first, from matched edges
     seats = [[] for _ in range(assignment.n_hospitals())]
-    e = assignment.matched_edges(matching)
     e = e[e >= 0]
     for h, u in zip(assignment.edge_h[e].tolist(), assignment.u_hosp[e].tolist()):
         seats[h].append(u)
@@ -431,21 +438,23 @@ def _seat_utilities(assignment: InterviewAssignment, matching: Matching):
 
 
 def receivers_dominate(assignment: InterviewAssignment, orientation: str,
-                       full: Matching, cut: Matching) -> bool:
+                       full: Union[Matching, np.ndarray],
+                       cut: Union[Matching, np.ndarray]) -> bool:
     """True iff `full` weakly dominates `cut` for every receiver.
 
-    Receivers are the side that does not propose in `orientation`; a
-    hospital's outcome dominates when its fill count does not drop and its
-    sorted seat utilities are pointwise at least the cut run's.  Unmatched
-    doctors count as utility minus infinity.
+    `full` and `cut` are Matchings or their assignment.matched_edges
+    arrays.  Receivers are the side that does not propose in
+    `orientation`; a hospital's outcome dominates when its fill count does
+    not drop and its sorted seat utilities are pointwise at least the cut
+    run's.  Unmatched doctors count as utility minus infinity.
     """
+    full, cut = _matched(assignment, full), _matched(assignment, cut)
     if orientation == DOCTORS_PROPOSE:
         return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
                    for f, c in zip(_seat_utilities(assignment, full),
                                    _seat_utilities(assignment, cut)))
     u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
-    return bool(np.all(u[assignment.matched_edges(full)]
-                       >= u[assignment.matched_edges(cut)]))
+    return bool(np.all(u[full] >= u[cut]))
 
 
 def dominance_audit(instance: MarketInstance,

@@ -114,6 +114,9 @@ class MarketConfig:
             raise ConfigError("alpha must be positive")
         if self.cone_override is not None and self.cone_override <= 0:
             raise ConfigError("cone_override must be positive")
+        if self.rating_shift <= -1.0:
+            # the long side's rating range has width 1 + rating_shift
+            raise ConfigError("rating_shift must exceed -1")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if not (0 <= self.seed < 2 ** 64):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,10 +56,17 @@ def run_stats(instance: MarketInstance,
               assignment: InterviewAssignment,
               matching: Matching,
               prefs: Optional[tuple] = None,
-              check_stability: bool = True) -> RunStats:
-    """Populate RunStats; refuses a matching with blocking pairs."""
+              check_stability: bool = True,
+              matched: Optional[np.ndarray] = None) -> RunStats:
+    """Populate RunStats; refuses a matching with blocking pairs.
+
+    `matched` is assignment.matched_edges(matching), if the caller holds it.
+    """
+    if matched is None:
+        matched = assignment.matched_edges(matching)
     if check_stability:
-        blocking = find_blocking_pairs(assignment, matching, prefs=prefs)
+        blocking = find_blocking_pairs(assignment, matching, prefs=prefs,
+                                       matched=matched)
         if blocking:
             raise ValueError(f"matching is unstable: {len(blocking)} blocking pairs, "
                              f"first {blocking[0]}")
@@ -70,7 +77,6 @@ def run_stats(instance: MarketInstance,
     half = instance.half_width
 
     d_rating = instance.doctor_ratings
-    matched = assignment.matched_edges(matching)
     d_matched = matched >= 0
     seat = matched[d_matched]
     d_utility = np.full(n_doc, np.nan)
@@ -135,28 +141,89 @@ def nearest_rank(values: np.ndarray, pct: float) -> float:
     return float(v[idx])
 
 
-def _group_values(values: np.ndarray, order: np.ndarray, group_size: int,
-                  reducer) -> np.ndarray:
-    n = order.size
-    n_groups = (n + group_size - 1) // group_size
-    out = np.full(n_groups, np.nan)
-    for g in range(n_groups):
-        chunk = values[order[g * group_size:(g + 1) * group_size]]
-        out[g] = reducer(chunk)
+def _finite_row_means(mat: np.ndarray) -> np.ndarray:
+    """Each row's mean over its finite entries, NaN where it has none.
+
+    Bitwise equal to x[np.isfinite(x)].mean() row by row: every row's
+    finite entries are packed to its front in order, and the rows with c of
+    them are summed together as one contiguous [:, :c] block along the
+    last axis, which numpy sums pairwise exactly as it does a 1-D array.
+    """
+    finite = np.isfinite(mat)
+    counts = finite.sum(axis=1)
+    packed = np.take_along_axis(
+        mat, np.argsort(~finite, axis=1, kind="stable"), axis=1)
+    out = np.full(mat.shape[0], np.nan)
+    for c in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = packed[rows, :c].sum(axis=1) / c
     return out
 
 
-def _mean_finite(x: np.ndarray) -> float:
-    x = x[np.isfinite(x)]
-    return float(x.mean()) if x.size else math.nan
+def _rank_groups(rows: np.ndarray, order: np.ndarray, group_size: int) -> np.ndarray:
+    # (metrics x agents) values in the rank order `order`, NaN-padded to
+    # whole groups: one row of group_size values per (metric, group)
+    n_groups = -(-order.size // group_size)
+    out = np.full((rows.shape[0], n_groups * group_size), np.nan)
+    out[:, :order.size] = rows[:, order]
+    return out.reshape(-1, group_size)
 
 
-def aggregate(stats: Sequence[RunStats], group_size: int = 10,
+@dataclass
+class RunGroups:
+    """One run's rank-group statistics, the form aggregate reduces.
+
+    values holds, metric by metric in ALL_METRICS order, the mean of each
+    rank group's finite entries (NaN for a group with none): doctor groups
+    for the doctor metrics, hospital groups for the hospital ones.
+    """
+
+    config: MarketConfig
+    group_size: int
+    include_unmatched_in_loss: bool
+    values: np.ndarray
+
+
+def group_run(s: RunStats, group_size: int = 10,
+              include_unmatched_in_loss: bool = False) -> RunGroups:
+    """Fold one run's per-agent arrays into its rank-group statistics.
+
+    Agents are ranked by that run's realized ratings, best first.
+    """
+    if group_size < 1:
+        raise ValueError("group_size must be positive")
+    d_order = np.argsort(-s.doctor_rating, kind="stable")
+    h_order = np.argsort(-s.hospital_rating, kind="stable")
+    d_loss = s.doctor_loss if include_unmatched_in_loss else \
+        np.where(s.doctor_matched, s.doctor_loss, np.nan)
+    doctors = np.vstack((s.doctor_matched.astype(float), d_loss))
+    hospitals = np.vstack((s.hospital_fully_matched.astype(float),
+                           s.hospital_fill / s.config.capacities().astype(float),
+                           s.hospital_loss))
+    groups = np.vstack((_rank_groups(doctors, d_order, group_size),
+                        _rank_groups(hospitals, h_order, group_size)))
+    return RunGroups(s.config, group_size, include_unmatched_in_loss,
+                     _finite_row_means(groups))
+
+
+def _nearest_rank_rows(sorted_rows: np.ndarray, counts: np.ndarray,
+                       pct: float) -> np.ndarray:
+    # nearest_rank of each row's first counts[i] entries (NaN if none)
+    idx = np.maximum(1, np.ceil(pct / 100.0 * counts)).astype(np.int64) - 1
+    picked = np.take_along_axis(sorted_rows, idx[:, None], axis=1)[:, 0]
+    return np.where(counts > 0, picked, np.nan)
+
+
+def aggregate(stats: Sequence[Union[RunStats, RunGroups]], group_size: int = 10,
               include_unmatched_in_loss: bool = False) -> Dict[str, GroupedSeries]:
     """Cross-run grouped series for every metric.
 
     All runs must share a config.  Ranks are recomputed per run from that
-    run's realized ratings; percentiles are nearest-rank across runs.
+    run's realized ratings; percentiles are nearest-rank across runs.  A
+    run may come already folded by group_run with the same settings, so a
+    campaign need not keep every run's RunStats.  The runs' group values
+    form one (groups x runs) matrix: one pass takes every group's finite
+    mean, and one NaN-last sort its p10 and p90.
     """
     if not stats:
         raise ValueError("no runs to aggregate")
@@ -165,43 +232,32 @@ def aggregate(stats: Sequence[RunStats], group_size: int = 10,
         raise ValueError("aggregate needs runs from a single config")
     if group_size < 1:
         raise ValueError("group_size must be positive")
+    folded = [s if isinstance(s, RunGroups)
+              else group_run(s, group_size, include_unmatched_in_loss)
+              for s in stats]
+    if any((g.group_size, g.include_unmatched_in_loss)
+           != (group_size, include_unmatched_in_loss) for g in folded):
+        raise ValueError("runs were grouped with other settings")
 
-    per_metric_rows: Dict[str, List[np.ndarray]] = {m: [] for m in ALL_METRICS}
-    caps = cfg.capacities().astype(float)
-    for s in stats:
-        d_order = np.argsort(-s.doctor_rating, kind="stable")
-        h_order = np.argsort(-s.hospital_rating, kind="stable")
-        d_loss = s.doctor_loss if include_unmatched_in_loss else \
-            np.where(s.doctor_matched, s.doctor_loss, np.nan)
-        rows = {
-            DOCTOR_MATCH_RATE: _group_values(
-                s.doctor_matched.astype(float), d_order, group_size, _mean_finite),
-            DOCTOR_LOSS: _group_values(d_loss, d_order, group_size, _mean_finite),
-            HOSPITAL_FULL_RATE: _group_values(
-                s.hospital_fully_matched.astype(float), h_order, group_size, _mean_finite),
-            HOSPITAL_FILL_FRACTION: _group_values(
-                s.hospital_fill / caps, h_order, group_size, _mean_finite),
-            HOSPITAL_LOSS: _group_values(s.hospital_loss, h_order, group_size, _mean_finite),
-        }
-        for m, r in rows.items():
-            per_metric_rows[m].append(r)
+    by_group = np.vstack([g.values for g in folded]).T    # groups x runs
+    finite = np.isfinite(by_group)
+    mean = _finite_row_means(by_group)
+    sorted_rows = np.sort(np.where(finite, by_group, np.nan), axis=1)
+    counts = finite.sum(axis=1)
+    p10 = _nearest_rank_rows(sorted_rows, counts, 10.0)
+    p90 = _nearest_rank_rows(sorted_rows, counts, 90.0)
 
     out: Dict[str, GroupedSeries] = {}
-    for m, rows in per_metric_rows.items():
-        mat = np.vstack(rows)                       # runs x groups
-        n_groups = mat.shape[1]
-        mean = np.array([_mean_finite(mat[:, g]) for g in range(n_groups)])
-        p10 = np.empty(n_groups)
-        p90 = np.empty(n_groups)
-        for g in range(n_groups):
-            col = mat[:, g]
-            col = col[np.isfinite(col)]
-            p10[g] = nearest_rank(col, 10.0)
-            p90[g] = nearest_rank(col, 90.0)
+    at = 0
+    for m in ALL_METRICS:
+        n = cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals
+        n_groups = -(-n // group_size)
         lo = np.arange(n_groups, dtype=np.int64) * group_size + 1
-        hi = np.minimum(lo + group_size - 1,
-                        cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals)
-        out[m] = GroupedSeries(m, group_size, lo, hi, mean, p10, p90, len(stats))
+        hi = np.minimum(lo + group_size - 1, n)
+        part = slice(at, at + n_groups)
+        out[m] = GroupedSeries(m, group_size, lo, hi, mean[part], p10[part],
+                               p90[part], len(stats))
+        at += n_groups
     return out
 
 

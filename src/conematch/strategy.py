@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .da import EdgeLists
 from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW
@@ -168,44 +169,49 @@ def _top_in_cones(instance: MarketInstance, count: int):
     cone members keeps them all, and equal values go to the lower
     hospital id.
 
-    A cone is the contiguous slice i0[d]:i1[d] of instance.hospital_sorted,
-    so a chunk of doctors becomes a padded (rows x widest cone) matrix of
-    values, -inf in the padding, of at most _WINDOW_BUDGET cells (one row
-    if a cone is wider).  v(d,h) is drawn once per in-cone cell.  Every
-    in-cone entry at least as large as its row's count-th largest value
-    survives the partition, ties at the cut included; the exact order
-    (value descending, id ascending) is applied to the survivors only.
+    A cone is the contiguous slice i0[d]:i1[d] of instance.hospital_sorted.
+    Doctors are taken in a stable order of cone width, and each chunk of
+    them becomes a (rows x its widest cone) matrix of at most
+    _WINDOW_BUDGET cells (one row if a cone is wider): the hospital ids are
+    one gather of sliding windows over hospital_order, and the values one
+    broadcast private_dh(doctor column, ids) call, which mixes each
+    doctor's half of the key once; the cells past a row's cone are set to
+    -inf.  Every in-cone entry at least as large as its row's count-th
+    largest value survives the partition, ties at the cut included; the
+    exact order (value descending, id ascending) is applied to the
+    survivors only.
     """
-    n = instance.config.n_doctors
     lo_bound, hi_bound = instance.hospital_range
     lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
     highs = np.minimum(hi_bound, instance.doctor_ratings + instance.half_width)
     i0 = np.searchsorted(instance.hospital_sorted, lows, side="left")
     widths = np.searchsorted(instance.hospital_sorted, highs, side="left") - i0
-    last = instance.hospital_order.size - 1
-    step = max(1, _WINDOW_BUDGET // max(1, int(widths.max())))
+    by_width = np.argsort(widths, kind="stable")
+    sorted_w = widths[by_width]
+    # windows may run past the last hospital: pad with copies of it
+    padded = np.pad(instance.hospital_order, (0, int(sorted_w[-1])), mode="edge")
     empty = np.zeros(0, dtype=np.int64)
     cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0)]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        w = widths[lo:hi]
-        width = int(w.max())
-        if width == 0:
-            continue
-        in_cone = np.arange(width) < w[:, None]
-        ids = instance.hospital_order[
-            np.minimum(i0[lo:hi, None] + np.arange(width), last)]
-        d_cells = np.repeat(np.arange(lo, hi), w)
-        h_cells = ids[in_cone]
-        v_cells = instance.private_dh(d_cells, h_cells)
-        values = np.full(ids.shape, -np.inf)
-        values[in_cone] = v_cells
+    lo = int(np.searchsorted(sorted_w, 1))       # empty cones draw nothing
+    while lo < sorted_w.size:
+        # the longest run of rows whose widest (last) cone keeps the chunk
+        # within budget; the first row's width bounds how far to look
+        ahead = sorted_w[lo:lo + max(1, _WINDOW_BUDGET // int(sorted_w[lo]))]
+        fits = np.arange(1, ahead.size + 1) * ahead <= _WINDOW_BUDGET
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        rows, w = by_width[lo:hi], sorted_w[lo:hi]
+        width = int(w[-1])
+        ids = sliding_window_view(padded, width)[i0[rows]]
+        values = instance.private_dh(rows[:, None], ids)
+        pad = np.arange(width) >= w[:, None]
+        values[pad] = -np.inf
         kth = max(0, width - count)
         cut = np.partition(values, kth, axis=1)[:, kth]
-        survive = v_cells >= np.repeat(cut, w)
-        cand_d.append(d_cells[survive])
-        cand_h.append(h_cells[survive])
-        cand_v.append(v_cells[survive])
+        survive = np.flatnonzero((values >= cut[:, None]) & ~pad)
+        cand_d.append(rows[survive // width])
+        cand_h.append(ids.ravel()[survive])
+        cand_v.append(values.ravel()[survive])
+        lo = hi
     d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
     order = np.lexsort((h, -v, d))
     d, h = d[order], h[order]

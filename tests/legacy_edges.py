@@ -4,6 +4,11 @@ Kept as a test oracle, as the code stood before the edge table: interview
 lists and utility dicts on both sides, preferences by a keyed sort, rank
 dicts per receiver, a dict-reading DA and blocking scan, and run_stats
 walking the dicts.  tests/test_edge_table.py compares the package with it.
+
+Also kept: the interview selection that drew one flat value per cone cell
+in doctor-id chunks (top_in_cones), and the aggregation that reduced every
+run's rank groups one numpy call at a time (aggregate).
+tests/test_one_pass.py compares the package with them.
 """
 
 import heapq
@@ -17,7 +22,9 @@ import numpy as np
 from conematch.da import Matching, truncated_da
 from conematch.double_cut import HOSPITALS_PROPOSE, _rule_for
 from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
-from conematch.metrics import RunStats
+from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
+                               HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
+                               HOSPITAL_LOSS, GroupedSeries, RunStats)
 
 
 @dataclass
@@ -249,3 +256,113 @@ def run_stats(instance, asg, matching):
         hospital_rating=h_rating, hospital_fill=h_fill,
         hospital_fully_matched=h_fill >= caps, hospital_loss=h_loss,
         hospital_non_bottommost=h_rating >= instance.hospital_range[0] + half)
+
+
+WINDOW_BUDGET = 1 << 16
+
+
+def top_in_cones(instance, count, budget=WINDOW_BUDGET):
+    """Each doctor's `count` in-cone hospitals of highest private value,
+    drawn as one flat value per in-cone cell, doctors chunked in id order."""
+    n = instance.config.n_doctors
+    lo_bound, hi_bound = instance.hospital_range
+    lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
+    highs = np.minimum(hi_bound, instance.doctor_ratings + instance.half_width)
+    i0 = np.searchsorted(instance.hospital_sorted, lows, side="left")
+    widths = np.searchsorted(instance.hospital_sorted, highs, side="left") - i0
+    last = instance.hospital_order.size - 1
+    step = max(1, budget // max(1, int(widths.max())))
+    empty = np.zeros(0, dtype=np.int64)
+    cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0)]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        w = widths[lo:hi]
+        width = int(w.max())
+        if width == 0:
+            continue
+        in_cone = np.arange(width) < w[:, None]
+        ids = instance.hospital_order[
+            np.minimum(i0[lo:hi, None] + np.arange(width), last)]
+        d_cells = np.repeat(np.arange(lo, hi), w)
+        h_cells = ids[in_cone]
+        v_cells = instance.private_dh(d_cells, h_cells)
+        values = np.full(ids.shape, -np.inf)
+        values[in_cone] = v_cells
+        kth = max(0, width - count)
+        cut = np.partition(values, kth, axis=1)[:, kth]
+        survive = v_cells >= np.repeat(cut, w)
+        cand_d.append(d_cells[survive])
+        cand_h.append(h_cells[survive])
+        cand_v.append(v_cells[survive])
+    d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
+    order = np.lexsort((h, -v, d))
+    d, h = d[order], h[order]
+    keep = np.arange(d.size) - np.searchsorted(d, d) < count
+    return d[keep], h[keep]
+
+
+def nearest_rank(values, pct):
+    v = np.sort(values)
+    if v.size == 0:
+        return math.nan
+    idx = max(1, math.ceil(pct / 100.0 * v.size)) - 1
+    return float(v[idx])
+
+
+def _group_values(values, order, group_size, reducer):
+    n = order.size
+    n_groups = (n + group_size - 1) // group_size
+    out = np.full(n_groups, np.nan)
+    for g in range(n_groups):
+        chunk = values[order[g * group_size:(g + 1) * group_size]]
+        out[g] = reducer(chunk)
+    return out
+
+
+def _mean_finite(x):
+    x = x[np.isfinite(x)]
+    return float(x.mean()) if x.size else math.nan
+
+
+def aggregate(stats, group_size=10, include_unmatched_in_loss=False):
+    """Cross-run grouped series, one reduction call per run x group x metric."""
+    cfg = stats[0].config
+    per_metric_rows = {m: [] for m in ALL_METRICS}
+    caps = cfg.capacities().astype(float)
+    for s in stats:
+        d_order = np.argsort(-s.doctor_rating, kind="stable")
+        h_order = np.argsort(-s.hospital_rating, kind="stable")
+        d_loss = s.doctor_loss if include_unmatched_in_loss else \
+            np.where(s.doctor_matched, s.doctor_loss, np.nan)
+        rows = {
+            DOCTOR_MATCH_RATE: _group_values(
+                s.doctor_matched.astype(float), d_order, group_size, _mean_finite),
+            DOCTOR_LOSS: _group_values(d_loss, d_order, group_size, _mean_finite),
+            HOSPITAL_FULL_RATE: _group_values(
+                s.hospital_fully_matched.astype(float), h_order, group_size,
+                _mean_finite),
+            HOSPITAL_FILL_FRACTION: _group_values(
+                s.hospital_fill / caps, h_order, group_size, _mean_finite),
+            HOSPITAL_LOSS: _group_values(s.hospital_loss, h_order, group_size,
+                                         _mean_finite),
+        }
+        for m, r in rows.items():
+            per_metric_rows[m].append(r)
+
+    out = {}
+    for m, rows in per_metric_rows.items():
+        mat = np.vstack(rows)                       # runs x groups
+        n_groups = mat.shape[1]
+        mean = np.array([_mean_finite(mat[:, g]) for g in range(n_groups)])
+        p10 = np.empty(n_groups)
+        p90 = np.empty(n_groups)
+        for g in range(n_groups):
+            col = mat[:, g]
+            col = col[np.isfinite(col)]
+            p10[g] = nearest_rank(col, 10.0)
+            p90[g] = nearest_rank(col, 90.0)
+        lo = np.arange(n_groups, dtype=np.int64) * group_size + 1
+        hi = np.minimum(lo + group_size - 1,
+                        cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals)
+        out[m] = GroupedSeries(m, group_size, lo, hi, mean, p10, p90, len(stats))
+    return out

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from conematch import cli, da
-from conematch.market import RESIDENCY, SCHOOL_CHOICE, make_config
+from conematch.market import MarketConfig, RESIDENCY, SCHOOL_CHOICE, make_config
+from conematch.strategy import InterviewAssignment
 
 
 def write_config(tmp_path, **overrides):
@@ -187,6 +189,7 @@ def test_empty_list_value_exits_config_error(tmp_path, monkeypatch):
     ("k", 5.5),
     ("cone_override", float("nan")),
     ("n_doctors", True),         # a bool is not one doctor
+    ("rating_shift", -1),        # every doctor would share one rating
 ])
 def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value):
     calls = _generate_calls(monkeypatch)
@@ -224,3 +227,46 @@ def test_audited_run_computes_each_orientation_once(tmp_path, monkeypatch,
 def test_unaudited_residency_run_is_one_da(tmp_path, monkeypatch):
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
     assert _engine_calls(monkeypatch, tmp_path, cfg, 0.0) == 1
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
+def test_audited_run_computes_each_matchings_edges_once(tmp_path, monkeypatch,
+                                                        setting):
+    # the base matching, the hospital-optimal one and one cut run per
+    # scenario; the blocking scan, run_stats and the dominance checks share
+    # what was computed
+    calls = []
+    real = InterviewAssignment.matched_edges
+
+    def counting(self, matching):
+        calls.append(matching)
+        return real(self, matching)
+    monkeypatch.setattr(InterviewAssignment, "matched_edges", counting)
+    cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3,
+                      setting=setting)
+    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path, audit_sample=1.0)
+    cli._run_one(cfg, 0, campaign, cli.config_slug(cfg))
+    assert len(calls) == 4
+    assert len({id(m) for m in calls}) == 4
+
+
+SWEEP_VALUES = [True, 0, -1, 1.5, "x", None, [], {}, float("nan"),
+                float("inf")]
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(MarketConfig)])
+def test_config_value_sweep_never_ends_in_a_traceback(tmp_path, capsys, field):
+    # every JSON value type in every field, with n_hospitals given and
+    # derived from n / kappa: the campaign runs or exits 2
+    for derived in (False, True):
+        for value in SWEEP_VALUES:
+            raw = {"n_doctors": 6, "n_hospitals": 3, "capacity": 2, "k": 2,
+                   "cone_override": 0.4, "seed": 5, "runs": 1, field: value}
+            if derived and field != "n_hospitals":
+                del raw["n_hospitals"]
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))     # NaN, Infinity as json writes them
+            rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (field, value, err)
+            assert "Traceback" not in err, (field, value)
