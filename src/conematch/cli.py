@@ -19,7 +19,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -73,10 +73,6 @@ def expand_grid(raw: dict) -> List[MarketConfig]:
     """Cross every list-valued field; n_hospitals defaults to n/kappa."""
     if not isinstance(raw, dict):
         raise ConfigError("a config must be one JSON object of MarketConfig fields")
-    known = {f.name for f in fields(MarketConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     keys = sorted(raw)
     pools = []
     for key in keys:
@@ -90,10 +86,11 @@ def expand_grid(raw: dict) -> List[MarketConfig]:
     configs = []
     for combo in itertools.product(*pools):
         data = dict(zip(keys, combo))
-        if "n_hospitals" not in data:     # n / kappa, once both are valid
+        # n / kappa, once both are valid (from_dict names a missing n)
+        if "n_hospitals" not in data and "n_doctors" in data:
             cap = data.get("capacity", 1)
             caps = cap if isinstance(cap, tuple) else (cap,)
-            for name, value in (("n_doctors", data.get("n_doctors")),
+            for name, value in (("n_doctors", data["n_doctors"]),
                                 *(("capacity", c) for c in caps)):
                 require_int(name, value)
             if min(caps, default=0) < 1:

@@ -324,6 +324,17 @@ class DAState:
         child._settle(deque([proposer]))
         return child
 
+    def touched(self) -> Tuple[set, set]:
+        """The (proposers, receivers) copied by the insert that made this state.
+
+        A proposer is touched once its pointer, held count or halt flag is
+        written, a receiver once its held set is read.  Only the agents on
+        the insert's rejection chain are.
+        """
+        proposers = (self.pointer.changed.keys() | self.held.changed.keys()
+                     | self.halted.changed.keys())
+        return proposers, set(self.heaps.changed)
+
     def partner(self, proposer: int) -> Optional[int]:
         """The receiver a one-slot proposer holds, or None."""
         if not self.held[proposer]:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, LazyMatching,
-                 TruncationRule, doctor_proposing_state, truncated_da)
+                 doctor_proposing_state)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, compute_cone
 
@@ -58,12 +58,12 @@ class DeviationResult:
 
 
 class _PatchContext:
-    """Precomputed base structures shared by all replicates of one market.
+    """The preferences of one assignment, shared by all its probes.
 
-    Plain runs warm-start: DA is run once per focal doctor with the focal's
-    list empty, and each replicate inserts the focal into that settled state
-    (see da.DAState.insert).  Only the most recent focal's state is kept, so
-    callers loop focal-major.  `prefs`, if given, is
+    Every probe warm-starts: DA is run once per focal doctor with the
+    focal's list empty, and each replicate inserts the focal into that
+    settled state (see da.DAState.insert).  Only the most recent focal's
+    state is kept, so callers loop focal-major.  `prefs`, if given, is
     build_preferences(assignment).
     """
 
@@ -98,49 +98,37 @@ class _PatchContext:
         return bisect.bisect_left(self.hospital_prefs[h], focal, i, j) - 0.5
 
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
-                    iota_d: np.ndarray, iota_h: np.ndarray,
-                    want_log: bool = False):
+                    iota_d: np.ndarray, iota_h: np.ndarray):
         """Doctor-proposing DA with the focal doctor's edges re-pointed.
 
         slot_hospitals[s] is the hospital occupying slot s; iota_d/iota_h
-        are that slot's fresh interview values for the two sides.  Returns
-        (focal utility, matching, event log or None); the log comes from a
-        full truncated run, the plain run warm-starts.
+        are that slot's fresh interview values for the two sides, weighted
+        as the assignment weights every other edge.  The focal is inserted
+        into the focal-absent run.  Returns (focal utility, matching, the
+        inserted DAState).
         """
         inst = self.instance
-        cfg = inst.config
+        asg = self.assignment
         r_focal = inst.doctor_ratings[focal]
-        school = cfg.setting == SCHOOL_CHOICE
+        school = inst.config.setting == SCHOOL_CHOICE
 
         u_focal = {}
         u_hosp = {}
         for s, h in enumerate(slot_hospitals):
             u_focal[h] = float(inst.hospital_ratings[h]
                                + inst.private_dh(focal, h)
-                               + cfg.nu_d * iota_d[s])
+                               + asg.nu_d * iota_d[s])
             u_hosp[h] = float(r_focal) if school else \
-                float(r_focal + cfg.nu_h * iota_h[s])
+                float(r_focal + asg.nu_h * iota_h[s])
         focal_list = sorted(u_focal, key=lambda h: (-u_focal[h], h))
         focal_ranks = [self._focal_rank(h, u_hosp[h], focal) for h in focal_list]
 
-        if want_log:
-            base = self.doctor_prefs
-            prefs, ranks, utils = list(base), list(base.ranks), list(base.utils)
-            prefs[focal], ranks[focal] = focal_list, focal_ranks
-            utils[focal] = [u_focal[h] for h in focal_list]
-            matching, log = truncated_da(
-                EdgeLists(prefs, ranks, utils, base.source), self.hospital_prefs,
-                inst.capacities, TruncationRule())
-            h_match = matching.doctor_of[focal]
-        else:
-            state = self._focal_absent(focal).insert(focal, focal_list,
-                                                     focal_ranks)
-            h_match = state.partner(focal)
-            matching = LazyMatching(state, DOCTORS_PROPOSE, cfg.n_doctors,
-                                    cfg.n_hospitals)
-            log = None
+        state = self._focal_absent(focal).insert(focal, focal_list, focal_ranks)
+        h_match = state.partner(focal)
+        matching = LazyMatching(state, DOCTORS_PROPOSE, inst.config.n_doctors,
+                                inst.config.n_hospitals)
         utility = UNMATCHED_UTILITY if h_match is None else u_focal[h_match]
-        return utility, matching, log
+        return utility, matching, state
 
 
 def _marginal_slot(instance, base_list: List[int], focal: int) -> int:
@@ -236,6 +224,14 @@ def _slot_values(instance, focal, n_slots, replicate):
     return iota_d, iota_h
 
 
+def _context_for(instance, assignment, context) -> _PatchContext:
+    if context is None:
+        return _PatchContext(instance, assignment)
+    if context.assignment is not assignment:
+        raise ValueError("context was built for another assignment")
+    return context
+
+
 def evaluate_deviation(instance: MarketInstance,
                        assignment: InterviewAssignment,
                        spec: DeviationSpec,
@@ -243,7 +239,7 @@ def evaluate_deviation(instance: MarketInstance,
     """Monte Carlo (base, deviant, gain) for one deviation spec."""
     if spec.replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {spec.replicates}")
-    ctx = context or _PatchContext(instance, assignment)
+    ctx = _context_for(instance, assignment, context)
     focal = spec.focal_doctor
     base_slots = assignment.doctor_list(focal)
     dev_slots, realized = deviant_slots(instance, assignment, spec)
@@ -271,48 +267,42 @@ def locality_check(instance: MarketInstance,
                    spec: DeviationSpec,
                    replicate: int = 0,
                    context: Optional[_PatchContext] = None) -> bool:
-    """Every agent whose match changed lies on a proposal chain from the focal.
+    """Each insert moves only the agents on its own rejection chain.
 
-    Builds the union of the base and deviant event logs for one replicate
-    and checks the changed agents are reachable from the focal doctor in
-    the bipartite graph of logged proposals.
+    For one replicate, the focal is inserted with its base and with its
+    deviant list.  True iff, for both inserts, every agent whose match
+    differs from the focal-absent run's is one the insert touched
+    (DAState.touched), and the focal-absent state is left as it was.  Then
+    every agent whose match differs between the two inserts lies in the
+    union of the two touched sets.
     """
-    ctx = context or _PatchContext(instance, assignment)
+    ctx = _context_for(instance, assignment, context)
     focal = spec.focal_doctor
     base_slots = assignment.doctor_list(focal)
     dev_slots, _ = deviant_slots(instance, assignment, spec)
     n_slots = max(len(base_slots), len(dev_slots))
     iota_d, iota_h = _slot_values(instance, focal, n_slots, replicate)
-    _, m_base, log_base = ctx.patched_run(focal, base_slots, iota_d, iota_h,
-                                          want_log=True)
-    _, m_dev, log_dev = ctx.patched_run(focal, dev_slots, iota_d, iota_h,
-                                        want_log=True)
+    absent = ctx._focal_absent(focal)
 
-    adj: Dict[tuple, set] = {}
-    for log in (log_base, log_dev):
-        for _, p, t, _, outcome in log.events:
-            if t is None:
-                continue
-            a, b = ("d", p), ("h", t)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    def settled():
+        # the focal-absent matching, and the pointers and counts behind it
+        m = LazyMatching(absent, DOCTORS_PROPOSE, instance.config.n_doctors,
+                         instance.config.n_hospitals)
+        return (m.doctor_of, m.doctors_of, list(absent.pointer),
+                list(absent.held), list(absent.halted))
 
-    seen = {("d", focal)}
-    stack = [("d", focal)]
-    while stack:
-        node = stack.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-
-    for d in range(instance.config.n_doctors):
-        if m_base.doctor_of[d] != m_dev.doctor_of[d] and ("d", d) not in seen:
+    before = settled()
+    doctor_of, doctors_of = before[:2]
+    for slots in (base_slots, dev_slots):
+        _, new, state = ctx.patched_run(focal, slots, iota_d, iota_h)
+        doctors, hospitals = state.touched()
+        if any(h != new.doctor_of[d] for d, h in enumerate(doctor_of)
+               if d not in doctors):
             return False
-    for h in range(instance.config.n_hospitals):
-        if m_base.doctors_of[h] != m_dev.doctors_of[h] and ("h", h) not in seen:
+        if any(ds != new.doctors_of[h] for h, ds in enumerate(doctors_of)
+               if h not in hospitals):
             return False
-    return True
+    return settled() == before
 
 
 def epsilon_estimate(batch: Sequence[tuple],
@@ -339,7 +329,7 @@ def epsilon_estimate(batch: Sequence[tuple],
     cells: Dict[Tuple[str, float], List[float]] = {g: [] for g in grid}
     contexts = {}
     for instance, assignment, focal in batch:
-        key = id(instance)
+        key = id(assignment)
         if key not in contexts:
             contexts[key] = _PatchContext(instance, assignment)
         ctx = contexts[key]

@@ -134,11 +134,9 @@ class GroupedSeries:
 
 def nearest_rank(values: np.ndarray, pct: float) -> float:
     """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    v = np.sort(values)
-    if v.size == 0:
-        return math.nan
-    idx = max(1, math.ceil(pct / 100.0 * v.size)) - 1
-    return float(v[idx])
+    row = np.append(np.sort(values), np.nan)    # NaN-last, NaN if empty
+    return float(_nearest_rank_rows(row[None, :], np.array([row.size - 1]),
+                                    pct)[0])
 
 
 def _finite_row_means(mat: np.ndarray) -> np.ndarray:

@@ -9,8 +9,14 @@ Also kept: the interview selection that drew one flat value per cone cell
 in doctor-id chunks (top_in_cones), and the aggregation that reduced every
 run's rank groups one numpy call at a time (aggregate).
 tests/test_one_pass.py compares the package with them.
+
+And the deviation probe as a full logged DA over patched lists
+(patched_da), with the locality check that searched the graph of both
+logged runs' proposals (locality_graph_check).  tests/test_edge_table.py
+and tests/test_deviation.py compare the package with them.
 """
 
+import bisect
 import heapq
 import math
 from collections import deque
@@ -19,7 +25,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from conematch.da import Matching, truncated_da
+from conematch.da import Matching, TruncationRule, truncated_da
+from conematch.deviation import _slot_values, deviant_slots
 from conematch.double_cut import HOSPITALS_PROPOSE, _rule_for
 from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
 from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
@@ -225,6 +232,83 @@ def run_double_cut(instance, asg, scenario, prefs):
                         doctor_utils=asg.doctor_utils,
                         hospital_utils=asg.hospital_utils,
                         proposer_ratings=ratings)
+
+
+def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
+    """A full logged DA with the focal's edges re-pointed to `slots`.
+
+    The focal's list and keys are built as the dicts built them: its list
+    sorted by its utilities, its key (-utility, focal) placed into each slot
+    hospital's list.  Returns (the focal's utility per slot hospital,
+    matching, event log).
+    """
+    old_doctor, old_hospital = prefs
+    r_focal = instance.doctor_ratings[focal]
+    u_focal = {h: float(instance.hospital_ratings[h]
+                        + instance.private_dh(focal, h) + nu_d * iota_d[s])
+               for s, h in enumerate(slots)}
+    doctor_prefs = list(old_doctor)
+    doctor_prefs[focal] = _ranked(u_focal, u_focal)
+    doctor_utils = list(asg.doctor_utils)
+    doctor_utils[focal] = u_focal
+    hospital_prefs = list(old_hospital)
+    for s, h in enumerate(slots):
+        u_h = float(r_focal) if instance.config.setting == SCHOOL_CHOICE else \
+            float(r_focal + nu_h * iota_h[s])
+        keys = [(-asg.hospital_utils[h][d], d) for d in old_hospital[h]
+                if d != focal]
+        bisect.insort(keys, (-u_h, focal))
+        hospital_prefs[h] = [d for _, d in keys]
+    matching, log = truncated_da(doctor_prefs, hospital_prefs,
+                                 instance.capacities, TruncationRule(),
+                                 doctor_utils=doctor_utils)
+    return u_focal, matching, log
+
+
+def locality_graph_check(instance, table, spec, replicate=0):
+    """Every agent whose match differs between the base and the deviant
+    run is reachable from the focal in the graph of both runs' logged
+    proposals."""
+    asg = from_table(table)
+    prefs = build_preferences(asg)
+    focal = spec.focal_doctor
+    base_slots = table.doctor_list(focal)
+    dev_slots, _ = deviant_slots(instance, table, spec)
+    iota_d, iota_h = _slot_values(instance, focal,
+                                  max(len(base_slots), len(dev_slots)),
+                                  replicate)
+    _, m_base, log_base = patched_da(instance, asg, prefs, table.nu_d,
+                                     table.nu_h, focal, base_slots,
+                                     iota_d, iota_h)
+    _, m_dev, log_dev = patched_da(instance, asg, prefs, table.nu_d,
+                                   table.nu_h, focal, dev_slots,
+                                   iota_d, iota_h)
+
+    adj: Dict[tuple, set] = {}
+    for log in (log_base, log_dev):
+        for _, p, t, _, outcome in log.events:
+            if t is None:
+                continue
+            a, b = ("d", p), ("h", t)
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+
+    seen = {("d", focal)}
+    stack = [("d", focal)]
+    while stack:
+        node = stack.pop()
+        for nxt in adj.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+
+    for d in range(instance.config.n_doctors):
+        if m_base.doctor_of[d] != m_dev.doctor_of[d] and ("d", d) not in seen:
+            return False
+    for h in range(instance.config.n_hospitals):
+        if m_base.doctors_of[h] != m_dev.doctors_of[h] and ("h", h) not in seen:
+            return False
+    return True
 
 
 def run_stats(instance, asg, matching):

@@ -1,16 +1,19 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
-from conematch import deviation
-from conematch.deviation import (ABOVE_CONE, BELOW_CONE, NULL_DEVIATION,
+import legacy_edges
+from conematch import da, deviation
+from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS, NULL_DEVIATION,
                                  SWAP_IN_CONE, TOP_K_OF_ALL, DeviationSpec,
                                  _PatchContext, deviant_slots,
                                  epsilon_estimate, evaluate_deviation,
                                  locality_check)
-from conematch.market import SCHOOL_CHOICE, generate, make_config
-from conematch.strategy import build_assignment, compute_cone
+from conematch.market import SCHOOL_CHOICE, SETTINGS, generate, make_config
+from conematch.strategy import (build_assignment, compute_cone,
+                                weighted_utilities)
 
 
 def make_market(seed=0, n=120, kappa=2, k=3, cone=0.3, **kw):
@@ -144,11 +147,53 @@ def test_school_above_cone_full_school_rejects():
 
 
 def test_locality_of_changes():
+    # the rejection-chain check and the proposal-graph check it replaced
+    for setting in SETTINGS:
+        for kappa in (1, 5):
+            inst, asg = make_market(seed=10, n=150, kappa=kappa, k=3,
+                                    setting=setting)
+            ctx = _PatchContext(inst, asg)
+            for q in (0.2, 0.55, 0.9):
+                focal = pick_focal(inst, q)
+                for kind in KINDS + (NULL_DEVIATION,):
+                    spec = DeviationSpec(focal, kind, offset=0.05)
+                    assert locality_check(inst, asg, spec, replicate=1,
+                                          context=ctx)
+                    assert legacy_edges.locality_graph_check(inst, asg, spec,
+                                                             replicate=1)
+
+
+def _locality_corpus():
     inst, asg = make_market(seed=10, n=150, kappa=3, k=3)
-    focal = pick_focal(inst, 0.55)
-    for kind in (SWAP_IN_CONE, ABOVE_CONE, TOP_K_OF_ALL):
-        assert locality_check(inst, asg, DeviationSpec(focal, kind),
-                              replicate=1)
+    return inst, asg, DeviationSpec(pick_focal(inst, 0.55), SWAP_IN_CONE)
+
+
+def test_locality_check_catches_an_insert_writing_the_shared_state(monkeypatch):
+    inst, asg, spec = _locality_corpus()
+    assert locality_check(inst, asg, spec)
+
+    def leaky(self, i, value):
+        self.changed[i] = self.base[i] = value
+    monkeypatch.setattr(da._Overlay, "__setitem__", leaky)
+    assert not locality_check(inst, asg, spec)
+
+
+def test_locality_check_catches_a_match_moved_off_the_chain(monkeypatch):
+    inst, asg, spec = _locality_corpus()
+    real = da.DAState.insert
+
+    def moving(self, *args):
+        # unmatch the first held doctor the insert did not touch
+        child = real(self, *args)
+        doctors, _ = child.touched()
+        h, d = next((h, d) for h, heap in enumerate(child.heaps)
+                    for _, d in heap if d not in doctors)
+        heap = child.heaps[h]
+        heap[:] = [e for e in heap if e[1] != d]
+        heapq.heapify(heap)
+        return child
+    monkeypatch.setattr(da.DAState, "insert", moving)
+    assert not locality_check(inst, asg, spec)
 
 
 def test_epsilon_estimate_report():
@@ -163,6 +208,31 @@ def test_epsilon_estimate_report():
     assert report["reference"] == pytest.approx(
         2 * cfg.a * math.sqrt(math.log(cfg.k) / cfg.k))
     assert report["epsilon"] == max(v["gain_mean"] for v in report["kinds"].values())
+
+
+def test_epsilon_estimate_probes_each_assignment_with_its_own_context():
+    inst, asg = make_market(seed=3, n=200, kappa=2, k=4)
+    flat = weighted_utilities(asg, 0.0, 0.0)
+    focal = pick_focal(inst)
+
+    def cells(batch):
+        return epsilon_estimate(batch, replicates=4)["grid"]
+    both = cells([(inst, asg, focal), (inst, flat, focal)])
+    alone = (cells([(inst, asg, focal)]), cells([(inst, flat, focal)]))
+    for key, cell in both.items():
+        gains = [a[key]["gain_mean"] for a in alone]
+        assert cell["gain_mean"] == pytest.approx(sum(gains) / 2)
+    assert any(alone[0][key] != alone[1][key] for key in both)
+
+
+def test_evaluate_deviation_refuses_another_assignments_context():
+    inst, asg = make_market(seed=3)
+    ctx = _PatchContext(inst, asg)
+    spec = DeviationSpec(pick_focal(inst), SWAP_IN_CONE, replicates=2)
+    evaluate_deviation(inst, asg, spec, context=ctx)
+    with pytest.raises(ValueError, match="another assignment"):
+        evaluate_deviation(inst, weighted_utilities(asg, 0.0, 0.0), spec,
+                           context=ctx)
 
 
 def test_deviation_csv_rows():

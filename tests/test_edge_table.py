@@ -8,7 +8,6 @@ settings, k 1/5/12 and kappa 1/5, on the drawn utilities and on utilities
 rounded down to quarters, so that ties are common on both sides.
 """
 
-import bisect
 import dataclasses
 import random
 
@@ -18,13 +17,11 @@ import pytest
 import legacy_edges
 from conematch import double_cut
 from conematch.analysis import find_blocking_pairs
-from conematch.da import (doctor_proposing_da, hospital_proposing_da,
-                          truncated_da, TruncationRule)
+from conematch.da import doctor_proposing_da, hospital_proposing_da
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  UNMATCHED_UTILITY, _PatchContext,
                                  _slot_values, deviant_slots)
-from conematch.market import (REQUEST_INTERVIEW, SCHOOL_CHOICE, SETTINGS,
-                              generate, make_config)
+from conematch.market import REQUEST_INTERVIEW, SETTINGS, generate, make_config
 from conematch.metrics import run_stats
 from conematch.strategy import (InterviewAssignment, build_assignment,
                                 build_preferences)
@@ -168,47 +165,23 @@ def test_double_cut_runs_match_legacy(setting, quantised):
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_patched_run_matches_legacy(setting, quantised):
     inst, asg, legacy = market(setting, 5, 5, quantised, n=200)
-    cfg = inst.config
-    old_doctor, old_hospital = legacy_edges.build_preferences(legacy)
+    old = legacy_edges.build_preferences(legacy)
     ctx = _PatchContext(inst, asg)
     order = np.argsort(inst.doctor_ratings)
     for focal in (int(order[i]) for i in (5, 100, 190)):
         for kind in KINDS + (NULL_DEVIATION,):
             slots, _ = deviant_slots(inst, asg, DeviationSpec(focal, kind))
             iota_d, iota_h = _slot_values(inst, focal, len(slots) + 1, 0)
-            # the focal's list and keys as the dict representation built them
-            u_focal = {h: float(inst.hospital_ratings[h] + inst.private_dh(focal, h)
-                                + cfg.nu_d * iota_d[s]) for s, h in enumerate(slots)}
-            doctor_prefs = list(old_doctor)
-            doctor_prefs[focal] = sorted(u_focal, key=lambda h: (-u_focal[h], h))
-            doctor_utils = list(legacy.doctor_utils)
-            doctor_utils[focal] = u_focal
-            hospital_prefs = list(old_hospital)
-            r_focal = inst.doctor_ratings[focal]
-            for s, h in enumerate(slots):
-                u_h = float(r_focal) if cfg.setting == SCHOOL_CHOICE else \
-                    float(r_focal + cfg.nu_h * iota_h[s])
-                keys = [(-legacy.hospital_utils[h][d], d) for d in old_hospital[h]
-                        if d != focal]
-                bisect.insort(keys, (-u_h, focal))
-                hospital_prefs[h] = [d for _, d in keys]
-            want, log = truncated_da(doctor_prefs, hospital_prefs,
-                                     inst.capacities, TruncationRule(),
-                                     doctor_utils=doctor_utils)
+            u_focal, want, _ = legacy_edges.patched_da(
+                inst, legacy, old, asg.nu_d, asg.nu_h, focal, slots,
+                iota_d, iota_h)
             h = want.doctor_of[focal]
-            want_u = UNMATCHED_UTILITY if h is None else u_focal[h]
-            for want_log in (False, True):
-                u, got, got_log = ctx.patched_run(focal, slots, iota_d, iota_h,
-                                                  want_log=want_log)
-                assert u == want_u
-                if want_log:
-                    same_matching(got, want)
-                    assert got_log.events == log.events
-                else:
-                    # the warm start makes its proposals in another order,
-                    # so the sets may be filled in another order
-                    assert got.doctor_of == want.doctor_of
-                    assert got.doctors_of == want.doctors_of
+            u, got, _ = ctx.patched_run(focal, slots, iota_d, iota_h)
+            assert u == (UNMATCHED_UTILITY if h is None else u_focal[h])
+            # the warm start makes its proposals in another order, so the
+            # sets may be filled in another order
+            assert got.doctor_of == want.doctor_of
+            assert got.doctors_of == want.doctors_of
 
 
 @pytest.mark.parametrize("setting", SETTINGS)

@@ -19,7 +19,7 @@ from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  evaluate_deviation)
 from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               generate, make_config)
-from conematch.strategy import build_assignment
+from conematch.strategy import build_assignment, weighted_utilities
 
 from legacy_edges import utility_maps
 from oracle_helpers import random_lists
@@ -30,7 +30,7 @@ def _reference_run(ctx, focal, slots, iota_d, iota_h):
     cfg = inst.config
     r_focal = inst.doctor_ratings[focal]
     u_focal = {h: float(inst.hospital_ratings[h] + inst.private_dh(focal, h)
-                        + cfg.nu_d * iota_d[s]) for s, h in enumerate(slots)}
+                        + asg.nu_d * iota_d[s]) for s, h in enumerate(slots)}
     doctor_prefs = list(ctx.doctor_prefs)
     doctor_prefs[focal] = sorted(u_focal, key=lambda h: (-u_focal[h], h))
     hospital_prefs = []
@@ -39,7 +39,7 @@ def _reference_run(ctx, focal, slots, iota_d, iota_h):
         utils = {d: hospital_utils[h][d] for d in lst if d != focal}
         if h in u_focal:
             utils[focal] = float(r_focal) if cfg.setting == SCHOOL_CHOICE \
-                else float(r_focal + cfg.nu_h * iota_h[slots.index(h)])
+                else float(r_focal + asg.nu_h * iota_h[slots.index(h)])
         hospital_prefs.append(sorted(utils, key=lambda d: (-utils[d], d)))
     m = doctor_proposing_da(doctor_prefs, hospital_prefs, inst.capacities)
     h = m.doctor_of[focal]
@@ -77,6 +77,30 @@ def test_patched_run_matches_full_da(setting, kappa):
                     unmatched += slots != [] and ref.doctor_of[focal] is None
     assert cases == 3 * 5 * 5 * 2
     assert unmatched > 0      # a focal who lists hospitals and ends unmatched
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, REQUEST_INTERVIEW])
+def test_patched_run_uses_the_assignment_weights(setting):
+    # the focal's fresh interview values are weighted as the assignment
+    # weights every other edge, here not at all
+    cfg = make_config(200, kappa=5, k=3, cone_override=0.15, seed=5,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    full = build_assignment(inst)
+    asg = weighted_utilities(full, 0.0, 0.0)
+    ctx, full_ctx = _PatchContext(inst, asg), _PatchContext(inst, full)
+    order = np.argsort(inst.doctor_ratings)
+    moved = 0
+    for focal in (int(order[i]) for i in (3, 60, 120, 199)):
+        slots = asg.doctor_list(focal)
+        for t in range(3):
+            iota_d, iota_h = _slot_values(inst, focal, len(slots), t)
+            u, m, _ = ctx.patched_run(focal, slots, iota_d, iota_h)
+            ref_u, ref = _reference_run(ctx, focal, slots, iota_d, iota_h)
+            assert u == ref_u
+            assert m.doctor_of == ref.doctor_of
+            moved += u != full_ctx.patched_run(focal, slots, iota_d, iota_h)[0]
+    assert moved      # the weights reach the focal's utility
 
 
 def test_insert_leaves_the_shared_state_untouched():
