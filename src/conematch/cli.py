@@ -198,7 +198,7 @@ def _deviation_csv(cfg, campaign, run0, path):
         instance.doctor_ratings >= instance.doctor_range[0] + half)
     count = min(campaign.deviation_focals, non_bottom.size)
     focals = gen.choice(non_bottom, size=count, replace=False)
-    ctx = deviation._PatchContext(instance, assignment, prefs)
+    ctx = deviation._PatchContext(instance, assignment, prefs, focals=focals)
     specs = [(deviation.SWAP_IN_CONE, 0.0), (deviation.TOP_K_OF_ALL, 0.0),
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, alpha),
              (deviation.ABOVE_CONE, 2 * alpha), (deviation.BELOW_CONE, 0.0)]

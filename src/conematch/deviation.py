@@ -60,15 +60,19 @@ class DeviationResult:
 class _PatchContext:
     """The preferences of one assignment, shared by all its probes.
 
-    Every probe warm-starts: DA is run once per focal doctor with the
-    focal's list empty, and each replicate inserts the focal into that
-    settled state (see da.DAState.insert).  Only the most recent focal's
-    state is kept, so callers loop focal-major.  `prefs`, if given, is
+    Every probe warm-starts.  DA runs once per context, with the list of
+    every focal doctor in the probe set emptied.  A focal's focal-absent
+    run is that shared run with the other focals' base lists added
+    (da.DAState.with_proposers), and each replicate inserts the focal into
+    it (da.DAState.insert).  Both are exact by order invariance.  A focal
+    not in `focals` joins the set, and the shared run is rebuilt once.  Only
+    the most recent focal's focal-absent state is kept, and each probe
+    utility is memoised (`utility`).  `prefs`, if given, is
     build_preferences(assignment).
     """
 
     def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
-                 prefs: Optional[tuple] = None):
+                 prefs: Optional[tuple] = None, focals: Sequence[int] = ()):
         self.instance = instance
         self.assignment = assignment
         if prefs is None:
@@ -76,16 +80,28 @@ class _PatchContext:
         if any(getattr(p, "source", None) is not assignment for p in prefs):
             raise ValueError("prefs must be build_preferences(assignment)")
         self.doctor_prefs, self.hospital_prefs = prefs
+        self._focals = dict.fromkeys(int(f) for f in focals)
+        self._shared: Optional[DAState] = None
         self._absent: Optional[Tuple[int, DAState]] = None
+        self._utilities: Dict[tuple, float] = {}
 
     def _focal_absent(self, focal: int) -> DAState:
-        if self._absent is None or self._absent[0] != focal:
-            prefs = self.doctor_prefs
+        if self._absent is not None and self._absent[0] == focal:
+            return self._absent[1]
+        prefs = self.doctor_prefs
+        if focal not in self._focals:
+            self._focals[focal] = None
+            self._shared = None
+        if self._shared is None:
             absent = EdgeLists(prefs, prefs.ranks, None, prefs.source)
-            absent[focal] = []
-            self._absent = (focal, doctor_proposing_state(
-                absent, self.hospital_prefs, self.instance.capacities))
-        return self._absent[1]
+            for f in self._focals:
+                absent[f] = []
+            self._shared = doctor_proposing_state(
+                absent, self.hospital_prefs, self.instance.capacities)
+        state = self._shared.with_proposers(
+            {f: (prefs[f], prefs.ranks[f]) for f in self._focals if f != focal})
+        self._absent = (focal, state)
+        return state
 
     def _focal_rank(self, h: int, u: float, focal: int) -> float:
         # positions in h's list, ordered by keys (-utility, doctor), are the
@@ -97,29 +113,44 @@ class _PatchContext:
         j = bisect.bisect_right(utils, -u, i, key=float.__neg__)
         return bisect.bisect_left(self.hospital_prefs[h], focal, i, j) - 0.5
 
+    def utility(self, focal: int, slots: Sequence[int], replicate: int) -> float:
+        """The focal's utility in one replicate's probe with these slots.
+
+        Memoised: slot s draws are keyed by the slot index, so the utility
+        is a pure function of (focal, slots, replicate).
+        """
+        key = (focal, tuple(slots), replicate)
+        if key not in self._utilities:
+            iota_d, iota_h = _slot_values(self.instance, focal, len(slots),
+                                          replicate)
+            self._utilities[key] = self.patched_run(focal, slots,
+                                                    iota_d, iota_h)[0]
+        return self._utilities[key]
+
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
                     iota_d: np.ndarray, iota_h: np.ndarray):
         """Doctor-proposing DA with the focal doctor's edges re-pointed.
 
         slot_hospitals[s] is the hospital occupying slot s; iota_d/iota_h
-        are that slot's fresh interview values for the two sides, weighted
-        as the assignment weights every other edge.  The focal is inserted
-        into the focal-absent run.  Returns (focal utility, matching, the
-        inserted DAState).
+        are that slot's fresh interview values for the two sides (at least
+        one per slot), weighted as the assignment weights every other edge.
+        The focal is inserted into the focal-absent run.  Returns (focal
+        utility, matching, the inserted DAState).
         """
         inst = self.instance
         asg = self.assignment
         r_focal = inst.doctor_ratings[focal]
-        school = inst.config.setting == SCHOOL_CHOICE
+        n = len(slot_hospitals)
+        hs = np.asarray(slot_hospitals, dtype=np.int64)
 
-        u_focal = {}
-        u_hosp = {}
-        for s, h in enumerate(slot_hospitals):
-            u_focal[h] = float(inst.hospital_ratings[h]
-                               + inst.private_dh(focal, h)
-                               + asg.nu_d * iota_d[s])
-            u_hosp[h] = float(r_focal) if school else \
-                float(r_focal + asg.nu_h * iota_h[s])
+        u_focal = dict(zip(slot_hospitals, (
+            inst.hospital_ratings[hs] + inst.private_dh(focal, hs)
+            + asg.nu_d * iota_d[:n]).tolist()))
+        if inst.config.setting == SCHOOL_CHOICE:
+            u_hosp = dict.fromkeys(slot_hospitals, float(r_focal))
+        else:
+            u_hosp = dict(zip(slot_hospitals,
+                              (r_focal + asg.nu_h * iota_h[:n]).tolist()))
         focal_list = sorted(u_focal, key=lambda h: (-u_focal[h], h))
         focal_ranks = [self._focal_rank(h, u_hosp[h], focal) for h in focal_list]
 
@@ -161,11 +192,12 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
     cone = compute_cone(inst, focal)
     r = inst.doctor_ratings[focal]
     half = inst.half_width
-    listed = set(base)
+
+    def unlisted(ids):
+        return ids[~np.isin(ids, base)]
 
     if spec.kind == SWAP_IN_CONE:
-        outside = np.array([h for h in cone.member_hospitals if h not in listed],
-                           dtype=np.int64)
+        outside = unlisted(cone.member_hospitals)
         if outside.size == 0:
             return base, 0.0
         vals = inst.private_dh(focal, outside)
@@ -181,11 +213,9 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
         else:
             wanted = r - half - spec.offset
             band = inst.hospitals_in_band(inst.hospital_range[0], cone.low)
-        band = np.array([h for h in band if h not in listed], dtype=np.int64)
+        band = unlisted(band)
         if band.size == 0:   # no hospital beyond the cone; fall back to nearest
-            everything = np.array([h for h in range(inst.config.n_hospitals)
-                                   if h not in listed], dtype=np.int64)
-            band = everything
+            band = unlisted(np.arange(inst.config.n_hospitals, dtype=np.int64))
         target = _nearest_at(inst, wanted, band)
         if target is None:
             return base, 0.0
@@ -243,19 +273,9 @@ def evaluate_deviation(instance: MarketInstance,
     focal = spec.focal_doctor
     base_slots = assignment.doctor_list(focal)
     dev_slots, realized = deviant_slots(instance, assignment, spec)
-    n_slots = max(len(base_slots), len(dev_slots))
-
-    base_u = np.empty(spec.replicates)
-    dev_u = np.empty(spec.replicates)
-    identical = dev_slots == base_slots
-    for t in range(spec.replicates):
-        iota_d, iota_h = _slot_values(instance, focal, n_slots, t)
-        base_u[t], _, _ = ctx.patched_run(focal, base_slots, iota_d, iota_h)
-        if identical:
-            dev_u[t] = base_u[t]
-        else:
-            dev_u[t], _, _ = ctx.patched_run(focal, dev_slots, iota_d, iota_h)
-
+    reps = range(spec.replicates)
+    base_u = np.array([ctx.utility(focal, base_slots, t) for t in reps])
+    dev_u = np.array([ctx.utility(focal, dev_slots, t) for t in reps])
     diff = dev_u - base_u
     se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
     return DeviationResult(spec, float(base_u.mean()), float(dev_u.mean()),
@@ -327,11 +347,15 @@ def epsilon_estimate(batch: Sequence[tuple],
     grid += [(BELOW_CONE, x) for x in offsets]
 
     cells: Dict[Tuple[str, float], List[float]] = {g: [] for g in grid}
+    focals: Dict[int, List[int]] = {}
+    for _, assignment, focal in batch:
+        focals.setdefault(id(assignment), []).append(focal)
     contexts = {}
     for instance, assignment, focal in batch:
         key = id(assignment)
         if key not in contexts:
-            contexts[key] = _PatchContext(instance, assignment)
+            contexts[key] = _PatchContext(instance, assignment,
+                                          focals=focals[key])
         ctx = contexts[key]
         for kind, x in grid:
             res = evaluate_deviation(

@@ -14,6 +14,10 @@ And the deviation probe as a full logged DA over patched lists
 (patched_da), with the locality check that searched the graph of both
 logged runs' proposals (locality_graph_check).  tests/test_edge_table.py
 and tests/test_deviation.py compare the package with them.
+
+And the deviant slot search that filtered listed hospitals in Python
+loops (loop_deviant_slots).  tests/test_deviation.py compares the package
+with it.
 """
 
 import bisect
@@ -26,9 +30,12 @@ from typing import Dict, List
 import numpy as np
 
 from conematch.da import Matching, TruncationRule, truncated_da
-from conematch.deviation import _slot_values, deviant_slots
+from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
+                                 NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
+                                 _nearest_at, _slot_values, deviant_slots)
 from conematch.double_cut import HOSPITALS_PROPOSE, _rule_for
 from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
+from conematch.strategy import compute_cone
 from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
                                HOSPITAL_LOSS, GroupedSeries, RunStats)
@@ -450,3 +457,66 @@ def aggregate(stats, group_size=10, include_unmatched_in_loss=False):
                         cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals)
         out[m] = GroupedSeries(m, group_size, lo, hi, mean, p10, p90, len(stats))
     return out
+
+
+def loop_deviant_slots(instance, assignment, spec):
+    """deviant_slots with listed hospitals filtered out one by one."""
+    if spec.kind not in KINDS and spec.kind != NULL_DEVIATION:
+        raise ValueError(f"unknown deviation kind {spec.kind!r}")
+    focal = spec.focal_doctor
+    inst = instance
+    base = assignment.doctor_list(focal)
+    if spec.kind == NULL_DEVIATION or not base:
+        return base, 0.0
+    cone = compute_cone(inst, focal)
+    r = inst.doctor_ratings[focal]
+    half = inst.half_width
+    listed = set(base)
+
+    if spec.kind == SWAP_IN_CONE:
+        outside = np.array([h for h in cone.member_hospitals if h not in listed],
+                           dtype=np.int64)
+        if outside.size == 0:
+            return base, 0.0
+        vals = inst.private_dh(focal, outside)
+        target = int(outside[int(np.argmax(vals))])
+        slots = list(base)
+        slots[_marginal_slot(inst, base, focal)] = target
+        return slots, float(inst.hospital_ratings[target] - r)
+
+    if spec.kind in (ABOVE_CONE, BELOW_CONE):
+        if spec.kind == ABOVE_CONE:
+            wanted = r + half + spec.offset
+            band = inst.hospitals_in_band(cone.high, inst.hospital_range[1])
+        else:
+            wanted = r - half - spec.offset
+            band = inst.hospitals_in_band(inst.hospital_range[0], cone.low)
+        band = np.array([h for h in band if h not in listed], dtype=np.int64)
+        if band.size == 0:   # no hospital beyond the cone; fall back to nearest
+            everything = np.array([h for h in range(inst.config.n_hospitals)
+                                   if h not in listed], dtype=np.int64)
+            band = everything
+        target = _nearest_at(inst, wanted, band)
+        if target is None:
+            return base, 0.0
+        slots = list(base)
+        slots[_marginal_slot(inst, base, focal)] = target
+        return slots, float(inst.hospital_ratings[target] - r)
+
+    # TOP_K_OF_ALL
+    k = inst.config.k
+    all_h = np.arange(inst.config.n_hospitals, dtype=np.int64)
+    pre = inst.hospital_ratings + inst.private_dh(focal, all_h)
+    order = np.lexsort((all_h, -pre))
+    chosen = sorted(int(all_h[i]) for i in order[:k])
+    slots = list(base)
+    keep = [s for s, h in enumerate(slots) if h in chosen]
+    kept = {slots[s] for s in keep}
+    incoming = [h for h in chosen if h not in kept]
+    free = [s for s in range(len(slots)) if s not in keep]
+    for s, h in zip(free, incoming):
+        slots[s] = h
+    extra = incoming[len(free):]          # k grew beyond the base list
+    slots.extend(extra)
+    top = max((inst.hospital_ratings[h] for h in chosen), default=r)
+    return slots, float(top - r)

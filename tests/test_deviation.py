@@ -248,6 +248,29 @@ def test_deviation_csv_rows():
     assert deviation.DEVIATION_CSV_HEADER.count(",") == rows[0].count(",")
 
 
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_deviant_slots_match_the_loop_filter(setting):
+    # every kind and offset, for focals across the rating range, including
+    # the top and bottom ones whose beyond-cone band is empty or all listed
+    fallbacks = 0
+    for kappa, cone in ((1, 0.3), (3, 0.8)):
+        inst, asg = make_market(seed=15, n=90, kappa=kappa, k=3, cone=cone,
+                                setting=setting)
+        for q in (0.0, 0.1, 0.35, 0.6, 0.9, 1.0):
+            focal = pick_focal(inst, q)
+            for kind in KINDS + (NULL_DEVIATION,):
+                for x in (0.0, 0.05, 2.0):
+                    spec = DeviationSpec(focal, kind, offset=x)
+                    got = deviant_slots(inst, asg, spec)
+                    assert got == legacy_edges.loop_deviant_slots(inst, asg,
+                                                                  spec)
+                    assert all(type(h) is int for h in got[0])
+            cone_ = compute_cone(inst, focal)
+            top = inst.hospitals_in_band(cone_.high, inst.hospital_range[1])
+            fallbacks += not set(top.tolist()) - set(asg.doctor_list(focal))
+    assert fallbacks        # the nearest-of-everything branch ran
+
+
 def test_unknown_kind_rejected_even_for_an_empty_list():
     inst, asg = make_market(seed=13, cone=0.002)
     empty = next(d for d, hs in enumerate(asg.doctor_lists) if not hs)

@@ -1,10 +1,13 @@
 """The warm-started deviation probe against a full DA over the same lists.
 
-`_PatchContext.patched_run` runs DA once per focal doctor with the focal's
-list empty and inserts the focal into that settled state per replicate.  The
-reference here spells the patched market out (the focal's list re-pointed to
-the slot hospitals, the focal's key placed in each slot hospital's list by
-utility) and runs the full `doctor_proposing_da` over it.
+`_PatchContext` runs DA once per context, with every probed focal's list
+empty.  Each focal's focal-absent state is that shared run with the other
+focals' lists added back, and each replicate inserts the focal into it.
+The reference here spells the patched market out (the focal's list
+re-pointed to the slot hospitals, the focal's key placed in each slot
+hospital's list by utility) and runs the full `doctor_proposing_da` over
+it; the focal-absent states are compared with a fresh run over lists with
+only that focal's emptied.
 """
 
 import random
@@ -12,8 +15,9 @@ import random
 import numpy as np
 import pytest
 
-from conematch import da, deviation
-from conematch.da import build_ranks, doctor_proposing_da, doctor_proposing_state
+from conematch import cli, da, deviation
+from conematch.da import (EdgeLists, build_ranks, doctor_proposing_da,
+                          doctor_proposing_state)
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  _PatchContext, _slot_values, deviant_slots,
                                  evaluate_deviation)
@@ -143,6 +147,8 @@ def test_insert_refuses_a_present_proposer():
 
 
 def test_full_engine_runs_once_per_focal(monkeypatch):
+    # no focal is declared, so each joins the probe set and rebuilds the
+    # shared run once
     cfg = make_config(300, kappa=5, k=5, cone_override=0.3, seed=4)
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
@@ -165,3 +171,140 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
                                DeviationSpec(focal, kind, offset=x,
                                              replicates=3), context=ctx)
     assert len(calls) == 8
+
+
+def _settled(state, n_doctors, n_hospitals):
+    # the matching, the pointers, held counts and halt flags, and each
+    # receiver's heap as a set (its layout depends on the proposal order)
+    m = da.LazyMatching(state, da.DOCTORS_PROPOSE, n_doctors, n_hospitals)
+    return (m.doctor_of, m.doctors_of, list(state.pointer), list(state.held),
+            list(state.halted), [set(heap) for heap in state.heaps])
+
+
+def _fresh_absent(ctx, focal):
+    prefs = ctx.doctor_prefs
+    lists = EdgeLists(prefs, prefs.ranks, None, prefs.source)
+    lists[focal] = []
+    return doctor_proposing_state(lists, ctx.hospital_prefs,
+                                  ctx.instance.capacities)
+
+
+def _counting_engine(monkeypatch):
+    calls = []
+    real = da._engine
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(da, "_engine", counting)
+    return calls
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
+@pytest.mark.parametrize("cone", [0.15, 0.02])
+def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
+    cfg = make_config(200, kappa=5, k=3, cone_override=cone, seed=6,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    asg = build_assignment(inst)
+    order = [int(d) for d in np.argsort(inst.doctor_ratings)]
+    empty = [d for d in order if not asg.doctor_list(d)]
+    declared = [order[40], order[120], order[40], order[199]] + empty[:1]
+    undeclared = [order[80], order[7]]
+    ctx = _PatchContext(inst, asg, focals=np.asarray(declared))
+    calls = _counting_engine(monkeypatch)
+    # interleaved, repeated, then undeclared focals, then declared ones again
+    probes = ([order[120], order[40], order[199], order[120], order[40]]
+              + empty[:1] + undeclared + [order[40], order[80]])
+    for focal in probes:
+        got = _settled(ctx._focal_absent(focal), cfg.n_doctors,
+                       cfg.n_hospitals)
+        engine_runs = len(calls)
+        want = _settled(_fresh_absent(ctx, focal), cfg.n_doctors,
+                        cfg.n_hospitals)
+        del calls[engine_runs:]
+        assert got == want, focal
+    assert len(calls) == 1 + len(undeclared)
+    assert bool(empty) == (cone == 0.02)   # the sparse market lists nobody for some
+
+
+def test_with_proposers_refuses_what_insert_refuses():
+    doctor_prefs, hospital_prefs = random_lists(6, 3, 1)
+    absent = list(doctor_prefs)
+    absent[2] = []
+    state = doctor_proposing_state(absent, hospital_prefs, [2, 2, 2])
+    ranks = build_ranks(hospital_prefs)
+    entry = (doctor_prefs[2], [ranks[h][2] for h in doctor_prefs[2]])
+    child = state.with_proposers({2: entry})
+    full = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
+    assert (da.LazyMatching(child, da.DOCTORS_PROPOSE, 6, 3).doctor_of
+            == da.LazyMatching(full, da.DOCTORS_PROPOSE, 6, 3).doctor_of)
+    with pytest.raises(ValueError, match="already has a list"):
+        state.with_proposers({0: entry})
+    with pytest.raises(ValueError, match="already has a list"):
+        child.with_proposers({2: entry})
+    for rule, log in ((da.TruncationRule(utility_floor=0.0), None),
+                      (None, da.EventLog(da.DOCTORS_PROPOSE))):
+        bad = da.DAState(absent, state.ranks, state.slots, state.caps,
+                         rule, None, log)
+        with pytest.raises(ValueError, match="truncation or event log"):
+            bad.with_proposers({2: entry})
+        with pytest.raises(ValueError, match="truncation or event log"):
+            bad.insert(2, *entry)
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, REQUEST_INTERVIEW])
+def test_one_declared_context_gives_the_results_of_fresh_ones(setting):
+    cfg = make_config(200, kappa=5, k=3, cone_override=0.15, seed=8,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    asg = build_assignment(inst)
+    order = np.argsort(inst.doctor_ratings)
+    focals = [int(order[i]) for i in (30, 110, 170)]
+    shared = _PatchContext(inst, asg, focals=focals)
+    for focal in focals:
+        for kind in KINDS + (NULL_DEVIATION,):
+            spec = DeviationSpec(focal, kind, offset=0.05, replicates=3)
+            assert (evaluate_deviation(inst, asg, spec, context=shared)
+                    == evaluate_deviation(inst, asg, spec,
+                                          context=_PatchContext(inst, asg)))
+
+
+def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
+                                                                 monkeypatch):
+    raw = {"n_doctors": 120, "n_hospitals": 24, "capacity": 5, "k": 3,
+           "cone_override": 0.15, "seed": 5, "runs": 1}
+    configs = cli.expand_grid(raw)
+    calls = _counting_engine(monkeypatch)
+    plain = cli.Campaign(configs=configs, out_dir=tmp_path / "plain",
+                         oracle_audit=False)
+    assert cli.run_campaign(plain) == cli.EXIT_OK
+    campaign_runs = len(calls)
+
+    probes, specs = [], []
+    patched, evaluate = _PatchContext.patched_run, deviation.evaluate_deviation
+
+    def counting_probe(self, focal, slots, *args):
+        probes.append(1)
+        return patched(self, focal, slots, *args)
+
+    def keeping_spec(instance, assignment, spec, **kwargs):
+        specs.append((instance, assignment, spec))
+        return evaluate(instance, assignment, spec, **kwargs)
+    monkeypatch.setattr(_PatchContext, "patched_run", counting_probe)
+    monkeypatch.setattr(deviation, "evaluate_deviation", keeping_spec)
+    del calls[:]
+    probed = cli.Campaign(configs=configs, out_dir=tmp_path / "probed",
+                          oracle_audit=False, deviation_focals=3,
+                          deviation_replicates=4)
+    assert cli.run_campaign(probed) == cli.EXIT_OK
+    assert len(calls) == campaign_runs + 1
+    triples = set()
+    for instance, assignment, spec in specs:
+        focal = spec.focal_doctor
+        for slots in (assignment.doctor_list(focal),
+                      deviant_slots(instance, assignment, spec)[0]):
+            triples.update((focal, tuple(slots), t)
+                           for t in range(spec.replicates))
+    assert len(specs) == 3 * 6
+    assert len(probes) == len(triples) < 2 * 4 * len(specs)
