@@ -67,8 +67,8 @@ class _PatchContext:
     it (da.DAState.insert).  Both are exact by order invariance.  A focal
     not in `focals` joins the set, and the shared run is rebuilt once.  Only
     the most recent focal's focal-absent state is kept, and each probe
-    utility is memoised (`utility`).  `prefs`, if given, is
-    build_preferences(assignment).
+    utility (`utility`) and each replicate's slot draws (`slot_values`) are
+    memoised.  `prefs`, if given, is build_preferences(assignment).
     """
 
     def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
@@ -84,6 +84,7 @@ class _PatchContext:
         self._shared: Optional[DAState] = None
         self._absent: Optional[Tuple[int, DAState]] = None
         self._utilities: Dict[tuple, float] = {}
+        self._slot_draws: Dict[tuple, tuple] = {}
 
     def _focal_absent(self, focal: int) -> DAState:
         if self._absent is not None and self._absent[0] == focal:
@@ -121,11 +122,18 @@ class _PatchContext:
         """
         key = (focal, tuple(slots), replicate)
         if key not in self._utilities:
-            iota_d, iota_h = _slot_values(self.instance, focal, len(slots),
-                                          replicate)
+            iota_d, iota_h = self.slot_values(focal, len(slots), replicate)
             self._utilities[key] = self.patched_run(focal, slots,
                                                     iota_d, iota_h)[0]
         return self._utilities[key]
+
+    def slot_values(self, focal: int, n_slots: int, replicate: int):
+        """_slot_values, memoised: a pure function of its arguments."""
+        key = (focal, n_slots, replicate)
+        if key not in self._slot_draws:
+            self._slot_draws[key] = _slot_values(self.instance, focal, n_slots,
+                                                 replicate)
+        return self._slot_draws[key]
 
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
                     iota_d: np.ndarray, iota_h: np.ndarray):
@@ -301,7 +309,7 @@ def locality_check(instance: MarketInstance,
     base_slots = assignment.doctor_list(focal)
     dev_slots, _ = deviant_slots(instance, assignment, spec)
     n_slots = max(len(base_slots), len(dev_slots))
-    iota_d, iota_h = _slot_values(instance, focal, n_slots, replicate)
+    iota_d, iota_h = ctx.slot_values(focal, n_slots, replicate)
     absent = ctx._focal_absent(focal)
 
     def settled():

@@ -255,16 +255,18 @@ class MarketInstance:
         self.half_width = min(half, range_width)   # effective a*alpha
         self.alpha_eff = self.half_width / config.a
 
-        self._st_private_dh = rng.key_state(seed, run, rng.KIND_PRIVATE_DH)
+        # stream states: v(d,h) is rng.uniform(private_dh_state, d, h), and
+        # v(h,d) is rng.uniform(private_hd_state, h, d)
+        self.private_dh_state = rng.key_state(seed, run, rng.KIND_PRIVATE_DH)
         self._st_interview_dh = rng.key_state(seed, run, rng.KIND_INTERVIEW_DH)
         self._st_interview_hd = rng.key_state(seed, run, rng.KIND_INTERVIEW_HD)
-        self._st_private_hd = rng.key_state(seed, run, rng.KIND_PRIVATE_HD)
+        self.private_hd_state = rng.key_state(seed, run, rng.KIND_PRIVATE_HD)
 
     # -- value oracle -------------------------------------------------
 
     def private_dh(self, doctor, hospital):
         """v(d,h); scalar or broadcast over arrays."""
-        return rng.uniform(self._st_private_dh, doctor, hospital)
+        return rng.uniform(self.private_dh_state, doctor, hospital)
 
     def interview_dh(self, doctor, hospital, salt: int = 0):
         """iota(d,h).  A nonzero salt addresses replicate redraws."""
@@ -280,7 +282,7 @@ class MarketInstance:
 
     def private_hd(self, hospital, doctor):
         """v(h,d), used by hospitals to grant interview requests."""
-        return rng.uniform(self._st_private_hd, hospital, doctor)
+        return rng.uniform(self.private_hd_state, hospital, doctor)
 
     # -- geometry helpers ----------------------------------------------
 

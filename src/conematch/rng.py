@@ -7,6 +7,16 @@ identical keys give identical draws in any process, on any platform, in any
 order of evaluation.  This is what lets a deviation experiment redraw one
 doctor's interview values while every other value in the market stays fixed
 bit for bit (common random numbers).
+
+A draw addressed by (state, i, j) is made in three stages, so that a caller
+drawing a whole matrix can key each row and each column once:
+
+* ``half_i(state, i)`` = mix(state + gamma*(i+1)), the first index's half;
+* ``half_j(j)`` = gamma*(j+1), the second index's half;
+* ``bits(half_i, half_j)`` = mix(half_i + half_j) >> 11, a 53-bit integer.
+
+``uniform`` is ``bits * 2**-53``, which is exact and strictly increasing, so
+the integers order and tie exactly as the floats do.
 """
 
 from __future__ import annotations
@@ -28,38 +38,62 @@ _U64 = np.uint64
 _INV_2_53 = float(2.0 ** -53)
 
 
-def _mix(x):
-    # splitmix64 finalizer; uint64 scalar or array, wraps mod 2**64
-    x = (x ^ (x >> _U64(30))) * _M1
-    x = (x ^ (x >> _U64(27))) * _M2
-    return x ^ (x >> _U64(31))
+def _mix(x: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer, in place on the uint64 array x (wraps mod 2**64)
+    tmp = np.empty_like(x)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(x, _U64(shift), out=tmp)
+        x ^= tmp
+        x *= mult
+    np.right_shift(x, _U64(31), out=tmp)
+    x ^= tmp
+    return x
+
+
+def half_j(j) -> np.ndarray:
+    """The second index's half of a key, gamma*(j+1), as a uint64 array."""
+    x = np.array(j, dtype=np.uint64)
+    x += _U64(1)
+    x *= _GAMMA
+    return x
+
+
+def half_i(state, i) -> np.ndarray:
+    """The first index's half of a key, mix(state + gamma*(i+1))."""
+    x = half_j(i)
+    x += state
+    return _mix(x)
 
 
 def key_state(seed: int, run: int, kind: int, salt: int = 0) -> np.uint64:
     """Pre-mixed state for a (seed, run, kind, salt) stream."""
-    with np.errstate(over="ignore"):
-        s = _mix(_U64(seed) + _GAMMA)
-        s = _mix(s + _GAMMA * (_U64(run) + _U64(1)))
-        s = _mix(s + _GAMMA * (_U64(kind) + _U64(1)))
-        if salt:
-            s = _mix(s + _GAMMA * (_U64(salt) + _U64(1)))
-    return s
+    s = half_i(half_i(half_i(_U64(seed), 0), run), kind)
+    if salt:
+        s = half_i(s, salt)
+    return s[()]
+
+
+def bits(hi, hj, out=None) -> np.ndarray:
+    """53-bit integer draws mix(hi + hj) >> 11 from broadcastable halves.
+
+    The draws are finished in place: in `out` if given (a uint64 array of
+    the broadcast shape, which may be `hi` or `hj` itself), else in a new
+    array.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(hi), np.shape(hj)),
+                       dtype=np.uint64)
+    np.add(hi, hj, out=out)
+    _mix(out)
+    out >>= _U64(11)
+    return out
 
 
 def uniform(state: np.uint64, i, j) -> np.ndarray:
     """Uniform [0,1) draw(s) addressed by (state, i, j).
 
     `i` and `j` may be scalars or broadcastable integer arrays; the result
-    follows numpy broadcasting.  uniform(state, i, j) is a pure function.
+    follows numpy broadcasting.  uniform(state, i, j) is a pure function,
+    and equals bits(half_i(state, i), half_j(j)) * 2**-53 bitwise.
     """
-    with np.errstate(over="ignore"):
-        ii = np.asarray(i, dtype=np.uint64)
-        jj = np.asarray(j, dtype=np.uint64)
-        x = _mix(state + _GAMMA * (ii + _U64(1)))
-        x = _mix(x + _GAMMA * (jj + _U64(1)))
-        out = (x >> _U64(11)).astype(np.float64) * _INV_2_53
-    return out
-
-
-def uniform_scalar(state: np.uint64, i: int, j: int) -> float:
-    return float(uniform(state, i, j))
+    return bits(half_i(state, i), half_j(j)).astype(np.float64) * _INV_2_53

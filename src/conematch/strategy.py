@@ -16,6 +16,7 @@ from typing import List, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import rng
 from .da import EdgeLists
 from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW
 
@@ -162,6 +163,12 @@ def _leading(group: np.ndarray, limit) -> np.ndarray:
     return np.arange(group.size) - np.searchsorted(group, group) < limit
 
 
+def _ranges(starts, lengths) -> np.ndarray:
+    # the concatenated aranges starts[i]:starts[i] + lengths[i]
+    skip = np.cumsum(lengths) - lengths
+    return np.repeat(starts - skip, lengths) + np.arange(lengths.sum())
+
+
 def _top_in_cones(instance: MarketInstance, count: int):
     """Each doctor's `count` in-cone hospitals of highest private value.
 
@@ -169,17 +176,19 @@ def _top_in_cones(instance: MarketInstance, count: int):
     cone members keeps them all, and equal values go to the lower
     hospital id.
 
-    A cone is the contiguous slice i0[d]:i1[d] of instance.hospital_sorted.
-    Doctors are taken in a stable order of cone width, and each chunk of
-    them becomes a (rows x its widest cone) matrix of at most
-    _WINDOW_BUDGET cells (one row if a cone is wider): the hospital ids are
-    one gather of sliding windows over hospital_order, and the values one
-    broadcast private_dh(doctor column, ids) call, which mixes each
-    doctor's half of the key once; the cells past a row's cone are set to
-    -inf.  Every in-cone entry at least as large as its row's count-th
-    largest value survives the partition, ties at the cut included; the
-    exact order (value descending, id ascending) is applied to the
-    survivors only.
+    The selection runs on the 53-bit integers behind v(d,h) (rng.bits),
+    which order and tie exactly as the values do.  A cone is the
+    contiguous slice i0[d]:i1[d] of instance.hospital_sorted, so the
+    hospitals' halves of the keys are made once, in rating order, and each
+    doctor's half once.  Doctors are taken in a stable order of cone
+    width, and each chunk of them becomes a (rows x its widest cone)
+    matrix of at most _WINDOW_BUDGET cells (one row if a cone is wider):
+    one gather of sliding windows over the hospital halves, finished into
+    draws in place.  The cells past a row's cone are set to 0, which no
+    draw undercuts.  Every in-cone entry at least as large as its row's
+    count-th largest draw survives the partition, ties at the cut
+    included; only the survivors' hospital ids are gathered, and the exact
+    order (value descending, id ascending) is applied to them alone.
     """
     lo_bound, hi_bound = instance.hospital_range
     lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
@@ -188,10 +197,14 @@ def _top_in_cones(instance: MarketInstance, count: int):
     widths = np.searchsorted(instance.hospital_sorted, highs, side="left") - i0
     by_width = np.argsort(widths, kind="stable")
     sorted_w = widths[by_width]
+    widest = int(sorted_w[-1])
     # windows may run past the last hospital: pad with copies of it
-    padded = np.pad(instance.hospital_order, (0, int(sorted_w[-1])), mode="edge")
+    padded = np.pad(instance.hospital_order, (0, widest), mode="edge")
+    windows = sliding_window_view(rng.half_j(padded), widest)
+    doctor_keys = rng.half_i(instance.private_dh_state,
+                             np.arange(widths.size))
     empty = np.zeros(0, dtype=np.int64)
-    cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0)]
+    cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0, np.uint64)]
     lo = int(np.searchsorted(sorted_w, 1))       # empty cones draw nothing
     while lo < sorted_w.size:
         # the longest run of rows whose widest (last) cone keeps the chunk
@@ -201,19 +214,21 @@ def _top_in_cones(instance: MarketInstance, count: int):
         hi = lo + max(1, int(np.count_nonzero(fits)))
         rows, w = by_width[lo:hi], sorted_w[lo:hi]
         width = int(w[-1])
-        ids = sliding_window_view(padded, width)[i0[rows]]
-        values = instance.private_dh(rows[:, None], ids)
-        pad = np.arange(width) >= w[:, None]
-        values[pad] = -np.inf
+        starts = i0[rows]
+        draws = windows[starts, :width]
+        rng.bits(doctor_keys[rows, None], draws, out=draws)
+        np.put(draws, _ranges(np.arange(rows.size) * width + w, width - w), 0)
         kth = max(0, width - count)
-        cut = np.partition(values, kth, axis=1)[:, kth]
-        survive = np.flatnonzero((values >= cut[:, None]) & ~pad)
-        cand_d.append(rows[survive // width])
-        cand_h.append(ids.ravel()[survive])
-        cand_v.append(values.ravel()[survive])
+        cut = np.partition(draws, kth, axis=1)[:, kth]
+        row, col = np.divmod(np.flatnonzero(draws >= cut[:, None]), width)
+        inside = col < w[row]        # a padding cell never survives
+        row, col = row[inside], col[inside]
+        cand_d.append(rows[row])
+        cand_h.append(padded[starts[row] + col])
+        cand_v.append(draws[row, col])
         lo = hi
     d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
-    order = np.lexsort((h, -v, d))
+    order = np.lexsort((h, ~v, d))
     d, h = d[order], h[order]
     keep = _leading(d, count)
     return d[keep], h[keep]
@@ -241,8 +256,9 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     the window selection of select_interviews.  Each hospital grants up to
     floor(capacity * k^1.5) (at least 1) of the requests it received,
     keeping the doctors with its highest private values v(h,d), equal
-    values going to the lower doctor id; one flat sort over all requests,
-    by hospital, then value, then doctor, orders every hospital's at once.
+    values going to the lower doctor id; one flat stable sort over all
+    requests, by hospital, then the integer behind v(h,d), orders every
+    hospital's at once.
     Each hospital ranks only its capacity*k best interviews (the table's
     hospital_rank is -1 on the rest).
     """
@@ -251,7 +267,12 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
         raise ValueError("request_interview_protocol needs setting=RequestInterview")
     k = cfg.k
     req_d, req_h = _top_in_cones(instance, k * k)
-    order = np.lexsort((req_d, -instance.private_hd(req_h, req_d), req_h))
+    hospital_keys = rng.half_i(instance.private_hd_state,
+                               np.arange(cfg.n_hospitals))
+    v = rng.bits(hospital_keys[req_h], rng.half_j(req_d))
+    # requests arrive doctor-major and lexsort is stable, so equal values
+    # keep the lower doctor id first
+    order = np.lexsort((~v, req_h))
     req_d, req_h = req_d[order], req_h[order]
     budgets = np.maximum(1, (instance.capacities * k ** 1.5).astype(np.int64))
     granted = _leading(req_h, budgets[req_h])

@@ -2,12 +2,17 @@
 
 These deliberately re-derive stability from first principles (rank
 comparisons over exhaustive enumeration) without touching the package's
-own enumeration, so the two routes stay independent.
+own enumeration, so the two routes stay independent.  quarter_draws puts
+every random draw on a grid of quarters, for the tie tests.
 """
 
 import itertools
 import math
 import random
+
+import numpy as np
+
+from conematch import rng
 
 
 def brute_stable_set(doctor_prefs, hospital_prefs, caps):
@@ -68,3 +73,21 @@ def random_lists(n_doc, n_hosp, seed, complete=True, k=None):
         gen.shuffle(ds)
         hospital_prefs.append(ds)
     return doctor_prefs, hospital_prefs
+
+
+def quarter_draws(monkeypatch):
+    """Round every draw down to a multiple of 1/4 while monkeypatch holds.
+
+    Clears the low 51 of the 53 bits of rng.bits, the one integer draw
+    behind both rng.uniform (so every value oracle) and the selection
+    kernel, so the two see the same ties.  Generate markets before calling:
+    ratings drawn on the grid are not distinct.
+    """
+    bits, low = rng.bits, np.uint64((1 << 51) - 1)
+
+    def quantised(hi, hj, out=None):
+        out = bits(hi, hj, out)
+        out &= ~low
+        return out
+
+    monkeypatch.setattr(rng, "bits", quantised)

@@ -5,8 +5,8 @@ tests/legacy_edges.py keeps the selection that drew one flat value per cone
 cell in doctor-id chunks (top_in_cones) and the aggregation that reduced
 each run's rank groups one call at a time (aggregate).  Selection is
 compared in all three settings, kappa 1 and 5, counts 1, k and k^2, on cones
-from empty to wider than the rating range and on private values rounded
-down to quarters; aggregation is compared array by array, bitwise, on
+from empty to wider than the rating range and on draws rounded down to
+quarters; aggregation is compared array by array, bitwise, on
 120-run campaigns with unmatched doctors and empty hospitals.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import legacy_edges
+from oracle_helpers import quarter_draws
 from conematch import metrics, strategy
 from conematch.da import doctor_proposing_da
 from conematch.market import SETTINGS, generate, make_config
@@ -66,12 +67,11 @@ def test_selection_matches_legacy_under_quantised_values(monkeypatch, setting):
         cfg = make_config(211, kappa=kappa, k=K, cone_override=0.3, seed=7,
                           setting=setting)
         inst = generate(cfg, 0)
-        dh = inst.private_dh
-        monkeypatch.setattr(inst, "private_dh",
-                            lambda d, h: np.floor(dh(d, h) * 4) / 4)
-        for budget in (strategy._WINDOW_BUDGET, 1, 97):
-            monkeypatch.setattr(strategy, "_WINDOW_BUDGET", budget)
-            same_selection(inst, count)
+        with monkeypatch.context() as m:
+            quarter_draws(m)
+            for budget in (strategy._WINDOW_BUDGET, 1, 97):
+                m.setattr(strategy, "_WINDOW_BUDGET", budget)
+                same_selection(inst, count)
 
 
 RUNS = 120

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conematch import rng
 
@@ -8,7 +9,7 @@ def test_identical_keys_identical_values():
     a = rng.uniform(s, np.arange(64), 7)
     b = rng.uniform(rng.key_state(123, 4, rng.KIND_PRIVATE_DH), np.arange(64), 7)
     assert np.array_equal(a, b)
-    assert rng.uniform_scalar(s, 5, 7) == a[5]
+    assert float(rng.uniform(s, 5, 7)) == a[5]
 
 
 def test_streams_separate():
@@ -40,3 +41,53 @@ def test_independence_proxy():
     v = rng.uniform(sp, i, j)
     w = rng.uniform(si, i, j)
     assert abs(np.corrcoef(v, w)[0, 1]) < 0.03
+
+
+# computed by the splitmix64 code before uniform was split into stages
+PINNED_STATES = {(0, 0, 1, 0): 17913671590881668180,
+                 (42, 0, 3, 0): 11132436533567955750,
+                 (42, 0, 3, 7): 16238184876762016195,
+                 (2**64 - 1, 2**32, 6, 1_000_003): 75190044105391558}
+PINNED_DRAWS = {(0, 0): 5801669254448967,
+                (17, 4): 8077583748132884,
+                (1999, 399): 8320395937743016,
+                (2**64 - 1, 2**63): 5545653872348420}
+
+
+def test_pinned_states_and_draws():
+    for key, want in PINNED_STATES.items():
+        got = rng.key_state(*key)
+        assert isinstance(got, np.uint64) and int(got) == want
+    s = rng.key_state(42, 0, rng.KIND_PRIVATE_DH)
+    for (i, j), want in PINNED_DRAWS.items():
+        assert rng.uniform(s, i, j) == want * 2.0 ** -53
+        assert int(rng.bits(rng.half_i(s, i), rng.half_j(j))) == want
+
+
+def _same_bits(a, b):
+    return (np.shape(a) == np.shape(b)
+            and np.array_equal(np.asarray(a).view(np.uint64),
+                               np.asarray(b).view(np.uint64)))
+
+
+@pytest.mark.parametrize("i, j", [
+    (5, 7),                                             # scalars
+    (np.array(5), np.array(7)),                         # 0-d arrays
+    (np.arange(30)[:, None],                            # column x matrix
+     np.random.default_rng(0).integers(0, 10**6, (30, 40))),
+    (np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),  # extreme ids
+     np.array([[2**64 - 1], [0]], dtype=np.uint64)),
+])
+def test_uniform_is_scaled_bits(i, j):
+    s = rng.key_state(7, 1, rng.KIND_PRIVATE_DH)
+    u = rng.uniform(s, i, j)
+    b = rng.bits(rng.half_i(s, i), rng.half_j(j))
+    assert b.dtype == np.uint64 and int(b.max()) < 2 ** 53
+    assert _same_bits(u, b.astype(np.float64) * 2.0 ** -53)
+    # finished in a caller's buffer, the draws are the same
+    out = np.empty(b.shape, dtype=np.uint64)
+    assert rng.bits(rng.half_i(s, i), rng.half_j(j), out=out) is out
+    assert np.array_equal(out, b)
+    hj = rng.half_j(j)
+    if hj.shape == b.shape:      # finished in place over the second halves
+        assert np.array_equal(rng.bits(rng.half_i(s, i), hj, out=hj), b)

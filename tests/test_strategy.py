@@ -8,6 +8,7 @@ from conematch.strategy import (build_preferences, compute_cone,
                                 weighted_utilities)
 
 from legacy_edges import utility_maps
+from oracle_helpers import quarter_draws
 
 
 def small_instance(seed=0, **kw):
@@ -290,23 +291,20 @@ def test_window_top_k_matches_reference(monkeypatch, setting, kappa, k):
 
 @pytest.mark.parametrize("setting", market.SETTINGS)
 def test_window_top_k_ties_match_reference(monkeypatch, setting):
-    # private values on a grid of quarters: most cones wider than the
+    # draws on a grid of quarters: most cones wider than the
     # selection tie at the cut
     cut_ties = 0
     for kappa, k in ((1, 1), (1, 5), (5, 5), (5, 12)):
         cfg = make_config(211, kappa=kappa, k=k, cone_override=0.3, seed=7,
                           setting=setting)
         inst = generate(cfg, 0)
-        dh, hd = inst.private_dh, inst.private_hd
-        monkeypatch.setattr(inst, "private_dh",
-                            lambda d, h: np.floor(dh(d, h) * 4) / 4)
-        monkeypatch.setattr(inst, "private_hd",
-                            lambda h, d: np.floor(hd(h, d) * 4) / 4)
         count = k * k if setting == market.REQUEST_INTERVIEW else k
-        for d in range(cfg.n_doctors):
-            members = compute_cone(inst, d).member_hospitals
-            if members.size > count:
-                v = np.sort(inst.private_dh(d, members))[::-1]
-                cut_ties += v[count - 1] == v[count]
-        assert_matches_reference(monkeypatch, inst)
+        with monkeypatch.context() as m:
+            quarter_draws(m)
+            for d in range(cfg.n_doctors):
+                members = compute_cone(inst, d).member_hospitals
+                if members.size > count:
+                    v = np.sort(inst.private_dh(d, members))[::-1]
+                    cut_ties += v[count - 1] == v[count]
+            assert_matches_reference(m, inst)
     assert cut_ties > 100

@@ -308,3 +308,38 @@ def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
                            for t in range(spec.replicates))
     assert len(specs) == 3 * 6
     assert len(probes) == len(triples) < 2 * 4 * len(specs)
+
+
+def test_deviation_csv_draws_each_replicates_slots_once(tmp_path,
+                                                        monkeypatch):
+    raw = {"n_doctors": 120, "n_hospitals": 24, "capacity": 5, "k": 3,
+           "cone_override": 0.15, "seed": 5, "runs": 1}
+    configs = cli.expand_grid(raw)
+    draws, keys = [], set()
+    slot_values, utility = deviation._slot_values, _PatchContext.utility
+
+    def counting_draws(instance, focal, n_slots, replicate):
+        draws.append((focal, n_slots, replicate))
+        return slot_values(instance, focal, n_slots, replicate)
+
+    def keeping_key(self, focal, slots, replicate):
+        keys.add((focal, len(slots), replicate))
+        return utility(self, focal, slots, replicate)
+
+    def campaign(name):
+        out = tmp_path / name
+        assert cli.run_campaign(cli.Campaign(
+            configs=configs, out_dir=out, oracle_audit=False,
+            deviation_focals=3, deviation_replicates=4)) == cli.EXIT_OK
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    monkeypatch.setattr(deviation, "_slot_values", counting_draws)
+    monkeypatch.setattr(_PatchContext, "utility", keeping_key)
+    memoised = campaign("memoised")
+    assert sorted(draws) == sorted(keys) and len(keys) >= 3 * 4
+    # the same bytes with a fresh draw for every probe
+    monkeypatch.setattr(_PatchContext, "slot_values",
+                        lambda self, *key: slot_values(self.instance, *key))
+    fresh = campaign("fresh")
+    assert any("deviation" in name for name in memoised)
+    assert fresh == memoised
