@@ -31,8 +31,7 @@ for r in range(args.runs):
     asg = build_assignment(inst)
     prefs = build_preferences(asg)
     matching = doctor_proposing_da(*prefs, inst.capacities)
-    stats.append(run_stats(inst, asg, matching, prefs=prefs,
-                           check_stability=False))
+    stats.append(run_stats(inst, asg, matching, check_stability=False))
     if (r + 1) % 10 == 0:
         print(f"run {r + 1}/{args.runs}")
 

@@ -9,8 +9,10 @@ also be resumed: one more proposer is inserted into a settled run on a
 copy-on-write overlay, or several are added to a plain copy of it, which is
 how deviation probes avoid re-running DA.
 
-The engine reads, next to each proposer's list, the rank every listed
-receiver gives it (EdgeLists); plain lists are ranked with build_ranks.
+Every entry point takes one input form, the two EdgeLists that
+strategy.build_preferences reads off one edge table: next to each
+proposer's list, the rank every listed receiver gives it and the proposer's
+own utilities.  Anything else is refused with ValueError.
 
 A truncation rule can stop a proposer three ways, checked before each
 proposal in this sequence: utility below her floor (no proposal is made),
@@ -142,38 +144,30 @@ class TruncationRule:
                 and self.focal_target is None and self.forbidden_windows is None)
 
 
-def build_ranks(pref_lists: List[List[int]]) -> List[Dict[int, int]]:
-    """rank[i][j] = position of j in i's list (0 = most preferred)."""
-    return [{j: r for r, j in enumerate(lst)} for lst in pref_lists]
-
-
 class EdgeLists(list):
     """One side's preference lists, partners best first, with per entry
     the rank the partner gives back (ranks[p][i], None: unranked) and, if
-    present, p's own utility (utils[p][i]).
+    not None, p's own utility (utils[p][i]).
 
-    The DA entry points take the ranks as they are only when both sides'
-    lists share a `source` (the table they were read from).  Treat as
-    read-only: list(x) is a plain list and is ranked anew.
+    The DA entry points take a pair of them that share a `source` (the
+    table they were read from, as build_preferences returns them), and
+    refuse anything else.  Treat as read-only: list(x) is a plain list,
+    which no entry point accepts.
     """
 
-    def __init__(self, lists, ranks, utils=None, source=None):
+    def __init__(self, lists, ranks, utils, source):
         super().__init__(lists)
         self.ranks = ranks
         self.utils = utils
         self.source = source
 
 
-def _edge_ranks(proposer_prefs, receiver_prefs, receiver_ranks=None):
+def _edge_ranks(proposer_prefs, receiver_prefs):
     # per proposer, the rank each listed receiver gives it
-    if (receiver_ranks is None and isinstance(proposer_prefs, EdgeLists)
-            and proposer_prefs.source is not None
-            and proposer_prefs.source is getattr(receiver_prefs, "source", None)):
-        return proposer_prefs.ranks
-    if receiver_ranks is None:
-        receiver_ranks = build_ranks(receiver_prefs)
-    return [[receiver_ranks[t].get(p) for t in lst]
-            for p, lst in enumerate(proposer_prefs)]
+    source = getattr(proposer_prefs, "source", None)
+    if source is None or source is not getattr(receiver_prefs, "source", None):
+        raise ValueError("preferences must be build_preferences(assignment)")
+    return proposer_prefs.ranks
 
 
 class _Overlay:
@@ -447,76 +441,63 @@ class LazyMatching(Matching):
     doctors_of = property(lambda self: self._matching().doctors_of)
 
 
-def doctor_proposing_state(doctor_prefs: List[List[int]],
-                           hospital_prefs: List[List[int]],
+def doctor_proposing_state(doctor_prefs: EdgeLists,
+                           hospital_prefs: EdgeLists,
                            capacities,
-                           order: Optional[Sequence[int]] = None,
-                           hospital_ranks: Optional[List[Dict[int, int]]] = None
-                           ) -> DAState:
+                           order: Optional[Sequence[int]] = None) -> DAState:
     """The settled doctor-proposing run, which `DAState.insert` extends."""
-    return _engine(doctor_prefs,
-                   _edge_ranks(doctor_prefs, hospital_prefs, hospital_ranks),
+    return _engine(doctor_prefs, _edge_ranks(doctor_prefs, hospital_prefs),
                    [1] * len(doctor_prefs), list(capacities),
                    None, None, None, order, None)
 
 
-def doctor_proposing_da(doctor_prefs: List[List[int]],
-                        hospital_prefs: List[List[int]],
+def doctor_proposing_da(doctor_prefs: EdgeLists,
+                        hospital_prefs: EdgeLists,
                         capacities,
-                        hospital_ranks: Optional[List[Dict[int, int]]] = None,
                         order: Optional[Sequence[int]] = None) -> Matching:
     """Doctor-optimal stable matching over the given preference lists."""
     state = doctor_proposing_state(doctor_prefs, hospital_prefs, capacities,
-                                   order, hospital_ranks)
+                                   order)
     return _matching_from_heaps(state.heaps, DOCTORS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
 
-def hospital_proposing_da(doctor_prefs: List[List[int]],
-                          hospital_prefs: List[List[int]],
+def hospital_proposing_da(doctor_prefs: EdgeLists,
+                          hospital_prefs: EdgeLists,
                           capacities,
-                          doctor_ranks: Optional[List[Dict[int, int]]] = None,
                           order: Optional[Sequence[int]] = None) -> Matching:
     """Hospital-optimal (doctor-pessimal) stable matching."""
-    state = _engine(hospital_prefs,
-                    _edge_ranks(hospital_prefs, doctor_prefs, doctor_ranks),
+    state = _engine(hospital_prefs, _edge_ranks(hospital_prefs, doctor_prefs),
                     list(capacities), [1] * len(doctor_prefs),
                     None, None, None, order, None)
     return _matching_from_heaps(state.heaps, HOSPITALS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
 
-def truncated_da(doctor_prefs: List[List[int]],
-                 hospital_prefs: List[List[int]],
+def truncated_da(doctor_prefs: EdgeLists,
+                 hospital_prefs: EdgeLists,
                  capacities,
                  rule: TruncationRule,
                  orientation: str = DOCTORS_PROPOSE,
-                 doctor_utils: Optional[List[Dict[int, float]]] = None,
-                 hospital_utils: Optional[List[Dict[int, float]]] = None,
                  proposer_ratings=None,
                  order: Optional[Sequence[int]] = None) -> Tuple[Matching, EventLog]:
     """Truncated DA run; returns the partial matching and its event log.
 
-    A degenerate rule reproduces the untruncated DA.  Utilities for the
-    proposing side (per agent, partner -> utility, or else those its
-    EdgeLists carry) must be available whenever the rule involves a floor
-    or forbidden windows (floors are expressed in proposer utility).
+    A degenerate rule reproduces the untruncated DA.  A floor or forbidden
+    windows (expressed in proposer utility) read the utilities the
+    proposing side's EdgeLists carry.
     """
     log = EventLog(orientation)
     if orientation == DOCTORS_PROPOSE:
-        proposers, receivers, utils = doctor_prefs, hospital_prefs, doctor_utils
+        proposers, receivers = doctor_prefs, hospital_prefs
         slots, caps = [1] * len(doctor_prefs), list(capacities)
     elif orientation == HOSPITALS_PROPOSE:
-        proposers, receivers, utils = hospital_prefs, doctor_prefs, hospital_utils
+        proposers, receivers = hospital_prefs, doctor_prefs
         slots, caps = list(capacities), [1] * len(doctor_prefs)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    if utils is not None:
-        utils = [[utils[p].get(t, -math.inf) for t in lst]
-                 for p, lst in enumerate(proposers)]
     state = _engine(proposers, _edge_ranks(proposers, receivers), slots, caps,
-                    rule, utils or getattr(proposers, "utils", None),
-                    proposer_ratings, order, log)
+                    rule, proposers.utils, proposer_ratings, order, log)
     return (_matching_from_heaps(state.heaps, orientation,
                                  len(doctor_prefs), len(hospital_prefs)), log)
 

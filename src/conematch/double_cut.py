@@ -81,20 +81,6 @@ def scenario_for_hospital(instance: MarketInstance, hospital: int) -> DoubleCutS
         bottommost=bool(r < instance.hospital_range[0] + half))
 
 
-def degenerate_scenario(instance: MarketInstance,
-                        orientation: str = DOCTORS_PROPOSE) -> DoubleCutScenario:
-    """No cuts at all: every agent proposes, no floor, no focal stop.
-
-    Running it reproduces the untruncated DA; useful as the trivial
-    baseline for dominance checks.
-    """
-    side = FOCAL_HOSPITAL if orientation == DOCTORS_PROPOSE else FOCAL_DOCTOR
-    return DoubleCutScenario(focal_side=side, focal_id=None,
-                             orientation=orientation,
-                             alpha=instance.alpha_eff,
-                             half_width=instance.half_width)
-
-
 def scenario_for_doctor(instance: MarketInstance, doctor: int) -> DoubleCutScenario:
     """Hospital-proposing double-cut run centered on one doctor."""
     r = instance.doctor_ratings[doctor]
@@ -121,8 +107,7 @@ class PreprocessResult:
 
 def interval_preprocess(instance: MarketInstance,
                         assignment: InterviewAssignment,
-                        interval: Tuple[float, float],
-                        side: str = "doctors") -> PreprocessResult:
+                        interval: Tuple[float, float]) -> PreprocessResult:
     """Exclusion set for the interval double-cut over doctors I = [f, g).
 
     Removes (i) hospitals in [f+aa, g+aa), which are in cone for only some
@@ -131,8 +116,6 @@ def interval_preprocess(instance: MarketInstance,
     the I-doctors on those colliding edges; (iv) the other hospitals of the
     removed doctors.  Returns the surviving set sizes |I'| and |L'|.
     """
-    if side != "doctors":
-        raise ValueError("interval preprocessing is defined for doctor intervals")
     f, g = interval
     if g < f:
         raise ValueError("interval must satisfy f <= g")
@@ -287,13 +270,6 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
     kappa = max(instance.capacities.mean(), 1.0)
     d_hi = instance.doctor_range[1]
     h_hi = instance.hospital_range[1]
-
-    if scenario.focal_id is None and scenario.interval is None:
-        # degenerate run: everyone participates, nothing to account for
-        return SurplusReport((instance.config.n_doctors,
-                              instance.config.n_hospitals),
-                             0, 0, 0, None, math.nan,
-                             scenario.bottommost, log)
 
     if scenario.focal_side == FOCAL_HOSPITAL:
         h = scenario.focal_id

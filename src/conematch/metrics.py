@@ -55,7 +55,6 @@ class RunStats:
 def run_stats(instance: MarketInstance,
               assignment: InterviewAssignment,
               matching: Matching,
-              prefs: Optional[tuple] = None,
               check_stability: bool = True,
               matched: Optional[np.ndarray] = None) -> RunStats:
     """Populate RunStats; refuses a matching with blocking pairs.
@@ -65,8 +64,7 @@ def run_stats(instance: MarketInstance,
     if matched is None:
         matched = assignment.matched_edges(matching)
     if check_stability:
-        blocking = find_blocking_pairs(assignment, matching, prefs=prefs,
-                                       matched=matched)
+        blocking = find_blocking_pairs(assignment, matching, matched=matched)
         if blocking:
             raise ValueError(f"matching is unstable: {len(blocking)} blocking pairs, "
                              f"first {blocking[0]}")
@@ -130,13 +128,6 @@ class GroupedSeries:
     p10: np.ndarray
     p90: np.ndarray
     runs: int
-
-
-def nearest_rank(values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    row = np.append(np.sort(values), np.nan)    # NaN-last, NaN if empty
-    return float(_nearest_rank_rows(row[None, :], np.array([row.size - 1]),
-                                    pct)[0])
 
 
 def _finite_row_means(mat: np.ndarray) -> np.ndarray:
@@ -206,7 +197,8 @@ def group_run(s: RunStats, group_size: int = 10,
 
 def _nearest_rank_rows(sorted_rows: np.ndarray, counts: np.ndarray,
                        pct: float) -> np.ndarray:
-    # nearest_rank of each row's first counts[i] entries (NaN if none)
+    # nearest-rank percentile, the ceil(pct/100 * n)-th smallest, of each
+    # row's first n = counts[i] entries (NaN if none)
     idx = np.maximum(1, np.ceil(pct / 100.0 * counts)).astype(np.int64) - 1
     picked = np.take_along_axis(sorted_rows, idx[:, None], axis=1)[:, 0]
     return np.where(counts > 0, picked, np.nan)

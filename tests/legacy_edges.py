@@ -40,6 +40,8 @@ from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
                                HOSPITAL_LOSS, GroupedSeries, RunStats)
 
+from oracle_helpers import edge_lists
+
 
 @dataclass
 class LegacyAssignment:
@@ -184,10 +186,9 @@ def _matching(heaps, doctors_propose, n_doctors, n_hospitals):
     return Matching(doctor_of, doctors_of)
 
 
-def doctor_proposing_da(doctor_prefs, hospital_prefs, caps, hospital_ranks=None):
-    ranks = build_ranks(hospital_prefs) if hospital_ranks is None else hospital_ranks
-    heaps = deferred_acceptance(doctor_prefs, ranks, [1] * len(doctor_prefs),
-                                list(caps))
+def doctor_proposing_da(doctor_prefs, hospital_prefs, caps):
+    heaps = deferred_acceptance(doctor_prefs, build_ranks(hospital_prefs),
+                                [1] * len(doctor_prefs), list(caps))
     return _matching(heaps, True, len(doctor_prefs), len(hospital_prefs))
 
 
@@ -197,15 +198,14 @@ def hospital_proposing_da(doctor_prefs, hospital_prefs, caps):
     return _matching(heaps, False, len(doctor_prefs), len(hospital_prefs))
 
 
-def blocking_pairs(asg, matching, capacities, prefs,
-                   unmatched_utility=-math.inf):
+def blocking_pairs(asg, matching, capacities, prefs):
     """(doctor, hospital, gain, witness) of every blocking pair, in scan order."""
     doctor_prefs, hospital_prefs = prefs
     hospital_ranks = build_ranks(hospital_prefs)
     out = []
     for d, ranked in enumerate(doctor_prefs):
         cur = matching.doctor_of[d]
-        cur_u = asg.doctor_utils[d][cur] if cur is not None else unmatched_utility
+        cur_u = asg.doctor_utils[d][cur] if cur is not None else -math.inf
         for h in ranked:
             if h == cur:
                 continue
@@ -234,10 +234,9 @@ def run_double_cut(instance, asg, scenario, prefs):
         lists[side] = [([] if p in scenario.exclusions else lst)
                        for p, lst in enumerate(lists[side])]
     rule = _rule_for(scenario, len(lists[side]), ratings)
-    return truncated_da(*lists, instance.capacities, rule,
+    return truncated_da(*edge_lists(*lists, asg.doctor_utils, asg.hospital_utils),
+                        instance.capacities, rule,
                         orientation=scenario.orientation,
-                        doctor_utils=asg.doctor_utils,
-                        hospital_utils=asg.hospital_utils,
                         proposer_ratings=ratings)
 
 
@@ -266,9 +265,9 @@ def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
                 if d != focal]
         bisect.insort(keys, (-u_h, focal))
         hospital_prefs[h] = [d for _, d in keys]
-    matching, log = truncated_da(doctor_prefs, hospital_prefs,
-                                 instance.capacities, TruncationRule(),
-                                 doctor_utils=doctor_utils)
+    matching, log = truncated_da(*edge_lists(doctor_prefs, hospital_prefs,
+                                             doctor_utils),
+                                 instance.capacities, TruncationRule())
     return u_focal, matching, log
 
 

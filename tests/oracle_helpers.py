@@ -4,6 +4,10 @@ These deliberately re-derive stability from first principles (rank
 comparisons over exhaustive enumeration) without touching the package's
 own enumeration, so the two routes stay independent.  quarter_draws puts
 every random draw on a grid of quarters, for the tie tests.
+
+The DA entry points take only the two da.EdgeLists of one edge table.
+edge_lists builds such a pair from hand-written lists, and
+manual_assignment an edge table from hand-written utilities.
 """
 
 import itertools
@@ -13,6 +17,70 @@ import random
 import numpy as np
 
 from conematch import rng
+from conematch.da import EdgeLists, Matching
+from conematch.strategy import InterviewAssignment
+
+
+def edge_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
+               hospital_utils=None, hospital_ranks=None):
+    """(doctor side, hospital side) EdgeLists over hand-written lists.
+
+    An entry's rank is its position in the partner's list (None where the
+    partner does not list it); hospital_ranks[h][d], if given, replaces the
+    hospitals' positions and may be fractional.  An entry's utility comes
+    from the optional per-agent dicts (-inf where missing).  Both sides
+    share one sentinel source, as build_preferences' pair shares its table.
+    """
+    def positions(lists):
+        return [{x: r for r, x in enumerate(lst)} for lst in lists]
+
+    def back(prefs, ranks):
+        return [[ranks[t].get(p) for t in lst] for p, lst in enumerate(prefs)]
+
+    def own(prefs, utils):
+        if utils is None:
+            return None
+        return [[utils[p].get(t, -math.inf) for t in lst]
+                for p, lst in enumerate(prefs)]
+
+    if hospital_ranks is None:
+        hospital_ranks = positions(hospital_prefs)
+    source = object()
+    return (EdgeLists(doctor_prefs, back(doctor_prefs, hospital_ranks),
+                      own(doctor_prefs, doctor_utils), source),
+            EdgeLists(hospital_prefs, back(hospital_prefs, positions(doctor_prefs)),
+                      own(hospital_prefs, hospital_utils), source))
+
+
+def manual_assignment(doctor_utils, hospital_utils, hospital_budget=None):
+    """Edge table from explicit utility dicts (no market behind it).
+
+    Hospital h ranks only its hospital_budget[h] best doctors, if given.
+    """
+    d = np.array([i for i, u in enumerate(doctor_utils) for _ in u], dtype=np.int64)
+    h = np.array([j for u in doctor_utils for j in u], dtype=np.int64)
+    u_doc = np.array([x for u in doctor_utils for x in u.values()])
+    u_hosp = np.array([hospital_utils[j][i] for i, j in zip(d, h)])
+    budget = None if hospital_budget is None else np.asarray(hospital_budget)
+    return InterviewAssignment.from_edges(None, 1.0, 1.0, d, h, u_doc, u_hosp,
+                                          len(doctor_utils), len(hospital_utils),
+                                          budget)
+
+
+def matching_from_key(key, n_hospitals):
+    """The Matching behind a doctor_of key (-1: unmatched)."""
+    doctor_of = [None if h < 0 else h for h in key]
+    doctors_of = [set() for _ in range(n_hospitals)]
+    for d, h in enumerate(doctor_of):
+        if h is not None:
+            doctors_of[h].add(d)
+    return Matching(doctor_of, doctors_of)
+
+
+def doctor_utility_vector(assignment, matching):
+    """Each doctor's utility at her match (-inf: unmatched)."""
+    utility = np.append(assignment.u_doc, -math.inf)  # edge -1: unmatched
+    return utility[assignment.matched_edges(matching)].tolist()
 
 
 def brute_stable_set(doctor_prefs, hospital_prefs, caps):

@@ -23,6 +23,8 @@ from conematch.metrics import (doctor_non_match_fraction,
                                theorem_non_match_bounds)
 from conematch.strategy import build_assignment, build_preferences
 
+from oracle_helpers import doctor_utility_vector, matching_from_key
+
 CONE = 0.3          # experiment cone half-width a*alpha
 RUNS = 100
 SEED = 42
@@ -39,7 +41,7 @@ def pipeline(cfg, run, check_stability=False):
     asg = build_assignment(inst)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    return inst, asg, prefs, m, run_stats(inst, asg, m, prefs=prefs,
+    return inst, asg, prefs, m, run_stats(inst, asg, m,
                                           check_stability=check_stability)
 
 
@@ -96,7 +98,7 @@ def test_criterion_1_stability_suite():
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
         m = doctor_proposing_da(*prefs, inst.capacities)
-        pairs = analysis.find_blocking_pairs(asg, m, prefs=prefs)
+        pairs = analysis.find_blocking_pairs(asg, m)
         assert pairs == [], f"blocking pairs on {cfg}"
         count += 1
         seed += 1
@@ -123,15 +125,14 @@ def test_criterion_2_oracle_suite():
         inst = generate(cfg, 0)
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
-        stable = analysis.enumerate_stable(asg, prefs=prefs)
+        stable = analysis.enumerate_stable(asg)
         m_doc = doctor_proposing_da(*prefs, inst.capacities)
         m_hosp = hospital_proposing_da(*prefs, inst.capacities)
         assert m_doc.key() in stable and m_hosp.key() in stable
-        u_doc = analysis.doctor_utility_vector(asg, m_doc)
-        u_hosp = analysis.doctor_utility_vector(asg, m_hosp)
+        u_doc = doctor_utility_vector(asg, m_doc)
+        u_hosp = doctor_utility_vector(asg, m_hosp)
         for key in stable:
-            u = analysis.doctor_utility_vector(
-                asg, analysis.matching_from_key(key, n_hosp))
+            u = doctor_utility_vector(asg, matching_from_key(key, n_hosp))
             assert all(a >= b for a, b in zip(u_doc, u)), "not doctor-optimal"
             assert all(a <= b for a, b in zip(u_hosp, u)), "not doctor-pessimal"
         assert analysis.rural_hospital_check(asg, prefs=prefs)

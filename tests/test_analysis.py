@@ -1,34 +1,14 @@
-import numpy as np
 import pytest
 
-from conematch import analysis
 from conematch.analysis import (enumerate_stable, find_blocking_pairs,
-                                matching_from_key, rural_hospital_check,
-                                uniqueness_check_school)
+                                rural_hospital_check, uniqueness_check_school)
 from conematch.da import Matching, doctor_proposing_da, hospital_proposing_da
 from conematch.market import SCHOOL_CHOICE, generate, make_config
-from conematch.strategy import (InterviewAssignment, build_assignment,
-                                build_preferences, select_interviews)
+from conematch.strategy import (build_assignment, build_preferences,
+                                select_interviews)
 
-from legacy_edges import utility_maps
-from oracle_helpers import brute_stable_set
-
-
-def manual_assignment(doctor_utils, hospital_utils):
-    """Edge table from explicit utility dicts (no market behind it)."""
-    d = np.array([i for i, u in enumerate(doctor_utils) for _ in u], dtype=np.int64)
-    h = np.array([j for u in doctor_utils for j in u], dtype=np.int64)
-    u_doc = np.array([x for u in doctor_utils for x in u.values()])
-    u_hosp = np.array([hospital_utils[j][i] for i, j in zip(d, h)])
-    return InterviewAssignment.from_edges(None, 1.0, 1.0, d, h, u_doc, u_hosp,
-                                          len(doctor_utils), len(hospital_utils))
-
-
-def manual_prefs(asg):
-    doctor_utils, hospital_utils = utility_maps(asg)
-    d = [sorted(u, key=lambda h: (-u[h], h)) for u in doctor_utils]
-    h = [sorted(u, key=lambda dd: (-u[dd], dd)) for u in hospital_utils]
-    return d, h
+from oracle_helpers import (brute_stable_set, doctor_utility_vector,
+                            manual_assignment, matching_from_key)
 
 
 def latin_square_3x3():
@@ -55,15 +35,14 @@ def test_da_output_has_no_blocking_pairs():
     asg = select_interviews(inst)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    assert find_blocking_pairs(asg, m, prefs=prefs) == []
+    assert find_blocking_pairs(asg, m) == []
 
 
 def test_hand_built_unstable_matching():
     asg = latin_square_3x3()
-    prefs = manual_prefs(asg)
     # swapping two doctor-optimal partners leaves exactly (d1, h2) blocking
     m = as_matching([1, 0, 2], 3)
-    pairs = find_blocking_pairs(asg, m, capacities=[1, 1, 1], prefs=prefs)
+    pairs = find_blocking_pairs(asg, m, capacities=[1, 1, 1])
     assert [(p.doctor_id, p.hospital_id) for p in pairs] == [(1, 2)]
     assert pairs[0].hospital_side_witness == "displaces 2"
     assert pairs[0].doctor_gain == pytest.approx(1.0)
@@ -71,19 +50,17 @@ def test_hand_built_unstable_matching():
 
 def test_empty_matching_blocks_on_mutual_edge():
     asg = manual_assignment([{0: 1.5}], [{0: 1.2}])
-    prefs = manual_prefs(asg)
     m = as_matching([None], 1)
-    pairs = find_blocking_pairs(asg, m, capacities=[1], prefs=prefs)
+    pairs = find_blocking_pairs(asg, m, capacities=[1])
     assert [(p.doctor_id, p.hospital_id) for p in pairs] == [(0, 0)]
     assert pairs[0].hospital_side_witness == "under capacity"
 
 
 def test_inconsistent_matching_rejected():
     asg = manual_assignment([{0: 1.5}], [{0: 1.2}])
-    prefs = manual_prefs(asg)
     bad = Matching([0], [set()])   # doctor_of says matched, hospital empty
     with pytest.raises(ValueError):
-        find_blocking_pairs(asg, bad, capacities=[1], prefs=prefs)
+        find_blocking_pairs(asg, bad, capacities=[1])
 
 
 def test_match_off_the_interview_edges_rejected():
@@ -96,27 +73,27 @@ def test_match_off_the_interview_edges_rejected():
 
 def test_held_doctor_the_hospital_does_not_rank_is_displaced_first():
     # hospital 0 holds doctor 1, whom it does not rank (a planted matching
-    # DA would never make); doctor 0, ranked and preferring it, blocks
+    # DA would never make); doctor 0, ranked and preferring it, blocks.
+    # Hospital 0 ranks only its best doctor: doctor 0, on the tie to the
+    # lower id
     asg = manual_assignment([{0: 2.0, 1: 1.0}, {0: 1.0}],
-                            [{0: 1.0, 1: 1.0}, {0: 1.0}])
-    prefs = ([[0, 1], [0]], [[0], [0]])
+                            [{0: 1.0, 1: 1.0}, {0: 1.0}], hospital_budget=[1, 1])
+    assert asg.hospital_rank[asg.edge_index([1], [0])[0]] == -1
     m = as_matching([1, 0], 2)
-    pairs = find_blocking_pairs(asg, m, capacities=[1, 1], prefs=prefs)
+    pairs = find_blocking_pairs(asg, m, capacities=[1, 1])
     assert [(p.doctor_id, p.hospital_id, p.hospital_side_witness)
             for p in pairs] == [(0, 0, "displaces 1")]
 
 
 def test_enumerate_singleton():
     asg = manual_assignment([{0: 1.5}], [{0: 1.2}])
-    prefs = manual_prefs(asg)
-    stable = enumerate_stable(asg, capacities=[1], prefs=prefs)
+    stable = enumerate_stable(asg, capacities=[1])
     assert stable == {(0,)}
 
 
 def test_enumerate_latin_square_three_matchings():
     asg = latin_square_3x3()
-    prefs = manual_prefs(asg)
-    stable = enumerate_stable(asg, capacities=[1, 1, 1], prefs=prefs)
+    stable = enumerate_stable(asg, capacities=[1, 1, 1])
     assert stable == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
 
@@ -133,7 +110,7 @@ def test_enumerate_matches_independent_brute_force():
         inst = generate(cfg, 0)
         asg = select_interviews(inst)
         prefs = build_preferences(asg)
-        ours = enumerate_stable(asg, prefs=prefs)
+        ours = enumerate_stable(asg)
         theirs, _ = brute_stable_set(*prefs, list(inst.capacities))
         theirs = {tuple(-1 if h is None else h for h in key) for key in theirs}
         assert ours == theirs
@@ -145,10 +122,9 @@ def test_stability_closure():
         cfg = make_config(6, kappa=2, k=2, cone_override=0.8, seed=seed)
         inst = generate(cfg, 0)
         asg = select_interviews(inst)
-        prefs = build_preferences(asg)
-        for key in enumerate_stable(asg, prefs=prefs):
+        for key in enumerate_stable(asg):
             m = matching_from_key(key, cfg.n_hospitals)
-            assert find_blocking_pairs(asg, m, prefs=prefs) == []
+            assert find_blocking_pairs(asg, m) == []
 
 
 def test_da_extremal_within_stable_set():
@@ -157,16 +133,15 @@ def test_da_extremal_within_stable_set():
         inst = generate(cfg, 0)
         asg = select_interviews(inst)
         prefs = build_preferences(asg)
-        stable = enumerate_stable(asg, prefs=prefs)
+        stable = enumerate_stable(asg)
         m_doc = doctor_proposing_da(*prefs, inst.capacities)
         m_hosp = hospital_proposing_da(*prefs, inst.capacities)
         assert m_doc.key() in stable
         assert m_hosp.key() in stable
-        u_doc = analysis.doctor_utility_vector(asg, m_doc)
-        u_hosp = analysis.doctor_utility_vector(asg, m_hosp)
+        u_doc = doctor_utility_vector(asg, m_doc)
+        u_hosp = doctor_utility_vector(asg, m_hosp)
         for key in stable:
-            u = analysis.doctor_utility_vector(
-                asg, matching_from_key(key, cfg.n_hospitals))
+            u = doctor_utility_vector(asg, matching_from_key(key, cfg.n_hospitals))
             assert all(a >= b for a, b in zip(u_doc, u))
             assert all(a <= b for a, b in zip(u_hosp, u))
 
@@ -186,8 +161,7 @@ def test_school_choice_unique_in_enumeration():
                           setting=SCHOOL_CHOICE)
         inst = generate(cfg, 0)
         asg = select_interviews(inst)
-        prefs = build_preferences(asg)
-        assert len(enumerate_stable(asg, prefs=prefs)) == 1
+        assert len(enumerate_stable(asg)) == 1
 
 
 def test_residency_uniqueness_reported_not_asserted():

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from conematch import analysis, double_cut
-from conematch.analysis import matching_from_key
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE,
                           doctor_proposing_da, hospital_proposing_da)
 from conematch.market import RESIDENCY, SCHOOL_CHOICE, generate, make_config
 from conematch.strategy import build_assignment, build_preferences
+
+from oracle_helpers import matching_from_key
 
 
 def market(seed, setting=RESIDENCY, n=40, kappa=2, k=3):
@@ -67,15 +68,3 @@ def test_predicates_agree_with_standalone_checks(setting):
     if setting == SCHOOL_CHOICE:
         assert all(unique)
 
-
-def test_enumeration_does_not_assume_utility_sorted_lists():
-    # the blocking scan must read every listed hospital, not stop at the
-    # first one below the current match
-    _, asg, prefs, _, _ = market(seed=4, n=8, kappa=2, k=2)
-    doctor_prefs, hospital_prefs = prefs
-    reversed_prefs = ([lst[::-1] for lst in doctor_prefs], hospital_prefs)
-    expected = analysis.enumerate_stable(asg, prefs=prefs)
-    assert expected
-    # hospital ranks come from hospital_prefs alone, so reversing the
-    # doctors' lists changes the walk order but not the stable set
-    assert analysis.enumerate_stable(asg, prefs=reversed_prefs) == expected

@@ -21,6 +21,21 @@ def test_verify_only_passes():
     assert cli.main(["--verify-only", "--seed", "3"]) == cli.EXIT_OK
 
 
+def test_verify_only_takes_the_largest_seed():
+    # its trial seeds wrap past 2**64 - 1 instead of leaving the range
+    assert cli.main(["--verify-only", "--seed", str(2 ** 64 - 1)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("mode", [["--verify-only"], ["--preset", "school"]])
+def test_out_of_range_seed_is_a_configuration_error(mode, seed, capsys,
+                                                    tmp_path):
+    rc = cli.main(mode + ["--seed", str(seed), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith("configuration error: --seed")
+
+
 def test_small_campaign_writes_csv_and_summary(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,27 +1,30 @@
 import math
 import random
 
+import pytest
+
 from conematch import da
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                           doctor_proposing_da, hospital_proposing_da,
                           order_invariance_check, truncated_da)
 from conematch.market import generate, make_config
-from conematch.strategy import build_preferences, select_interviews
+from conematch.strategy import (build_assignment, build_preferences,
+                                select_interviews)
 
 from legacy_edges import utility_maps
-from oracle_helpers import brute_stable_set, random_lists
+from oracle_helpers import brute_stable_set, edge_lists, random_lists
 
 
 def test_singleton_market():
-    m = doctor_proposing_da([[0]], [[0]], [1])
+    m = doctor_proposing_da(*edge_lists([[0]], [[0]]), [1])
     assert m.doctor_of == [0]
-    m2 = hospital_proposing_da([[0]], [[0]], [1])
+    m2 = hospital_proposing_da(*edge_lists([[0]], [[0]]), [1])
     assert m2.doctor_of == [0]
 
 
 def test_capacity_binds():
     # both doctors list the one hospital, it prefers doctor 0
-    m = doctor_proposing_da([[0], [0]], [[0, 1]], [1])
+    m = doctor_proposing_da(*edge_lists([[0], [0]], [[0, 1]]), [1])
     assert m.doctor_of == [0, None]
 
 
@@ -36,8 +39,9 @@ def test_4x3_matches_brute_force_oracle():
             return [d_rank[d][h] if (h := key[d]) is not None else math.inf
                     for d in range(4)]
 
-        m_doc = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
-        m_hosp = hospital_proposing_da(doctor_prefs, hospital_prefs, caps)
+        prefs = edge_lists(doctor_prefs, hospital_prefs)
+        m_doc = doctor_proposing_da(*prefs, caps)
+        m_hosp = hospital_proposing_da(*prefs, caps)
         key_doc = tuple(m_doc.doctor_of)
         key_hosp = tuple(m_hosp.doctor_of)
         assert key_doc in stable
@@ -55,7 +59,7 @@ def test_many_to_one_oracle_with_capacity():
         doctor_prefs, hospital_prefs = random_lists(5, 3, seed + 100)
         caps = [2, 1, 2]
         stable, d_rank = brute_stable_set(doctor_prefs, hospital_prefs, caps)
-        m = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
+        m = doctor_proposing_da(*edge_lists(doctor_prefs, hospital_prefs), caps)
         assert tuple(m.doctor_of) in stable
         m.validate(caps)
 
@@ -64,29 +68,30 @@ def test_rural_hospital_across_orientations():
     for seed in range(8):
         doctor_prefs, hospital_prefs = random_lists(12, 4, seed, complete=False, k=3)
         caps = [2, 3, 1, 2]
-        a = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
-        b = hospital_proposing_da(doctor_prefs, hospital_prefs, caps)
+        prefs = edge_lists(doctor_prefs, hospital_prefs)
+        a = doctor_proposing_da(*prefs, caps)
+        b = hospital_proposing_da(*prefs, caps)
         assert a.matched_doctors() == b.matched_doctors()
         assert a.fills() == b.fills()
 
 
 def test_truncated_degenerate_equals_full():
-    doctor_prefs, hospital_prefs = random_lists(8, 4, 3, complete=False, k=3)
+    prefs = edge_lists(*random_lists(8, 4, 3, complete=False, k=3))
     caps = [2, 2, 2, 2]
-    full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
-    cut, log = truncated_da(doctor_prefs, hospital_prefs, caps,
-                            TruncationRule(), DOCTORS_PROPOSE)
+    full = doctor_proposing_da(*prefs, caps)
+    cut, log = truncated_da(*prefs, caps, TruncationRule(), DOCTORS_PROPOSE)
     assert cut.key() == full.key()
     assert log.proposals()  # the log recorded the run
+    cut_h, _ = truncated_da(*prefs, caps, TruncationRule(), HOSPITALS_PROPOSE)
+    assert cut_h.key() == hospital_proposing_da(*prefs, caps).key()
 
 
 def test_focal_target_one_proposal():
     # the single doctor's first choice is the focal hospital: one proposal,
     # held, then halt
     rule = TruncationRule(focal_target=1)
-    utils = [{1: 2.0, 0: 1.0}]
-    m, log = truncated_da([[1, 0]], [[0], [0]], [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
+    prefs = edge_lists([[1, 0]], [[0], [0]], [{1: 2.0, 0: 1.0}])
+    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     assert m.doctor_of == [1]
     outcomes = [e[4] for e in log.events]
     assert outcomes == [da.HOLD, da.HALT_FOCAL]
@@ -95,9 +100,8 @@ def test_focal_target_one_proposal():
 def test_focal_proposal_requires_floor():
     # focal proposal under the floor is not made
     rule = TruncationRule(focal_target=1, utility_floor=5.0)
-    utils = [{1: 2.0, 0: 1.0}]
-    m, log = truncated_da([[1, 0]], [[0], [0]], [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
+    prefs = edge_lists([[1, 0]], [[0], [0]], [{1: 2.0, 0: 1.0}])
+    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     assert m.doctor_of == [None]
     assert [e[4] for e in log.events] == [da.HALT_FLOOR]
 
@@ -108,8 +112,7 @@ def test_floor_respected_in_log():
     prefs = build_preferences(asg)
     floor = 1.1
     rule = TruncationRule(utility_floor=floor)
-    _, log = truncated_da(*prefs, inst.capacities, rule, DOCTORS_PROPOSE,
-                          doctor_utils=utility_maps(asg)[0])
+    _, log = truncated_da(*prefs, inst.capacities, rule, DOCTORS_PROPOSE)
     proposals = log.proposals()
     assert proposals
     assert all(e[3] >= floor for e in proposals)
@@ -120,11 +123,9 @@ def test_forbidden_window_blocks_proposal():
     # doctor 0 is displaced and her next utility (2.0) falls inside the
     # window: she halts without making that proposal
     rule = TruncationRule(forbidden_windows=[(1.5, 2.5)])
-    doctor_prefs = [[0, 1], [0]]
-    hospital_prefs = [[1, 0], [0]]
-    utils = [{0: 3.0, 1: 2.0}, {0: 5.0}]
-    m, log = truncated_da(doctor_prefs, hospital_prefs, [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
+    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0]],
+                       [{0: 3.0, 1: 2.0}, {0: 5.0}])
+    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     assert m.doctor_of == [None, 0]
     assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE, da.HALT_WINDOW]
     assert all(not (1.5 <= e[3] < 2.5) for e in log.proposals())
@@ -133,12 +134,10 @@ def test_forbidden_window_blocks_proposal():
 def test_displaced_proposer_rechecks_floor():
     # doctor 0 holds h0; doctor 1 displaces her; her next utility is under
     # the floor so she halts instead of proposing to h1
-    doctor_prefs = [[0, 1], [0]]
-    hospital_prefs = [[1, 0], [0, 1]]
-    utils = [{0: 2.0, 1: 0.5}, {0: 2.0}]
+    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0, 1]],
+                       [{0: 2.0, 1: 0.5}, {0: 2.0}])
     rule = TruncationRule(utility_floor=1.0)
-    m, log = truncated_da(doctor_prefs, hospital_prefs, [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
+    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     assert m.doctor_of == [None, 0]
     floor_halts = [e for e in log.events if e[4] == da.HALT_FLOOR]
     assert len(floor_halts) == 1 and floor_halts[0][1] == 0
@@ -147,15 +146,16 @@ def test_displaced_proposer_rechecks_floor():
 def test_proposer_filter_excludes():
     ratings = [0.2, 0.9]
     rule = TruncationRule(proposer_filter=lambda r: r >= 0.5)
-    utils = [{0: 1.0}, {0: 2.0}]
-    m, log = truncated_da([[0], [0]], [[0, 1]], [2], rule, DOCTORS_PROPOSE,
-                          doctor_utils=utils, proposer_ratings=ratings)
+    prefs = edge_lists([[0], [0]], [[0, 1]], [{0: 1.0}, {0: 2.0}])
+    m, log = truncated_da(*prefs, [2], rule, DOCTORS_PROPOSE,
+                          proposer_ratings=ratings)
     assert m.doctor_of == [None, 0]
     assert all(e[1] == 1 for e in log.proposals())
 
 
 def test_order_invariance():
-    doctor_prefs, hospital_prefs = random_lists(10, 5, 17, complete=False, k=4)
+    doctor_prefs, hospital_prefs = edge_lists(
+        *random_lists(10, 5, 17, complete=False, k=4))
     caps = [2] * 5
     assert order_invariance_check(doctor_prefs, hospital_prefs, caps,
                                   list(range(10)))
@@ -181,7 +181,7 @@ def test_prefix_superset_never_hurts_receivers():
     gen = random.Random(7)
     cut_prefs = [lst[: gen.randint(0, len(lst))] for lst in doctor_prefs]
     caps = inst.capacities
-    cut = doctor_proposing_da(cut_prefs, hospital_prefs, caps)
+    cut = doctor_proposing_da(*edge_lists(cut_prefs, hospital_prefs), caps)
     full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
     hospital_utils = utility_maps(asg)[1]
     for h in range(inst.config.n_hospitals):
@@ -195,9 +195,8 @@ def test_prefix_superset_never_hurts_receivers():
 
 def test_event_log_line_serialization():
     rule = TruncationRule(utility_floor=1.0)
-    utils = [{0: 2.0, 1: 0.5}]
-    _, log = truncated_da([[0, 1]], [[0], [0]], [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
+    prefs = edge_lists([[0, 1]], [[0], [0]], [{0: 2.0, 1: 0.5}])
+    _, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     lines = log.lines()
     assert lines[0] == "0,0,0,2,hold"
     # halts serialize with an empty target when none applies
@@ -218,3 +217,29 @@ def test_total_proposals_bounded_and_fast():
     total_edges = sum(len(lst) for lst in prefs[0])
     assert len(log.proposals()) <= total_edges
     m.validate(inst.capacities)
+
+
+ENTRY_POINTS = {
+    "doctor_proposing_da": da.doctor_proposing_da,
+    "hospital_proposing_da": da.hospital_proposing_da,
+    "doctor_proposing_state": da.doctor_proposing_state,
+    "truncated_da": lambda d, h, caps: truncated_da(d, h, caps, TruncationRule()),
+    "order_invariance_check": lambda d, h, caps: order_invariance_check(
+        d, h, caps, list(range(len(d)))),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_take_only_one_tables_lists(entry):
+    # the one input form is build_preferences(assignment): plain lists, two
+    # tables' lists, or a table's lists beside plain ones are refused
+    cfg = make_config(30, kappa=2, k=3, cone_override=0.3, seed=1)
+    inst = generate(cfg, 0)
+    a = build_preferences(build_assignment(inst))
+    b = build_preferences(build_assignment(generate(cfg, 1)))
+    run, caps = ENTRY_POINTS[entry], inst.capacities
+    run(*a, caps)
+    for d, h in ((list(a[0]), list(a[1])), (a[0], b[1]), (b[0], a[1]),
+                 (a[0], list(a[1])), (list(a[0]), a[1])):
+        with pytest.raises(ValueError, match="build_preferences"):
+            run(d, h, caps)

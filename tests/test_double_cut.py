@@ -5,10 +5,8 @@ import pytest
 
 from conematch import double_cut
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
-                          doctor_proposing_da, hospital_proposing_da,
-                          truncated_da)
-from conematch.double_cut import (degenerate_scenario, dominance_audit,
-                                  hospital_fill_oracle,
+                          doctor_proposing_da, truncated_da)
+from conematch.double_cut import (dominance_audit, hospital_fill_oracle,
                                   independent_proposal_oracle,
                                   interval_preprocess, run_double_cut,
                                   scenario_for_doctor, scenario_for_hospital,
@@ -18,6 +16,7 @@ from conematch.strategy import (build_assignment, build_preferences,
                                 compute_cone, select_interviews)
 
 from legacy_edges import utility_maps
+from oracle_helpers import edge_lists
 
 
 def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
@@ -26,19 +25,6 @@ def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
     return inst, asg, build_preferences(asg)
-
-
-def test_degenerate_scenario_equals_full_da():
-    inst, asg, prefs = make_market(seed=1)
-    full = doctor_proposing_da(*prefs, inst.capacities)
-    cut, report = run_double_cut(inst, asg, degenerate_scenario(inst), prefs)
-    assert cut.key() == full.key()
-    assert report.surplus == 0 and report.focal_matched is None
-
-    full_h = hospital_proposing_da(*prefs, inst.capacities)
-    cut_h, _ = run_double_cut(
-        inst, asg, degenerate_scenario(inst, HOSPITALS_PROPOSE), prefs)
-    assert cut_h.key() == full_h.key()
 
 
 def test_focal_hospital_dominated_by_full_run():
@@ -89,9 +75,8 @@ def test_prefix_property():
     inst, asg, prefs = make_market(seed=5, n=80, kappa=2, k=4)
     focal = int(np.argsort(inst.doctor_ratings)[60])
     _, report = run_double_cut(inst, asg, scenario_for_doctor(inst, focal), prefs)
-    _, full_log = truncated_da(prefs[0], prefs[1], inst.capacities,
-                               TruncationRule(), HOSPITALS_PROPOSE,
-                               hospital_utils=utility_maps(asg)[1])
+    _, full_log = truncated_da(*prefs, inst.capacities, TruncationRule(),
+                               HOSPITALS_PROPOSE)
 
     def sequences(log):
         seq = {}
@@ -140,13 +125,11 @@ def test_dominance_adversarial_floor_halt():
     # doctor 0 is displaced, halts at the floor, and never makes the
     # would-be proposal that improves the focal hospital 1; the full run
     # includes it, so the full outcome for hospital 1 is strictly better
-    doctor_prefs = [[0, 1], [0]]
-    hospital_prefs = [[1, 0], [0]]
-    utils = [{0: 2.0, 1: 0.5}, {0: 5.0}]
+    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0]],
+                       [{0: 2.0, 1: 0.5}, {0: 5.0}])
     rule = TruncationRule(utility_floor={0: 1.0})
-    cut, _ = truncated_da(doctor_prefs, hospital_prefs, [1, 1], rule,
-                          DOCTORS_PROPOSE, doctor_utils=utils)
-    full = doctor_proposing_da(doctor_prefs, hospital_prefs, [1, 1])
+    cut, _ = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    full = doctor_proposing_da(*prefs, [1, 1])
     assert cut.doctors_of[1] == set()
     assert full.doctors_of[1] == {0}     # strictly better for the focal
 

@@ -7,9 +7,8 @@ from conematch import metrics
 from conematch.da import doctor_proposing_da
 from conematch.market import SCHOOL_CHOICE, generate, make_config
 from conematch.metrics import (CSV_HEADER, aggregate, bound_check,
-                               doctor_non_match_fraction, nearest_rank,
-                               run_stats, theorem_non_match_bounds,
-                               write_metrics_csv)
+                               doctor_non_match_fraction, run_stats,
+                               theorem_non_match_bounds, write_metrics_csv)
 from conematch.strategy import build_preferences, select_interviews
 
 
@@ -21,7 +20,7 @@ def one_run(seed=0, run=0, **kw):
     asg = select_interviews(inst)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    return inst, asg, m, run_stats(inst, asg, m, prefs=prefs)
+    return inst, asg, m, run_stats(inst, asg, m)
 
 
 def test_loss_arithmetic():
@@ -82,6 +81,12 @@ def test_non_bottommost_flag():
     inst, _, _, st = one_run(seed=7)
     cut = inst.doctor_range[0] + inst.half_width
     assert np.array_equal(st.doctor_non_bottommost, inst.doctor_ratings >= cut)
+
+
+def nearest_rank(values, pct):
+    # the percentile rule aggregate applies to each group's row
+    return float(metrics._nearest_rank_rows(np.sort(values)[None, :],
+                                            np.array([values.size]), pct)[0])
 
 
 def test_nearest_rank_percentiles():

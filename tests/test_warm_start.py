@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from conematch import cli, da, deviation
-from conematch.da import (EdgeLists, build_ranks, doctor_proposing_da,
-                          doctor_proposing_state)
+from conematch.da import EdgeLists, doctor_proposing_da, doctor_proposing_state
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  _PatchContext, _slot_values, deviant_slots,
                                  evaluate_deviation)
@@ -26,7 +25,7 @@ from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
 from conematch.strategy import build_assignment, weighted_utilities
 
 from legacy_edges import utility_maps
-from oracle_helpers import random_lists
+from oracle_helpers import edge_lists, random_lists
 
 
 def _reference_run(ctx, focal, slots, iota_d, iota_h):
@@ -45,7 +44,8 @@ def _reference_run(ctx, focal, slots, iota_d, iota_h):
             utils[focal] = float(r_focal) if cfg.setting == SCHOOL_CHOICE \
                 else float(r_focal + asg.nu_h * iota_h[slots.index(h)])
         hospital_prefs.append(sorted(utils, key=lambda d: (-utils[d], d)))
-    m = doctor_proposing_da(doctor_prefs, hospital_prefs, inst.capacities)
+    m = doctor_proposing_da(*edge_lists(doctor_prefs, hospital_prefs),
+                            inst.capacities)
     h = m.doctor_of[focal]
     return (deviation.UNMATCHED_UTILITY if h is None else u_focal[h]), m
 
@@ -112,12 +112,12 @@ def test_insert_leaves_the_shared_state_untouched():
         doctor_prefs, hospital_prefs = random_lists(9, 4, seed, complete=False,
                                                     k=3)
         caps = [2, 1, 2, 1]
-        ranks = build_ranks(hospital_prefs)
+        ranks = [{d: r for r, d in enumerate(lst)} for lst in hospital_prefs]
         gen = random.Random(seed)
         focal = gen.randrange(9)
         absent = list(doctor_prefs)
         absent[focal] = []
-        state = doctor_proposing_state(absent, hospital_prefs, caps)
+        state = doctor_proposing_state(*edge_lists(absent, hospital_prefs), caps)
         before = [sorted(heap) for heap in state.heaps]
         for _ in range(3):
             focal_list = gen.sample(range(4), gen.randint(1, 4))
@@ -131,8 +131,9 @@ def test_insert_leaves_the_shared_state_untouched():
             patched_ranks = [dict(r) for r in ranks]
             for h, r in overlay.items():
                 patched_ranks[h][focal] = r
-            full = doctor_proposing_da(patched_prefs, hospital_prefs, caps,
-                                       hospital_ranks=patched_ranks)
+            full = doctor_proposing_da(
+                *edge_lists(patched_prefs, hospital_prefs,
+                            hospital_ranks=patched_ranks), caps)
             got = da.LazyMatching(child, da.DOCTORS_PROPOSE, 9, 4)
             assert got.doctor_of == full.doctor_of
             assert child.partner(focal) == full.doctor_of[focal]
@@ -140,8 +141,8 @@ def test_insert_leaves_the_shared_state_untouched():
 
 
 def test_insert_refuses_a_present_proposer():
-    doctor_prefs, hospital_prefs = random_lists(5, 3, 0)
-    state = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
+    state = doctor_proposing_state(*edge_lists(*random_lists(5, 3, 0)),
+                                   [2, 2, 2])
     with pytest.raises(ValueError):
         state.insert(0, [1], [0.5])
 
@@ -229,12 +230,11 @@ def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
 
 
 def test_with_proposers_refuses_what_insert_refuses():
-    doctor_prefs, hospital_prefs = random_lists(6, 3, 1)
+    doctor_prefs, hospital_prefs = edge_lists(*random_lists(6, 3, 1))
     absent = list(doctor_prefs)
     absent[2] = []
-    state = doctor_proposing_state(absent, hospital_prefs, [2, 2, 2])
-    ranks = build_ranks(hospital_prefs)
-    entry = (doctor_prefs[2], [ranks[h][2] for h in doctor_prefs[2]])
+    state = doctor_proposing_state(*edge_lists(absent, hospital_prefs), [2, 2, 2])
+    entry = (doctor_prefs[2], doctor_prefs.ranks[2])
     child = state.with_proposers({2: entry})
     full = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
     assert (da.LazyMatching(child, da.DOCTORS_PROPOSE, 6, 3).doctor_of
