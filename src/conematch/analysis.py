@@ -129,6 +129,7 @@ def enumerate_stable(assignment: InterviewAssignment,
                 slots[h] += 1
 
     walk(0)
+    del walk    # it refers to itself: break the cycle for reference counting
     return stable
 
 

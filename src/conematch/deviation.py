@@ -25,7 +25,8 @@ import numpy as np
 from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, LazyMatching,
                  doctor_proposing_state)
 from .market import MarketInstance, SCHOOL_CHOICE
-from .strategy import InterviewAssignment, build_preferences, compute_cone
+from .strategy import (InterviewAssignment, build_preferences, compute_cone,
+                       key_order)
 
 SWAP_IN_CONE = "swap_in_cone"
 ABOVE_CONE = "above_cone"
@@ -235,7 +236,7 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
     k = inst.config.k
     all_h = np.arange(inst.config.n_hospitals, dtype=np.int64)
     pre = inst.hospital_ratings + inst.private_dh(focal, all_h)
-    order = np.lexsort((all_h, -pre))
+    order = key_order(-pre, all_h)
     chosen = sorted(int(all_h[i]) for i in order[:k])
     slots = list(base)
     keep = [s for s, h in enumerate(slots) if h in chosen]

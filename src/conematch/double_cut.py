@@ -27,7 +27,7 @@ from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EdgeLists, EventLog,
                  Matching, TruncationRule, doctor_proposing_da,
                  hospital_proposing_da, truncated_da)
 from .market import MarketInstance, SCHOOL_CHOICE
-from .strategy import InterviewAssignment, build_preferences
+from .strategy import InterviewAssignment, build_preferences, key_order
 
 FOCAL_DOCTOR = "doctor"
 FOCAL_HOSPITAL = "hospital"
@@ -404,13 +404,11 @@ def _matched(assignment: InterviewAssignment,
     return assignment.matched_edges(matching)
 
 
-def _seat_utilities(assignment: InterviewAssignment, e: np.ndarray):
-    # each hospital's seat utilities, best first, from matched edges
-    seats = [[] for _ in range(assignment.n_hospitals())]
+def _seats(assignment: InterviewAssignment, e: np.ndarray) -> np.ndarray:
+    # the matched edges among e, hospital by hospital, best seat first
     e = e[e >= 0]
-    for h, u in zip(assignment.edge_h[e].tolist(), assignment.u_hosp[e].tolist()):
-        seats[h].append(u)
-    return [sorted(s, reverse=True) for s in seats]
+    return e[key_order(assignment.edge_h[e], -assignment.u_hosp[e],
+                       assignment.edge_d[e])]
 
 
 def receivers_dominate(assignment: InterviewAssignment, orientation: str,
@@ -426,9 +424,19 @@ def receivers_dominate(assignment: InterviewAssignment, orientation: str,
     """
     full, cut = _matched(assignment, full), _matched(assignment, cut)
     if orientation == DOCTORS_PROPOSE:
-        return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
-                   for f, c in zip(_seat_utilities(assignment, full),
-                                   _seat_utilities(assignment, cut)))
+        full, cut = _seats(assignment, full), _seats(assignment, cut)
+        n = assignment.n_hospitals()
+        full_fill = np.bincount(assignment.edge_h[full], minlength=n)
+        cut_fill = np.bincount(assignment.edge_h[cut], minlength=n)
+        if np.any(full_fill < cut_fill):
+            return False
+        # the cut run's j-th seat at hospital h faces the full run's j-th
+        h = assignment.edge_h[cut]
+        cut_start = np.cumsum(cut_fill) - cut_fill
+        full_start = np.cumsum(full_fill) - full_fill
+        facing = full[full_start[h] + np.arange(cut.size) - cut_start[h]]
+        return bool(np.all(assignment.u_hosp[facing]
+                           >= assignment.u_hosp[cut]))
     u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
     return bool(np.all(u[full] >= u[cut]))
 

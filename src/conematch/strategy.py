@@ -40,6 +40,42 @@ def compute_cone(instance: MarketInstance, doctor_id: int) -> Cone:
     return Cone(doctor_id, low, high, members)
 
 
+def key_order(*keys) -> np.ndarray:
+    """The stable order of rows sorted by keys[0], then keys[1], ...
+
+    One unstable argsort of a packed int64 key: signed integer keys (ids)
+    enter as their offset from their least value, every other key (floats,
+    unsigned draws) as its dense rank, equal values sharing one rank, so
+    ties stay ties and -0.0 ties with 0.0.  The rows' key tuples must be
+    distinct; the order is then the only one, and a stable sort's.
+    Raises ValueError when a tuple repeats or the packed range does not
+    fit in int64.
+    """
+    packed = np.zeros(len(keys[0]), dtype=np.int64)
+    if packed.size == 0:
+        return packed
+    span = 1
+    for key in keys:
+        key = np.asarray(key)
+        if key.dtype.kind == "i":
+            low = key.min()
+            size = int(key.max()) - int(low) + 1
+            digit = key - low        # wraps only when size is refused below
+        else:
+            uniq, digit = np.unique(key, return_inverse=True)
+            size = uniq.size
+        span *= size
+        if span > 1 << 63:
+            raise ValueError("sort keys span more than int64 holds")
+        packed *= size
+        packed += digit
+    order = np.argsort(packed)
+    ranked = packed[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise ValueError("sort keys repeat a row")
+    return order
+
+
 @dataclass
 class InterviewAssignment:
     """The realized interview edges as one edge table (CSR).
@@ -77,10 +113,11 @@ class InterviewAssignment:
         Equal utilities go to the lower partner id on both sides.  A
         hospital ranks only its hospital_budget[h] best doctors, if given.
         """
-        order = np.lexsort((h, -u_doc, d))
-        d, h, u_doc, u_hosp = (np.asarray(x)[order] for x in (d, h, u_doc, u_hosp))
+        d, h, u_doc, u_hosp = (np.asarray(x) for x in (d, h, u_doc, u_hosp))
+        order = key_order(d, -u_doc, h)
+        d, h, u_doc, u_hosp = (x[order] for x in (d, h, u_doc, u_hosp))
         doctor_offsets = np.searchsorted(d, np.arange(n_doctors + 1))
-        hospital_order = np.lexsort((d, -u_hosp, h))
+        hospital_order = key_order(h, -u_hosp, d)
         hospital_offsets = np.searchsorted(h[hospital_order],
                                            np.arange(n_hospitals + 1))
         hospital_rank = np.empty_like(hospital_order)
@@ -105,7 +142,7 @@ class InterviewAssignment:
     @property
     def doctor_lists(self) -> List[List[int]]:
         """Every doctor's interviewed hospitals, ascending id."""
-        by_id = self.edge_h[np.lexsort((self.edge_h, self.edge_d))].tolist()
+        by_id = self.edge_h[key_order(self.edge_d, self.edge_h)].tolist()
         off = self.doctor_offsets.tolist()
         return [by_id[i:j] for i, j in zip(off, off[1:])]
 
@@ -228,7 +265,7 @@ def _top_in_cones(instance: MarketInstance, count: int):
         cand_v.append(draws[row, col])
         lo = hi
     d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
-    order = np.lexsort((h, ~v, d))
+    order = key_order(d, ~v, h)
     d, h = d[order], h[order]
     keep = _leading(d, count)
     return d[keep], h[keep]
@@ -256,9 +293,9 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     the window selection of select_interviews.  Each hospital grants up to
     floor(capacity * k^1.5) (at least 1) of the requests it received,
     keeping the doctors with its highest private values v(h,d), equal
-    values going to the lower doctor id; one flat stable sort over all
-    requests, by hospital, then the integer behind v(h,d), orders every
-    hospital's at once.
+    values going to the lower doctor id; one flat key_order over all
+    requests, by hospital, then the integer behind v(h,d) descending, then
+    doctor id, orders every hospital's at once.
     Each hospital ranks only its capacity*k best interviews (the table's
     hospital_rank is -1 on the rest).
     """
@@ -270,9 +307,7 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     hospital_keys = rng.half_i(instance.private_hd_state,
                                np.arange(cfg.n_hospitals))
     v = rng.bits(hospital_keys[req_h], rng.half_j(req_d))
-    # requests arrive doctor-major and lexsort is stable, so equal values
-    # keep the lower doctor id first
-    order = np.lexsort((~v, req_h))
+    order = key_order(req_h, ~v, req_d)
     req_d, req_h = req_d[order], req_h[order]
     budgets = np.maximum(1, (instance.capacities * k ** 1.5).astype(np.int64))
     granted = _leading(req_h, budgets[req_h])

@@ -18,6 +18,10 @@ and tests/test_deviation.py compare the package with them.
 And the deviant slot search that filtered listed hospitals in Python
 loops (loop_deviant_slots).  tests/test_deviation.py compares the package
 with it.
+
+And the receiver dominance predicate over per-hospital Python lists of
+seat utilities, each sorted best first (receivers_dominate).
+tests/test_audit_predicates.py compares the package with it.
 """
 
 import bisect
@@ -33,7 +37,8 @@ from conematch.da import Matching, TruncationRule, truncated_da
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
                                  NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
                                  _nearest_at, _slot_values, deviant_slots)
-from conematch.double_cut import HOSPITALS_PROPOSE, _rule_for
+from conematch.double_cut import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, _matched,
+                                  _rule_for)
 from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
 from conematch.strategy import compute_cone
 from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
@@ -519,3 +524,23 @@ def loop_deviant_slots(instance, assignment, spec):
     slots.extend(extra)
     top = max((inst.hospital_ratings[h] for h in chosen), default=r)
     return slots, float(top - r)
+
+
+def _seat_utilities(assignment, e):
+    # each hospital's seat utilities, best first, from matched edges
+    seats = [[] for _ in range(assignment.n_hospitals())]
+    e = e[e >= 0]
+    for h, u in zip(assignment.edge_h[e].tolist(), assignment.u_hosp[e].tolist()):
+        seats[h].append(u)
+    return [sorted(s, reverse=True) for s in seats]
+
+
+def receivers_dominate(assignment, orientation, full, cut):
+    """double_cut.receivers_dominate with one sorted list per hospital."""
+    full, cut = _matched(assignment, full), _matched(assignment, cut)
+    if orientation == DOCTORS_PROPOSE:
+        return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
+                   for f, c in zip(_seat_utilities(assignment, full),
+                                   _seat_utilities(assignment, cut)))
+    u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
+    return bool(np.all(u[full] >= u[cut]))

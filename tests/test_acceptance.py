@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conematch import analysis, deviation, double_cut, metrics
+from conematch import analysis, double_cut
 from conematch.da import doctor_proposing_da, hospital_proposing_da, order_invariance_check
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, SWAP_IN_CONE,
                                  TOP_K_OF_ALL, _PatchContext, deviant_slots,
                                  DeviationSpec, _slot_values)
 from conematch.market import (MarketConfig, RESIDENCY, REQUEST_INTERVIEW,
                               SCHOOL_CHOICE, generate, make_config)
-from conematch.metrics import (doctor_non_match_fraction,
-                               hospital_non_full_fraction, run_stats,
+from conematch.metrics import (doctor_non_match_fraction, run_stats,
                                theorem_non_match_bounds)
 from conematch.strategy import build_assignment, build_preferences
 

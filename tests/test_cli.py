@@ -1,9 +1,10 @@
+import gc
 import json
 from dataclasses import fields
 
 import pytest
 
-from conematch import cli, da
+from conematch import analysis, cli, da
 from conematch.market import MarketConfig, RESIDENCY, SCHOOL_CHOICE, make_config
 from conematch.strategy import InterviewAssignment
 
@@ -19,6 +20,14 @@ def write_config(tmp_path, **overrides):
 
 def test_verify_only_passes():
     assert cli.main(["--verify-only", "--seed", "3"]) == cli.EXIT_OK
+
+
+def test_verify_only_prints_to_the_stdout_of_the_call(capsys):
+    assert cli.verify_only(3) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 * 5 + 3 + 1
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
+    assert lines[-1] == "ok"
 
 
 def test_verify_only_takes_the_largest_seed():
@@ -285,3 +294,64 @@ def test_config_value_sweep_never_ends_in_a_traceback(tmp_path, capsys, field):
             err = capsys.readouterr().err
             assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (field, value, err)
             assert "Traceback" not in err, (field, value)
+
+
+def every_path_campaign(out_dir, **overrides):
+    # all three settings, oracle-sized and not, every run double-cut
+    # audited, deviation probes on run 0
+    configs = cli.expand_grid({
+        "n_doctors": [8, 40], "capacity": 2, "k": 2, "cone_override": 0.4,
+        "seed": 5, "runs": 2,
+        "setting": ["Residency", "RequestInterview", "SchoolChoice"]})
+    options = dict(audit_sample=1.0, deviation_focals=2,
+                   deviation_replicates=2)
+    options.update(overrides)
+    return cli.Campaign(configs=configs, out_dir=out_dir, **options)
+
+
+@pytest.fixture
+def collector_restored():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_campaign_restores_the_callers_collector(tmp_path, enabled,
+                                                 collector_restored):
+    campaign = every_path_campaign(tmp_path, deviation_focals=0)
+    campaign.configs = campaign.configs[:1]
+    gc.enable() if enabled else gc.disable()
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_audit_failure_restores_the_callers_collector(tmp_path, monkeypatch,
+                                                      enabled,
+                                                      collector_restored):
+    monkeypatch.setattr(analysis, "find_blocking_pairs",
+                        lambda *args, **kwargs: [None])
+    campaign = every_path_campaign(tmp_path)
+    gc.enable() if enabled else gc.disable()
+    assert cli.run_campaign(campaign) == cli.EXIT_AUDIT
+    assert gc.isenabled() == enabled
+    assert "check=stability audits=FAIL" in (tmp_path / "summary.txt").read_text()
+
+
+def test_campaign_leaves_no_reference_cycles(tmp_path, collector_restored):
+    # run_campaign pauses the collector because a campaign makes no cyclic
+    # garbage; a cycle added on any path would show here.  The first
+    # campaign in a process may import modules lazily (numpy.ma, on the
+    # first np.unique), which does leave cycles, so one runs beforehand.
+    campaign = every_path_campaign(tmp_path)
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    gc.collect()
+    gc.disable()
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    assert gc.collect() == 0
+    assert len(list(tmp_path.glob("*_deviation.csv"))) == 6
+    assert len(list(tmp_path.glob("*_double_cut.csv"))) == 6

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conematch import double_cut
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                           doctor_proposing_da, truncated_da)
 from conematch.double_cut import (dominance_audit, hospital_fill_oracle,

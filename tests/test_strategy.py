@@ -3,7 +3,7 @@ import pytest
 
 from conematch import market, strategy
 from conematch.market import MarketConfig, generate, make_config
-from conematch.strategy import (build_preferences, compute_cone,
+from conematch.strategy import (build_preferences, compute_cone, key_order,
                                 request_interview_protocol, select_interviews,
                                 weighted_utilities)
 
@@ -308,3 +308,70 @@ def test_window_top_k_ties_match_reference(monkeypatch, setting):
                     cut_ties += v[count - 1] == v[count]
             assert_matches_reference(m, inst)
     assert cut_ties > 100
+
+
+# -- key_order against numpy's stable multi-key sort --
+
+def distinct_pairs(gen, size, n_d, n_h):
+    cells = gen.choice(n_d * n_h, size=size, replace=False)
+    return cells // n_h, cells % n_h
+
+
+def assert_stable_order(*keys):
+    got = key_order(*keys)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.lexsort(keys[::-1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_order_matches_stable_order_on_random_keys(seed):
+    gen = np.random.default_rng(seed)
+    d, h = distinct_pairs(gen, 3000, 200, 40)
+    u = gen.random(d.size)
+    v = gen.integers(0, 2 ** 64 - 1, size=d.size, dtype=np.uint64,
+                     endpoint=True)
+    assert_stable_order(d, -u, h)
+    assert_stable_order(h, -u, d)
+    assert_stable_order(d, ~v, h)
+    assert_stable_order(h, ~v, d)
+    assert_stable_order(d, h)
+    assert_stable_order(-u, h - 20, d)          # signed ids below zero
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_order_keeps_ties_of_tie_heavy_keys(seed):
+    gen = np.random.default_rng(seed)
+    d, h = distinct_pairs(gen, 2000, 60, 60)
+    quarters = np.floor(gen.random(d.size) * 8) / 4      # 8 values
+    pool = np.array([0, 1, 2 ** 53 - 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    repeated = gen.choice(pool, size=d.size)
+    signed_zero = gen.choice(np.array([-0.0, 0.0, 1.0]), size=d.size)
+    assert np.count_nonzero(np.signbit(signed_zero) & (signed_zero == 0))
+    for value in (-quarters, ~repeated, -signed_zero, signed_zero):
+        assert_stable_order(d, value, h)
+        assert_stable_order(h, value, d)
+        assert_stable_order(value, d, h)
+
+
+def test_key_order_on_empty_and_single_rows():
+    none_i, none_f = np.zeros(0, np.int64), np.zeros(0)
+    assert_stable_order(none_i, -none_f, none_i)
+    assert_stable_order(np.array([7]), np.array([-0.5]), np.array([3]))
+    assert_stable_order(np.array([2 ** 62]), np.array([2 ** 64 - 1], np.uint64))
+
+
+def test_key_order_ids_at_the_edge_of_int64():
+    top_d, top_h = 2 ** 32 - 1, 2 ** 31 - 1       # spans 2**32 * 2**31 = 2**63
+    d = np.array([top_d, 0, top_d, 0, 5])
+    h = np.array([0, top_h, top_h, 0, 5])
+    assert_stable_order(d, h)
+    assert_stable_order(d + (2 ** 63 - 2 ** 32), h)  # offset from the least
+    with pytest.raises(ValueError, match="int64"):
+        key_order(d, h + np.array([0, 1, 0, 0, 0]))   # one more hospital id
+    with pytest.raises(ValueError, match="int64"):
+        key_order(np.array([-2 ** 63, 2 ** 63 - 1]), np.array([0, 0]))
+
+
+def test_key_order_refuses_repeated_rows():
+    with pytest.raises(ValueError, match="repeat"):
+        key_order(np.array([1, 0, 1]), np.array([0.5, 0.5, 0.5]))
