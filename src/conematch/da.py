@@ -14,11 +14,10 @@ strategy.build_preferences reads off one edge table: next to each
 proposer's list, the rank every listed receiver gives it and the proposer's
 own utilities.  Anything else is refused with ValueError.
 
-A truncation rule can stop a proposer three ways, checked before each
-proposal in this sequence: utility below her floor (no proposal is made),
-the target is the focal agent (that proposal is made, then she stops), or
-the utility lands in a forbidden window (no proposal).  Displaced proposers
-re-check the floor before every later proposal.
+A truncation rule cuts each proposer's list at a point her own list
+alone decides, so it is compiled into one stop index per proposer
+(truncation_stops, one numpy pass over the edge table), and a truncated
+run is plain DA over those prefixes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 HOLD = "hold"
 REJECT = "reject"
@@ -45,14 +46,13 @@ Event = Tuple[int, int, Optional[int], float, str]  # step, proposer, target, ut
 
 @dataclass
 class EventLog:
+    """The records of one truncated_da run, in order: each proposal, and a
+    halt (target None, reason halt_reasons[proposer]) when a proposer with
+    a free slot runs out of her prefix."""
+
     orientation: str
     events: List[Event] = field(default_factory=list)
-
-    def proposals(self) -> List[Event]:
-        return [e for e in self.events if e[4] in (HOLD, REJECT, DISPLACE)]
-
-    def proposals_to(self, target: int) -> List[Event]:
-        return [e for e in self.proposals() if e[2] == target]
+    halt_reasons: Optional[Sequence[str]] = field(default=None, repr=False)
 
     def lines(self) -> List[str]:
         """Line-delimited records: step,proposer,target,utility,outcome."""
@@ -97,51 +97,26 @@ class Matching:
         return tuple(-1 if h is None else h for h in self.doctor_of)
 
 
-FloorSpec = Union[None, float, Dict[int, float], Callable[[int], float]]
-WindowSpec = Union[None, Sequence[Tuple[float, float]],
-                   Dict[int, Sequence[Tuple[float, float]]]]
-
-
 @dataclass
 class TruncationRule:
-    """Stop conditions for proposers.
+    """Where each proposer's list is cut (truncation_stops).
 
-    proposer_filter: predicate on the proposer's public rating; proposers
-        failing it never propose (requires proposer_ratings at run time).
-    utility_floor: scalar, per-proposer dict, or callable(proposer) giving
-        the minimum proposer utility; checked before each proposal.
-    focal_target: receiver id whose proposal, once reached, is the
-        proposer's last (made only if it clears the floor).
-    forbidden_windows: half-open [lo, hi) utility intervals, global or per
-        proposer; hitting one stops the proposer without proposing.
+    proposer_filter: bool per proposer; those it leaves out never propose.
+    utility_floor: least own utility a proposer proposes at.
+    focal_target: receiver id whose proposal is the proposer's last.
+    forbidden_windows: half-open [lo, hi) own-utility intervals that stop
+        her, except at the focal target; lo >= hi exempts a proposer.
+    Floors and window bounds are scalars or arrays indexed by proposer.
     """
 
-    proposer_filter: Optional[Callable[[float], bool]] = None
-    utility_floor: FloorSpec = None
+    proposer_filter: Optional[np.ndarray] = None
+    utility_floor: Optional[np.ndarray] = None
     focal_target: Optional[int] = None
-    forbidden_windows: WindowSpec = None
-
-    def floor_for(self, proposer: int) -> float:
-        f = self.utility_floor
-        if f is None:
-            return -math.inf
-        if callable(f):
-            return f(proposer)
-        if isinstance(f, dict):
-            return f.get(proposer, -math.inf)
-        return float(f)
-
-    def windows_for(self, proposer: int):
-        w = self.forbidden_windows
-        if w is None:
-            return ()
-        if isinstance(w, dict):
-            return w.get(proposer, ())
-        return w
+    forbidden_windows: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None
 
     def is_trivial(self) -> bool:
         return (self.proposer_filter is None and self.utility_floor is None
-                and self.focal_target is None and self.forbidden_windows is None)
+                and self.focal_target is None and not self.forbidden_windows)
 
 
 class EdgeLists(list):
@@ -214,16 +189,15 @@ class DAState:
     """
 
     def __init__(self, proposer_prefs, proposer_ranks, proposer_slots,
-                 receiver_caps, rule: Optional[TruncationRule] = None,
-                 proposer_utils=None, log: Optional[EventLog] = None):
+                 receiver_caps, stop: Optional[Sequence[int]] = None,
+                 log: Optional[EventLog] = None):
         n_prop = len(proposer_prefs)
         self.prefs = proposer_prefs
         self.ranks = proposer_ranks
         self.slots = proposer_slots
         self.caps = receiver_caps
-        self.rule = None if rule is None or rule.is_trivial() else rule
-        self.utils = proposer_utils
-        self.log = log
+        self.stop = stop       # each proposer proposes to prefs[p][:stop[p]]
+        self.log = log         # reads the utilities of prefs (EdgeLists)
         self.pointer = [0] * n_prop
         self.held = [0] * n_prop
         self.halted = [False] * n_prop
@@ -234,10 +208,10 @@ class DAState:
         """Run proposals from a FIFO queue until no proposer can move."""
         prefs, ranks, slots, caps = self.prefs, self.ranks, self.slots, self.caps
         pointer, held, halted = self.pointer, self.held, self.halted
-        in_queue, heaps, rule, utils = self.in_queue, self.heaps, self.rule, self.utils
+        in_queue, heaps, stop = self.in_queue, self.heaps, self.stop
         events = None if self.log is None else self.log.events
-        u = math.nan
-        floor, windows, focal = -math.inf, (), None
+        if events is not None:
+            utils, reasons = prefs.utils, self.log.halt_reasons
         for p in queue:
             in_queue[p] = True
         while queue:
@@ -246,30 +220,15 @@ class DAState:
             if halted[p]:
                 continue
             lst, rks = prefs[p], ranks[p]
-            if utils is not None:
-                ulst = utils[p]
-            if rule is not None:
-                floor, windows, focal = (rule.floor_for(p), rule.windows_for(p),
-                                         rule.focal_target)
+            end = len(lst) if stop is None else stop[p]
             while held[p] < slots[p]:
                 i = pointer[p]
-                if i >= len(lst):
+                if i >= end:
                     halted[p] = True
                     if events is not None:
-                        events.append((len(events), p, None, math.nan, HALT_EXHAUSTED))
+                        events.append((len(events), p, None, math.nan, reasons[p]))
                     break
                 t = lst[i]
-                if utils is not None:
-                    u = ulst[i]
-                if rule is not None:
-                    stop = HALT_FLOOR if u < floor else None
-                    if stop is None and t != focal and any(lo <= u < hi for lo, hi in windows):
-                        stop = HALT_WINDOW
-                    if stop is not None:
-                        halted[p] = True
-                        if events is not None:
-                            events.append((len(events), p, t, u, stop))
-                        break
                 pointer[p] = i + 1
                 rank = rks[i]
                 outcome = REJECT
@@ -288,12 +247,8 @@ class DAState:
                             in_queue[worst] = True
                         outcome = DISPLACE
                 if events is not None:
+                    u = math.nan if utils is None else utils[p][i]
                     events.append((len(events), p, t, u, outcome))
-                if rule is not None and t == focal:
-                    halted[p] = True
-                    if events is not None:
-                        events.append((len(events), p, None, u, HALT_FOCAL))
-                    break
 
     def insert(self, proposer: int, pref_list: Sequence[int],
                rank_list: Sequence[float]) -> "DAState":
@@ -309,7 +264,7 @@ class DAState:
         child.prefs = _Overlay(self.prefs, {proposer: pref_list})
         child.ranks = _Overlay(self.ranks, {proposer: rank_list})
         child.slots, child.caps = self.slots, self.caps
-        child.rule = child.utils = child.log = None
+        child.stop = child.log = None
         child.pointer, child.held, child.halted, child.in_queue = (
             _Overlay(self.pointer), _Overlay(self.held),
             _Overlay(self.halted), _Overlay(self.in_queue))
@@ -338,7 +293,7 @@ class DAState:
         child = DAState.__new__(DAState)
         child.prefs, child.ranks = list(self.prefs), list(self.ranks)
         child.slots, child.caps = self.slots, self.caps
-        child.rule = child.utils = child.log = None
+        child.stop = child.log = None
         child.pointer, child.held = list(self.pointer), list(self.held)
         child.halted, child.in_queue = list(self.halted), list(self.in_queue)
         child.heaps = [list(heap) for heap in self.heaps]
@@ -348,9 +303,9 @@ class DAState:
         return child
 
     def _check_absent(self, proposers) -> None:
-        # a resumed run has no rule or log to resume, and an added
+        # a resumed run has no stops or log to resume, and an added
         # proposer must not have proposed yet
-        if self.rule is not None or self.log is not None:
+        if self.stop is not None or self.log is not None:
             raise ValueError("adding proposers needs a run without truncation "
                              "or event log")
         for p in proposers:
@@ -379,31 +334,73 @@ def _engine(proposer_prefs: List[List[int]],
             proposer_ranks: List[List[Optional[float]]],
             proposer_slots: Sequence[int],
             receiver_caps: Sequence[int],
-            rule: Optional[TruncationRule],
-            proposer_utils: Optional[List[List[float]]],
-            proposer_ratings,
             order: Optional[Sequence[int]],
-            log: Optional[EventLog]) -> DAState:
-    n_prop = len(proposer_prefs)
-    trivial = rule is None or rule.is_trivial()
-
-    if not trivial and rule.utility_floor is not None and proposer_utils is None:
-        raise ValueError("a utility floor needs proposer utilities")
-    if not trivial and rule.forbidden_windows is not None and proposer_utils is None:
-        raise ValueError("forbidden windows need proposer utilities")
-    if rule is not None and rule.proposer_filter is not None and proposer_ratings is None:
-        raise ValueError("a proposer filter needs proposer ratings")
-
-    allowed = [True] * n_prop
-    if rule is not None and rule.proposer_filter is not None:
-        allowed = [bool(rule.proposer_filter(float(proposer_ratings[p])))
-                   for p in range(n_prop)]
-
+            stop: Optional[Sequence[int]] = None,
+            log: Optional[EventLog] = None) -> DAState:
     state = DAState(proposer_prefs, proposer_ranks, proposer_slots,
-                    receiver_caps, rule, proposer_utils, log)
-    start = range(n_prop) if order is None else order
-    state._settle(deque(p for p in start if allowed[p] and proposer_prefs[p]))
+                    receiver_caps, stop, log)
+    start = range(len(proposer_prefs)) if order is None else order
+    ends = proposer_prefs if stop is None else stop
+    state._settle(deque(p for p in start if ends[p]))
     return state
+
+
+def _entries(table, orientation: str):
+    # (proposer, position in her list, receiver, her utility) per list entry;
+    # a hospital lists only the edges it ranks
+    if orientation == DOCTORS_PROPOSE:
+        owner = table.edge_d
+        return (owner, np.arange(owner.size) - table.doctor_offsets[owner],
+                table.edge_h, table.u_doc)
+    e = np.flatnonzero(table.hospital_rank >= 0)
+    return table.edge_h[e], table.hospital_rank[e], table.edge_d[e], table.u_hosp[e]
+
+
+# by priority at one stop: a focal halt comes an entry earlier, and the
+# floor is checked before the windows
+_REASONS = (HALT_FOCAL, HALT_FLOOR, HALT_WINDOW, HALT_EXHAUSTED)
+
+
+def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
+                     orientation: str) -> Tuple[np.ndarray, List[str]]:
+    """Each proposer's stop index under `rule`, and why she halts there.
+
+    She stops at the earliest of her first entry below her floor (her list
+    runs best first), her first entry inside a forbidden window that is not
+    the focal target, and the entry after it; else at her list's end.
+    """
+    table, n_proposers = proposer_prefs.source, len(proposer_prefs)
+    if not hasattr(table, "edge_d"):
+        raise ValueError("a truncation rule needs build_preferences(assignment)")
+    owner, pos, target, u = _entries(table, orientation)
+
+    def at_entries(value):
+        # a scalar or per-proposer value, read at each entry's proposer
+        return np.broadcast_to(np.asarray(value, dtype=float), (n_proposers,))[owner]
+
+    floor = -math.inf if rule.utility_floor is None else rule.utility_floor
+    below = u < at_entries(floor)
+    inside = np.zeros(u.shape, dtype=bool)
+    for lo, hi in rule.forbidden_windows or ():
+        inside |= (at_entries(lo) <= u) & (u < at_entries(hi))
+    focal = target == rule.focal_target      # all False for None
+    # stop * 4 + reason code; the least one per proposer wins
+    none = np.iinfo(np.int64).max
+    key = np.where(below, pos * 4 + 1, np.where(inside & ~focal, pos * 4 + 2, none))
+    key = np.minimum(key, np.where(focal, pos * 4 + 4, none))
+    best = np.bincount(owner, minlength=n_proposers) * 4 + 3
+    np.minimum.at(best, owner, key)
+    if rule.proposer_filter is not None:
+        best[~np.asarray(rule.proposer_filter, dtype=bool)] = 3
+    return best >> 2, [_REASONS[c] for c in (best & 3).tolist()]
+
+
+def proposal_counts(state: DAState, orientation: str) -> np.ndarray:
+    """Proposals each receiver got in a settled run over one edge table:
+    proposer p proposed to exactly prefs[p][:pointer[p]]."""
+    owner, pos, target, _ = _entries(state.prefs.source, orientation)
+    made = pos < np.asarray(state.pointer)[owner]
+    return np.bincount(target[made], minlength=len(state.caps))
 
 
 def _matching_from_heaps(heaps, orientation, n_doctors, n_hospitals) -> Matching:
@@ -446,9 +443,7 @@ def doctor_proposing_state(doctor_prefs: EdgeLists,
                            capacities,
                            order: Optional[Sequence[int]] = None) -> DAState:
     """The settled doctor-proposing run, which `DAState.insert` extends."""
-    return _engine(doctor_prefs, _edge_ranks(doctor_prefs, hospital_prefs),
-                   [1] * len(doctor_prefs), list(capacities),
-                   None, None, None, order, None)
+    return truncated_state(doctor_prefs, hospital_prefs, capacities, order=order)
 
 
 def doctor_proposing_da(doctor_prefs: EdgeLists,
@@ -467,27 +462,22 @@ def hospital_proposing_da(doctor_prefs: EdgeLists,
                           capacities,
                           order: Optional[Sequence[int]] = None) -> Matching:
     """Hospital-optimal (doctor-pessimal) stable matching."""
-    state = _engine(hospital_prefs, _edge_ranks(hospital_prefs, doctor_prefs),
-                    list(capacities), [1] * len(doctor_prefs),
-                    None, None, None, order, None)
+    state = truncated_state(doctor_prefs, hospital_prefs, capacities,
+                            orientation=HOSPITALS_PROPOSE, order=order)
     return _matching_from_heaps(state.heaps, HOSPITALS_PROPOSE,
                                 len(doctor_prefs), len(hospital_prefs))
 
 
-def truncated_da(doctor_prefs: EdgeLists,
-                 hospital_prefs: EdgeLists,
-                 capacities,
-                 rule: TruncationRule,
-                 orientation: str = DOCTORS_PROPOSE,
-                 proposer_ratings=None,
-                 order: Optional[Sequence[int]] = None) -> Tuple[Matching, EventLog]:
-    """Truncated DA run; returns the partial matching and its event log.
-
-    A degenerate rule reproduces the untruncated DA.  A floor or forbidden
-    windows (expressed in proposer utility) read the utilities the
-    proposing side's EdgeLists carry.
+def truncated_state(doctor_prefs: EdgeLists,
+                    hospital_prefs: EdgeLists,
+                    capacities,
+                    rule: Optional[TruncationRule] = None,
+                    orientation: str = DOCTORS_PROPOSE,
+                    order: Optional[Sequence[int]] = None,
+                    log: Optional[EventLog] = None) -> DAState:
+    """The settled run of one orientation, plain DA over each proposer's
+    prefix under `rule` (whole lists without one); `log` gets its records.
     """
-    log = EventLog(orientation)
     if orientation == DOCTORS_PROPOSE:
         proposers, receivers = doctor_prefs, hospital_prefs
         slots, caps = [1] * len(doctor_prefs), list(capacities)
@@ -496,8 +486,28 @@ def truncated_da(doctor_prefs: EdgeLists,
         slots, caps = list(capacities), [1] * len(doctor_prefs)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    state = _engine(proposers, _edge_ranks(proposers, receivers), slots, caps,
-                    rule, proposers.utils, proposer_ratings, order, log)
+    ranks = _edge_ranks(proposers, receivers)
+    stop, reasons = None, [HALT_EXHAUSTED] * len(proposers)
+    if rule is not None and not rule.is_trivial():
+        stop, reasons = truncation_stops(proposers, rule, orientation)
+        stop = stop.tolist()
+    if log is not None:
+        log.halt_reasons = reasons
+    return _engine(proposers, ranks, slots, caps, order, stop, log)
+
+
+def truncated_da(doctor_prefs: EdgeLists,
+                 hospital_prefs: EdgeLists,
+                 capacities,
+                 rule: TruncationRule,
+                 orientation: str = DOCTORS_PROPOSE) -> Tuple[Matching, EventLog]:
+    """Truncated DA run; returns the partial matching and its event log.
+
+    A degenerate rule reproduces the untruncated DA.
+    """
+    log = EventLog(orientation)
+    state = truncated_state(doctor_prefs, hospital_prefs, capacities, rule,
+                            orientation, log=log)
     return (_matching_from_heaps(state.heaps, orientation,
                                  len(doctor_prefs), len(hospital_prefs)), log)
 

@@ -18,14 +18,14 @@ in school choice, where a school's utility is the student's rating alone).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EdgeLists, EventLog,
-                 Matching, TruncationRule, doctor_proposing_da,
-                 hospital_proposing_da, truncated_da)
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, LazyMatching, Matching,
+                 TruncationRule, doctor_proposing_da, hospital_proposing_da,
+                 proposal_counts, truncated_state)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, key_order
 
@@ -173,7 +173,7 @@ def scenario_for_interval(instance: MarketInstance,
         proposer_threshold=g - half, receiver_threshold=g - alpha,
         utility_floor=g + nu - alpha, floor_band=(g - half, f + half),
         forbidden_windows=windows, exclusions=pre.excluded_hospitals,
-        bottommost=bool(g < instance.hospital_range[0] + half))
+        bottommost=bool(g < instance.doctor_range[0] + half))
 
 
 SURPLUS_CSV_HEADER = ("focal_side,focal,doctors,hospitals,unmatched_above,"
@@ -191,7 +191,6 @@ class SurplusReport:
     focal_matched: Optional[bool]
     focal_utility: float
     bottommost: bool
-    log: EventLog = field(repr=False, default=None)
 
     def csv_row(self, scenario: "DoubleCutScenario") -> str:
         """One experiment-CSV row (header in SURPLUS_CSV_HEADER)."""
@@ -206,23 +205,24 @@ class SurplusReport:
                 f"{int(self.bottommost)}")
 
 
-def _rule_for(scenario: DoubleCutScenario, n_proposers: int,
-              proposer_ratings) -> TruncationRule:
+def scenario_rule(instance: MarketInstance,
+                  scenario: DoubleCutScenario) -> TruncationRule:
+    """The scenario's cuts as a TruncationRule: proposers rated below the
+    threshold, or excluded, never propose; floor and windows bind floor_band.
+    """
+    ratings = (instance.hospital_ratings
+               if scenario.orientation == HOSPITALS_PROPOSE
+               else instance.doctor_ratings)
     lo, hi = scenario.floor_band
-    floors: Dict[int, float] = {}
-    windows: Dict[int, Tuple[Tuple[float, float], ...]] = {}
-    for p in range(n_proposers):
-        rp = proposer_ratings[p]
-        if lo <= rp < hi:
-            floors[p] = scenario.utility_floor
-            if scenario.forbidden_windows:
-                windows[p] = scenario.forbidden_windows
-    thr = scenario.proposer_threshold
+    banded = (lo <= ratings) & (ratings < hi)
+    proposers = ratings >= scenario.proposer_threshold
+    proposers[list(scenario.exclusions)] = False
     return TruncationRule(
-        proposer_filter=lambda rating: rating >= thr,
-        utility_floor=floors if floors else None,
+        proposer_filter=proposers,
+        utility_floor=np.where(banded, scenario.utility_floor, -math.inf),
         focal_target=scenario.focal_id,
-        forbidden_windows=windows if windows else None)
+        forbidden_windows=[(np.where(banded, wlo, math.inf), whi)
+                           for wlo, whi in scenario.forbidden_windows])
 
 
 def run_double_cut(instance: MarketInstance,
@@ -236,21 +236,13 @@ def run_double_cut(instance: MarketInstance,
     lists = build_preferences(assignment) if prefs is None else prefs
     if any(getattr(p, "source", None) is not assignment for p in lists):
         raise ValueError("prefs must be build_preferences(assignment)")
-    lists = list(lists)
-    side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0   # proposers
-    proposer_ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
-    if scenario.exclusions:
-        p = lists[side]
-        lists[side] = EdgeLists([([] if i in scenario.exclusions else lst)
-                                 for i, lst in enumerate(p)],
-                                p.ranks, p.utils, p.source)
-
-    rule = _rule_for(scenario, len(lists[side]), proposer_ratings)
-    # truncated_da reads the proposing side's utilities from its lists
-    matching, log = truncated_da(*lists, instance.capacities, rule,
-                                 orientation=scenario.orientation,
-                                 proposer_ratings=proposer_ratings)
-    report = _surplus_report(instance, assignment, scenario, matching, log)
+    state = truncated_state(*lists, instance.capacities,
+                            scenario_rule(instance, scenario),
+                            scenario.orientation)
+    matching = LazyMatching(state, scenario.orientation,
+                            len(lists[0]), len(lists[1]))
+    received = proposal_counts(state, scenario.orientation)
+    report = _surplus_report(instance, assignment, scenario, matching, received)
     return matching, report
 
 
@@ -265,7 +257,7 @@ def _count_unmatched_doctors(instance, matching, lo, hi) -> int:
     return int(sum(1 for d in ids if matching.doctor_of[d] is None))
 
 
-def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusReport:
+def _surplus_report(instance, assignment, scenario, matching, received) -> SurplusReport:
     alpha, half = scenario.alpha, scenario.half_width
     kappa = max(instance.capacities.mean(), 1.0)
     d_hi = instance.doctor_range[1]
@@ -284,13 +276,12 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
         unmatched_above = _count_unmatched_doctors(
             instance, matching, r + half + alpha, d_hi)
         surplus = max(0, int(in_scope) - competing_places - unmatched_above)
-        proposals = log.proposals_to(h)
         held = list(matching.doctors_of[h])
         utility = (float(np.mean(assignment.u_hosp[
             assignment.edge_index(held, [h] * len(held))])) if held else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
-                             len(proposals), bool(held), utility,
-                             scenario.bottommost, log)
+                             int(received[h]), bool(held), utility,
+                             scenario.bottommost)
 
     if scenario.focal_side == FOCAL_DOCTOR:
         d = scenario.focal_id
@@ -303,20 +294,20 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
         unmatched_above = _count_not_fully_matched_hospitals(
             instance, matching, r + half + alpha, h_hi)
         surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
-        proposals = log.proposals_to(d)
         hm = matching.doctor_of[d]
         utility = (float(assignment.u_doc[assignment.edge_index([d], [hm])[0]])
                    if hm is not None else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
-                             len(proposals), hm is not None, utility,
-                             scenario.bottommost, log)
+                             int(received[d]), hm is not None, utility,
+                             scenario.bottommost)
 
     # doctor interval: two-case geometry depending on whether the band
     # above the interval reaches the top of the rating range
     f, g = scenario.interval
     n_docs = int(instance.doctors_in_band(g - alpha, d_hi).size)
-    n_hosp = int(instance.hospitals_in_band(g - half, h_hi).size
-                 - len(scenario.exclusions))
+    # exclusions can rate below the band (removed doctors' other hospitals)
+    n_hosp = sum(1 for h in instance.hospitals_in_band(g - half, h_hi).tolist()
+                 if h not in scenario.exclusions)
     scope_ids = list(instance.hospitals_in_band(g - half, f + half))
     if g <= h_hi - (half + alpha):
         scope_ids += list(instance.hospitals_in_band(g + half + alpha, h_hi))
@@ -327,13 +318,11 @@ def _surplus_report(instance, assignment, scenario, matching, log) -> SurplusRep
         instance, matching, g + half + alpha, h_hi)
     surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
     interval_doctors = instance.doctors_in_band(f, g)
-    in_i = set(int(x) for x in interval_doctors)
-    proposals = [e for e in log.proposals() if e[2] in in_i]
     matched_in_i = sum(1 for d in interval_doctors if matching.doctor_of[d] is not None)
     frac = matched_in_i / interval_doctors.size if interval_doctors.size else math.nan
     return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
-                         len(proposals), None, frac,
-                         scenario.bottommost, log)
+                         int(received[interval_doctors].sum()), None, frac,
+                         scenario.bottommost)
 
 
 def independent_proposal_oracle(surplus: int, cone_size: int, k: int,

@@ -22,6 +22,13 @@ with it.
 And the receiver dominance predicate over per-hospital Python lists of
 seat utilities, each sorted best first (receivers_dominate).
 tests/test_audit_predicates.py compares the package with it.
+
+And the truncated DA that checked its rule before every proposal
+(RuleCheckingState, rule_checking_da), with the double-cut rule built as
+per-proposer dicts in a Python loop (rule_for) and the excluded
+proposers' lists emptied (rule_checking_double_cut).  tests/test_edge_table.py
+and tests/test_truncation_stops.py compare the package's prefix runs with
+it.
 """
 
 import bisect
@@ -29,16 +36,16 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from conematch import da
 from conematch.da import Matching, TruncationRule, truncated_da
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
                                  NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
                                  _nearest_at, _slot_values, deviant_slots)
-from conematch.double_cut import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, _matched,
-                                  _rule_for)
+from conematch.double_cut import DOCTORS_PROPOSE, HOSPITALS_PROPOSE, _matched
 from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
 from conematch.strategy import compute_cone
 from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
@@ -231,18 +238,11 @@ def blocking_pairs(asg, matching, capacities, prefs):
 
 
 def run_double_cut(instance, asg, scenario, prefs):
-    """The truncated run of a double-cut scenario over the dicts."""
-    lists = list(prefs)
-    side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0
-    ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
-    if scenario.exclusions:
-        lists[side] = [([] if p in scenario.exclusions else lst)
-                       for p, lst in enumerate(lists[side])]
-    rule = _rule_for(scenario, len(lists[side]), ratings)
-    return truncated_da(*edge_lists(*lists, asg.doctor_utils, asg.hospital_utils),
-                        instance.capacities, rule,
-                        orientation=scenario.orientation,
-                        proposer_ratings=ratings)
+    """The truncated run of a double-cut scenario over the dicts, by the
+    rule-checking engine; returns (matching, event log, final state)."""
+    return rule_checking_double_cut(
+        instance, scenario,
+        edge_lists(*prefs, asg.doctor_utils, asg.hospital_utils))
 
 
 def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
@@ -544,3 +544,188 @@ def receivers_dominate(assignment, orientation, full, cut):
                                    _seat_utilities(assignment, cut)))
     u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
     return bool(np.all(u[full] >= u[cut]))
+
+
+FloorSpec = Union[None, float, Dict[int, float], Callable[[int], float]]
+WindowSpec = Union[None, Sequence[Tuple[float, float]],
+                   Dict[int, Sequence[Tuple[float, float]]]]
+
+
+@dataclass
+class Rule:
+    """The truncation rule with callable and dict forms, read per proposal."""
+
+    proposer_filter: Optional[Callable[[float], bool]] = None
+    utility_floor: FloorSpec = None
+    focal_target: Optional[int] = None
+    forbidden_windows: WindowSpec = None
+
+    def floor_for(self, proposer: int) -> float:
+        f = self.utility_floor
+        if f is None:
+            return -math.inf
+        if callable(f):
+            return f(proposer)
+        if isinstance(f, dict):
+            return f.get(proposer, -math.inf)
+        return float(f)
+
+    def windows_for(self, proposer: int):
+        w = self.forbidden_windows
+        if w is None:
+            return ()
+        if isinstance(w, dict):
+            return w.get(proposer, ())
+        return w
+
+    def is_trivial(self) -> bool:
+        return (self.proposer_filter is None and self.utility_floor is None
+                and self.focal_target is None and self.forbidden_windows is None)
+
+
+class RuleCheckingState:
+    """The DA state whose proposal step checks the rule before each proposal."""
+
+    def __init__(self, proposer_prefs, proposer_ranks, proposer_slots,
+                 receiver_caps, rule, proposer_utils, log):
+        n_prop = len(proposer_prefs)
+        self.prefs = proposer_prefs
+        self.ranks = proposer_ranks
+        self.slots = proposer_slots
+        self.caps = receiver_caps
+        self.rule = None if rule is None or rule.is_trivial() else rule
+        self.utils = proposer_utils
+        self.log = log
+        self.pointer = [0] * n_prop
+        self.held = [0] * n_prop
+        self.halted = [False] * n_prop
+        self.in_queue = [False] * n_prop
+        self.heaps = [[] for _ in range(len(receiver_caps))]  # (-rank, proposer)
+
+    def _settle(self, queue: deque) -> None:
+        prefs, ranks, slots, caps = self.prefs, self.ranks, self.slots, self.caps
+        pointer, held, halted = self.pointer, self.held, self.halted
+        in_queue, heaps, rule, utils = self.in_queue, self.heaps, self.rule, self.utils
+        events = None if self.log is None else self.log.events
+        u = math.nan
+        floor, windows, focal = -math.inf, (), None
+        for p in queue:
+            in_queue[p] = True
+        while queue:
+            p = queue.popleft()
+            in_queue[p] = False
+            if halted[p]:
+                continue
+            lst, rks = prefs[p], ranks[p]
+            if utils is not None:
+                ulst = utils[p]
+            if rule is not None:
+                floor, windows, focal = (rule.floor_for(p), rule.windows_for(p),
+                                         rule.focal_target)
+            while held[p] < slots[p]:
+                i = pointer[p]
+                if i >= len(lst):
+                    halted[p] = True
+                    if events is not None:
+                        events.append((len(events), p, None, math.nan,
+                                       da.HALT_EXHAUSTED))
+                    break
+                t = lst[i]
+                if utils is not None:
+                    u = ulst[i]
+                if rule is not None:
+                    stop = da.HALT_FLOOR if u < floor else None
+                    if stop is None and t != focal and any(lo <= u < hi for lo, hi in windows):
+                        stop = da.HALT_WINDOW
+                    if stop is not None:
+                        halted[p] = True
+                        if events is not None:
+                            events.append((len(events), p, t, u, stop))
+                        break
+                pointer[p] = i + 1
+                rank = rks[i]
+                outcome = da.REJECT
+                if rank is not None:
+                    heap = heaps[t]
+                    if len(heap) < caps[t]:
+                        heapq.heappush(heap, (-rank, p))
+                        held[p] += 1
+                        outcome = da.HOLD
+                    elif rank < -heap[0][0]:
+                        worst = heapq.heapreplace(heap, (-rank, p))[1]
+                        held[p] += 1
+                        held[worst] -= 1
+                        if not halted[worst] and not in_queue[worst]:
+                            queue.append(worst)
+                            in_queue[worst] = True
+                        outcome = da.DISPLACE
+                if events is not None:
+                    events.append((len(events), p, t, u, outcome))
+                if rule is not None and t == focal:
+                    halted[p] = True
+                    if events is not None:
+                        events.append((len(events), p, None, u, da.HALT_FOCAL))
+                    break
+
+
+def rule_checking_da(doctor_prefs, hospital_prefs, capacities, rule,
+                     orientation=DOCTORS_PROPOSE, proposer_ratings=None):
+    """The truncated DA that checks `rule` (a Rule) before each proposal.
+
+    Returns (matching, event log, final state).
+    """
+    log = da.EventLog(orientation)
+    if orientation == DOCTORS_PROPOSE:
+        proposers = doctor_prefs
+        slots, caps = [1] * len(doctor_prefs), list(capacities)
+    else:
+        proposers = hospital_prefs
+        slots, caps = list(capacities), [1] * len(doctor_prefs)
+    n_prop = len(proposers)
+    allowed = [True] * n_prop
+    if rule.proposer_filter is not None:
+        allowed = [bool(rule.proposer_filter(float(proposer_ratings[p])))
+                   for p in range(n_prop)]
+    state = RuleCheckingState(proposers, proposers.ranks, slots, caps, rule,
+                              proposers.utils, log)
+    state._settle(deque(p for p in range(n_prop)
+                        if allowed[p] and proposers[p]))
+    matching = da.LazyMatching(state, orientation, len(doctor_prefs),
+                               len(hospital_prefs))
+    return Matching(matching.doctor_of, matching.doctors_of), log, state
+
+
+def rule_checking_double_cut(instance, scenario, prefs):
+    """A double-cut scenario's run over an EdgeLists pair, excluded
+    proposers' lists emptied, by the rule-checking engine; returns
+    (matching, event log, final state)."""
+    lists = list(prefs)
+    side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0
+    ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
+    if scenario.exclusions:
+        p = lists[side]
+        lists[side] = da.EdgeLists([([] if i in scenario.exclusions else lst)
+                                    for i, lst in enumerate(p)],
+                                   p.ranks, p.utils, p.source)
+    rule = rule_for(scenario, len(lists[side]), ratings)
+    return rule_checking_da(*lists, instance.capacities, rule,
+                            scenario.orientation, ratings)
+
+
+def rule_for(scenario, n_proposers, proposer_ratings):
+    """A double-cut scenario's Rule: per-proposer floor and window dicts."""
+    lo, hi = scenario.floor_band
+    floors: Dict[int, float] = {}
+    windows: Dict[int, Tuple[Tuple[float, float], ...]] = {}
+    for p in range(n_proposers):
+        rp = proposer_ratings[p]
+        if lo <= rp < hi:
+            floors[p] = scenario.utility_floor
+            if scenario.forbidden_windows:
+                windows[p] = scenario.forbidden_windows
+    thr = scenario.proposer_threshold
+    return Rule(
+        proposer_filter=lambda rating: rating >= thr,
+        utility_floor=floors if floors else None,
+        focal_target=scenario.focal_id,
+        forbidden_windows=windows if windows else None)

@@ -7,7 +7,9 @@ every random draw on a grid of quarters, for the tie tests.
 
 The DA entry points take only the two da.EdgeLists of one edge table.
 edge_lists builds such a pair from hand-written lists, and
-manual_assignment an edge table from hand-written utilities.
+manual_assignment an edge table from hand-written utilities (a truncation
+rule other than the trivial one needs the table).  proposals reads the
+proposal records out of a truncated_da event log.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import random
 import numpy as np
 
 from conematch import rng
-from conematch.da import EdgeLists, Matching
+from conematch.da import DISPLACE, HOLD, REJECT, EdgeLists, Matching
 from conematch.strategy import InterviewAssignment
 
 
@@ -65,6 +67,11 @@ def manual_assignment(doctor_utils, hospital_utils, hospital_budget=None):
     return InterviewAssignment.from_edges(None, 1.0, 1.0, d, h, u_doc, u_hosp,
                                           len(doctor_utils), len(hospital_utils),
                                           budget)
+
+
+def proposals(log):
+    """The proposal records of an event log, in order (no halts)."""
+    return [e for e in log.events if e[4] in (HOLD, REJECT, DISPLACE)]
 
 
 def matching_from_key(key, n_hospitals):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conematch import da
@@ -12,7 +13,8 @@ from conematch.strategy import (build_assignment, build_preferences,
                                 select_interviews)
 
 from legacy_edges import utility_maps
-from oracle_helpers import brute_stable_set, edge_lists, random_lists
+from oracle_helpers import (brute_stable_set, edge_lists, manual_assignment,
+                            proposals, random_lists)
 
 
 def test_singleton_market():
@@ -81,29 +83,69 @@ def test_truncated_degenerate_equals_full():
     full = doctor_proposing_da(*prefs, caps)
     cut, log = truncated_da(*prefs, caps, TruncationRule(), DOCTORS_PROPOSE)
     assert cut.key() == full.key()
-    assert log.proposals()  # the log recorded the run
+    assert proposals(log)  # the log recorded the run
     cut_h, _ = truncated_da(*prefs, caps, TruncationRule(), HOSPITALS_PROPOSE)
     assert cut_h.key() == hospital_proposing_da(*prefs, caps).key()
 
 
+def truncated(doctor_utils, hospital_utils, caps, rule):
+    """truncated_da over a hand-written table, with the rule's stops."""
+    prefs = build_preferences(manual_assignment(doctor_utils, hospital_utils))
+    m, log = truncated_da(*prefs, caps, rule, DOCTORS_PROPOSE)
+    stop, reasons = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)
+    return m, log, stop.tolist(), reasons
+
+
 def test_focal_target_one_proposal():
     # the single doctor's first choice is the focal hospital: one proposal,
-    # held, then halt
-    rule = TruncationRule(focal_target=1)
-    prefs = edge_lists([[1, 0]], [[0], [0]], [{1: 2.0, 0: 1.0}])
-    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    # held; her prefix ends there, and she holds it, so she writes no halt
+    m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
+                                      [1, 1], TruncationRule(focal_target=1))
     assert m.doctor_of == [1]
     outcomes = [e[4] for e in log.events]
-    assert outcomes == [da.HOLD, da.HALT_FOCAL]
+    assert outcomes == [da.HOLD]
+    assert stop == [1] and reasons == [da.HALT_FOCAL]
 
 
 def test_focal_proposal_requires_floor():
-    # focal proposal under the floor is not made
+    # focal proposal under the floor is not made: her prefix is empty
     rule = TruncationRule(focal_target=1, utility_floor=5.0)
-    prefs = edge_lists([[1, 0]], [[0], [0]], [{1: 2.0, 0: 1.0}])
-    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
+                                      [1, 1], rule)
     assert m.doctor_of == [None]
-    assert [e[4] for e in log.events] == [da.HALT_FLOOR]
+    assert log.events == []
+    assert stop == [0] and reasons == [da.HALT_FLOOR]
+
+
+def test_stop_priorities():
+    # one doctor's list, best first: h0 (3.0), the focal h1 (2.0), h2 (1.0)
+    utils = [{0: 3.0, 1: 2.0, 2: 1.0}]
+    hospitals = [{0: 1.0}, {0: 1.0}, {0: 1.0}]
+    cases = [
+        # the focal ends the prefix before the floor would
+        (TruncationRule(focal_target=1, utility_floor=1.5), 2, da.HALT_FOCAL),
+        # a focal below the floor is not proposed to
+        (TruncationRule(focal_target=1, utility_floor=2.5), 1, da.HALT_FLOOR),
+        # a window does not stop a proposal to the focal
+        (TruncationRule(focal_target=1, forbidden_windows=[(1.5, 2.5)]), 2,
+         da.HALT_FOCAL),
+        # the floor is checked before a window on the same entry
+        (TruncationRule(utility_floor=2.5, forbidden_windows=[(1.5, 2.5)]), 1,
+         da.HALT_FLOOR),
+        (TruncationRule(forbidden_windows=[(0.5, 1.5)]), 2, da.HALT_WINDOW),
+        # per-proposer bounds: an empty window exempts her
+        (TruncationRule(forbidden_windows=[(np.array([np.inf]), 2.5)]), 3,
+         da.HALT_EXHAUSTED),
+        (TruncationRule(utility_floor=np.array([-np.inf])), 3,
+         da.HALT_EXHAUSTED),
+        (TruncationRule(proposer_filter=np.array([False])), 0,
+         da.HALT_EXHAUSTED),
+    ]
+    for rule, want_stop, want_reason in cases:
+        m, log, stop, reasons = truncated(utils, hospitals, [1, 1, 1], rule)
+        assert (stop, reasons) == ([want_stop], [want_reason]), rule
+        # she proposes down her prefix and holds its first entry
+        assert m.doctor_of == [0 if want_stop else None]
 
 
 def test_floor_respected_in_log():
@@ -113,9 +155,9 @@ def test_floor_respected_in_log():
     floor = 1.1
     rule = TruncationRule(utility_floor=floor)
     _, log = truncated_da(*prefs, inst.capacities, rule, DOCTORS_PROPOSE)
-    proposals = log.proposals()
-    assert proposals
-    assert all(e[3] >= floor for e in proposals)
+    made = proposals(log)
+    assert made
+    assert all(e[3] >= floor for e in made)
     assert any(e[4] == da.HALT_FLOOR for e in log.events)
 
 
@@ -123,34 +165,37 @@ def test_forbidden_window_blocks_proposal():
     # doctor 0 is displaced and her next utility (2.0) falls inside the
     # window: she halts without making that proposal
     rule = TruncationRule(forbidden_windows=[(1.5, 2.5)])
-    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0]],
-                       [{0: 3.0, 1: 2.0}, {0: 5.0}])
-    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    m, log, _, _ = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
+                             [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of == [None, 0]
     assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE, da.HALT_WINDOW]
-    assert all(not (1.5 <= e[3] < 2.5) for e in log.proposals())
+    assert all(not (1.5 <= e[3] < 2.5) for e in proposals(log))
 
 
 def test_displaced_proposer_rechecks_floor():
     # doctor 0 holds h0; doctor 1 displaces her; her next utility is under
-    # the floor so she halts instead of proposing to h1
-    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0, 1]],
-                       [{0: 2.0, 1: 0.5}, {0: 2.0}])
+    # the floor, which ends her prefix, so she halts instead of proposing
+    # to h1
     rule = TruncationRule(utility_floor=1.0)
-    m, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    m, log, _, _ = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
+                             [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of == [None, 0]
     floor_halts = [e for e in log.events if e[4] == da.HALT_FLOOR]
     assert len(floor_halts) == 1 and floor_halts[0][1] == 0
 
 
 def test_proposer_filter_excludes():
-    ratings = [0.2, 0.9]
-    rule = TruncationRule(proposer_filter=lambda r: r >= 0.5)
-    prefs = edge_lists([[0], [0]], [[0, 1]], [{0: 1.0}, {0: 2.0}])
-    m, log = truncated_da(*prefs, [2], rule, DOCTORS_PROPOSE,
-                          proposer_ratings=ratings)
+    rule = TruncationRule(proposer_filter=np.array([0.2, 0.9]) >= 0.5)
+    m, log, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
+                             rule)
     assert m.doctor_of == [None, 0]
-    assert all(e[1] == 1 for e in log.proposals())
+    assert all(e[1] == 1 for e in proposals(log))
+
+
+def test_rule_needs_the_edge_table():
+    prefs = edge_lists([[0]], [[0]], [{0: 1.0}])
+    with pytest.raises(ValueError, match="build_preferences"):
+        truncated_da(*prefs, [1], TruncationRule(utility_floor=0.0))
 
 
 def test_order_invariance():
@@ -195,8 +240,8 @@ def test_prefix_superset_never_hurts_receivers():
 
 def test_event_log_line_serialization():
     rule = TruncationRule(utility_floor=1.0)
-    prefs = edge_lists([[0, 1]], [[0], [0]], [{0: 2.0, 1: 0.5}])
-    _, log = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
+    _, log, _, _ = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}], [1, 1],
+                             rule)
     lines = log.lines()
     assert lines[0] == "0,0,0,2,hold"
     # halts serialize with an empty target when none applies
@@ -215,7 +260,7 @@ def test_total_proposals_bounded_and_fast():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     total_edges = sum(len(lst) for lst in prefs[0])
-    assert len(log.proposals()) <= total_edges
+    assert len(proposals(log)) <= total_edges
     m.validate(inst.capacities)
 
 

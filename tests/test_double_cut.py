@@ -9,13 +9,14 @@ from conematch.double_cut import (dominance_audit, hospital_fill_oracle,
                                   independent_proposal_oracle,
                                   interval_preprocess, run_double_cut,
                                   scenario_for_doctor, scenario_for_hospital,
-                                  scenario_for_interval)
-from conematch.market import SCHOOL_CHOICE, generate, make_config
+                                  scenario_for_interval, scenario_rule)
+from conematch.market import (SCHOOL_CHOICE, MarketConfig, generate,
+                              make_config)
 from conematch.strategy import (build_assignment, build_preferences,
                                 compute_cone, select_interviews)
 
 from legacy_edges import utility_maps
-from oracle_helpers import edge_lists
+from oracle_helpers import manual_assignment, proposals
 
 
 def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
@@ -24,6 +25,17 @@ def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
     return inst, asg, build_preferences(asg)
+
+
+def logged_run(inst, asg, scenario, prefs):
+    """The proposal records of the scenario's truncated run, checked to be
+    run_double_cut's run."""
+    matching, report = run_double_cut(inst, asg, scenario, prefs)
+    logged, log = truncated_da(*prefs, inst.capacities,
+                               scenario_rule(inst, scenario),
+                               scenario.orientation)
+    assert logged.key() == matching.key()
+    return proposals(log)
 
 
 def test_focal_hospital_dominated_by_full_run():
@@ -48,10 +60,9 @@ def test_school_focal_doctor_proposals_in_cone():
     ratings = inst.doctor_ratings
     focal = int(np.argsort(ratings)[int(0.7 * len(ratings))])
     scenario = scenario_for_doctor(inst, focal)
-    _, report = run_double_cut(inst, asg, scenario, prefs)
     cone = compute_cone(inst, focal)
     members = set(int(h) for h in cone.member_hospitals)
-    for _, proposer, target, _, _ in report.log.proposals():
+    for _, proposer, target, _, _ in logged_run(inst, asg, scenario, prefs):
         if target == focal:
             assert proposer in members
 
@@ -60,9 +71,9 @@ def test_floor_respected_by_in_cone_proposers():
     inst, asg, prefs = make_market(seed=4, n=100, kappa=2, k=4)
     focal = int(np.argsort(inst.doctor_ratings)[70])
     scenario = scenario_for_doctor(inst, focal)
-    _, report = run_double_cut(inst, asg, scenario, prefs)
     lo, hi = scenario.floor_band
-    for _, proposer, target, utility, outcome in report.log.proposals():
+    for _, proposer, target, utility, outcome in logged_run(inst, asg,
+                                                            scenario, prefs):
         r = inst.hospital_ratings[proposer]
         if lo <= r < hi:
             assert utility >= scenario.utility_floor - 1e-12
@@ -73,18 +84,18 @@ def test_prefix_property():
     # full-run sequence
     inst, asg, prefs = make_market(seed=5, n=80, kappa=2, k=4)
     focal = int(np.argsort(inst.doctor_ratings)[60])
-    _, report = run_double_cut(inst, asg, scenario_for_doctor(inst, focal), prefs)
+    cut = logged_run(inst, asg, scenario_for_doctor(inst, focal), prefs)
     _, full_log = truncated_da(*prefs, inst.capacities, TruncationRule(),
                                HOSPITALS_PROPOSE)
 
-    def sequences(log):
+    def sequences(records):
         seq = {}
-        for _, p, t, _, outcome in log.proposals():
+        for _, p, t, _, outcome in records:
             seq.setdefault(p, []).append(t)
         return seq
 
-    cut_seq = sequences(report.log)
-    full_seq = sequences(full_log)
+    cut_seq = sequences(cut)
+    full_seq = sequences(proposals(full_log))
     for p, targets in cut_seq.items():
         assert full_seq.get(p, [])[: len(targets)] == targets
 
@@ -124,9 +135,9 @@ def test_dominance_adversarial_floor_halt():
     # doctor 0 is displaced, halts at the floor, and never makes the
     # would-be proposal that improves the focal hospital 1; the full run
     # includes it, so the full outcome for hospital 1 is strictly better
-    prefs = edge_lists([[0, 1], [0]], [[1, 0], [0]],
-                       [{0: 2.0, 1: 0.5}, {0: 5.0}])
-    rule = TruncationRule(utility_floor={0: 1.0})
+    prefs = build_preferences(manual_assignment(
+        [{0: 2.0, 1: 0.5}, {0: 5.0}], [{0: 1.0, 1: 2.0}, {0: 1.0}]))
+    rule = TruncationRule(utility_floor=np.array([1.0, -np.inf]))
     cut, _ = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     full = doctor_proposing_da(*prefs, [1, 1])
     assert cut.doctors_of[1] == set()
@@ -217,8 +228,38 @@ def test_interval_scenario_runs_and_reports():
     assert report.surplus >= 0
     assert 0.0 <= report.focal_utility <= 1.0 or math.isnan(report.focal_utility)
     # excluded hospitals never propose
-    for _, proposer, _, _, _ in report.log.proposals():
+    for _, proposer, _, _, _ in logged_run(inst, asg, scenario, prefs):
         assert proposer not in scenario.exclusions
+
+
+def test_interval_hospital_count_skips_exclusions_below_the_band():
+    # interval_preprocess also excludes the other hospitals of removed
+    # doctors, and here one of them rates below g - half, outside the band
+    # the count is taken over
+    inst, asg, prefs = make_market(seed=1, n=300, kappa=3, k=3, cone=0.3)
+    f, g = 0.5, 0.5 + 0.5 * inst.alpha_eff
+    scenario = scenario_for_interval(inst, asg, (f, g))
+    lo = g - inst.half_width
+    assert any(inst.hospital_ratings[h] < lo for h in scenario.exclusions)
+    band = set(inst.hospitals_in_band(lo, inst.hospital_range[1]).tolist())
+    _, report = run_double_cut(inst, asg, scenario, prefs)
+    assert report.participants_each_side[1] == len(band - scenario.exclusions)
+
+
+def test_interval_bottommost_judged_on_the_doctor_range():
+    # 600 doctors for 500 places: doctors rate in [0, 1.2), hospitals in
+    # [0.2, 1.2); an interval is bottommost as its doctors are
+    cfg = MarketConfig(n_doctors=600, n_hospitals=100, capacity=5,
+                       cone_override=0.3)
+    inst = generate(cfg, 0)
+    asg = build_assignment(inst)
+    assert inst.doctor_range[0] < inst.hospital_range[0]
+    for (f, g), flagged in (((0.400, 0.418), False), ((0.200, 0.218), True)):
+        docs = inst.doctors_in_band(f, g)
+        assert docs.size
+        assert all(scenario_for_doctor(inst, int(d)).bottommost == flagged
+                   for d in docs)
+        assert scenario_for_interval(inst, asg, (f, g)).bottommost == flagged
 
 
 def test_interval_windows_respected():
@@ -226,9 +267,8 @@ def test_interval_windows_respected():
     alpha = inst.alpha_eff
     f, g = 0.5, 0.5 + 0.6 * alpha
     scenario = scenario_for_interval(inst, asg, (f, g))
-    _, report = run_double_cut(inst, asg, scenario, prefs)
     lo, hi = scenario.floor_band
-    for _, proposer, _, utility, _ in report.log.proposals():
+    for _, proposer, _, utility, _ in logged_run(inst, asg, scenario, prefs):
         r = inst.hospital_ratings[proposer]
         if lo <= r < hi:
             for wlo, whi in scenario.forbidden_windows:

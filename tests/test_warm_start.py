@@ -243,10 +243,10 @@ def test_with_proposers_refuses_what_insert_refuses():
         state.with_proposers({0: entry})
     with pytest.raises(ValueError, match="already has a list"):
         child.with_proposers({2: entry})
-    for rule, log in ((da.TruncationRule(utility_floor=0.0), None),
+    for stop, log in (([len(lst) for lst in absent], None),
                       (None, da.EventLog(da.DOCTORS_PROPOSE))):
         bad = da.DAState(absent, state.ranks, state.slots, state.caps,
-                         rule, None, log)
+                         stop, log)
         with pytest.raises(ValueError, match="truncation or event log"):
             bad.with_proposers({2: entry})
         with pytest.raises(ValueError, match="truncation or event log"):
