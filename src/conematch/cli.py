@@ -3,7 +3,10 @@
 Reads a flat JSON config (exactly the MarketConfig field names; list
 values are crossed into a grid, with a per-hospital capacity vector
 written as a nested list), or one of the named presets, then runs the
-seeded Monte Carlo campaign: per-config grouped CSVs in the metrics
+seeded Monte Carlo campaign.  Each combination is read by
+MarketConfig.from_dict: a missing n_hospitals defaults to n_doctors / kappa
+(rounded, at least 1), and market.FIELDS gives every numeric field's valid
+values.  A campaign writes per-config grouped CSVs in the metrics
 schema, an optional deviation CSV, and a line-delimited key=value summary.
 Identical flags give byte-identical CSVs.
 
@@ -30,7 +33,7 @@ from . import analysis, deviation, double_cut, metrics
 from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
                  order_invariance_check)
 from .market import (ConfigError, MarketConfig, RESIDENCY, REQUEST_INTERVIEW,
-                     SCHOOL_CHOICE, generate, make_config, require_int)
+                     SCHOOL_CHOICE, check_field, generate, make_config)
 from .strategy import build_assignment, build_preferences
 
 EXIT_OK = 0
@@ -44,7 +47,6 @@ class Campaign:
 
     configs: List[MarketConfig]
     out_dir: Path
-    stability_audit: bool = True
     oracle_audit: bool = True
     audit_sample: float = 0.0      # fraction of runs given double-cut audits
     group_size: int = 10
@@ -71,35 +73,16 @@ def config_hash(cfg: MarketConfig) -> str:
 
 
 def expand_grid(raw: dict) -> List[MarketConfig]:
-    """Cross every list-valued field; n_hospitals defaults to n/kappa."""
+    """One MarketConfig.from_dict per combination of the list values."""
     if not isinstance(raw, dict):
         raise ConfigError("a config must be one JSON object of MarketConfig fields")
     keys = sorted(raw)
-    pools = []
-    for key in keys:
-        v = raw[key]
-        if key == "capacity" and isinstance(v, list) and v and isinstance(v[0], list):
-            pools.append([tuple(x) for x in v])     # explicit vectors
-        else:
-            pools.append(v if isinstance(v, list) else [v])
-        if not pools[-1]:
+    pools = [raw[key] if isinstance(raw[key], list) else [raw[key]] for key in keys]
+    for key, pool in zip(keys, pools):
+        if not pool:
             raise ConfigError(f"{key}: an empty list leaves no config to run")
-    configs = []
-    for combo in itertools.product(*pools):
-        data = dict(zip(keys, combo))
-        # n / kappa, once both are valid (from_dict names a missing n)
-        if "n_hospitals" not in data and "n_doctors" in data:
-            cap = data.get("capacity", 1)
-            caps = cap if isinstance(cap, tuple) else (cap,)
-            for name, value in (("n_doctors", data["n_doctors"]),
-                                *(("capacity", c) for c in caps)):
-                require_int(name, value)
-            if min(caps, default=0) < 1:
-                raise ConfigError("every capacity must be >= 1")
-            kappa = max(1, round(float(np.mean(caps))))
-            data["n_hospitals"] = max(1, round(data["n_doctors"] / kappa))
-        configs.append(MarketConfig.from_dict(data))
-    return configs
+    return [MarketConfig.from_dict(dict(zip(keys, combo)))
+            for combo in itertools.product(*pools)]
 
 
 PRESETS = ("paper-2000", "paper-500", "school", "request")
@@ -144,8 +127,7 @@ def _run_one(cfg, run_index, campaign, slug):
     # every check below reads the matching's edges from this one array
     matched = assignment.matched_edges(matching)
 
-    if campaign.stability_audit and analysis.find_blocking_pairs(
-            assignment, matching, matched=matched):
+    if analysis.find_blocking_pairs(assignment, matching, matched=matched):
         raise AuditFailure(slug, run_index, "stability")
 
     oracle_sized = campaign.oracle_audit and (
@@ -357,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 <= args.seed < 2 ** 64:    # every mode seeds from it
-        print("configuration error: --seed must be a 64-bit unsigned integer",
-              file=sys.stderr)
+    try:
+        check_field("seed", args.seed)      # every mode seeds from it
+    except ConfigError as exc:
+        print(f"configuration error: --{exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.verify_only:
         return verify_only(args.seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -43,17 +43,46 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-def require_int(name: str, value) -> None:
-    """ConfigError unless value is an integer (a bool is not one)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+# one row per numeric MarketConfig field: (kind, least, greatest,
+# least_excluded, none_valid).  Kind int takes an integer but not a bool,
+# kind float any finite int or float; `capacity` is checked entry by entry.
+FIELDS = {
+    "n_doctors": (int, 1, math.inf, False, False),
+    "n_hospitals": (int, 1, math.inf, False, False),
+    "capacity": (int, 1, math.inf, False, False),
+    "k": (int, 1, math.inf, False, False),
+    "a": (float, 0.0, math.inf, True, False),
+    "alpha": (float, 0.0, math.inf, True, True),
+    "cone_override": (float, 0.0, math.inf, True, True),
+    "nu_d": (float, 0.0, 1.0, False, False),
+    "nu_h": (float, 0.0, 1.0, False, False),
+    # the long side's rating range has width 1 + rating_shift
+    "rating_shift": (float, -1.0, math.inf, True, False),
+    "seed": (int, 0, 2 ** 64 - 1, False, False),
+    "runs": (int, 1, math.inf, False, False),
+}
 
 
-def _require_finite(name: str, value) -> None:
-    if (isinstance(value, (bool, np.bool_))
+def check_field(name: str, value) -> None:
+    """ConfigError unless value is valid for FIELDS[name]."""
+    kind, least, greatest, least_excluded, none_valid = FIELDS[name]
+    if value is None and none_valid:
+        return
+    if kind is int:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    elif (isinstance(value, (bool, np.bool_))
             or not isinstance(value, (int, float, np.integer, np.floating))
             or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < least or value > greatest or (least_excluded and value == least):
+        raise ConfigError(f"{name} must lie in {'(' if least_excluded else '['}{least}, "
+                          f"{greatest}{')' if greatest == math.inf else ']'}, got {value!r}")
+
+
+def _kappa(capacity) -> int:
+    # the mean capacity, rounded half to even; a uniform one is its own mean
+    return round(float(np.mean(capacity)))
 
 
 @dataclass(frozen=True)
@@ -63,7 +92,8 @@ class MarketConfig:
     `capacity` is either one int (uniform kappa) or a per-hospital tuple.
     `alpha` overrides the derived cone scale; `cone_override` instead fixes
     the absolute cone half-width a*alpha in rating units (the bundled
-    experiment presets use cone_override=0.3).
+    experiment presets use cone_override=0.3).  FIELDS gives each numeric
+    field's valid values.
     """
 
     n_doctors: int
@@ -81,85 +111,61 @@ class MarketConfig:
     runs: int = 1
 
     def __post_init__(self):
-        for name in ("n_doctors", "n_hospitals", "k", "seed", "runs"):
-            require_int(name, getattr(self, name))
-        for c in (self.capacity if isinstance(self.capacity, (tuple, list, np.ndarray))
-                  else (self.capacity,)):
-            require_int("capacity", c)
-        for name in ("a", "nu_d", "nu_h", "rating_shift", "alpha", "cone_override"):
-            value = getattr(self, name)
-            if value is not None or name not in ("alpha", "cone_override"):
-                _require_finite(name, value)
-        if self.n_doctors < 1 or self.n_hospitals < 1:
-            raise ConfigError("need at least one agent on each side")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        vector = isinstance(self.capacity, (tuple, list, np.ndarray))
+        for name in FIELDS:
+            for value in (self.capacity if vector and name == "capacity"
+                          else (getattr(self, name),)):
+                check_field(name, value)
+        if self.setting not in SETTINGS:
+            raise ConfigError(f"unknown setting {self.setting!r}")
         if self.k < 2 and self.alpha is None and self.cone_override is None:
             raise ConfigError("k < 2 needs alpha or cone_override")
         if self.k > self.n_hospitals:
             raise ConfigError(
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")
-        caps = self.capacities()
-        if np.any(caps < 1):
-            raise ConfigError("every capacity must be >= 1")
+        if vector and len(self.capacity) != self.n_hospitals:
+            raise ConfigError("capacity vector length must equal n_hospitals")
         if isinstance(self.capacity, (list, np.ndarray)):
             object.__setattr__(self, "capacity", tuple(int(c) for c in self.capacity))
-        if self.setting not in SETTINGS:
-            raise ConfigError(f"unknown setting {self.setting!r}")
-        if not (0.0 <= self.nu_d <= 1.0 and 0.0 <= self.nu_h <= 1.0):
-            raise ConfigError("nu_d and nu_h must lie in [0, 1]")
-        if self.a <= 0:
-            raise ConfigError("a must be positive")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.cone_override is not None and self.cone_override <= 0:
-            raise ConfigError("cone_override must be positive")
-        if self.rating_shift <= -1.0:
-            # the long side's rating range has width 1 + rating_shift
-            raise ConfigError("rating_shift must exceed -1")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
 
     def capacities(self) -> np.ndarray:
-        if isinstance(self.capacity, (int, np.integer)):
-            return np.full(self.n_hospitals, int(self.capacity), dtype=np.int64)
-        caps = np.asarray(self.capacity, dtype=np.int64)
-        if caps.shape != (self.n_hospitals,):
-            raise ConfigError("capacity vector length must equal n_hospitals")
-        return caps
+        if isinstance(self.capacity, tuple):
+            return np.asarray(self.capacity, dtype=np.int64)
+        return np.full(self.n_hospitals, int(self.capacity), dtype=np.int64)
 
     @property
     def kappa(self) -> int:
-        """Uniform capacity if there is one, else the mean (for reporting)."""
-        caps = self.capacities()
-        return int(caps[0]) if np.all(caps == caps[0]) else int(round(caps.mean()))
+        """Mean capacity, rounded: the uniform capacity if there is one."""
+        return _kappa(self.capacity)
 
     def total_places(self) -> int:
         return int(self.capacities().sum())
 
     def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            d[f.name] = v
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarketConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config a flat dict of field values gives.
+
+        A missing n_hospitals defaults to n_doctors / kappa, rounded and at
+        least 1.  A list capacity is a per-hospital vector.
+        """
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"n_doctors", "n_hospitals"} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        if "n_doctors" not in data:
+            raise ConfigError("missing config key: n_doctors")
         kwargs = dict(data)
         if isinstance(kwargs.get("capacity"), list):
             kwargs["capacity"] = tuple(kwargs["capacity"])
+        if "n_hospitals" not in kwargs:
+            cap = kwargs.get("capacity", 1)
+            check_field("n_doctors", kwargs["n_doctors"])
+            # an empty vector is checked as one value, which refuses it
+            for c in cap if isinstance(cap, tuple) and cap else (cap,):
+                check_field("capacity", c)
+            kwargs["n_hospitals"] = max(1, round(kwargs["n_doctors"] / _kappa(cap)))
         return cls(**kwargs)
 
     @classmethod
@@ -212,7 +218,7 @@ def _draw_ratings(state, count, lo, hi, what):
     # redraws with a bumped salt until all values are distinct
     for salt in range(_RATING_RETRIES):
         r = rng.uniform(state, np.arange(count), salt)
-        if np.unique(r).size == count:
+        if np.diff(np.sort(r)).all():       # np.unique would import numpy.ma
             return lo + (hi - lo) * r
     raise RuntimeError(f"could not draw distinct {what} ratings "
                        f"after {_RATING_RETRIES} attempts")
@@ -314,6 +320,4 @@ def generate(config: MarketConfig, run_index: int) -> MarketInstance:
 
 def make_config(n: int, kappa: int = 1, **kwargs) -> MarketConfig:
     """Convenience: n doctors and n/kappa hospitals (at least one)."""
-    n_hospitals = max(1, round(n / kappa))
-    return MarketConfig(n_doctors=n, n_hospitals=n_hospitals,
-                        capacity=kappa, **kwargs)
+    return MarketConfig.from_dict(dict(kwargs, n_doctors=n, capacity=kappa))

@@ -101,7 +101,7 @@ def run_stats(instance: MarketInstance,
                                         for d in ds]]]
     first = np.cumsum(h_fill) - h_fill
     h_loss = np.full(n_hosp, np.nan)
-    for c in np.unique(h_fill[h_fill > 0]).tolist():
+    for c in (np.flatnonzero(np.bincount(h_fill)[1:]) + 1).tolist():
         hs = np.flatnonzero(h_fill == c)
         sums = seat_u[first[hs, None] + np.arange(c)].sum(axis=1)
         h_loss[hs] = h_rating[hs] + 1.0 - sums / c
@@ -143,7 +143,7 @@ def _finite_row_means(mat: np.ndarray) -> np.ndarray:
     packed = np.take_along_axis(
         mat, np.argsort(~finite, axis=1, kind="stable"), axis=1)
     out = np.full(mat.shape[0], np.nan)
-    for c in np.unique(counts[counts > 0]).tolist():
+    for c in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
         rows = np.flatnonzero(counts == c)
         out[rows] = packed[rows, :c].sum(axis=1) / c
     return out

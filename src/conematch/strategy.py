@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .da import EdgeLists
-from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW
+from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW, check_field
 
 
 @dataclass
@@ -359,9 +359,10 @@ def weighted_utilities(assignment: InterviewAssignment,
     """Same interview edges, utilities recomputed with new weights.
 
     nu_d = nu_h = 1 reproduces the base model exactly; nu = 0 removes the
-    interview values from that side's utilities.
+    interview values from that side's utilities.  Each weight obeys the
+    rule of MarketConfig's field of the same name.
     """
-    if not (0.0 <= nu_d <= 1.0 and 0.0 <= nu_h <= 1.0):
-        raise ValueError("nu weights must lie in [0, 1]")
+    check_field("nu_d", nu_d)
+    check_field("nu_h", nu_h)
     return _materialize(assignment.instance, assignment.edge_d,
                         assignment.edge_h, nu_d, nu_h)

@@ -29,13 +29,20 @@ per-proposer dicts in a Python loop (rule_for) and the excluded
 proposers' lists emptied (rule_checking_double_cut).  tests/test_edge_table.py
 and tests/test_truncation_stops.py compare the package's prefix runs with
 it.
+
+And the config validator that market.FIELDS replaced: require_int,
+_require_finite and the if-chain of MarketConfig.__post_init__
+(LegacyMarketConfig), with the grid reader that derived n_hospitals as
+n / kappa before from_dict (legacy_expand_grid).  tests/test_cli.py
+compares cli.expand_grid with it.
 """
 
 import bisect
 import heapq
+import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,7 +53,8 @@ from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
                                  NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
                                  _nearest_at, _slot_values, deviant_slots)
 from conematch.double_cut import DOCTORS_PROPOSE, HOSPITALS_PROPOSE, _matched
-from conematch.market import REQUEST_INTERVIEW, SCHOOL_CHOICE
+from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
+                              SETTINGS, ConfigError)
 from conematch.strategy import compute_cone
 from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
@@ -729,3 +737,144 @@ def rule_for(scenario, n_proposers, proposer_ratings):
         utility_floor=floors if floors else None,
         focal_target=scenario.focal_id,
         forbidden_windows=windows if windows else None)
+
+
+def require_int(name: str, value) -> None:
+    """ConfigError unless value is an integer (a bool is not one)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class LegacyMarketConfig:
+    """MarketConfig's fields, checks, kappa, to_dict and from_dict as they
+    stood before the field table."""
+
+    n_doctors: int
+    n_hospitals: int
+    capacity: Union[int, tuple] = 1
+    k: int = 5
+    a: float = 5.0
+    alpha: Optional[float] = None
+    cone_override: Optional[float] = None
+    setting: str = RESIDENCY
+    nu_d: float = 1.0
+    nu_h: float = 1.0
+    rating_shift: float = 0.0
+    seed: int = 0
+    runs: int = 1
+
+    def __post_init__(self):
+        for name in ("n_doctors", "n_hospitals", "k", "seed", "runs"):
+            require_int(name, getattr(self, name))
+        for c in (self.capacity if isinstance(self.capacity, (tuple, list, np.ndarray))
+                  else (self.capacity,)):
+            require_int("capacity", c)
+        for name in ("a", "nu_d", "nu_h", "rating_shift", "alpha", "cone_override"):
+            value = getattr(self, name)
+            if value is not None or name not in ("alpha", "cone_override"):
+                _require_finite(name, value)
+        if self.n_doctors < 1 or self.n_hospitals < 1:
+            raise ConfigError("need at least one agent on each side")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.k < 2 and self.alpha is None and self.cone_override is None:
+            raise ConfigError("k < 2 needs alpha or cone_override")
+        if self.k > self.n_hospitals:
+            raise ConfigError(
+                f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")
+        caps = self.capacities()
+        if np.any(caps < 1):
+            raise ConfigError("every capacity must be >= 1")
+        if isinstance(self.capacity, (list, np.ndarray)):
+            object.__setattr__(self, "capacity", tuple(int(c) for c in self.capacity))
+        if self.setting not in SETTINGS:
+            raise ConfigError(f"unknown setting {self.setting!r}")
+        if not (0.0 <= self.nu_d <= 1.0 and 0.0 <= self.nu_h <= 1.0):
+            raise ConfigError("nu_d and nu_h must lie in [0, 1]")
+        if self.a <= 0:
+            raise ConfigError("a must be positive")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigError("alpha must be positive")
+        if self.cone_override is not None and self.cone_override <= 0:
+            raise ConfigError("cone_override must be positive")
+        if self.rating_shift <= -1.0:
+            raise ConfigError("rating_shift must exceed -1")
+        if self.runs < 1:
+            raise ConfigError("runs must be >= 1")
+        if not (0 <= self.seed < 2 ** 64):
+            raise ConfigError("seed must be a 64-bit unsigned integer")
+
+    def capacities(self) -> np.ndarray:
+        if isinstance(self.capacity, (int, np.integer)):
+            return np.full(self.n_hospitals, int(self.capacity), dtype=np.int64)
+        caps = np.asarray(self.capacity, dtype=np.int64)
+        if caps.shape != (self.n_hospitals,):
+            raise ConfigError("capacity vector length must equal n_hospitals")
+        return caps
+
+    @property
+    def kappa(self) -> int:
+        caps = self.capacities()
+        return int(caps[0]) if np.all(caps == caps[0]) else int(round(caps.mean()))
+
+    def to_dict(self) -> dict:
+        d = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = list(v)
+            d[f.name] = v
+        return d
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LegacyMarketConfig":
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = {"n_doctors", "n_hospitals"} - set(data)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        kwargs = dict(data)
+        if isinstance(kwargs.get("capacity"), list):
+            kwargs["capacity"] = tuple(kwargs["capacity"])
+        return cls(**kwargs)
+
+
+def legacy_expand_grid(raw: dict) -> List[LegacyMarketConfig]:
+    """Cross every list-valued field; n_hospitals defaults to n/kappa."""
+    if not isinstance(raw, dict):
+        raise ConfigError("a config must be one JSON object of MarketConfig fields")
+    keys = sorted(raw)
+    pools = []
+    for key in keys:
+        v = raw[key]
+        if key == "capacity" and isinstance(v, list) and v and isinstance(v[0], list):
+            pools.append([tuple(x) for x in v])     # explicit vectors
+        else:
+            pools.append(v if isinstance(v, list) else [v])
+        if not pools[-1]:
+            raise ConfigError(f"{key}: an empty list leaves no config to run")
+    configs = []
+    for combo in itertools.product(*pools):
+        data = dict(zip(keys, combo))
+        if "n_hospitals" not in data and "n_doctors" in data:
+            cap = data.get("capacity", 1)
+            caps = cap if isinstance(cap, tuple) else (cap,)
+            for name, value in (("n_doctors", data["n_doctors"]),
+                                *(("capacity", c) for c in caps)):
+                require_int(name, value)
+            if min(caps, default=0) < 1:
+                raise ConfigError("every capacity must be >= 1")
+            kappa = max(1, round(float(np.mean(caps))))
+            data["n_hospitals"] = max(1, round(data["n_doctors"] / kappa))
+        configs.append(LegacyMarketConfig.from_dict(data))
+    return configs

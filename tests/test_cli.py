@@ -1,12 +1,20 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conematch import analysis, cli, da
-from conematch.market import MarketConfig, RESIDENCY, SCHOOL_CHOICE, make_config
+from conematch.market import (ConfigError, MarketConfig, RESIDENCY, SCHOOL_CHOICE,
+                              make_config)
 from conematch.strategy import InterviewAssignment
+
+from legacy_edges import legacy_expand_grid
 
 
 def write_config(tmp_path, **overrides):
@@ -92,6 +100,11 @@ def test_grid_capacity_vector():
                                "cone_override": 0.5, "runs": 1, "seed": 0})
     assert len(configs) == 1
     assert configs[0].capacity == (1, 2, 3)
+    # every list entry is a vector, whichever entry comes first
+    mixed = cli.expand_grid({"n_doctors": 4, "capacity": [[2, 2], 2, [1, 3]],
+                             "k": 2, "cone_override": 0.5})
+    assert [c.capacity for c in mixed] == [(2, 2), 2, (1, 3)]
+    assert [c.n_hospitals for c in mixed] == [2, 2, 2]
 
 
 def test_unknown_key_exits_config_error(tmp_path):
@@ -214,6 +227,15 @@ def test_empty_list_value_exits_config_error(tmp_path, monkeypatch):
     ("cone_override", float("nan")),
     ("n_doctors", True),         # a bool is not one doctor
     ("rating_shift", -1),        # every doctor would share one rating
+    ("rating_shift", -1.0),
+    ("n_doctors", 0),
+    ("runs", 0),
+    ("k", 0),
+    ("k", 11),                   # n_hospitals (30 / 3) plus one
+    ("seed", 2 ** 64),
+    ("nu_d", 1.0000001),
+    ("capacity", [[]]),
+    ("capacity", [[1, 2]]),      # two entries for n / kappa = 15 hospitals
 ])
 def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value):
     calls = _generate_calls(monkeypatch)
@@ -296,6 +318,61 @@ def test_config_value_sweep_never_ends_in_a_traceback(tmp_path, capsys, field):
             assert "Traceback" not in err, (field, value)
 
 
+# (field, value, accepted with n_hospitals = 3 given): both sides of each
+# bound, numpy scalars, and capacity vectors
+CONFIG_BOUNDARIES = [
+    *((f, v, v == 1) for f in ("n_doctors", "capacity", "k", "runs") for v in (0, 1)),
+    ("n_hospitals", 0, False), ("n_hospitals", 1, False),    # k = 2 > 1
+    ("seed", 2 ** 64 - 1, True), ("seed", 2 ** 64, False),
+    ("rating_shift", -1.0, False), ("rating_shift", -0.999, True),
+    ("nu_d", 1.0, True), ("nu_d", 1.0000001, False),
+    ("nu_h", 1.0, True), ("nu_h", 1.0000001, False),
+    ("k", 3, True), ("k", 4, False),
+    ("n_doctors", np.int64(6), True), ("k", np.int64(3), True),
+    ("capacity", np.int64(2), True), ("seed", np.int64(7), True),
+    ("a", np.float64(2.5), True), ("nu_d", np.float64(0.5), True),
+    ("alpha", np.float64(0.5), True),
+    ("k", np.bool_(True), False), ("nu_d", np.bool_(False), False),
+    ("capacity", [[]], False), ("capacity", [[2, 2]], False),
+    ("capacity", [[1, 2, 3]], True), ("capacity", [[1, 1, 2]], True),
+    ("capacity", np.array([1, 2, 3]), True),
+]
+
+
+def _grid_reading(expand, raw):
+    # "refused", or each config's fields, hash and slug
+    try:
+        configs = expand(raw)
+    except ConfigError:
+        return "refused"
+    read = []
+    for cfg in configs:
+        try:
+            digest = cli.config_hash(cfg)
+        except TypeError:       # a numpy integer is no JSON number
+            digest = None
+        read.append((json.dumps(cfg.to_dict(), sort_keys=True, default=repr),
+                     digest, cli.config_slug(cfg)))
+    return read
+
+
+def test_grid_reader_matches_the_legacy_validator():
+    # every sweep value and boundary in every field, with n_hospitals given
+    # and derived from n / kappa: both readers accept or refuse it alike,
+    # and agree on every accepted config's fields, hash and slug
+    cases = [(f.name, v, None) for f in fields(MarketConfig) for v in SWEEP_VALUES]
+    for field, value, accepted in cases + CONFIG_BOUNDARIES:
+        for derived in (False, True):
+            raw = {"n_doctors": 6, "n_hospitals": 3, "capacity": 2, "k": 2,
+                   "cone_override": 0.4, "seed": 5, "runs": 1, field: value}
+            if derived and field != "n_hospitals":
+                del raw["n_hospitals"]
+            got = _grid_reading(cli.expand_grid, raw)
+            assert got == _grid_reading(legacy_expand_grid, raw), (field, value, derived)
+            if accepted is not None and not derived:
+                assert (got != "refused") == accepted, (field, value)
+
+
 def every_path_campaign(out_dir, **overrides):
     # all three settings, oracle-sized and not, every run double-cut
     # audited, deviation probes on run 0
@@ -345,8 +422,8 @@ def test_audit_failure_restores_the_callers_collector(tmp_path, monkeypatch,
 def test_campaign_leaves_no_reference_cycles(tmp_path, collector_restored):
     # run_campaign pauses the collector because a campaign makes no cyclic
     # garbage; a cycle added on any path would show here.  The first
-    # campaign in a process may import modules lazily (numpy.ma, on the
-    # first np.unique), which does leave cycles, so one runs beforehand.
+    # campaign in a process may import modules lazily, and an import can
+    # leave cycles, so one runs beforehand.
     campaign = every_path_campaign(tmp_path)
     assert cli.run_campaign(campaign) == cli.EXIT_OK
     gc.collect()
@@ -355,3 +432,20 @@ def test_campaign_leaves_no_reference_cycles(tmp_path, collector_restored):
     assert gc.collect() == 0
     assert len(list(tmp_path.glob("*_deviation.csv"))) == 6
     assert len(list(tmp_path.glob("*_double_cut.csv"))) == 6
+
+
+def test_campaign_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call in a process: 10-17 ms,
+    # and cyclic garbage that the paused collector would keep
+    tests = Path(__file__).resolve().parent
+    code = ("import sys, pathlib, test_cli\n"
+            "from conematch import cli\n"
+            f"campaign = test_cli.every_path_campaign(pathlib.Path({str(tmp_path)!r}))\n"
+            "assert cli.run_campaign(campaign) == cli.EXIT_OK\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

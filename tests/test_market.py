@@ -130,6 +130,21 @@ def test_config_file_round_trip(tmp_path):
     assert MarketConfig.from_file(path) == cfg
 
 
+def test_from_file_derives_a_missing_n_hospitals(tmp_path):
+    # n_doctors / kappa, rounded half to even and at least 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_doctors": 41, "capacity": 2, "k": 3,
+                                "cone_override": 0.3}))
+    assert MarketConfig.from_file(path) == make_config(41, kappa=2, k=3,
+                                                       cone_override=0.3)
+    assert MarketConfig.from_file(path).n_hospitals == 20
+    one = MarketConfig.from_dict({"n_doctors": 1, "capacity": 3, "k": 1,
+                                  "cone_override": 0.3})
+    assert one.n_hospitals == 1
+    with pytest.raises(ConfigError):
+        MarketConfig.from_dict({"n_hospitals": 3, "k": 2})
+
+
 def test_config_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         MarketConfig.from_dict({"n_doctors": 5, "n_hospitals": 5, "k": 2,

@@ -150,6 +150,10 @@ def test_weighted_utilities_identity_and_zero():
         for h in hs:
             expect = inst.hospital_ratings[h] + inst.private_dh(d, h)
             assert no_interview[d][h] == pytest.approx(float(expect))
+    # the weights obey MarketConfig's rule for nu_d and nu_h
+    for weights in ((1.5, 1.0), (1.0, -0.1), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            weighted_utilities(base, *weights)
 
 
 def test_weighted_hospital_ordering_flip():
