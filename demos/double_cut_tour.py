@@ -8,11 +8,11 @@ empirical no-proposal frequency with the independent-proposal oracle.
 import numpy as np
 
 from conematch import (build_assignment, build_preferences, generate,
-                       make_config)
-from conematch.double_cut import (dominance_audit,
-                                  independent_proposal_oracle,
-                                  interval_preprocess, run_double_cut,
-                                  scenario_for_doctor, scenario_for_interval)
+                       hospital_proposing_da, make_config)
+from conematch.double_cut import (independent_proposal_oracle,
+                                  interval_preprocess, receivers_dominate,
+                                  run_double_cut, scenario_for_doctor,
+                                  scenario_for_interval)
 
 cfg = make_config(2000, kappa=5, k=5, cone_override=0.3, seed=11)
 inst = generate(cfg, 0)
@@ -31,8 +31,11 @@ print(f"\nsurplus report: participants {report.participants_each_side}, "
       f"surplus {report.surplus}, proposals to focal "
       f"{report.proposals_to_focal}, matched {report.focal_matched}")
 
+# hospitals propose around a focal doctor: the full run is hospital-proposing
+full = hospital_proposing_da(*prefs, inst.capacities)
 print("full run dominates the truncated run:",
-      dominance_audit(inst, asg, scenario, prefs))
+      receivers_dominate(asg, scenario.orientation, asg.matched_edges(full),
+                         asg.matched_edges(matching)))
 
 # the independent-proposal oracle for "focal receives nothing"
 cone_size = inst.hospitals_in_band(

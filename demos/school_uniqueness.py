@@ -8,8 +8,8 @@ counts) holds across orientations in every setting.
 
 from conematch import (build_assignment, build_preferences,
                        doctor_proposing_da, generate, hospital_proposing_da,
-                       make_config, rural_hospital_check,
-                       uniqueness_check_school)
+                       make_config, orientations_coincide,
+                       rural_hospital_invariant)
 
 for n, kappa in ((200, 2), (2000, 5)):
     cfg = make_config(n, kappa=kappa, k=5, cone_override=0.3, seed=n,
@@ -22,8 +22,9 @@ for n, kappa in ((200, 2), (2000, 5)):
     school_side = hospital_proposing_da(*prefs, inst.capacities)
     same = student_side.key() == school_side.key()
     print(f"n={n:>4}, kappa={kappa}: orientations identical: {same}; "
-          f"uniqueness check: {uniqueness_check_school(asg, prefs=prefs)}; "
-          f"rural invariant: {rural_hospital_check(asg, prefs=prefs)}")
+          f"uniqueness check: {orientations_coincide(student_side, school_side)}; "
+          f"rural invariant: "
+          f"{rural_hospital_invariant(student_side, school_side)}")
 
 # contrast: a residency market, where the stable set can have several
 # matchings and the two orientations pick its opposite ends
@@ -31,8 +32,9 @@ cfg = make_config(200, kappa=2, k=4, cone_override=0.3, seed=1)
 inst = generate(cfg, 0)
 asg = build_assignment(inst)
 prefs = build_preferences(asg)
-same = (doctor_proposing_da(*prefs, inst.capacities).key()
-        == hospital_proposing_da(*prefs, inst.capacities).key())
+doctor_side = doctor_proposing_da(*prefs, inst.capacities)
+hospital_side = hospital_proposing_da(*prefs, inst.capacities)
+same = doctor_side.key() == hospital_side.key()
 print(f"\nresidency n=200: orientations identical: {same} "
       f"(no uniqueness guarantee); rural invariant still holds: "
-      f"{rural_hospital_check(asg, prefs=prefs)}")
+      f"{rural_hospital_invariant(doctor_side, hospital_side)}")

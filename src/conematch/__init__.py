@@ -10,13 +10,13 @@ from .strategy import (Cone, InterviewAssignment, build_assignment,
 from .da import (Matching, TruncationRule, EventLog, doctor_proposing_da,
                  hospital_proposing_da, order_invariance_check, truncated_da,
                  DOCTORS_PROPOSE, HOSPITALS_PROPOSE)
-from .double_cut import (DoubleCutScenario, SurplusReport, dominance_audit,
+from .double_cut import (DoubleCutScenario, SurplusReport,
                          hospital_fill_oracle, independent_proposal_oracle,
-                         interval_preprocess, run_double_cut,
-                         scenario_for_doctor, scenario_for_hospital,
-                         scenario_for_interval)
+                         interval_preprocess, receivers_dominate,
+                         run_double_cut, scenario_for_doctor,
+                         scenario_for_hospital, scenario_for_interval)
 from .analysis import (BlockingPair, enumerate_stable, find_blocking_pairs,
-                       rural_hospital_check, uniqueness_check_school)
+                       orientations_coincide, rural_hospital_invariant)
 from .metrics import (GroupedSeries, RunGroups, RunStats, aggregate,
                       bound_check, doctor_non_match_fraction, group_run,
                       hospital_non_full_fraction, run_stats,

@@ -1,11 +1,10 @@
 """Ground-truth verifiers for matchings produced by the DA engine.
 
-The comparisons are predicates over matchings the caller already holds:
-one blocking-pair scan, vectorised over the interview edge table, and the
-rural-hospital invariant and uniqueness as functions of the doctor- and
-hospital-optimal matchings.  The public checks compose them: the full
-scan, brute-force enumeration of the stable set on small instances, and
-both DA orientations run once and compared.
+The checks are predicates over matchings the caller already holds: one
+blocking-pair scan, vectorised over the interview edge table, brute-force
+enumeration of the stable set on small instances, and the rural-hospital
+invariant and uniqueness as comparisons of the doctor- and
+hospital-optimal matchings' arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from .da import Matching, doctor_proposing_da, hospital_proposing_da
-from .strategy import InterviewAssignment, build_preferences
+from .da import Matching
+from .strategy import InterviewAssignment
 
 MAX_ORACLE_DOCTORS = 8
 MAX_ORACLE_HOSPITALS = 5
@@ -139,41 +138,12 @@ def orientations_coincide(doctor_optimal: Matching,
 
     Equivalent to the stable matching being unique.
     """
-    return doctor_optimal.key() == hospital_optimal.key()
+    return np.array_equal(doctor_optimal.doctor_of, hospital_optimal.doctor_of)
 
 
 def rural_hospital_invariant(doctor_optimal: Matching,
                              hospital_optimal: Matching) -> bool:
-    """Matched-doctor set and per-hospital fills agree across orientations."""
-    return (doctor_optimal.matched_doctors() == hospital_optimal.matched_doctors()
-            and doctor_optimal.fills() == hospital_optimal.fills())
-
-
-def _both_orientations(assignment: InterviewAssignment, capacities, prefs):
-    if capacities is None:
-        capacities = assignment.instance.capacities
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    return (doctor_proposing_da(*prefs, capacities),
-            hospital_proposing_da(*prefs, capacities))
-
-
-def uniqueness_check_school(assignment: InterviewAssignment,
-                            capacities=None,
-                            prefs: Optional[tuple] = None) -> bool:
-    """True iff both DA orientations deliver the same matching.
-
-    In the school-choice setting the stable matching is unique, so this
-    must hold there; on residency instances the result is reported without
-    any contract being violated.
-    """
-    return orientations_coincide(*_both_orientations(assignment, capacities,
-                                                     prefs))
-
-
-def rural_hospital_check(assignment: InterviewAssignment,
-                         capacities=None,
-                         prefs: Optional[tuple] = None) -> bool:
-    """rural_hospital_invariant over the two DA orientations of the market."""
-    return rural_hospital_invariant(*_both_orientations(assignment, capacities,
-                                                        prefs))
+    """Matched doctors and per-hospital fills agree across orientations."""
+    return (np.array_equal(doctor_optimal.doctor_of >= 0,
+                           hospital_optimal.doctor_of >= 0)
+            and np.array_equal(doctor_optimal.fills(), hospital_optimal.fills()))

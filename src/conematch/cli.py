@@ -155,9 +155,10 @@ def _run_one(cfg, run_index, campaign, slug):
             cut, report = double_cut.run_double_cut(instance, assignment,
                                                     scenario, prefs)
             full = matched if scenario.orientation == DOCTORS_PROPOSE \
-                else hospital_optimal()
-            if not double_cut.receivers_dominate(assignment, scenario.orientation,
-                                                 full, cut):
+                else assignment.matched_edges(hospital_optimal())
+            if not double_cut.receivers_dominate(
+                    assignment, scenario.orientation, full,
+                    assignment.matched_edges(cut)):
                 raise AuditFailure(slug, run_index,
                                    f"double-cut-dominance:{scenario.focal_side}")
             surplus_rows.append(report.csv_row(scenario))
@@ -293,26 +294,32 @@ def verify_only(seed: int, out=None) -> int:
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
         m = doctor_proposing_da(*prefs, inst.capacities)
+        hm = hospital_proposing_da(*prefs, inst.capacities)
         check(f"stability 6x3 #{trial}",
               not analysis.find_blocking_pairs(asg, m))
         stable = analysis.enumerate_stable(asg)
         check(f"oracle-membership 6x3 #{trial}", m.key() in stable)
         check(f"rural-hospital 6x3 #{trial}",
-              analysis.rural_hospital_check(asg, prefs=prefs))
+              analysis.rural_hospital_invariant(m, hm))
         perm = list(gen.permutation(cfg.n_doctors))
         check(f"order-invariance 6x3 #{trial}",
               order_invariance_check(*prefs, inst.capacities, perm))
         sc = double_cut.scenario_for_hospital(inst, int(gen.integers(cfg.n_hospitals)))
+        cut, _ = double_cut.run_double_cut(inst, asg, sc, prefs)
         check(f"dominance 6x3 #{trial}",
-              double_cut.dominance_audit(inst, asg, sc, prefs=prefs))
+              double_cut.receivers_dominate(asg, sc.orientation,
+                                            asg.matched_edges(m),
+                                            asg.matched_edges(cut)))
 
     for trial in range(3):
         cfg = make_config(60, kappa=3, k=3, setting=SCHOOL_CHOICE,
                           cone_override=0.3, seed=(seed + trial) % 2 ** 64)
         inst = generate(cfg, 0)
-        asg = build_assignment(inst)
+        prefs = build_preferences(build_assignment(inst))
         check(f"school-uniqueness 60x20 #{trial}",
-              analysis.uniqueness_check_school(asg))
+              analysis.orientations_coincide(
+                  doctor_proposing_da(*prefs, inst.capacities),
+                  hospital_proposing_da(*prefs, inst.capacities)))
 
     print(f"{'ok' if failures == 0 else 'FAILURES: %d' % failures}", file=out)
     return EXIT_OK if failures == 0 else EXIT_AUDIT

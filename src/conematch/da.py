@@ -9,6 +9,9 @@ also be resumed: one more proposer is inserted into a settled run on a
 copy-on-write overlay, or several are added to a plain copy of it, which is
 how deviation probes avoid re-running DA.
 
+A Matching is one int64 array, each doctor's hospital (-1: unmatched);
+matching_of reads it off a settled DAState of either orientation.
+
 Every entry point takes one input form, the two EdgeLists that
 strategy.build_preferences reads off one edge table: next to each
 proposer's list, the rank every listed receiver gives it and the proposer's
@@ -64,37 +67,33 @@ class EventLog:
         return out
 
 
-@dataclass
+@dataclass(eq=False)      # compare doctor_of with np.array_equal
 class Matching:
-    """doctor_of[d] is d's hospital or None; doctors_of[h] is h's held set."""
+    """doctor_of[d] is doctor d's hospital, -1 when she is unmatched."""
 
-    doctor_of: List[Optional[int]]
-    doctors_of: List[set]
+    doctor_of: np.ndarray       # int64
+    n_hospitals: int
 
-    def matched_doctors(self) -> set:
-        return {d for d, h in enumerate(self.doctor_of) if h is not None}
-
-    def fills(self) -> List[int]:
-        return [len(s) for s in self.doctors_of]
+    def fills(self) -> np.ndarray:
+        """Doctors held per hospital."""
+        held = self.doctor_of[self.doctor_of >= 0]
+        return np.bincount(held, minlength=self.n_hospitals)
 
     def validate(self, capacities) -> None:
-        """Raise on broken mutual consistency or capacity.
+        """Raise on a hospital id out of range or a hospital over capacity.
 
         InterviewAssignment.matched_edges checks edge membership.
         """
-        seen = 0
-        for h, ds in enumerate(self.doctors_of):
-            if len(ds) > capacities[h]:
-                raise ValueError(f"hospital {h} over capacity")
-            for d in ds:
-                if self.doctor_of[d] != h:
-                    raise ValueError(f"doctor {d} inconsistent with hospital {h}")
-                seen += 1
-        if seen != len(self.matched_doctors()):
-            raise ValueError("doctor_of and doctors_of disagree")
+        h = self.doctor_of
+        if h.size and (h.min() < -1 or h.max() >= self.n_hospitals):
+            raise ValueError(f"hospital ids must lie in [-1, {self.n_hospitals})")
+        over = np.flatnonzero(self.fills() > np.asarray(capacities))
+        if over.size:
+            raise ValueError(f"hospital {over[0]} over capacity")
 
     def key(self) -> tuple:
-        return tuple(-1 if h is None else h for h in self.doctor_of)
+        """doctor_of as a tuple, enumerate_stable's form."""
+        return tuple(self.doctor_of.tolist())
 
 
 @dataclass
@@ -403,39 +402,19 @@ def proposal_counts(state: DAState, orientation: str) -> np.ndarray:
     return np.bincount(target[made], minlength=len(state.caps))
 
 
-def _matching_from_heaps(heaps, orientation, n_doctors, n_hospitals) -> Matching:
-    doctor_of: List[Optional[int]] = [None] * n_doctors
-    doctors_of: List[set] = [set() for _ in range(n_hospitals)]
+def matching_of(state: DAState, orientation: str) -> Matching:
+    """The matching a settled run of `orientation` holds in its heaps."""
+    heaps, n_receivers = state.heaps, len(state.caps)
+    receivers = np.repeat(np.arange(n_receivers), [len(heap) for heap in heaps])
+    proposers = np.fromiter((p for heap in heaps for _, p in heap), np.int64,
+                            receivers.size)
     if orientation == DOCTORS_PROPOSE:
-        for h, heap in enumerate(heaps):
-            for _, d in heap:
-                doctor_of[d] = h
-                doctors_of[h].add(d)
-    else:
-        for d, heap in enumerate(heaps):
-            for _, h in heap:
-                doctor_of[d] = h
-                doctors_of[h].add(d)
-    return Matching(doctor_of, doctors_of)
-
-
-class LazyMatching(Matching):
-    """The matching a DAState holds, built on the first read of its fields."""
-
-    def __init__(self, state: DAState, orientation: str,
-                 n_doctors: int, n_hospitals: int):
-        self._source = (state, orientation, n_doctors, n_hospitals)
-        self._built: Optional[Matching] = None
-
-    def _matching(self) -> Matching:
-        if self._built is None:
-            state, orientation, n_doctors, n_hospitals = self._source
-            self._built = _matching_from_heaps(state.heaps, orientation,
-                                               n_doctors, n_hospitals)
-        return self._built
-
-    doctor_of = property(lambda self: self._matching().doctor_of)
-    doctors_of = property(lambda self: self._matching().doctors_of)
+        doctor_of = np.full(len(state.slots), -1, dtype=np.int64)
+        doctor_of[proposers] = receivers
+        return Matching(doctor_of, n_receivers)
+    doctor_of = np.full(n_receivers, -1, dtype=np.int64)
+    doctor_of[receivers] = proposers
+    return Matching(doctor_of, len(state.slots))
 
 
 def doctor_proposing_state(doctor_prefs: EdgeLists,
@@ -451,10 +430,9 @@ def doctor_proposing_da(doctor_prefs: EdgeLists,
                         capacities,
                         order: Optional[Sequence[int]] = None) -> Matching:
     """Doctor-optimal stable matching over the given preference lists."""
-    state = doctor_proposing_state(doctor_prefs, hospital_prefs, capacities,
-                                   order)
-    return _matching_from_heaps(state.heaps, DOCTORS_PROPOSE,
-                                len(doctor_prefs), len(hospital_prefs))
+    return matching_of(doctor_proposing_state(doctor_prefs, hospital_prefs,
+                                              capacities, order),
+                       DOCTORS_PROPOSE)
 
 
 def hospital_proposing_da(doctor_prefs: EdgeLists,
@@ -462,10 +440,10 @@ def hospital_proposing_da(doctor_prefs: EdgeLists,
                           capacities,
                           order: Optional[Sequence[int]] = None) -> Matching:
     """Hospital-optimal (doctor-pessimal) stable matching."""
-    state = truncated_state(doctor_prefs, hospital_prefs, capacities,
-                            orientation=HOSPITALS_PROPOSE, order=order)
-    return _matching_from_heaps(state.heaps, HOSPITALS_PROPOSE,
-                                len(doctor_prefs), len(hospital_prefs))
+    return matching_of(truncated_state(doctor_prefs, hospital_prefs, capacities,
+                                       orientation=HOSPITALS_PROPOSE,
+                                       order=order),
+                       HOSPITALS_PROPOSE)
 
 
 def truncated_state(doctor_prefs: EdgeLists,
@@ -508,8 +486,7 @@ def truncated_da(doctor_prefs: EdgeLists,
     log = EventLog(orientation)
     state = truncated_state(doctor_prefs, hospital_prefs, capacities, rule,
                             orientation, log=log)
-    return (_matching_from_heaps(state.heaps, orientation,
-                                 len(doctor_prefs), len(hospital_prefs)), log)
+    return matching_of(state, orientation), log
 
 
 def order_invariance_check(doctor_prefs, hospital_prefs, capacities,
@@ -519,4 +496,4 @@ def order_invariance_check(doctor_prefs, hospital_prefs, capacities,
     run = doctor_proposing_da if orientation == DOCTORS_PROPOSE else hospital_proposing_da
     canonical = run(doctor_prefs, hospital_prefs, capacities)
     permuted = run(doctor_prefs, hospital_prefs, capacities, order=permutation)
-    return canonical.key() == permuted.key()
+    return np.array_equal(canonical.doctor_of, permuted.doctor_of)

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, LazyMatching,
-                 doctor_proposing_state)
+from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, doctor_proposing_state,
+                 matching_of)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import (InterviewAssignment, build_preferences, compute_cone,
                        key_order)
@@ -144,7 +144,7 @@ class _PatchContext:
         are that slot's fresh interview values for the two sides (at least
         one per slot), weighted as the assignment weights every other edge.
         The focal is inserted into the focal-absent run.  Returns (focal
-        utility, matching, the inserted DAState).
+        utility, the inserted DAState); da.matching_of reads its matching.
         """
         inst = self.instance
         asg = self.assignment
@@ -165,10 +165,8 @@ class _PatchContext:
 
         state = self._focal_absent(focal).insert(focal, focal_list, focal_ranks)
         h_match = state.partner(focal)
-        matching = LazyMatching(state, DOCTORS_PROPOSE, inst.config.n_doctors,
-                                inst.config.n_hospitals)
         utility = UNMATCHED_UTILITY if h_match is None else u_focal[h_match]
-        return utility, matching, state
+        return utility, state
 
 
 def _marginal_slot(instance, base_list: List[int], focal: int) -> int:
@@ -315,21 +313,20 @@ def locality_check(instance: MarketInstance,
 
     def settled():
         # the focal-absent matching, and the pointers and counts behind it
-        m = LazyMatching(absent, DOCTORS_PROPOSE, instance.config.n_doctors,
-                         instance.config.n_hospitals)
-        return (m.doctor_of, m.doctors_of, list(absent.pointer),
+        return (matching_of(absent, DOCTORS_PROPOSE).key(), list(absent.pointer),
                 list(absent.held), list(absent.halted))
 
     before = settled()
-    doctor_of, doctors_of = before[:2]
+    old = np.array(before[0])
     for slots in (base_slots, dev_slots):
-        _, new, state = ctx.patched_run(focal, slots, iota_d, iota_h)
+        state = ctx.patched_run(focal, slots, iota_d, iota_h)[1]
         doctors, hospitals = state.touched()
-        if any(h != new.doctor_of[d] for d, h in enumerate(doctor_of)
-               if d not in doctors):
-            return False
-        if any(ds != new.doctors_of[h] for h, ds in enumerate(doctors_of)
-               if h not in hospitals):
+        new = matching_of(state, DOCTORS_PROPOSE).doctor_of
+        moved = np.flatnonzero(new != old)
+        # a hospital's held set changes iff a doctor moves into or out of it
+        changed = set(old[moved].tolist()) | set(new[moved].tolist())
+        if not (set(moved.tolist()) <= doctors
+                and changed - {-1} <= hospitals):
             return False
     return settled() == before
 

@@ -5,9 +5,9 @@ above a rating threshold propose, proposers near the focal stop below a
 utility floor, and a proposal to the focal agent ends that proposer's run.
 Because every proposer uses a prefix of her list, the full run's outcome
 weakly dominates the truncated one for every receiver.  receivers_dominate
-is that inequality as a predicate over two matchings the caller holds (the
-full DA of the scenario's orientation and the double-cut run);
-dominance_audit composes it with run_double_cut and the full DA.
+is that inequality as a predicate over the matched edges of two matchings
+the caller holds: the full DA of the scenario's orientation and the
+double-cut run.
 
 The floor is the proposer's ceiling utility at the focal minus alpha: for
 doctors proposing to hospital h that is r(h) + 1 + nu_d - alpha, and for
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, LazyMatching, Matching,
-                 TruncationRule, doctor_proposing_da, hospital_proposing_da,
-                 proposal_counts, truncated_state)
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
+                 matching_of, proposal_counts, truncated_state)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, key_order
 
@@ -239,8 +238,7 @@ def run_double_cut(instance: MarketInstance,
     state = truncated_state(*lists, instance.capacities,
                             scenario_rule(instance, scenario),
                             scenario.orientation)
-    matching = LazyMatching(state, scenario.orientation,
-                            len(lists[0]), len(lists[1]))
+    matching = matching_of(state, scenario.orientation)
     received = proposal_counts(state, scenario.orientation)
     report = _surplus_report(instance, assignment, scenario, matching, received)
     return matching, report
@@ -248,13 +246,12 @@ def run_double_cut(instance: MarketInstance,
 
 def _count_not_fully_matched_hospitals(instance, matching, lo, hi) -> int:
     ids = instance.hospitals_in_band(lo, hi)
-    caps = instance.capacities
-    return int(sum(1 for h in ids if len(matching.doctors_of[h]) < caps[h]))
+    return int(np.count_nonzero(matching.fills()[ids] < instance.capacities[ids]))
 
 
 def _count_unmatched_doctors(instance, matching, lo, hi) -> int:
     ids = instance.doctors_in_band(lo, hi)
-    return int(sum(1 for d in ids if matching.doctor_of[d] is None))
+    return int(np.count_nonzero(matching.doctor_of[ids] < 0))
 
 
 def _surplus_report(instance, assignment, scenario, matching, received) -> SurplusReport:
@@ -276,11 +273,12 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
         unmatched_above = _count_unmatched_doctors(
             instance, matching, r + half + alpha, d_hi)
         surplus = max(0, int(in_scope) - competing_places - unmatched_above)
-        held = list(matching.doctors_of[h])
+        held = np.flatnonzero(matching.doctor_of == h)
         utility = (float(np.mean(assignment.u_hosp[
-            assignment.edge_index(held, [h] * len(held))])) if held else math.nan)
+            assignment.edge_index(held, np.full(held.size, h))]))
+            if held.size else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
-                             int(received[h]), bool(held), utility,
+                             int(received[h]), bool(held.size), utility,
                              scenario.bottommost)
 
     if scenario.focal_side == FOCAL_DOCTOR:
@@ -294,11 +292,11 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
         unmatched_above = _count_not_fully_matched_hospitals(
             instance, matching, r + half + alpha, h_hi)
         surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
-        hm = matching.doctor_of[d]
+        hm = int(matching.doctor_of[d])
         utility = (float(assignment.u_doc[assignment.edge_index([d], [hm])[0]])
-                   if hm is not None else math.nan)
+                   if hm >= 0 else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
-                             int(received[d]), hm is not None, utility,
+                             int(received[d]), hm >= 0, utility,
                              scenario.bottommost)
 
     # doctor interval: two-case geometry depending on whether the band
@@ -318,7 +316,7 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
         instance, matching, g + half + alpha, h_hi)
     surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
     interval_doctors = instance.doctors_in_band(f, g)
-    matched_in_i = sum(1 for d in interval_doctors if matching.doctor_of[d] is not None)
+    matched_in_i = int(np.count_nonzero(matching.doctor_of[interval_doctors] >= 0))
     frac = matched_in_i / interval_doctors.size if interval_doctors.size else math.nan
     return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
                          int(received[interval_doctors].sum()), None, frac,
@@ -385,14 +383,6 @@ def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
     return float(np.mean(hits < kappa)), closed
 
 
-def _matched(assignment: InterviewAssignment,
-             matching: Union[Matching, np.ndarray]) -> np.ndarray:
-    # a Matching's matched edges, or the array when given one already
-    if isinstance(matching, np.ndarray):
-        return matching
-    return assignment.matched_edges(matching)
-
-
 def _seats(assignment: InterviewAssignment, e: np.ndarray) -> np.ndarray:
     # the matched edges among e, hospital by hospital, best seat first
     e = e[e >= 0]
@@ -401,17 +391,15 @@ def _seats(assignment: InterviewAssignment, e: np.ndarray) -> np.ndarray:
 
 
 def receivers_dominate(assignment: InterviewAssignment, orientation: str,
-                       full: Union[Matching, np.ndarray],
-                       cut: Union[Matching, np.ndarray]) -> bool:
+                       full: np.ndarray, cut: np.ndarray) -> bool:
     """True iff `full` weakly dominates `cut` for every receiver.
 
-    `full` and `cut` are Matchings or their assignment.matched_edges
-    arrays.  Receivers are the side that does not propose in
-    `orientation`; a hospital's outcome dominates when its fill count does
-    not drop and its sorted seat utilities are pointwise at least the cut
-    run's.  Unmatched doctors count as utility minus infinity.
+    `full` and `cut` are two matchings' assignment.matched_edges arrays.
+    Receivers are the side that does not propose in `orientation`; a
+    hospital's outcome dominates when its fill count does not drop and its
+    sorted seat utilities are pointwise at least the cut run's.  Unmatched
+    doctors count as utility minus infinity.
     """
-    full, cut = _matched(assignment, full), _matched(assignment, cut)
     if orientation == DOCTORS_PROPOSE:
         full, cut = _seats(assignment, full), _seats(assignment, cut)
         n = assignment.n_hospitals()
@@ -428,17 +416,3 @@ def receivers_dominate(assignment: InterviewAssignment, orientation: str,
                            >= assignment.u_hosp[cut]))
     u = np.append(assignment.u_doc, -math.inf)     # edge -1: unmatched
     return bool(np.all(u[full] >= u[cut]))
-
-
-def dominance_audit(instance: MarketInstance,
-                    assignment: InterviewAssignment,
-                    scenario: DoubleCutScenario,
-                    prefs: Optional[tuple] = None) -> bool:
-    """True iff the full run weakly dominates the double-cut run receiver-wise."""
-    if prefs is None:
-        prefs = build_preferences(assignment)
-    cut, _ = run_double_cut(instance, assignment, scenario, prefs)
-    full_da = doctor_proposing_da if scenario.orientation == DOCTORS_PROPOSE \
-        else hospital_proposing_da
-    full = full_da(*prefs, instance.capacities)
-    return receivers_dominate(assignment, scenario.orientation, full, cut)

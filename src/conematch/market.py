@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Union
 
@@ -43,14 +44,18 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+INT64_MAX = 2 ** 63 - 1
+
 # one row per numeric MarketConfig field: (kind, least, greatest,
 # least_excluded, none_valid).  Kind int takes an integer but not a bool,
-# kind float any finite int or float; `capacity` is checked entry by entry.
+# kind float a finite float or an int that has a float value; `capacity` is
+# checked entry by entry.  Rows whose values become int64 array entries
+# (counts, ids, capacities) stop at INT64_MAX.
 FIELDS = {
-    "n_doctors": (int, 1, math.inf, False, False),
-    "n_hospitals": (int, 1, math.inf, False, False),
-    "capacity": (int, 1, math.inf, False, False),
-    "k": (int, 1, math.inf, False, False),
+    "n_doctors": (int, 1, INT64_MAX, False, False),
+    "n_hospitals": (int, 1, INT64_MAX, False, False),
+    "capacity": (int, 1, INT64_MAX, False, False),
+    "k": (int, 1, INT64_MAX, False, False),
     "a": (float, 0.0, math.inf, True, False),
     "alpha": (float, 0.0, math.inf, True, True),
     "cone_override": (float, 0.0, math.inf, True, True),
@@ -64,16 +69,24 @@ FIELDS = {
 
 
 def check_field(name: str, value) -> None:
-    """ConfigError unless value is valid for FIELDS[name]."""
+    """ConfigError unless value is valid for FIELDS[name].
+
+    Integers are compared as Python ints, exactly; only a float is tested
+    for finiteness.
+    """
     kind, least, greatest, least_excluded, none_valid = FIELDS[name]
     if value is None and none_valid:
         return
-    if kind is int:
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    elif (isinstance(value, (bool, np.bool_))
-            or not isinstance(value, (int, float, np.integer, np.floating))
-            or not math.isfinite(value)):
+    integer = (isinstance(value, (int, np.integer))
+               and not isinstance(value, (bool, np.bool_)))
+    if kind is int and not integer:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if integer:
+        value = int(value)
+        if kind is float and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{name} must be a finite number, got an integer "
+                              f"too large for a float")
+    elif not isinstance(value, (float, np.floating)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if value < least or value > greatest or (least_excluded and value == least):
         raise ConfigError(f"{name} must lie in {'(' if least_excluded else '['}{least}, "
@@ -125,7 +138,11 @@ class MarketConfig:
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")
         if vector and len(self.capacity) != self.n_hospitals:
             raise ConfigError("capacity vector length must equal n_hospitals")
-        if isinstance(self.capacity, (list, np.ndarray)):
+        # numpy scalars are stored as the Python numbers they hold
+        for name in FIELDS:
+            if isinstance(getattr(self, name), np.generic):
+                object.__setattr__(self, name, getattr(self, name).item())
+        if vector:
             object.__setattr__(self, "capacity", tuple(int(c) for c in self.capacity))
 
     def capacities(self) -> np.ndarray:

@@ -91,20 +91,15 @@ def run_stats(instance: MarketInstance,
     d_loss = np.where(d_matched, benchmark - d_utility, benchmark)
 
     h_rating = instance.hospital_ratings
-    h_fill = np.fromiter(map(len, matching.doctors_of), np.int64, n_hosp)
-    if int(h_fill.sum()) != int(d_matched.sum()):
-        raise AssertionError("fill counts disagree with matched doctors")
+    h_fill = matching.fills()
     h_full = h_fill >= caps
-    # seat utilities hospital by hospital in the order its set yields them,
-    # summed per hospital in that order (np.mean's order, bit for bit)
-    seat_u = assignment.u_hosp[matched[[d for ds in matching.doctors_of
-                                        for d in ds]]]
-    first = np.cumsum(h_fill) - h_fill
+    # unbuffered, in seat order: each hospital's seat utilities are added
+    # one at a time, in ascending doctor id
+    sums = np.zeros(n_hosp)
+    np.add.at(sums, assignment.edge_h[seat], assignment.u_hosp[seat])
     h_loss = np.full(n_hosp, np.nan)
-    for c in (np.flatnonzero(np.bincount(h_fill)[1:]) + 1).tolist():
-        hs = np.flatnonzero(h_fill == c)
-        sums = seat_u[first[hs, None] + np.arange(c)].sum(axis=1)
-        h_loss[hs] = h_rating[hs] + 1.0 - sums / c
+    filled = h_fill > 0
+    h_loss[filled] = h_rating[filled] + 1.0 - sums[filled] / h_fill[filled]
 
     return RunStats(
         config=cfg, run_index=instance.run_index, half_width=half,

@@ -163,7 +163,7 @@ class InterviewAssignment:
 
         Raises ValueError for a match that is no interview edge.
         """
-        h = np.array(matching.key(), dtype=np.int64)
+        h = matching.doctor_of
         on = np.flatnonzero(h >= 0)
         edges = np.full(h.size, -1, dtype=np.int64)
         edges[on] = self.edge_index(on, h[on])

@@ -3,7 +3,10 @@
 Kept as a test oracle, as the code stood before the edge table: interview
 lists and utility dicts on both sides, preferences by a keyed sort, rank
 dicts per receiver, a dict-reading DA and blocking scan, and run_stats
-walking the dicts.  tests/test_edge_table.py compares the package with it.
+walking the dicts.  Its matchings keep the old form too (Matching: each
+doctor's hospital or None, beside each hospital's held set); the readers
+take the package's one-array da.Matching and convert it (as_sets).
+tests/test_edge_table.py compares the package with it.
 
 Also kept: the interview selection that drew one flat value per cone cell
 in doctor-id chunks (top_in_cones), and the aggregation that reduced every
@@ -48,11 +51,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from conematch import da
-from conematch.da import Matching, TruncationRule, truncated_da
+from conematch.da import TruncationRule, truncated_da
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
                                  NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
                                  _nearest_at, _slot_values, deviant_slots)
-from conematch.double_cut import DOCTORS_PROPOSE, HOSPITALS_PROPOSE, _matched
+from conematch.double_cut import DOCTORS_PROPOSE, HOSPITALS_PROPOSE
 from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               SETTINGS, ConfigError)
 from conematch.strategy import compute_cone
@@ -61,6 +64,27 @@ from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_LOSS, GroupedSeries, RunStats)
 
 from oracle_helpers import edge_lists
+
+
+@dataclass
+class Matching:
+    """doctor_of[d] is d's hospital or None; doctors_of[h] is h's held set."""
+
+    doctor_of: List[Optional[int]]
+    doctors_of: List[set]
+
+    def key(self) -> tuple:
+        return tuple(-1 if h is None else h for h in self.doctor_of)
+
+
+def as_sets(matching) -> Matching:
+    """The old form of a da.Matching."""
+    doctor_of = [None if h < 0 else h for h in matching.key()]
+    doctors_of = [set() for _ in range(matching.n_hospitals)]
+    for d, h in enumerate(doctor_of):
+        if h is not None:
+            doctors_of[h].add(d)
+    return Matching(doctor_of, doctors_of)
 
 
 @dataclass
@@ -222,6 +246,7 @@ def blocking_pairs(asg, matching, capacities, prefs):
     """(doctor, hospital, gain, witness) of every blocking pair, in scan order."""
     doctor_prefs, hospital_prefs = prefs
     hospital_ranks = build_ranks(hospital_prefs)
+    matching = as_sets(matching)
     out = []
     for d, ranked in enumerate(doctor_prefs):
         cur = matching.doctor_of[d]
@@ -321,6 +346,7 @@ def locality_graph_check(instance, table, spec, replicate=0):
                 seen.add(nxt)
                 stack.append(nxt)
 
+    m_base, m_dev = as_sets(m_base), as_sets(m_dev)
     for d in range(instance.config.n_doctors):
         if m_base.doctor_of[d] != m_dev.doctor_of[d] and ("d", d) not in seen:
             return False
@@ -331,6 +357,7 @@ def locality_graph_check(instance, table, spec, replicate=0):
 
 
 def run_stats(instance, asg, matching):
+    matching = as_sets(matching)
     cfg = instance.config
     n_doc, n_hosp = cfg.n_doctors, cfg.n_hospitals
     caps = instance.capacities
@@ -349,8 +376,10 @@ def run_stats(instance, asg, matching):
     h_loss = np.full(n_hosp, np.nan)
     for h, ds in enumerate(matching.doctors_of):
         if ds:
-            seat_u = [asg.hospital_utils[h][d] for d in ds]
-            h_loss[h] = h_rating[h] + 1.0 - float(np.mean(seat_u))
+            total = 0.0         # seat by seat, ascending doctor id
+            for d in sorted(ds):
+                total += asg.hospital_utils[h][d]
+            h_loss[h] = h_rating[h] + 1.0 - total / len(ds)
     return RunStats(
         config=cfg, run_index=instance.run_index, half_width=half,
         doctor_rating=d_rating, doctor_matched=d_matched,
@@ -545,7 +574,6 @@ def _seat_utilities(assignment, e):
 
 def receivers_dominate(assignment, orientation, full, cut):
     """double_cut.receivers_dominate with one sorted list per hospital."""
-    full, cut = _matched(assignment, full), _matched(assignment, cut)
     if orientation == DOCTORS_PROPOSE:
         return all(len(f) >= len(c) and all(fu >= cu for fu, cu in zip(f, c))
                    for f, c in zip(_seat_utilities(assignment, full),
@@ -698,9 +726,8 @@ def rule_checking_da(doctor_prefs, hospital_prefs, capacities, rule,
                               proposers.utils, log)
     state._settle(deque(p for p in range(n_prop)
                         if allowed[p] and proposers[p]))
-    matching = da.LazyMatching(state, orientation, len(doctor_prefs),
-                               len(hospital_prefs))
-    return Matching(matching.doctor_of, matching.doctors_of), log, state
+    return (_matching(state.heaps, orientation == DOCTORS_PROPOSE,
+                      len(doctor_prefs), len(hospital_prefs)), log, state)
 
 
 def rule_checking_double_cut(instance, scenario, prefs):

@@ -76,12 +76,7 @@ def proposals(log):
 
 def matching_from_key(key, n_hospitals):
     """The Matching behind a doctor_of key (-1: unmatched)."""
-    doctor_of = [None if h < 0 else h for h in key]
-    doctors_of = [set() for _ in range(n_hospitals)]
-    for d, h in enumerate(doctor_of):
-        if h is not None:
-            doctors_of[h].add(d)
-    return Matching(doctor_of, doctors_of)
+    return Matching(np.array(key, dtype=np.int64), n_hospitals)
 
 
 def doctor_utility_vector(assignment, matching):

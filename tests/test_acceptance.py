@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from conematch import analysis, double_cut
-from conematch.da import doctor_proposing_da, hospital_proposing_da, order_invariance_check
+from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE,
+                          doctor_proposing_da, hospital_proposing_da,
+                          order_invariance_check)
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, SWAP_IN_CONE,
                                  TOP_K_OF_ALL, _PatchContext, deviant_slots,
                                  DeviationSpec, _slot_values)
@@ -42,6 +44,25 @@ def pipeline(cfg, run, check_stability=False):
     m = doctor_proposing_da(*prefs, inst.capacities)
     return inst, asg, prefs, m, run_stats(inst, asg, m,
                                           check_stability=check_stability)
+
+
+def both_orientations(inst, prefs):
+    return (doctor_proposing_da(*prefs, inst.capacities),
+            hospital_proposing_da(*prefs, inst.capacities))
+
+
+def dominated(inst, asg, prefs, full, scenario):
+    # full: each orientation's DA matched edges
+    cut, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
+    return double_cut.receivers_dominate(asg, scenario.orientation,
+                                         full[scenario.orientation],
+                                         asg.matched_edges(cut))
+
+
+def full_runs(inst, asg, prefs):
+    m, hm = both_orientations(inst, prefs)
+    return {DOCTORS_PROPOSE: asg.matched_edges(m),
+            HOSPITALS_PROPOSE: asg.matched_edges(hm)}
 
 
 def campaign(setting, k, kappa, runs=RUNS, seed=SEED):
@@ -125,8 +146,7 @@ def test_criterion_2_oracle_suite():
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
         stable = analysis.enumerate_stable(asg)
-        m_doc = doctor_proposing_da(*prefs, inst.capacities)
-        m_hosp = hospital_proposing_da(*prefs, inst.capacities)
+        m_doc, m_hosp = both_orientations(inst, prefs)
         assert m_doc.key() in stable and m_hosp.key() in stable
         u_doc = doctor_utility_vector(asg, m_doc)
         u_hosp = doctor_utility_vector(asg, m_hosp)
@@ -134,7 +154,7 @@ def test_criterion_2_oracle_suite():
             u = doctor_utility_vector(asg, matching_from_key(key, n_hosp))
             assert all(a >= b for a, b in zip(u_doc, u)), "not doctor-optimal"
             assert all(a <= b for a, b in zip(u_hosp, u)), "not doctor-pessimal"
-        assert analysis.rural_hospital_check(asg, prefs=prefs)
+        assert analysis.rural_hospital_invariant(m_doc, m_hosp)
         checked += 1
         seed += 1
     elapsed = time.perf_counter() - started
@@ -151,8 +171,9 @@ def test_criterion_3_school_uniqueness():
         cfg = make_config(n, kappa=kappa, k=k, cone_override=CONE, seed=i,
                           setting=SCHOOL_CHOICE)
         inst = generate(cfg, 0)
-        asg = build_assignment(inst)
-        assert analysis.uniqueness_check_school(asg), f"n={n} seed={i}"
+        prefs = build_preferences(build_assignment(inst))
+        assert analysis.orientations_coincide(*both_orientations(inst, prefs)), \
+            f"n={n} seed={i}"
     report(3, True, "100 SchoolChoice instances, both orientations identical")
 
 
@@ -164,27 +185,29 @@ def test_criterion_4_double_cut_dominance():
         inst = generate(cfg, 0)
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
+        full = full_runs(inst, asg, prefs)
         gen = np.random.default_rng(seed)
         d = int(gen.integers(cfg.n_doctors))
         h = int(gen.integers(cfg.n_hospitals))
-        assert double_cut.dominance_audit(
-            inst, asg, double_cut.scenario_for_doctor(inst, d), prefs)
-        assert double_cut.dominance_audit(
-            inst, asg, double_cut.scenario_for_hospital(inst, h), prefs)
+        assert dominated(inst, asg, prefs, full,
+                         double_cut.scenario_for_doctor(inst, d))
+        assert dominated(inst, asg, prefs, full,
+                         double_cut.scenario_for_hospital(inst, h))
         total += 2
     for seed in range(25):
         cfg = make_config(200, kappa=5, k=4, cone_override=CONE, seed=seed)
         inst = generate(cfg, 0)
         asg = build_assignment(inst)
         prefs = build_preferences(asg)
+        full = full_runs(inst, asg, prefs)
         gen = np.random.default_rng(1000 + seed)
         for _ in range(5):
             d = int(gen.integers(cfg.n_doctors))
             h = int(gen.integers(cfg.n_hospitals))
-            assert double_cut.dominance_audit(
-                inst, asg, double_cut.scenario_for_doctor(inst, d), prefs)
-            assert double_cut.dominance_audit(
-                inst, asg, double_cut.scenario_for_hospital(inst, h), prefs)
+            assert dominated(inst, asg, prefs, full,
+                             double_cut.scenario_for_doctor(inst, d))
+            assert dominated(inst, asg, prefs, full,
+                             double_cut.scenario_for_hospital(inst, h))
             total += 2
     report(4, total == 500, f"{total} double-cut scenarios all dominated")
 
@@ -316,12 +339,12 @@ def test_criterion_10_deviation_epsilon():
                       max(len(v) for v in dev_map.values()))
         for t in range(replicates):
             iota_d, iota_h = _slot_values(inst, focal, n_slots, t)
-            base_u, _, _ = ctx.patched_run(focal, base_slots, iota_d, iota_h)
+            base_u, _ = ctx.patched_run(focal, base_slots, iota_d, iota_h)
             cache = {tuple(base_slots): base_u}
             for g, slots in dev_map.items():
                 key = tuple(slots)
                 if key not in cache:
-                    cache[key], _, _ = ctx.patched_run(focal, slots,
+                    cache[key], _ = ctx.patched_run(focal, slots,
                                                        iota_d, iota_h)
                 gains[g].append(cache[key] - base_u)
 

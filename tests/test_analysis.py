@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from conematch.analysis import (enumerate_stable, find_blocking_pairs,
-                                rural_hospital_check, uniqueness_check_school)
+                                orientations_coincide,
+                                rural_hospital_invariant)
 from conematch.da import Matching, doctor_proposing_da, hospital_proposing_da
 from conematch.market import SCHOOL_CHOICE, generate, make_config
 from conematch.strategy import (build_assignment, build_preferences,
@@ -23,11 +25,13 @@ def latin_square_3x3():
 
 
 def as_matching(doctor_of, n_hosp):
-    m = Matching(list(doctor_of), [set() for _ in range(n_hosp)])
-    for d, h in enumerate(doctor_of):
-        if h is not None:
-            m.doctors_of[h].add(d)
-    return m
+    return Matching(np.array(doctor_of, dtype=np.int64), n_hosp)
+
+
+def both_orientations(inst, asg):
+    prefs = build_preferences(asg)
+    return (doctor_proposing_da(*prefs, inst.capacities),
+            hospital_proposing_da(*prefs, inst.capacities))
 
 
 def test_da_output_has_no_blocking_pairs():
@@ -50,17 +54,20 @@ def test_hand_built_unstable_matching():
 
 def test_empty_matching_blocks_on_mutual_edge():
     asg = manual_assignment([{0: 1.5}], [{0: 1.2}])
-    m = as_matching([None], 1)
+    m = as_matching([-1], 1)
     pairs = find_blocking_pairs(asg, m, capacities=[1])
     assert [(p.doctor_id, p.hospital_id) for p in pairs] == [(0, 0)]
     assert pairs[0].hospital_side_witness == "under capacity"
 
 
-def test_inconsistent_matching_rejected():
-    asg = manual_assignment([{0: 1.5}], [{0: 1.2}])
-    bad = Matching([0], [set()])   # doctor_of says matched, hospital empty
-    with pytest.raises(ValueError):
-        find_blocking_pairs(asg, bad, capacities=[1])
+def test_validate_refuses_bad_ids_and_overfull_hospitals():
+    asg = manual_assignment([{0: 1.5}, {0: 1.0}], [{0: 1.2, 1: 1.1}])
+    for doctor_of in ([1, -1], [-2, -1]):     # no hospital 1, nor -2
+        with pytest.raises(ValueError, match="hospital ids"):
+            find_blocking_pairs(asg, as_matching(doctor_of, 1), capacities=[1])
+    with pytest.raises(ValueError, match="hospital 0 over capacity"):
+        find_blocking_pairs(asg, as_matching([0, 0], 1), capacities=[1])
+    as_matching([0, 0], 1).validate([2])
 
 
 def test_match_off_the_interview_edges_rejected():
@@ -152,7 +159,7 @@ def test_school_choice_unique_small():
                           setting=SCHOOL_CHOICE)
         inst = generate(cfg, 0)
         asg = build_assignment(inst)
-        assert uniqueness_check_school(asg)
+        assert orientations_coincide(*both_orientations(inst, asg))
 
 
 def test_school_choice_unique_in_enumeration():
@@ -169,7 +176,7 @@ def test_residency_uniqueness_reported_not_asserted():
     cfg = make_config(30, kappa=1, k=3, cone_override=0.4, seed=11)
     inst = generate(cfg, 0)
     asg = select_interviews(inst)
-    assert uniqueness_check_school(asg) in (True, False)
+    assert orientations_coincide(*both_orientations(inst, asg)) in (True, False)
 
 
 def test_rural_hospital_batch():
@@ -177,4 +184,4 @@ def test_rural_hospital_batch():
         cfg = make_config(12, kappa=3, k=2, cone_override=0.6, seed=seed)
         inst = generate(cfg, 0)
         asg = select_interviews(inst)
-        assert rural_hospital_check(asg)
+        assert rural_hospital_invariant(*both_orientations(inst, asg))

@@ -1,10 +1,10 @@
-"""The audit predicates over held matchings, against the standalone checks.
+"""The audit predicates over held matchings, against standalone checks.
 
 The campaign runner audits each run from the doctor-optimal matching, the
 hospital-optimal matching and one double-cut run per scenario.  These tests
-show the predicates can fail, and that on real markets they agree with
-`rural_hospital_check`, `uniqueness_check_school` and `dominance_audit`,
-which compute their own matchings.
+show the predicates can fail, that on oracle-sized markets they agree with
+the stable set that analysis.enumerate_stable computes by brute force, and
+that receivers_dominate agrees with a seat-list version of itself.
 """
 
 import numpy as np
@@ -33,42 +33,40 @@ def market(seed, setting=RESIDENCY, n=40, kappa=2, k=3):
 
 def test_predicates_reject_mismatched_pairs():
     inst, asg, _, m, hm = market(seed=2)
-    assert m.matched_doctors()
-    empty = matching_from_key((-1,) * len(m.doctor_of), len(m.doctors_of))
+    assert (m.doctor_of >= 0).any()
+    empty = matching_from_key((-1,) * m.doctor_of.size, m.n_hospitals)
     assert analysis.rural_hospital_invariant(m, hm)
     assert not analysis.rural_hospital_invariant(m, empty)
     assert not analysis.rural_hospital_invariant(empty, hm)
     assert not analysis.orientations_coincide(m, empty)
+    none = asg.matched_edges(empty)
     for orientation, held in ((DOCTORS_PROPOSE, m), (HOSPITALS_PROPOSE, hm)):
+        held = asg.matched_edges(held)
         assert double_cut.receivers_dominate(asg, orientation, held, held)
-        assert double_cut.receivers_dominate(asg, orientation, held, empty)
-        assert not double_cut.receivers_dominate(asg, orientation, empty, held)
+        assert double_cut.receivers_dominate(asg, orientation, held, none)
+        assert not double_cut.receivers_dominate(asg, orientation, none, held)
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
 def test_predicates_agree_with_standalone_checks(setting):
+    # oracle-sized markets: the orientations coincide iff the stable set
+    # has one member, and every stable matching leaves the same doctors
+    # matched and the same fills as the doctor-optimal one
     unique = []
-    for seed in range(6):
-        inst, asg, prefs, m, hm = market(seed, setting)
-        assert (analysis.rural_hospital_invariant(m, hm)
-                == analysis.rural_hospital_check(asg, prefs=prefs))
+    for seed in range(40):
+        inst, asg, prefs, m, hm = market(seed, setting, n=6, kappa=2, k=2)
+        stable = analysis.enumerate_stable(asg)
+        assert m.key() in stable and hm.key() in stable
         unique.append(analysis.orientations_coincide(m, hm))
-        assert unique[-1] == analysis.uniqueness_check_school(asg, prefs=prefs)
-        gen = np.random.default_rng(seed)
-        for _ in range(3):
-            for scenario in (
-                    double_cut.scenario_for_hospital(
-                        inst, int(gen.integers(inst.config.n_hospitals))),
-                    double_cut.scenario_for_doctor(
-                        inst, int(gen.integers(inst.config.n_doctors)))):
-                cut, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
-                full = m if scenario.orientation == DOCTORS_PROPOSE else hm
-                assert (double_cut.receivers_dominate(
-                            asg, scenario.orientation, full, cut)
-                        == double_cut.dominance_audit(inst, asg, scenario,
-                                                      prefs))
+        assert unique[-1] == (len(stable) == 1)
+        for key in stable:
+            other = matching_from_key(key, inst.config.n_hospitals)
+            assert analysis.rural_hospital_invariant(m, other)
+            assert analysis.rural_hospital_invariant(other, hm)
     if setting == SCHOOL_CHOICE:
         assert all(unique)
+    else:
+        assert not all(unique)      # some residency market has two
 
 
 def both_dominate(asg, orientation, full, cut):
@@ -94,7 +92,10 @@ def test_receivers_dominate_matches_the_seat_list_version(setting):
                         inst, int(gen.integers(inst.config.n_doctors)))):
                 cut, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
                 full = held[scenario.orientation]
-                for pair in ((full, cut), (cut, full), (hm, m), (m, hm)):
+                cut = asg.matched_edges(cut)
+                for pair in ((full, cut), (cut, full),
+                             (held[HOSPITALS_PROPOSE], held[DOCTORS_PROPOSE]),
+                             (held[DOCTORS_PROPOSE], held[HOSPITALS_PROPOSE])):
                     outcomes.add(both_dominate(asg, scenario.orientation,
                                                *pair))
         # planted: drop random matches, or move doctors to another edge

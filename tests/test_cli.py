@@ -318,6 +318,40 @@ def test_config_value_sweep_never_ends_in_a_traceback(tmp_path, capsys, field):
             assert "Traceback" not in err, (field, value)
 
 
+def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
+        tmp_path, capsys):
+    # an integer too large for a float in a real field, and a capacity that
+    # no int64 holds, are refused with exit 2; one below 2**63 is accepted
+    base = {"n_doctors": 6, "n_hospitals": 3, "capacity": 2, "k": 2,
+            "cone_override": 0.4, "runs": 1}
+    for field, value in (("a", 10 ** 400), ("capacity", 2 ** 63),
+                         ("capacity", [[2, 2 ** 63, 2]])):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(base, **{field: value})))
+        rc = cli.main(["--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG, (field, err)
+        assert "Traceback" not in err and f"{field} must" in err, (field, err)
+    big = MarketConfig.from_dict(dict(base, capacity=2 ** 63 - 1))
+    assert big.capacities().tolist() == [2 ** 63 - 1] * 3
+    # a numpy scalar is stored as the Python number it holds
+    numpy_cfg = make_config(np.int64(40), kappa=2, k=3, cone_override=0.3)
+    plain_cfg = make_config(40, kappa=2, k=3, cone_override=0.3)
+    assert type(numpy_cfg.n_doctors) is int and type(numpy_cfg.n_hospitals) is int
+    assert numpy_cfg.to_dict() == plain_cfg.to_dict()
+    assert cli.config_hash(numpy_cfg) == cli.config_hash(plain_cfg)
+    assert cli.config_slug(numpy_cfg) == cli.config_slug(plain_cfg)
+    campaign = cli.Campaign(configs=[numpy_cfg], out_dir=tmp_path / "np")
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    scalars = MarketConfig(n_doctors=np.int64(6), n_hospitals=np.int32(3),
+                           capacity=(np.int64(2),) * 3, k=np.int64(2),
+                           a=np.float32(2.5), nu_d=np.float64(0.5),
+                           seed=np.uint64(7), cone_override=0.4)
+    assert all(type(v) in (int, float, str, tuple, type(None))
+               for v in scalars.to_dict().values())
+    assert all(type(c) is int for c in scalars.capacity)
+
+
 # (field, value, accepted with n_hospitals = 3 given): both sides of each
 # bound, numpy scalars, and capacity vectors
 CONFIG_BOUNDARIES = [
@@ -345,15 +379,15 @@ def _grid_reading(expand, raw):
         configs = expand(raw)
     except ConfigError:
         return "refused"
-    read = []
-    for cfg in configs:
-        try:
-            digest = cli.config_hash(cfg)
-        except TypeError:       # a numpy integer is no JSON number
-            digest = None
-        read.append((json.dumps(cfg.to_dict(), sort_keys=True, default=repr),
-                     digest, cli.config_slug(cfg)))
-    return read
+    return [(json.dumps(cfg.to_dict(), sort_keys=True), cli.config_hash(cfg),
+             cli.config_slug(cfg)) for cfg in configs]
+
+
+def _plain(raw):
+    # the one deliberate difference on these inputs: a numpy scalar is
+    # stored as the Python number it holds, where the legacy reader kept it
+    return {key: v.item() if isinstance(v, np.generic) else v
+            for key, v in raw.items()}
 
 
 def test_grid_reader_matches_the_legacy_validator():
@@ -368,7 +402,8 @@ def test_grid_reader_matches_the_legacy_validator():
             if derived and field != "n_hospitals":
                 del raw["n_hospitals"]
             got = _grid_reading(cli.expand_grid, raw)
-            assert got == _grid_reading(legacy_expand_grid, raw), (field, value, derived)
+            assert got == _grid_reading(legacy_expand_grid, _plain(raw)), \
+                (field, value, derived)
             if accepted is not None and not derived:
                 assert (got != "refused") == accepted, (field, value)
 

@@ -19,15 +19,20 @@ from oracle_helpers import (brute_stable_set, edge_lists, manual_assignment,
 
 def test_singleton_market():
     m = doctor_proposing_da(*edge_lists([[0]], [[0]]), [1])
-    assert m.doctor_of == [0]
+    assert m.doctor_of.tolist() == [0]
     m2 = hospital_proposing_da(*edge_lists([[0]], [[0]]), [1])
-    assert m2.doctor_of == [0]
+    assert m2.doctor_of.tolist() == [0]
 
 
 def test_capacity_binds():
     # both doctors list the one hospital, it prefers doctor 0
     m = doctor_proposing_da(*edge_lists([[0], [0]], [[0, 1]]), [1])
-    assert m.doctor_of == [0, None]
+    assert m.doctor_of.tolist() == [0, -1]
+
+
+def brute_key(m):
+    # brute_stable_set's form of a matching: None where unmatched
+    return tuple(None if h < 0 else h for h in m.key())
 
 
 def test_4x3_matches_brute_force_oracle():
@@ -44,8 +49,8 @@ def test_4x3_matches_brute_force_oracle():
         prefs = edge_lists(doctor_prefs, hospital_prefs)
         m_doc = doctor_proposing_da(*prefs, caps)
         m_hosp = hospital_proposing_da(*prefs, caps)
-        key_doc = tuple(m_doc.doctor_of)
-        key_hosp = tuple(m_hosp.doctor_of)
+        key_doc = brute_key(m_doc)
+        key_hosp = brute_key(m_hosp)
         assert key_doc in stable
         assert key_hosp in stable
         rd = rank_vec(key_doc)
@@ -62,7 +67,7 @@ def test_many_to_one_oracle_with_capacity():
         caps = [2, 1, 2]
         stable, d_rank = brute_stable_set(doctor_prefs, hospital_prefs, caps)
         m = doctor_proposing_da(*edge_lists(doctor_prefs, hospital_prefs), caps)
-        assert tuple(m.doctor_of) in stable
+        assert brute_key(m) in stable
         m.validate(caps)
 
 
@@ -73,8 +78,8 @@ def test_rural_hospital_across_orientations():
         prefs = edge_lists(doctor_prefs, hospital_prefs)
         a = doctor_proposing_da(*prefs, caps)
         b = hospital_proposing_da(*prefs, caps)
-        assert a.matched_doctors() == b.matched_doctors()
-        assert a.fills() == b.fills()
+        assert np.array_equal(a.doctor_of >= 0, b.doctor_of >= 0)
+        assert np.array_equal(a.fills(), b.fills())
 
 
 def test_truncated_degenerate_equals_full():
@@ -101,7 +106,7 @@ def test_focal_target_one_proposal():
     # held; her prefix ends there, and she holds it, so she writes no halt
     m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
                                       [1, 1], TruncationRule(focal_target=1))
-    assert m.doctor_of == [1]
+    assert m.doctor_of.tolist() == [1]
     outcomes = [e[4] for e in log.events]
     assert outcomes == [da.HOLD]
     assert stop == [1] and reasons == [da.HALT_FOCAL]
@@ -112,7 +117,7 @@ def test_focal_proposal_requires_floor():
     rule = TruncationRule(focal_target=1, utility_floor=5.0)
     m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
                                       [1, 1], rule)
-    assert m.doctor_of == [None]
+    assert m.doctor_of.tolist() == [-1]
     assert log.events == []
     assert stop == [0] and reasons == [da.HALT_FLOOR]
 
@@ -145,7 +150,7 @@ def test_stop_priorities():
         m, log, stop, reasons = truncated(utils, hospitals, [1, 1, 1], rule)
         assert (stop, reasons) == ([want_stop], [want_reason]), rule
         # she proposes down her prefix and holds its first entry
-        assert m.doctor_of == [0 if want_stop else None]
+        assert m.doctor_of.tolist() == [0 if want_stop else -1]
 
 
 def test_floor_respected_in_log():
@@ -167,7 +172,7 @@ def test_forbidden_window_blocks_proposal():
     rule = TruncationRule(forbidden_windows=[(1.5, 2.5)])
     m, log, _, _ = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
                              [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
-    assert m.doctor_of == [None, 0]
+    assert m.doctor_of.tolist() == [-1, 0]
     assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE, da.HALT_WINDOW]
     assert all(not (1.5 <= e[3] < 2.5) for e in proposals(log))
 
@@ -179,7 +184,7 @@ def test_displaced_proposer_rechecks_floor():
     rule = TruncationRule(utility_floor=1.0)
     m, log, _, _ = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
                              [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
-    assert m.doctor_of == [None, 0]
+    assert m.doctor_of.tolist() == [-1, 0]
     floor_halts = [e for e in log.events if e[4] == da.HALT_FLOOR]
     assert len(floor_halts) == 1 and floor_halts[0][1] == 0
 
@@ -188,7 +193,7 @@ def test_proposer_filter_excludes():
     rule = TruncationRule(proposer_filter=np.array([0.2, 0.9]) >= 0.5)
     m, log, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
                              rule)
-    assert m.doctor_of == [None, 0]
+    assert m.doctor_of.tolist() == [-1, 0]
     assert all(e[1] == 1 for e in proposals(log))
 
 
@@ -230,9 +235,11 @@ def test_prefix_superset_never_hurts_receivers():
     full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
     hospital_utils = utility_maps(asg)[1]
     for h in range(inst.config.n_hospitals):
-        cut_seats = sorted((hospital_utils[h][d] for d in cut.doctors_of[h]),
+        cut_seats = sorted((hospital_utils[h][d]
+                            for d in np.flatnonzero(cut.doctor_of == h)),
                            reverse=True)
-        full_seats = sorted((hospital_utils[h][d] for d in full.doctors_of[h]),
+        full_seats = sorted((hospital_utils[h][d]
+                             for d in np.flatnonzero(full.doctor_of == h)),
                             reverse=True)
         assert len(full_seats) >= len(cut_seats)
         assert all(f >= c for f, c in zip(full_seats, cut_seats))

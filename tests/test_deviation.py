@@ -44,9 +44,10 @@ def test_null_deviation_matchings_identical_every_replicate():
     base = list(asg.doctor_lists[focal])
     for t in range(5):
         iota_d, iota_h = deviation._slot_values(inst, focal, len(base), t)
-        _, m1, _ = ctx.patched_run(focal, base, iota_d, iota_h)
-        _, m2, _ = ctx.patched_run(focal, list(base), iota_d, iota_h)
-        assert m1.doctor_of == m2.doctor_of
+        _, s1 = ctx.patched_run(focal, base, iota_d, iota_h)
+        _, s2 = ctx.patched_run(focal, list(base), iota_d, iota_h)
+        assert np.array_equal(da.matching_of(s1, da.DOCTORS_PROPOSE).doctor_of,
+                              da.matching_of(s2, da.DOCTORS_PROPOSE).doctor_of)
 
 
 def test_replicates_vary_but_are_deterministic():
@@ -135,9 +136,10 @@ def test_school_above_cone_full_school_rejects():
     checked = 0
     for t in range(10):
         iota_d, iota_h = deviation._slot_values(inst, focal, len(dev), t)
-        bu, _, _ = ctx.patched_run(focal, base, iota_d, iota_h)
-        du, m_dev, _ = ctx.patched_run(focal, dev, iota_d, iota_h)
-        held = m_dev.doctors_of[target]
+        bu, _ = ctx.patched_run(focal, base, iota_d, iota_h)
+        du, s_dev = ctx.patched_run(focal, dev, iota_d, iota_h)
+        held = np.flatnonzero(
+            da.matching_of(s_dev, da.DOCTORS_PROPOSE).doctor_of == target)
         full = len(held) >= inst.capacities[target]
         outranked = all(inst.doctor_ratings[d] > r_focal for d in held)
         if full and outranked:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
-                          doctor_proposing_da, truncated_da)
-from conematch.double_cut import (dominance_audit, hospital_fill_oracle,
+                          doctor_proposing_da, hospital_proposing_da,
+                          truncated_da)
+from conematch.double_cut import (hospital_fill_oracle,
                                   independent_proposal_oracle,
-                                  interval_preprocess, run_double_cut,
+                                  interval_preprocess, receivers_dominate,
+                                  run_double_cut,
                                   scenario_for_doctor, scenario_for_hospital,
                                   scenario_for_interval, scenario_rule)
 from conematch.market import (SCHOOL_CHOICE, MarketConfig, generate,
@@ -47,8 +49,10 @@ def test_focal_hospital_dominated_by_full_run():
     cut, report = run_double_cut(inst, asg,
                                  scenario_for_hospital(inst, mid), prefs)
     utils = utility_maps(asg)[1][mid]
-    cut_seats = sorted((utils[d] for d in cut.doctors_of[mid]), reverse=True)
-    full_seats = sorted((utils[d] for d in full.doctors_of[mid]), reverse=True)
+    cut_seats = sorted((utils[d] for d in np.flatnonzero(cut.doctor_of == mid)),
+                       reverse=True)
+    full_seats = sorted((utils[d] for d in np.flatnonzero(full.doctor_of == mid)),
+                        reverse=True)
     assert len(full_seats) >= len(cut_seats)
     assert all(f >= c for f, c in zip(full_seats, cut_seats))
     assert report.proposals_to_focal >= len(cut_seats)
@@ -109,7 +113,17 @@ def test_bottommost_flagged_but_runs():
     assert report.bottommost
 
 
-def test_dominance_audit_random_scenarios():
+def dominated(inst, asg, prefs, scenario):
+    # the full run of the scenario's orientation against its double-cut run
+    full_da = doctor_proposing_da if scenario.orientation == DOCTORS_PROPOSE \
+        else hospital_proposing_da
+    full = full_da(*prefs, inst.capacities)
+    cut, _ = run_double_cut(inst, asg, scenario, prefs)
+    return receivers_dominate(asg, scenario.orientation,
+                              asg.matched_edges(full), asg.matched_edges(cut))
+
+
+def test_receivers_dominate_random_scenarios():
     # 10x5 and 200x40 instances, random focal agents on both sides
     total = 0
     for seed in range(25):
@@ -117,16 +131,16 @@ def test_dominance_audit_random_scenarios():
         gen = np.random.default_rng(seed)
         d = int(gen.integers(inst.config.n_doctors))
         h = int(gen.integers(inst.config.n_hospitals))
-        assert dominance_audit(inst, asg, scenario_for_doctor(inst, d), prefs)
-        assert dominance_audit(inst, asg, scenario_for_hospital(inst, h), prefs)
+        assert dominated(inst, asg, prefs, scenario_for_doctor(inst, d))
+        assert dominated(inst, asg, prefs, scenario_for_hospital(inst, h))
         total += 2
     inst, asg, prefs = make_market(seed=77, n=200, kappa=5, k=4, cone=0.3)
     gen = np.random.default_rng(77)
     for _ in range(5):
         d = int(gen.integers(inst.config.n_doctors))
         h = int(gen.integers(inst.config.n_hospitals))
-        assert dominance_audit(inst, asg, scenario_for_doctor(inst, d), prefs)
-        assert dominance_audit(inst, asg, scenario_for_hospital(inst, h), prefs)
+        assert dominated(inst, asg, prefs, scenario_for_doctor(inst, d))
+        assert dominated(inst, asg, prefs, scenario_for_hospital(inst, h))
         total += 2
     assert total == 60
 
@@ -140,8 +154,8 @@ def test_dominance_adversarial_floor_halt():
     rule = TruncationRule(utility_floor=np.array([1.0, -np.inf]))
     cut, _ = truncated_da(*prefs, [1, 1], rule, DOCTORS_PROPOSE)
     full = doctor_proposing_da(*prefs, [1, 1])
-    assert cut.doctors_of[1] == set()
-    assert full.doctors_of[1] == {0}     # strictly better for the focal
+    assert cut.fills()[1] == 0
+    assert np.flatnonzero(full.doctor_of == 1).tolist() == [0]  # strictly better
 
 
 def test_interval_preprocess_band_exclusions_when_no_collision():

@@ -17,7 +17,8 @@ import pytest
 import legacy_edges
 from conematch import double_cut
 from conematch.analysis import find_blocking_pairs
-from conematch.da import doctor_proposing_da, hospital_proposing_da, truncated_da
+from conematch.da import (DOCTORS_PROPOSE, Matching, doctor_proposing_da,
+                          hospital_proposing_da, matching_of, truncated_da)
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  UNMATCHED_UTILITY, _PatchContext,
                                  _slot_values, deviant_slots)
@@ -54,10 +55,8 @@ def market(setting, k, kappa, quantised, seed=0, n=150):
 
 
 def same_matching(got, want):
-    # doctors_of compared as lists: the sets' iteration order feeds
-    # run_stats' hospital means
-    assert got.doctor_of == want.doctor_of
-    assert [list(s) for s in got.doctors_of] == [list(s) for s in want.doctors_of]
+    # a da.Matching against the legacy one (each doctor's hospital or None)
+    assert got.key() == want.key()
 
 
 def pairs(found):
@@ -70,16 +69,14 @@ def planted(inst, legacy_prefs, gen):
     doctor_prefs, hospital_prefs = legacy_prefs
     ranked = [set(ds) for ds in hospital_prefs]
     free = list(inst.capacities)
-    doctor_of = [None] * len(doctor_prefs)
-    doctors_of = [set() for _ in hospital_prefs]
+    doctor_of = np.full(len(doctor_prefs), -1, dtype=np.int64)
     for d in gen.sample(range(len(doctor_prefs)), len(doctor_prefs)):
         options = [h for h in doctor_prefs[d] if d in ranked[h] and free[h]]
         if options and gen.random() < 0.8:
             h = gen.choice(options)
             free[h] -= 1
             doctor_of[d] = h
-            doctors_of[h].add(d)
-    return legacy_edges.Matching(doctor_of, doctors_of)
+    return Matching(doctor_of, len(hospital_prefs))
 
 
 @pytest.mark.parametrize("quantised", [False, True])
@@ -118,7 +115,7 @@ def test_da_and_blocking_pairs_match_legacy(setting, k, kappa, quantised):
                   legacy_edges.hospital_proposing_da(*old, caps))
 
     gen = random.Random(k * 10 + kappa)
-    empty = legacy_edges.Matching([None] * len(old[0]), [set() for _ in old[1]])
+    empty = Matching(np.full(len(old[0]), -1, dtype=np.int64), len(old[1]))
     matchings = [doctor_optimal, empty] + [planted(inst, old, gen)
                                            for _ in range(4)]
     found_any = 0
@@ -176,13 +173,12 @@ def test_patched_run_matches_legacy(setting, quantised):
             u_focal, want, _ = legacy_edges.patched_da(
                 inst, legacy, old, asg.nu_d, asg.nu_h, focal, slots,
                 iota_d, iota_h)
-            h = want.doctor_of[focal]
-            u, got, _ = ctx.patched_run(focal, slots, iota_d, iota_h)
-            assert u == (UNMATCHED_UTILITY if h is None else u_focal[h])
-            # the warm start makes its proposals in another order, so the
-            # sets may be filled in another order
-            assert got.doctor_of == want.doctor_of
-            assert got.doctors_of == want.doctors_of
+            h = int(want.doctor_of[focal])
+            u, state = ctx.patched_run(focal, slots, iota_d, iota_h)
+            assert u == (UNMATCHED_UTILITY if h < 0 else u_focal[h])
+            # the warm start makes its proposals in another order
+            assert np.array_equal(matching_of(state, DOCTORS_PROPOSE).doctor_of,
+                                  want.doctor_of)
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
@@ -211,7 +207,7 @@ def test_focal_rank_keeps_the_key_order_with_ties(setting):
                          CASES + [(s, 5, 12) for s in SETTINGS])
 def test_run_stats_match_legacy(setting, k, kappa, quantised):
     # kappa=12 fills hospitals past 8 seats, where numpy's pairwise sum
-    # changes how it groups the seat utilities
+    # would group the seat utilities; both sum them seat by seat
     inst, asg, legacy = market(setting, k, kappa, quantised,
                                n=600 if kappa == 12 else 150)
     prefs = build_preferences(asg)

@@ -5,11 +5,13 @@ import pytest
 
 from conematch import metrics
 from conematch.da import doctor_proposing_da
-from conematch.market import SCHOOL_CHOICE, generate, make_config
+from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
+                              generate, make_config)
 from conematch.metrics import (CSV_HEADER, aggregate, bound_check,
                                doctor_non_match_fraction, run_stats,
                                theorem_non_match_bounds, write_metrics_csv)
-from conematch.strategy import build_preferences, select_interviews
+from conematch.strategy import (build_assignment, build_preferences,
+                                select_interviews)
 
 
 def one_run(seed=0, run=0, **kw):
@@ -59,20 +61,45 @@ def test_empty_hospital_flagged():
 def test_accounting_identity():
     _, _, m, st = one_run(seed=5, n=150, kappa=3, k=3)
     assert int(st.hospital_fill.sum()) == int(st.doctor_matched.sum())
-    assert len(m.matched_doctors()) == int(st.doctor_matched.sum())
+    assert int((m.doctor_of >= 0).sum()) == int(st.doctor_matched.sum())
+
+
+@pytest.mark.parametrize("setting", [RESIDENCY, REQUEST_INTERVIEW])
+def test_hospital_loss_sums_seats_in_ascending_doctor_id(setting):
+    # each hospital's seat utilities are added one at a time in ascending
+    # doctor id: run_stats matches that loop bit for bit, and a loop in
+    # descending id differs somewhere, so the order is pinned
+    cfg = make_config(600, kappa=5, k=5, cone_override=0.3, seed=7,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    asg = build_assignment(inst)
+    if setting == REQUEST_INTERVIEW:
+        assert (asg.hospital_rank < 0).any()     # unranked edges
+    m = doctor_proposing_da(*build_preferences(asg), inst.capacities)
+    got = run_stats(inst, asg, m).hospital_loss
+
+    def loop(order):
+        want = np.full(cfg.n_hospitals, np.nan)
+        for h in range(cfg.n_hospitals):
+            seats = order(np.flatnonzero(m.doctor_of == h).tolist())
+            if seats:
+                total = 0.0
+                for d in seats:
+                    total += float(asg.u_hosp[asg.edge_index([d], [h])[0]])
+                want[h] = inst.hospital_ratings[h] + 1.0 - total / len(seats)
+        return want
+
+    assert got.tobytes() == loop(sorted).tobytes()
+    assert got.tobytes() != loop(lambda ds: sorted(ds, reverse=True)).tobytes()
 
 
 def test_unstable_matching_refused():
     inst, asg, m, _ = one_run(seed=6)
-    swapped = [i for i in range(inst.config.n_doctors)
-               if m.doctor_of[i] is not None][:2]
-    if len(swapped) == 2:
+    swapped = np.flatnonzero(m.doctor_of >= 0)[:2]
+    if swapped.size == 2:
         a, b = swapped
-        ha, hb = m.doctor_of[a], m.doctor_of[b]
-        if ha != hb:
-            m.doctors_of[ha].discard(a); m.doctors_of[hb].discard(b)
-            m.doctor_of[a], m.doctor_of[b] = hb, ha
-            m.doctors_of[hb].add(a); m.doctors_of[ha].add(b)
+        if m.doctor_of[a] != m.doctor_of[b]:
+            m.doctor_of[[a, b]] = m.doctor_of[[b, a]]
             with pytest.raises((ValueError, AssertionError)):
                 run_stats(inst, asg, m)
 

@@ -64,8 +64,7 @@ def test_prefix_runs_match_the_rule_checking_engine(setting, kappa, quantised):
             want, log, old = legacy_edges.rule_checking_double_cut(
                 inst, scenario, prefs)
             got, report = double_cut.run_double_cut(inst, asg, scenario, prefs)
-            assert got.doctor_of == want.doctor_of
-            assert got.doctors_of == want.doctors_of
+            assert got.key() == want.key()
 
             rule = double_cut.scenario_rule(inst, scenario)
             state = da.truncated_state(*prefs, inst.capacities, rule,

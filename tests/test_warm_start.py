@@ -46,8 +46,8 @@ def _reference_run(ctx, focal, slots, iota_d, iota_h):
         hospital_prefs.append(sorted(utils, key=lambda d: (-utils[d], d)))
     m = doctor_proposing_da(*edge_lists(doctor_prefs, hospital_prefs),
                             inst.capacities)
-    h = m.doctor_of[focal]
-    return (deviation.UNMATCHED_UTILITY if h is None else u_focal[h]), m
+    h = int(m.doctor_of[focal])
+    return (deviation.UNMATCHED_UTILITY if h < 0 else u_focal[h]), m
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE,
@@ -71,14 +71,15 @@ def test_patched_run_matches_full_da(setting, kappa):
                 n_slots = max(len(base), len(slots))
                 for t in range(2):
                     iota_d, iota_h = _slot_values(inst, focal, n_slots, t)
-                    u, m, _ = ctx.patched_run(focal, slots, iota_d, iota_h)
+                    u, state = ctx.patched_run(focal, slots, iota_d, iota_h)
                     ref_u, ref = _reference_run(ctx, focal, slots,
                                                 iota_d, iota_h)
                     assert u == ref_u
-                    assert m.doctor_of == ref.doctor_of
-                    assert m.doctors_of == ref.doctors_of
+                    assert np.array_equal(
+                        da.matching_of(state, da.DOCTORS_PROPOSE).doctor_of,
+                        ref.doctor_of)
                     cases += 1
-                    unmatched += slots != [] and ref.doctor_of[focal] is None
+                    unmatched += slots != [] and ref.doctor_of[focal] < 0
     assert cases == 3 * 5 * 5 * 2
     assert unmatched > 0      # a focal who lists hospitals and ends unmatched
 
@@ -99,10 +100,12 @@ def test_patched_run_uses_the_assignment_weights(setting):
         slots = asg.doctor_list(focal)
         for t in range(3):
             iota_d, iota_h = _slot_values(inst, focal, len(slots), t)
-            u, m, _ = ctx.patched_run(focal, slots, iota_d, iota_h)
+            u, state = ctx.patched_run(focal, slots, iota_d, iota_h)
             ref_u, ref = _reference_run(ctx, focal, slots, iota_d, iota_h)
             assert u == ref_u
-            assert m.doctor_of == ref.doctor_of
+            assert np.array_equal(
+                da.matching_of(state, da.DOCTORS_PROPOSE).doctor_of,
+                ref.doctor_of)
             moved += u != full_ctx.patched_run(focal, slots, iota_d, iota_h)[0]
     assert moved      # the weights reach the focal's utility
 
@@ -134,9 +137,10 @@ def test_insert_leaves_the_shared_state_untouched():
             full = doctor_proposing_da(
                 *edge_lists(patched_prefs, hospital_prefs,
                             hospital_ranks=patched_ranks), caps)
-            got = da.LazyMatching(child, da.DOCTORS_PROPOSE, 9, 4)
-            assert got.doctor_of == full.doctor_of
-            assert child.partner(focal) == full.doctor_of[focal]
+            got = da.matching_of(child, da.DOCTORS_PROPOSE)
+            assert np.array_equal(got.doctor_of, full.doctor_of)
+            h = int(full.doctor_of[focal])
+            assert child.partner(focal) == (h if h >= 0 else None)
             assert [sorted(heap) for heap in state.heaps] == before
 
 
@@ -174,12 +178,12 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
     assert len(calls) == 8
 
 
-def _settled(state, n_doctors, n_hospitals):
+def _settled(state):
     # the matching, the pointers, held counts and halt flags, and each
     # receiver's heap as a set (its layout depends on the proposal order)
-    m = da.LazyMatching(state, da.DOCTORS_PROPOSE, n_doctors, n_hospitals)
-    return (m.doctor_of, m.doctors_of, list(state.pointer), list(state.held),
-            list(state.halted), [set(heap) for heap in state.heaps])
+    return (da.matching_of(state, da.DOCTORS_PROPOSE).key(), list(state.pointer),
+            list(state.held), list(state.halted),
+            [set(heap) for heap in state.heaps])
 
 
 def _fresh_absent(ctx, focal):
@@ -218,11 +222,9 @@ def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
     probes = ([order[120], order[40], order[199], order[120], order[40]]
               + empty[:1] + undeclared + [order[40], order[80]])
     for focal in probes:
-        got = _settled(ctx._focal_absent(focal), cfg.n_doctors,
-                       cfg.n_hospitals)
+        got = _settled(ctx._focal_absent(focal))
         engine_runs = len(calls)
-        want = _settled(_fresh_absent(ctx, focal), cfg.n_doctors,
-                        cfg.n_hospitals)
+        want = _settled(_fresh_absent(ctx, focal))
         del calls[engine_runs:]
         assert got == want, focal
     assert len(calls) == 1 + len(undeclared)
@@ -237,8 +239,8 @@ def test_with_proposers_refuses_what_insert_refuses():
     entry = (doctor_prefs[2], doctor_prefs.ranks[2])
     child = state.with_proposers({2: entry})
     full = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
-    assert (da.LazyMatching(child, da.DOCTORS_PROPOSE, 6, 3).doctor_of
-            == da.LazyMatching(full, da.DOCTORS_PROPOSE, 6, 3).doctor_of)
+    assert np.array_equal(da.matching_of(child, da.DOCTORS_PROPOSE).doctor_of,
+                          da.matching_of(full, da.DOCTORS_PROPOSE).doctor_of)
     with pytest.raises(ValueError, match="already has a list"):
         state.with_proposers({0: entry})
     with pytest.raises(ValueError, match="already has a list"):
