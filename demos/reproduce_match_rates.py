@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from conematch import (aggregate, build_assignment, build_preferences,
-                       doctor_proposing_da, generate, make_config, run_stats,
-                       write_metrics_csv)
+                       doctor_proposing_da, generate, group_run, make_config,
+                       run_stats, write_metrics_csv)
 from conematch.metrics import (DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FULL_RATE, HOSPITAL_LOSS)
 
@@ -25,17 +25,18 @@ args.out.mkdir(exist_ok=True)
 
 cfg = make_config(2000, kappa=5, k=5, cone_override=0.3, seed=42,
                   runs=args.runs)
-stats = []
+groups = []
 for r in range(args.runs):
     inst = generate(cfg, r)
     asg = build_assignment(inst)
     prefs = build_preferences(asg)
     matching = doctor_proposing_da(*prefs, inst.capacities)
-    stats.append(run_stats(inst, asg, matching, check_stability=False))
+    groups.append(group_run(run_stats(inst, asg, matching,
+                                      check_stability=False), group_size=10))
     if (r + 1) % 10 == 0:
         print(f"run {r + 1}/{args.runs}")
 
-series = aggregate(stats, group_size=10)
+series = aggregate(groups)
 csv_path = args.out / "residency_2000_k5_kap5.csv"
 write_metrics_csv(csv_path, series, cfg, inst.half_width)
 print(f"wrote {csv_path}")

@@ -47,7 +47,6 @@ class Campaign:
 
     configs: List[MarketConfig]
     out_dir: Path
-    oracle_audit: bool = True
     audit_sample: float = 0.0      # fraction of runs given double-cut audits
     group_size: int = 10
     deviation_focals: int = 0      # > 0 writes a deviation CSV per config
@@ -130,10 +129,9 @@ def _run_one(cfg, run_index, campaign, slug):
     if analysis.find_blocking_pairs(assignment, matching, matched=matched):
         raise AuditFailure(slug, run_index, "stability")
 
-    oracle_sized = campaign.oracle_audit and (
-        cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
-        and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
-        and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
+    oracle_sized = (cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
+                    and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
+                    and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
     if oracle_sized:
         stable = analysis.enumerate_stable(assignment)
         if matching.key() not in stable:
@@ -244,7 +242,7 @@ def _run_campaign(campaign: Campaign) -> int:
                     run0 = built
                 groups.append(metrics.group_run(st, campaign.group_size))
                 surplus_rows.extend(rows)
-            series = metrics.aggregate(groups, group_size=campaign.group_size)
+            series = metrics.aggregate(groups)
             half = run0[0].half_width
             out_csv = campaign.out_dir / f"{slug}.csv"
             metrics.write_metrics_csv(out_csv, series, cfg, half)
@@ -359,8 +357,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not 0.0 <= args.audit_sample <= 1.0:    # also refuses NaN
             raise ConfigError("--audit-sample must lie in [0, 1]")
         if args.config is not None:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    raw = json.load(fh)
+            # ValueError: not JSON, not UTF-8, or an integer too long to
+            # parse; RecursionError: arrays nested too deep to parse
+            except (OSError, ValueError, RecursionError) as exc:
+                raise ConfigError(str(exc))
             if isinstance(raw, dict):      # expand_grid refuses anything else
                 raw.setdefault("seed", args.seed)
                 if args.runs is not None:
@@ -372,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print("need --config, --preset, or --verify-only", file=sys.stderr)
             return EXIT_CONFIG
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -57,15 +57,6 @@ class EventLog:
     events: List[Event] = field(default_factory=list)
     halt_reasons: Optional[Sequence[str]] = field(default=None, repr=False)
 
-    def lines(self) -> List[str]:
-        """Line-delimited records: step,proposer,target,utility,outcome."""
-        out = []
-        for step, p, t, u, outcome in self.events:
-            tgt = "" if t is None else str(t)
-            util = "" if math.isnan(u) else f"{u:.9g}"
-            out.append(f"{step},{p},{tgt},{util},{outcome}")
-        return out
-
 
 @dataclass(eq=False)      # compare doctor_of with np.array_equal
 class Matching:
@@ -417,21 +408,13 @@ def matching_of(state: DAState, orientation: str) -> Matching:
     return Matching(doctor_of, len(state.slots))
 
 
-def doctor_proposing_state(doctor_prefs: EdgeLists,
-                           hospital_prefs: EdgeLists,
-                           capacities,
-                           order: Optional[Sequence[int]] = None) -> DAState:
-    """The settled doctor-proposing run, which `DAState.insert` extends."""
-    return truncated_state(doctor_prefs, hospital_prefs, capacities, order=order)
-
-
 def doctor_proposing_da(doctor_prefs: EdgeLists,
                         hospital_prefs: EdgeLists,
                         capacities,
                         order: Optional[Sequence[int]] = None) -> Matching:
     """Doctor-optimal stable matching over the given preference lists."""
-    return matching_of(doctor_proposing_state(doctor_prefs, hospital_prefs,
-                                              capacities, order),
+    return matching_of(truncated_state(doctor_prefs, hospital_prefs, capacities,
+                                       order=order),
                        DOCTORS_PROPOSE)
 
 
@@ -455,6 +438,7 @@ def truncated_state(doctor_prefs: EdgeLists,
                     log: Optional[EventLog] = None) -> DAState:
     """The settled run of one orientation, plain DA over each proposer's
     prefix under `rule` (whole lists without one); `log` gets its records.
+    `DAState.insert` extends a doctor-proposing one.
     """
     if orientation == DOCTORS_PROPOSE:
         proposers, receivers = doctor_prefs, hospital_prefs

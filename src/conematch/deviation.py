@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, doctor_proposing_state,
-                 matching_of)
+from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, matching_of,
+                 truncated_state)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import (InterviewAssignment, build_preferences, compute_cone,
                        key_order)
@@ -98,7 +98,7 @@ class _PatchContext:
             absent = EdgeLists(prefs, prefs.ranks, None, prefs.source)
             for f in self._focals:
                 absent[f] = []
-            self._shared = doctor_proposing_state(
+            self._shared = truncated_state(
                 absent, self.hospital_prefs, self.instance.capacities)
         state = self._shared.with_proposers(
             {f: (prefs[f], prefs.ranks[f]) for f in self._focals if f != focal})

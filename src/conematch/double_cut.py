@@ -45,21 +45,17 @@ class DoubleCutScenario:
 
     For a focal hospital, doctors propose; for a focal doctor or doctor
     interval, hospitals propose.  `proposer_threshold` is the rating below
-    which agents do not propose (focal rating minus a*alpha), `floor_band`
-    the proposer-rating band subject to the utility floor (the focal's
-    cone), and `receiver_threshold` the descriptive cutoff on the receiving
-    side (focal rating minus alpha).  `exclusions` lists proposer ids
-    removed by interval preprocessing.
+    which agents do not propose (focal rating minus a*alpha) and
+    `floor_band` the proposer-rating band subject to the utility floor (the
+    focal's cone).  `exclusions` lists proposer ids removed by interval
+    preprocessing.
     """
 
     focal_side: str
     focal_id: Optional[int] = None
     interval: Optional[Tuple[float, float]] = None
     orientation: str = HOSPITALS_PROPOSE
-    alpha: float = 0.0
-    half_width: float = 0.0
     proposer_threshold: float = -math.inf
-    receiver_threshold: float = -math.inf
     utility_floor: float = -math.inf
     floor_band: Tuple[float, float] = (-math.inf, -math.inf)
     forbidden_windows: Tuple[Tuple[float, float], ...] = ()
@@ -74,8 +70,7 @@ def scenario_for_hospital(instance: MarketInstance, hospital: int) -> DoubleCutS
     ceiling = r + 1.0 + instance.config.nu_d
     return DoubleCutScenario(
         focal_side=FOCAL_HOSPITAL, focal_id=hospital,
-        orientation=DOCTORS_PROPOSE, alpha=alpha, half_width=half,
-        proposer_threshold=r - half, receiver_threshold=r - alpha,
+        orientation=DOCTORS_PROPOSE, proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
         bottommost=bool(r < instance.hospital_range[0] + half))
 
@@ -87,8 +82,7 @@ def scenario_for_doctor(instance: MarketInstance, doctor: int) -> DoubleCutScena
     ceiling = r + _nu_h_weight(instance)
     return DoubleCutScenario(
         focal_side=FOCAL_DOCTOR, focal_id=doctor,
-        orientation=HOSPITALS_PROPOSE, alpha=alpha, half_width=half,
-        proposer_threshold=r - half, receiver_threshold=r - alpha,
+        orientation=HOSPITALS_PROPOSE, proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
         bottommost=bool(r < instance.doctor_range[0] + half))
 
@@ -168,8 +162,7 @@ def scenario_for_interval(instance: MarketInstance,
     windows = ((f + nu - alpha, g + nu - alpha), (f + nu, g + nu))
     return DoubleCutScenario(
         focal_side=FOCAL_DOCTOR_INTERVAL, interval=(f, g),
-        orientation=HOSPITALS_PROPOSE, alpha=alpha, half_width=half,
-        proposer_threshold=g - half, receiver_threshold=g - alpha,
+        orientation=HOSPITALS_PROPOSE, proposer_threshold=g - half,
         utility_floor=g + nu - alpha, floor_band=(g - half, f + half),
         forbidden_windows=windows, exclusions=pre.excluded_hospitals,
         bottommost=bool(g < instance.doctor_range[0] + half))
@@ -255,7 +248,7 @@ def _count_unmatched_doctors(instance, matching, lo, hi) -> int:
 
 
 def _surplus_report(instance, assignment, scenario, matching, received) -> SurplusReport:
-    alpha, half = scenario.alpha, scenario.half_width
+    alpha, half = instance.alpha_eff, instance.half_width
     kappa = max(instance.capacities.mean(), 1.0)
     d_hi = instance.doctor_range[1]
     h_hi = instance.hospital_range[1]

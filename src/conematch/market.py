@@ -18,7 +18,6 @@ band [r(d) - a*alpha, r(d) + a*alpha).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -32,10 +31,6 @@ RESIDENCY = "Residency"
 SCHOOL_CHOICE = "SchoolChoice"
 REQUEST_INTERVIEW = "RequestInterview"
 SETTINGS = (RESIDENCY, SCHOOL_CHOICE, REQUEST_INTERVIEW)
-
-# leading coefficient in alpha = (factor*(4a+1)*ln k / k)^power;
-# configurable because a doubled variant is also in circulation
-DEFAULT_ALPHA_FACTOR = 2.0
 
 _RATING_RETRIES = 16
 
@@ -138,6 +133,12 @@ class MarketConfig:
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")
         if vector and len(self.capacity) != self.n_hospitals:
             raise ConfigError("capacity vector length must equal n_hospitals")
+        # total_places and the oracle sum the capacities in int64
+        total = (sum(int(c) for c in self.capacity) if vector
+                 else int(self.n_hospitals) * int(self.capacity))
+        if total > INT64_MAX:
+            raise ConfigError(f"the capacities must sum to at most {INT64_MAX}, "
+                              f"got {total}")
         # numpy scalars are stored as the Python numbers they hold
         for name in FIELDS:
             if isinstance(getattr(self, name), np.generic):
@@ -185,17 +186,12 @@ class MarketConfig:
             kwargs["n_hospitals"] = max(1, round(kwargs["n_doctors"] / _kappa(cap)))
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path) -> "MarketConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
-
-def derive_alpha(config: MarketConfig, factor: float = DEFAULT_ALPHA_FACTOR) -> float:
+def derive_alpha(config: MarketConfig) -> float:
     """Cone scale alpha from the recommended-strategy formulas.
 
-    Residency / RequestInterview:  sqrt(factor*(4a+1)*ln k / k)
-    SchoolChoice:                  factor*(4a+1)*ln k / k
+    Residency / RequestInterview:  sqrt(2*(4a+1)*ln k / k)
+    SchoolChoice:                  2*(4a+1)*ln k / k
 
     An explicit `alpha` or `cone_override` on the config bypasses the
     derivation; MarketConfig refuses k < 2 without one (ln 1 = 0 leaves the
@@ -205,7 +201,7 @@ def derive_alpha(config: MarketConfig, factor: float = DEFAULT_ALPHA_FACTOR) -> 
         return config.alpha
     if config.cone_override is not None:
         return config.cone_override / config.a
-    base = factor * (4.0 * config.a + 1.0) * math.log(config.k) / config.k
+    base = 2.0 * (4.0 * config.a + 1.0) * math.log(config.k) / config.k
     if config.setting == SCHOOL_CHOICE:
         return base
     return math.sqrt(base)
@@ -320,14 +316,6 @@ class MarketInstance:
         i = np.searchsorted(self.doctor_sorted, lo, side="left")
         j = np.searchsorted(self.doctor_sorted, hi, side="left")
         return np.sort(self.doctor_order[i:j])
-
-    def metadata(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "alpha_eff": self.alpha_eff,
-            "half_width": self.half_width,
-            "cone_clamped": self.cone_clamped,
-        }
 
 
 def generate(config: MarketConfig, run_index: int) -> MarketInstance:

@@ -5,7 +5,7 @@ Losses are shortfalls from the ideal benchmarks r(d)+2 for a doctor and
 r(h)+1 for a hospital.  Agents are ranked by public rating (descending,
 per instance) and grouped in blocks of ten; whisker values are 10th/90th
 nearest-rank percentiles of the per-run group statistic across runs.
-Unmatched agents are excluded from loss series by default and reported in
+Unmatched agents are always left out of the loss series and reported in
 the separate match-rate series, mirroring how the figures are drawn.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -164,30 +164,27 @@ class RunGroups:
 
     config: MarketConfig
     group_size: int
-    include_unmatched_in_loss: bool
     values: np.ndarray
 
 
-def group_run(s: RunStats, group_size: int = 10,
-              include_unmatched_in_loss: bool = False) -> RunGroups:
+def group_run(s: RunStats, group_size: int = 10) -> RunGroups:
     """Fold one run's per-agent arrays into its rank-group statistics.
 
-    Agents are ranked by that run's realized ratings, best first.
+    Agents are ranked by that run's realized ratings, best first; an
+    unmatched doctor's loss is left out of her group's mean.
     """
     if group_size < 1:
         raise ValueError("group_size must be positive")
     d_order = np.argsort(-s.doctor_rating, kind="stable")
     h_order = np.argsort(-s.hospital_rating, kind="stable")
-    d_loss = s.doctor_loss if include_unmatched_in_loss else \
-        np.where(s.doctor_matched, s.doctor_loss, np.nan)
+    d_loss = np.where(s.doctor_matched, s.doctor_loss, np.nan)
     doctors = np.vstack((s.doctor_matched.astype(float), d_loss))
     hospitals = np.vstack((s.hospital_fully_matched.astype(float),
                            s.hospital_fill / s.config.capacities().astype(float),
                            s.hospital_loss))
     groups = np.vstack((_rank_groups(doctors, d_order, group_size),
                         _rank_groups(hospitals, h_order, group_size)))
-    return RunGroups(s.config, group_size, include_unmatched_in_loss,
-                     _finite_row_means(groups))
+    return RunGroups(s.config, group_size, _finite_row_means(groups))
 
 
 def _nearest_rank_rows(sorted_rows: np.ndarray, counts: np.ndarray,
@@ -199,32 +196,24 @@ def _nearest_rank_rows(sorted_rows: np.ndarray, counts: np.ndarray,
     return np.where(counts > 0, picked, np.nan)
 
 
-def aggregate(stats: Sequence[Union[RunStats, RunGroups]], group_size: int = 10,
-              include_unmatched_in_loss: bool = False) -> Dict[str, GroupedSeries]:
+def aggregate(groups: Sequence[RunGroups]) -> Dict[str, GroupedSeries]:
     """Cross-run grouped series for every metric.
 
-    All runs must share a config.  Ranks are recomputed per run from that
-    run's realized ratings; percentiles are nearest-rank across runs.  A
-    run may come already folded by group_run with the same settings, so a
-    campaign need not keep every run's RunStats.  The runs' group values
-    form one (groups x runs) matrix: one pass takes every group's finite
-    mean, and one NaN-last sort its p10 and p90.
+    Each run comes folded by group_run, so a campaign need not keep every
+    run's RunStats; all must share a config and a group size.
+    Percentiles are nearest-rank across runs.  The runs' group values form
+    one (groups x runs) matrix: one pass takes every group's finite mean,
+    and one NaN-last sort its p10 and p90.
     """
-    if not stats:
+    if not groups:
         raise ValueError("no runs to aggregate")
-    cfg = stats[0].config
-    if any(s.config != cfg for s in stats):
+    cfg, group_size = groups[0].config, groups[0].group_size
+    if any(g.config != cfg for g in groups):
         raise ValueError("aggregate needs runs from a single config")
-    if group_size < 1:
-        raise ValueError("group_size must be positive")
-    folded = [s if isinstance(s, RunGroups)
-              else group_run(s, group_size, include_unmatched_in_loss)
-              for s in stats]
-    if any((g.group_size, g.include_unmatched_in_loss)
-           != (group_size, include_unmatched_in_loss) for g in folded):
-        raise ValueError("runs were grouped with other settings")
+    if any(g.group_size != group_size for g in groups):
+        raise ValueError("runs were grouped with other group sizes")
 
-    by_group = np.vstack([g.values for g in folded]).T    # groups x runs
+    by_group = np.vstack([g.values for g in groups]).T    # groups x runs
     finite = np.isfinite(by_group)
     mean = _finite_row_means(by_group)
     sorted_rows = np.sort(np.where(finite, by_group, np.nan), axis=1)
@@ -241,7 +230,7 @@ def aggregate(stats: Sequence[Union[RunStats, RunGroups]], group_size: int = 10,
         hi = np.minimum(lo + group_size - 1, n)
         part = slice(at, at + n_groups)
         out[m] = GroupedSeries(m, group_size, lo, hi, mean[part], p10[part],
-                               p90[part], len(stats))
+                               p90[part], len(groups))
         at += n_groups
     return out
 
@@ -305,16 +294,18 @@ def theorem_non_match_bounds(setting: str, k: int, a: float, kappa: int) -> tupl
     return math.exp(-4.0 * root), math.exp(-0.375 * kappa * root)
 
 
-def bound_check(stats_by_k: Mapping[int, Sequence[RunStats]],
-                slack: float = 3.0) -> dict:
+BOUND_SLACK = 3.0
+
+
+def bound_check(stats_by_k: Mapping[int, Sequence[RunStats]]) -> dict:
     """Empirical non-match rates against the theorem bounds.
 
     For each k: the pooled non-bottommost doctor non-match and hospital
     non-full fractions, the closed-form theorem bounds, and a pass flag at
-    `slack` times the bound.  With several k values the report also checks
-    that the doctor fraction is monotone non-increasing in k.
+    BOUND_SLACK times the bound.  With several k values the report also
+    checks that the doctor fraction is monotone non-increasing in k.
     """
-    report: dict = {"per_k": {}, "slack": slack}
+    report: dict = {"per_k": {}, "slack": BOUND_SLACK}
     fracs = {}
     for k in sorted(stats_by_k):
         stats = stats_by_k[k]
@@ -326,10 +317,10 @@ def bound_check(stats_by_k: Mapping[int, Sequence[RunStats]],
         report["per_k"][k] = {
             "doctor_non_match": d_frac,
             "doctor_bound": d_bound,
-            "doctor_within_slack": bool(d_frac <= slack * d_bound),
+            "doctor_within_slack": bool(d_frac <= BOUND_SLACK * d_bound),
             "hospital_non_full": h_frac,
             "hospital_bound": h_bound,
-            "hospital_within_slack": bool(h_frac <= slack * h_bound),
+            "hospital_within_slack": bool(h_frac <= BOUND_SLACK * h_bound),
         }
     ks = sorted(fracs)
     report["monotone_in_k"] = all(fracs[ks[i + 1]] <= fracs[ks[i]]

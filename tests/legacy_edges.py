@@ -456,7 +456,7 @@ def _mean_finite(x):
     return float(x.mean()) if x.size else math.nan
 
 
-def aggregate(stats, group_size=10, include_unmatched_in_loss=False):
+def aggregate(stats, group_size=10):
     """Cross-run grouped series, one reduction call per run x group x metric."""
     cfg = stats[0].config
     per_metric_rows = {m: [] for m in ALL_METRICS}
@@ -464,8 +464,7 @@ def aggregate(stats, group_size=10, include_unmatched_in_loss=False):
     for s in stats:
         d_order = np.argsort(-s.doctor_rating, kind="stable")
         h_order = np.argsort(-s.hospital_rating, kind="stable")
-        d_loss = s.doctor_loss if include_unmatched_in_loss else \
-            np.where(s.doctor_matched, s.doctor_loss, np.nan)
+        d_loss = np.where(s.doctor_matched, s.doctor_loss, np.nan)
         rows = {
             DOCTOR_MATCH_RATE: _group_values(
                 s.doctor_matched.astype(float), d_order, group_size, _mean_finite),

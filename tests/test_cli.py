@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conematch import analysis, cli, da
+from conematch import analysis, cli, da, market
 from conematch.market import (ConfigError, MarketConfig, RESIDENCY, SCHOOL_CHOICE,
                               make_config)
 from conematch.strategy import InterviewAssignment
@@ -322,6 +322,7 @@ def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
         tmp_path, capsys):
     # an integer too large for a float in a real field, and a capacity that
     # no int64 holds, are refused with exit 2; one below 2**63 is accepted
+    # where the capacities' sum fits int64 too
     base = {"n_doctors": 6, "n_hospitals": 3, "capacity": 2, "k": 2,
             "cone_override": 0.4, "runs": 1}
     for field, value in (("a", 10 ** 400), ("capacity", 2 ** 63),
@@ -332,8 +333,9 @@ def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
         err = capsys.readouterr().err
         assert rc == cli.EXIT_CONFIG, (field, err)
         assert "Traceback" not in err and f"{field} must" in err, (field, err)
-    big = MarketConfig.from_dict(dict(base, capacity=2 ** 63 - 1))
-    assert big.capacities().tolist() == [2 ** 63 - 1] * 3
+    big = MarketConfig.from_dict(dict(base, n_hospitals=1, k=1,
+                                      capacity=2 ** 63 - 1))
+    assert big.capacities().tolist() == [2 ** 63 - 1]
     # a numpy scalar is stored as the Python number it holds
     numpy_cfg = make_config(np.int64(40), kappa=2, k=3, cone_override=0.3)
     plain_cfg = make_config(40, kappa=2, k=3, cone_override=0.3)
@@ -350,6 +352,95 @@ def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
     assert all(type(v) in (int, float, str, tuple, type(None))
                for v in scalars.to_dict().values())
     assert all(type(c) is int for c in scalars.capacity)
+
+
+FUZZ_CASES = 4000
+FUZZ_INTS = [0, 1, 2, 3, -1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1,
+             2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 10 ** 400,
+             -(2 ** 63)]
+FUZZ_FLOATS = [0.0, -0.0, 0.4, 1.0, 1.0000001, float("inf"), float("-inf"),
+               float("nan"), 2.0 ** 53, 2.0 ** 63, 2.0 ** 64, 1e308, 5e-324]
+
+
+def _fuzz_value(gen, depth=0):
+    kind = gen.integers(6 if depth < 2 else 5)
+    if kind == 0:
+        return FUZZ_INTS[gen.integers(len(FUZZ_INTS))]
+    if kind == 1:
+        return FUZZ_FLOATS[gen.integers(len(FUZZ_FLOATS))]
+    if kind == 2:
+        return bool(gen.integers(2)) if gen.integers(2) else np.bool_(gen.integers(2))
+    if kind == 3:
+        return ["", "x", "2", "Residency", "nan"][gen.integers(5)]
+    if kind == 4:       # a numpy scalar of a type that holds the value
+        value = FUZZ_INTS[gen.integers(len(FUZZ_INTS))]
+        for scalar in (np.int8, np.int32, np.int64, np.uint64):
+            if np.iinfo(scalar).min <= value <= np.iinfo(scalar).max:
+                return scalar(value)
+        with np.errstate(over="ignore"):        # 1e308 is inf as a float32
+            return (np.float64, np.float32)[gen.integers(2)](
+                FUZZ_FLOATS[gen.integers(len(FUZZ_FLOATS))])
+    return [_fuzz_value(gen, depth + 1) for _ in range(gen.integers(4))]
+
+
+def test_config_fuzz_gives_a_usable_config_or_a_config_error():
+    # FUZZ_CASES seeded cases: one to three fields of a valid config, every
+    # market.FIELDS field and the setting among them, set to integers near
+    # 2**53, 2**63 and 2**64 or of 401 digits, floats (inf, NaN, -0.0),
+    # bools, strings, nested lists and numpy scalars, with n_hospitals
+    # given or derived.  Each reads to a config whose to_dict, hash and
+    # slug work and which reads back from its JSON, or raises ConfigError.
+    gen = np.random.default_rng(20261019)
+    names = list(market.FIELDS) + ["setting"]
+    outcomes = []
+    for _ in range(FUZZ_CASES):
+        raw = {"n_doctors": 6, "n_hospitals": 3, "capacity": 2, "k": 2,
+               "cone_override": 0.4, "seed": 5, "runs": 1}
+        for name in gen.choice(names, size=gen.integers(1, 4), replace=False):
+            raw[str(name)] = _fuzz_value(gen)
+        if gen.integers(2) and "n_hospitals" in raw:
+            del raw["n_hospitals"]
+        try:
+            cfg = MarketConfig.from_dict(raw)
+        except ConfigError:
+            outcomes.append(False)
+            continue
+        data = cfg.to_dict()
+        assert cli.config_hash(cfg) and cli.config_slug(cfg), raw
+        assert MarketConfig.from_dict(json.loads(json.dumps(data))) == cfg, raw
+        outcomes.append(True)
+    assert len(outcomes) == FUZZ_CASES
+    assert FUZZ_CASES // 20 < sum(outcomes) < FUZZ_CASES * 19 // 20
+
+
+UNREADABLE_CONFIGS = {
+    # each capacity fits int64, their sum does not (two uniform configs)
+    "capacity-sum": b'{"n_doctors": 6, "n_hospitals": 2, "capacity": '
+                    b'[4611686018427387904, 4611686018427387904], "k": 2, '
+                    b'"cone_override": 0.4}',
+    # past the 4,300 digits Python parses into an int
+    "5000-digit-integer": b'{"n_doctors": 6, "a": 1' + b"0" * 4999 + b"}",
+    "not-utf-8": b'{"n_doctors": 6, "setting": "\xff"}',
+    "nested-200000-deep": b'{"n_doctors": ' + b"[" * 200000 + b"]" * 200000
+                          + b"}",
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_CONFIGS)
+def test_unreadable_or_overflowing_config_exits_2_without_traceback(tmp_path,
+                                                                    name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNREADABLE_CONFIGS[name])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "conematch.cli", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("configuration error: "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # (field, value, accepted with n_hospitals = 3 given): both sides of each

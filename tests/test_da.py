@@ -245,14 +245,20 @@ def test_prefix_superset_never_hurts_receivers():
         assert all(f >= c for f, c in zip(full_seats, cut_seats))
 
 
-def test_event_log_line_serialization():
+def test_event_log_records():
+    # (step, proposer, target, utility, outcome); a halt has no target and
+    # a NaN utility
     rule = TruncationRule(utility_floor=1.0)
     _, log, _, _ = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}], [1, 1],
                              rule)
-    lines = log.lines()
-    assert lines[0] == "0,0,0,2,hold"
-    # halts serialize with an empty target when none applies
-    assert all(len(line.split(",")) == 5 for line in lines)
+    assert log.events == [(0, 0, 0, 2.0, da.HOLD)]
+    _, log, _, _ = truncated([{0: 2.0, 1: 0.5}, {0: 1.5, 1: 0.7}],
+                             [{0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}], [1, 1], rule)
+    assert log.events[:2] == [(0, 0, 0, 2.0, da.HOLD),
+                              (1, 1, 0, 1.5, da.DISPLACE)]
+    step, proposer, target, utility, outcome = log.events[2]
+    assert (step, proposer, target, outcome) == (2, 0, None, da.HALT_FLOOR)
+    assert math.isnan(utility) and len(log.events) == 3
 
 
 def test_total_proposals_bounded_and_fast():
@@ -274,7 +280,7 @@ def test_total_proposals_bounded_and_fast():
 ENTRY_POINTS = {
     "doctor_proposing_da": da.doctor_proposing_da,
     "hospital_proposing_da": da.hospital_proposing_da,
-    "doctor_proposing_state": da.doctor_proposing_state,
+    "truncated_state": da.truncated_state,
     "truncated_da": lambda d, h, caps: truncated_da(d, h, caps, TruncationRule()),
     "order_invariance_check": lambda d, h, caps: order_invariance_check(
         d, h, caps, list(range(len(d)))),

@@ -56,7 +56,6 @@ def test_derived_alpha_clamps_cone():
     inst = generate(cfg, 0)
     assert inst.cone_clamped
     assert inst.half_width == pytest.approx(1.0)
-    assert inst.metadata()["cone_clamped"]
 
 
 def test_generate_deterministic_and_run_separated():
@@ -123,21 +122,20 @@ def test_shifted_instance_ranges_respected():
     assert inst.hospital_ratings.max() < 1.25
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = make_config(30, kappa=3, k=2, cone_override=0.3, seed=9, runs=4)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert MarketConfig.from_file(path) == cfg
+def test_config_file_round_trip():
+    # to_dict written as JSON reads back to the same config
+    for cfg in (make_config(30, kappa=3, k=2, cone_override=0.3, seed=9, runs=4),
+                MarketConfig(n_doctors=6, n_hospitals=3, capacity=(1, 2, 3), k=2,
+                             cone_override=0.3)):
+        assert MarketConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
-def test_from_file_derives_a_missing_n_hospitals(tmp_path):
+def test_from_dict_derives_a_missing_n_hospitals():
     # n_doctors / kappa, rounded half to even and at least 1
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_doctors": 41, "capacity": 2, "k": 3,
-                                "cone_override": 0.3}))
-    assert MarketConfig.from_file(path) == make_config(41, kappa=2, k=3,
-                                                       cone_override=0.3)
-    assert MarketConfig.from_file(path).n_hospitals == 20
+    derived = MarketConfig.from_dict(json.loads(
+        '{"n_doctors": 41, "capacity": 2, "k": 3, "cone_override": 0.3}'))
+    assert derived == make_config(41, kappa=2, k=3, cone_override=0.3)
+    assert derived.n_hospitals == 20
     one = MarketConfig.from_dict({"n_doctors": 1, "capacity": 3, "k": 1,
                                   "cone_override": 0.3})
     assert one.n_hospitals == 1
@@ -181,3 +179,17 @@ def test_band_queries():
     ids = inst.hospitals_in_band(0.4, 0.6)
     mask = (inst.hospital_ratings >= 0.4) & (inst.hospital_ratings < 0.6)
     assert set(ids) == set(np.flatnonzero(mask))
+
+
+def test_capacities_must_sum_within_int64():
+    # every entry fits int64, but total_places and the oracle would wrap the
+    # sum, whether the capacities are a vector or one uniform value
+    base = dict(n_doctors=4, n_hospitals=2, k=2, cone_override=0.3)
+    for capacity in ((2 ** 62, 2 ** 62), (market.INT64_MAX, 1), 2 ** 62):
+        with pytest.raises(ConfigError, match="sum"):
+            MarketConfig(capacity=capacity, **base)
+    with pytest.raises(ConfigError, match="sum"):
+        MarketConfig.from_dict(dict(base, capacity=[2 ** 62, 2 ** 62]))
+    for capacity in ((market.INT64_MAX - 1, 1), 2 ** 62 - 1):
+        cfg = MarketConfig(capacity=capacity, **base)
+        assert cfg.total_places() == sum(cfg.capacities().tolist())

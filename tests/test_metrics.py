@@ -8,7 +8,7 @@ from conematch.da import doctor_proposing_da
 from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               generate, make_config)
 from conematch.metrics import (CSV_HEADER, aggregate, bound_check,
-                               doctor_non_match_fraction, run_stats,
+                               doctor_non_match_fraction, group_run, run_stats,
                                theorem_non_match_bounds, write_metrics_csv)
 from conematch.strategy import (build_assignment, build_preferences,
                                 select_interviews)
@@ -126,7 +126,7 @@ def test_nearest_rank_percentiles():
 
 def test_aggregate_single_run_collapses_whiskers():
     _, _, _, st = one_run(seed=8, n=100, kappa=2, k=3)
-    series = aggregate([st], group_size=10)
+    series = aggregate([group_run(st)])
     s = series[metrics.DOCTOR_MATCH_RATE]
     finite = np.isfinite(s.mean)
     assert np.allclose(s.p10[finite], s.mean[finite])
@@ -135,7 +135,7 @@ def test_aggregate_single_run_collapses_whiskers():
 
 def test_aggregate_two_run_mean():
     runs = [one_run(seed=9, run=r)[3] for r in range(2)]
-    series = aggregate(runs, group_size=10)
+    series = aggregate([group_run(s) for s in runs])
     s = series[metrics.DOCTOR_MATCH_RATE]
     # cross-run mean of per-run group rates, computed independently
     for g in range(s.mean.size):
@@ -155,7 +155,7 @@ def test_aggregate_constant_zero_losses():
         st.doctor_loss = np.zeros_like(st.doctor_loss)
         st.doctor_matched = np.ones_like(st.doctor_matched)
         runs.append(st)
-    series = aggregate(runs, group_size=10)
+    series = aggregate([group_run(s) for s in runs])
     s = series[metrics.DOCTOR_LOSS]
     assert np.allclose(s.mean, 0.0) and np.allclose(s.p90, 0.0)
 
@@ -164,12 +164,12 @@ def test_aggregate_rejects_mixed_configs():
     a = one_run(seed=11)[3]
     b = one_run(seed=12)[3]
     with pytest.raises(ValueError):
-        aggregate([a, b])
+        aggregate([group_run(a), group_run(b)])
 
 
 def test_groups_partition_agents():
     _, _, _, st = one_run(seed=13, n=95, kappa=1, k=3)
-    series = aggregate([st], group_size=10)
+    series = aggregate([group_run(st)])
     s = series[metrics.DOCTOR_MATCH_RATE]
     assert s.group_lo[0] == 1
     assert s.group_hi[-1] == 95
@@ -178,7 +178,7 @@ def test_groups_partition_agents():
 
 def test_csv_schema_and_reproducibility(tmp_path):
     inst, _, _, st = one_run(seed=14)
-    series = aggregate([st], group_size=10)
+    series = aggregate([group_run(st)])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_metrics_csv(p1, series, st.config, inst.half_width)
     write_metrics_csv(p2, series, st.config, inst.half_width)

@@ -112,30 +112,22 @@ def same_series(got, want):
 
 
 @pytest.mark.parametrize("group_size", [1, 7, 10])
-@pytest.mark.parametrize("include_unmatched", [False, True])
-def test_aggregate_matches_legacy(campaigns, group_size, include_unmatched):
+def test_aggregate_matches_legacy(campaigns, group_size):
     for stats in campaigns:
         for runs in (stats, stats[:1], stats[:9]):
-            want = legacy_edges.aggregate(runs, group_size, include_unmatched)
-            same_series(metrics.aggregate(runs, group_size, include_unmatched),
-                        want)
             # folded run by run, as run_campaign does
-            folded = [metrics.group_run(s, group_size, include_unmatched)
-                      for s in runs]
-            same_series(metrics.aggregate(folded, group_size,
-                                          include_unmatched), want)
+            folded = [metrics.group_run(s, group_size) for s in runs]
+            same_series(metrics.aggregate(folded),
+                        legacy_edges.aggregate(runs, group_size))
 
 
 def test_aggregate_refuses_runs_folded_otherwise(campaigns):
     stats = campaigns[0][:3]
     folded = [metrics.group_run(s, 7) for s in stats]
     with pytest.raises(ValueError):
-        metrics.aggregate(folded, group_size=10)
+        metrics.aggregate(folded + [metrics.group_run(stats[0], 10)])
     with pytest.raises(ValueError):
-        metrics.aggregate(folded, group_size=7, include_unmatched_in_loss=True)
-    with pytest.raises(ValueError):
-        metrics.aggregate(folded + [metrics.group_run(campaigns[1][0], 7)],
-                          group_size=7)
+        metrics.aggregate(folded + [metrics.group_run(campaigns[1][0], 7)])
 
 
 def test_finite_row_means_match_one_mean_per_row():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conematch import cli, da, deviation
-from conematch.da import EdgeLists, doctor_proposing_da, doctor_proposing_state
+from conematch.da import EdgeLists, doctor_proposing_da, truncated_state
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  _PatchContext, _slot_values, deviant_slots,
                                  evaluate_deviation)
@@ -120,7 +120,7 @@ def test_insert_leaves_the_shared_state_untouched():
         focal = gen.randrange(9)
         absent = list(doctor_prefs)
         absent[focal] = []
-        state = doctor_proposing_state(*edge_lists(absent, hospital_prefs), caps)
+        state = truncated_state(*edge_lists(absent, hospital_prefs), caps)
         before = [sorted(heap) for heap in state.heaps]
         for _ in range(3):
             focal_list = gen.sample(range(4), gen.randint(1, 4))
@@ -145,8 +145,7 @@ def test_insert_leaves_the_shared_state_untouched():
 
 
 def test_insert_refuses_a_present_proposer():
-    state = doctor_proposing_state(*edge_lists(*random_lists(5, 3, 0)),
-                                   [2, 2, 2])
+    state = truncated_state(*edge_lists(*random_lists(5, 3, 0)), [2, 2, 2])
     with pytest.raises(ValueError):
         state.insert(0, [1], [0.5])
 
@@ -190,8 +189,7 @@ def _fresh_absent(ctx, focal):
     prefs = ctx.doctor_prefs
     lists = EdgeLists(prefs, prefs.ranks, None, prefs.source)
     lists[focal] = []
-    return doctor_proposing_state(lists, ctx.hospital_prefs,
-                                  ctx.instance.capacities)
+    return truncated_state(lists, ctx.hospital_prefs, ctx.instance.capacities)
 
 
 def _counting_engine(monkeypatch):
@@ -235,10 +233,10 @@ def test_with_proposers_refuses_what_insert_refuses():
     doctor_prefs, hospital_prefs = edge_lists(*random_lists(6, 3, 1))
     absent = list(doctor_prefs)
     absent[2] = []
-    state = doctor_proposing_state(*edge_lists(absent, hospital_prefs), [2, 2, 2])
+    state = truncated_state(*edge_lists(absent, hospital_prefs), [2, 2, 2])
     entry = (doctor_prefs[2], doctor_prefs.ranks[2])
     child = state.with_proposers({2: entry})
-    full = doctor_proposing_state(doctor_prefs, hospital_prefs, [2, 2, 2])
+    full = truncated_state(doctor_prefs, hospital_prefs, [2, 2, 2])
     assert np.array_equal(da.matching_of(child, da.DOCTORS_PROPOSE).doctor_of,
                           da.matching_of(full, da.DOCTORS_PROPOSE).doctor_of)
     with pytest.raises(ValueError, match="already has a list"):
@@ -278,8 +276,7 @@ def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
            "cone_override": 0.15, "seed": 5, "runs": 1}
     configs = cli.expand_grid(raw)
     calls = _counting_engine(monkeypatch)
-    plain = cli.Campaign(configs=configs, out_dir=tmp_path / "plain",
-                         oracle_audit=False)
+    plain = cli.Campaign(configs=configs, out_dir=tmp_path / "plain")
     assert cli.run_campaign(plain) == cli.EXIT_OK
     campaign_runs = len(calls)
 
@@ -297,8 +294,7 @@ def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
     monkeypatch.setattr(deviation, "evaluate_deviation", keeping_spec)
     del calls[:]
     probed = cli.Campaign(configs=configs, out_dir=tmp_path / "probed",
-                          oracle_audit=False, deviation_focals=3,
-                          deviation_replicates=4)
+                          deviation_focals=3, deviation_replicates=4)
     assert cli.run_campaign(probed) == cli.EXIT_OK
     assert len(calls) == campaign_runs + 1
     triples = set()
@@ -331,8 +327,8 @@ def test_deviation_csv_draws_each_replicates_slots_once(tmp_path,
     def campaign(name):
         out = tmp_path / name
         assert cli.run_campaign(cli.Campaign(
-            configs=configs, out_dir=out, oracle_audit=False,
-            deviation_focals=3, deviation_replicates=4)) == cli.EXIT_OK
+            configs=configs, out_dir=out, deviation_focals=3,
+            deviation_replicates=4)) == cli.EXIT_OK
         return {p.name: p.read_bytes() for p in out.glob("*.csv")}
 
     monkeypatch.setattr(deviation, "_slot_values", counting_draws)
