@@ -1,21 +1,33 @@
-"""Many-to-one deferred acceptance with pluggable truncation rules.
+"""Many-to-one deferred acceptance over one edge table.
 
-One proposal engine drives four entry points: plain doctor-proposing DA,
-plain hospital-proposing DA, the truncated runs used by the double-cut
-harness, and an order-invariance checker.  Proposers are processed from a
-FIFO work queue; the matching is invariant to that order, which
-order_invariance_check verifies directly.  The engine's state (DAState) can
-also be resumed: one more proposer is inserted into a settled run on a
-copy-on-write overlay, or several are added to a plain copy of it, which is
-how deviation probes avoid re-running DA.
+Two engines give the same run.  The round engine (_rounds) is Gale &
+Shapley's simultaneous form over the table's arrays: each round every
+proposer with a free slot proposes to as many of her next entries as she
+has free slots, and each receiver keeps the best of those it holds and
+those new, with one sort for the whole round.  When fewer than _TAIL
+proposers are left free it hands them to the FIFO proposal step,
+DAState._settle, on a state whose lists and held sets are read from the
+round arrays on demand.  By McVitie & Wilson's (1971) order invariance both
+give the same matching and the same proposals as a FIFO run from the start.
+
+doctor_proposing_da, hospital_proposing_da and prefix_da (which the
+double-cut harness calls with truncation stops) run the round engine.
+truncated_state and truncated_da run the FIFO loop from the start: their
+DAState can be resumed (one proposer inserted on a copy-on-write overlay
+with `insert`, several added to a plain copy with `with_proposers`, which
+is how deviation probes avoid re-running DA), and truncated_da writes the
+event log.  order_invariance_check compares the two engines.
 
 A Matching is one int64 array, each doctor's hospital (-1: unmatched);
 matching_of reads it off a settled DAState of either orientation.
 
-Every entry point takes one input form, the two EdgeLists that
-strategy.build_preferences reads off one edge table: next to each
-proposer's list, the rank every listed receiver gives it and the proposer's
-own utilities.  Anything else is refused with ValueError.
+Every entry point takes one input form, the two EdgeLists views that
+strategy.build_preferences makes of one edge table.  A view builds its
+Python lists (each proposer's list, the rank every listed receiver gives
+it, her own utilities) only when they are read; the round engine reads the
+table's arrays instead.  truncated_state and truncated_da also take lists
+written by hand (EdgeLists.written).  Anything else is refused with
+ValueError.
 
 A truncation rule cuts each proposer's list at a point her own list
 alone decides, so it is compiled into one stop index per proposer
@@ -25,6 +37,7 @@ run is plain DA over those prefixes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -109,22 +122,97 @@ class TruncationRule:
                 and self.focal_target is None and not self.forbidden_windows)
 
 
-class EdgeLists(list):
-    """One side's preference lists, partners best first, with per entry
-    the rank the partner gives back (ranks[p][i], None: unranked) and, if
-    not None, p's own utility (utils[p][i]).
+def _leading(group: np.ndarray, limit) -> np.ndarray:
+    # mask of the first `limit` entries of each run of equal values in
+    # the sorted array `group`; `limit` is a scalar or one per entry
+    at = np.arange(group.size)
+    first = np.ones(group.size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    return at - np.maximum.accumulate(np.where(first, at, 0)) < limit
 
-    The DA entry points take a pair of them that share a `source` (the
-    table they were read from, as build_preferences returns them), and
-    refuse anything else.  Treat as read-only: list(x) is a plain list,
-    which no entry point accepts.
+
+def _ranges(starts, lengths) -> np.ndarray:
+    # the concatenated aranges starts[i]:starts[i] + lengths[i]
+    skip = np.cumsum(lengths) - lengths
+    return np.repeat(starts - skip, lengths) + np.arange(lengths.sum())
+
+
+def _split(flat: list, offsets: list) -> List[list]:
+    return [flat[i:j] for i, j in zip(offsets, offsets[1:])]
+
+
+class EdgeLists:
+    """One side's preference lists, partners best first: lists[p], with per
+    entry the rank the partner gives back (ranks[p][i], None: unranked)
+    and, if not None, p's own utility (utils[p][i]).
+
+    build_preferences makes two views of one edge table (`source`), each
+    the side that proposes in orientation `side`.  A view builds its lists,
+    ranks and utils from the table, each on its first read; the round
+    engine, truncation_stops and proposal_counts read the table's arrays
+    (`csr`) and build none of them.  EdgeLists.written holds lists given by
+    hand, for a market no edge table holds; only truncated_state and
+    truncated_da take those.  Treat both as read-only.
     """
 
-    def __init__(self, lists, ranks, utils, source):
-        super().__init__(lists)
-        self.ranks = ranks
-        self.utils = utils
+    def __init__(self, source, side: Optional[str]):
         self.source = source
+        self.side = side
+
+    @classmethod
+    def written(cls, lists, ranks, utils, source) -> "EdgeLists":
+        """Hand-written lists; `source` is any object the pair shares."""
+        edge_lists = cls(source, None)
+        edge_lists.lists, edge_lists.ranks, edge_lists.utils = lists, ranks, utils
+        return edge_lists
+
+    @functools.cached_property
+    def csr(self) -> Tuple[np.ndarray, ...]:
+        """(offsets, owner, partner, back, own) over the view's entries:
+        p's entries are offsets[p] to offsets[p + 1], best first; entry e
+        is owner[e]'s, listing partner[e], who ranks her back[e] (-1:
+        unranked), at her own utility own[e].  A hospital lists only the
+        doctors it ranks.
+        """
+        t = self.source
+        if self.side == DOCTORS_PROPOSE:
+            offsets, partner, back, own = (t.doctor_offsets, t.edge_h,
+                                           t.hospital_rank, t.u_doc)
+        else:
+            e = t.hospital_order[t.hospital_rank[t.hospital_order] >= 0]
+            partner = t.edge_d[e]
+            offsets = np.searchsorted(t.edge_h[e], np.arange(t.n_hospitals() + 1))
+            back = e - t.doctor_offsets[partner]
+            own = t.u_hosp[e]
+        owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        return offsets, owner, partner, back, own
+
+    @functools.cached_property
+    def lists(self) -> List[List[int]]:
+        offsets, _, partner, _, _ = self.csr
+        return _split(partner.tolist(), offsets.tolist())
+
+    @functools.cached_property
+    def ranks(self) -> List[list]:
+        offsets, _, _, back, _ = self.csr
+        values = back.tolist()
+        if back.size and back.min() < 0:
+            values = [None if r < 0 else r for r in values]
+        return _split(values, offsets.tolist())
+
+    @functools.cached_property
+    def utils(self) -> List[List[float]]:
+        offsets, _, _, _, own = self.csr
+        return _split(own.tolist(), offsets.tolist())
+
+    def __len__(self) -> int:
+        return len(self.lists) if self.side is None else self.csr[0].size - 1
+
+    def __getitem__(self, p):
+        return self.lists[p]
+
+    def __iter__(self):
+        return iter(self.lists)
 
 
 def _edge_ranks(proposer_prefs, receiver_prefs):
@@ -133,6 +221,16 @@ def _edge_ranks(proposer_prefs, receiver_prefs):
     if source is None or source is not getattr(receiver_prefs, "source", None):
         raise ValueError("preferences must be build_preferences(assignment)")
     return proposer_prefs.ranks
+
+
+def _table_views(doctor_prefs, hospital_prefs) -> None:
+    # the round engine reads the table behind build_preferences' two views
+    if not (isinstance(doctor_prefs, EdgeLists)
+            and isinstance(hospital_prefs, EdgeLists)
+            and doctor_prefs.side == DOCTORS_PROPOSE
+            and hospital_prefs.side == HOSPITALS_PROPOSE
+            and doctor_prefs.source is hospital_prefs.source):
+        raise ValueError("preferences must be build_preferences(assignment)")
 
 
 class _Overlay:
@@ -169,10 +267,12 @@ class _Overlay:
 class DAState:
     """Proposers' pointers and receivers' held sets of one DA run.
 
-    `_engine` settles every proposer.  `insert` then adds one more proposer
-    and follows the rejection chain it starts, on copy-on-write overlays, so
-    this state stays as it was for the next insert; `with_proposers` adds
-    several to a plain copy.  All run the same proposal step, `_settle`.
+    `_engine` settles every proposer, and `_rounds` settles its last few on
+    a state read from its round arrays.  `insert` adds one more proposer to
+    a settled `_engine` run and follows the rejection chain it starts, on
+    copy-on-write overlays, so this state stays as it was for the next
+    insert; `with_proposers` adds several to a plain copy.  All run the
+    same proposal step, `_settle`.
     The outcome does not depend on the order in which proposals are made
     (McVitie & Wilson 1971), so a settled run plus added proposers is the
     run with them present from the start.
@@ -335,15 +435,119 @@ def _engine(proposer_prefs: List[List[int]],
     return state
 
 
-def _entries(table, orientation: str):
-    # (proposer, position in her list, receiver, her utility) per list entry;
-    # a hospital lists only the edges it ranks
-    if orientation == DOCTORS_PROPOSE:
-        owner = table.edge_d
-        return (owner, np.arange(owner.size) - table.doctor_offsets[owner],
-                table.edge_h, table.u_doc)
-    e = np.flatnonzero(table.hospital_rank >= 0)
-    return table.edge_h[e], table.hospital_rank[e], table.edge_d[e], table.u_hosp[e]
+class _Built(dict):
+    """A per-agent list whose entries are built on first read, by `build`."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, i):
+        value = self[i] = self.build(i)
+        return value
+
+
+# the rounds hand the proposers still free to _settle once fewer than this
+# many are: a round costs about a dozen numpy calls however few propose
+_TAIL = 32
+
+
+def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
+            stop: Optional[np.ndarray]) -> Tuple[Matching, np.ndarray]:
+    """The settled run in which `proposers` propose down their lists
+    (prefixes stop[p], whole lists for None): (matching, pointers), where
+    proposer p proposed to exactly her first pointer[p] entries.
+
+    Held seats are entries of the edge table.  Each round, every free
+    proposer proposes to her next min(free slots, entries left) entries,
+    and every receiver proposed to keeps its best caps[r] of the seats it
+    holds and the new proposals: one argsort of the int64 key
+    receiver * width + rank over those, then _leading.  The proposers who
+    lost a seat or a proposal and have entries left are the next round's.
+    """
+    offsets, owner, partner, back, _ = proposers.csr
+    n, n_receivers = offsets.size - 1, caps.size
+    start = offsets[:-1]
+    end = offsets[1:] if stop is None else start + stop
+    pointer = start.copy()
+    held = np.zeros(n, dtype=np.int64)
+    width = int(back.max()) + 1 if back.size else 1
+    key = partner * width + back      # an unranked entry is never sorted
+    unranked = bool(back.size) and back.min() < 0
+    touched = np.zeros(n_receivers, dtype=bool)
+    seats = np.zeros(0, dtype=np.int64)
+    free = np.flatnonzero(end > start)
+    one_slot = bool(slots.size) and slots.max() == 1
+    while free.size >= _TAIL:
+        if one_slot:        # a free proposer holds nothing: one proposal each
+            new = pointer[free]
+            pointer[free] += 1
+            held[free] = 1
+        else:
+            made = np.minimum(slots[free] - held[free], end[free] - pointer[free])
+            new = _ranges(pointer[free], made)
+            pointer[free] += made
+            held[free] += made
+        lost = []
+        if unranked:
+            lost.append(owner[new[back[new] < 0]])
+            new = new[back[new] >= 0]
+        touched[partner[new]] = True
+        rival = touched[partner[seats]]
+        touched[partner[new]] = False
+        bids = np.concatenate((seats[rival], new))
+        bids = bids[np.argsort(key[bids])]
+        receiver = partner[bids]
+        kept = _leading(receiver, caps[receiver])
+        seats = np.concatenate((seats[~rival], bids[kept]))
+        lost.append(owner[bids[~kept]])
+        lost = np.concatenate(lost)
+        if one_slot:        # each proposer held one bid at most
+            held[lost] = 0
+            free = lost
+        else:
+            drop = np.bincount(lost, minlength=n)
+            held -= drop
+            free = np.flatnonzero(drop)
+        free = free[pointer[free] < end[free]]
+    pointer -= start
+    receivers, holders = partner[seats], owner[seats]
+    if free.size:
+        # the FIFO tail: each receiver's heap is built from its seats when
+        # the tail first reads it, and only those receivers are redone
+        by_receiver = seats[np.argsort(receivers, kind="stable")]
+        bounds = np.searchsorted(partner[by_receiver],
+                                 np.arange(n_receivers + 1)).tolist()
+        seated = list(zip((-back[by_receiver]).tolist(),
+                          owner[by_receiver].tolist()))
+
+        def heap_of(r):
+            heap = seated[bounds[r]:bounds[r + 1]]
+            heapq.heapify(heap)
+            return heap
+
+        tail = DAState.__new__(DAState)
+        tail.prefs = _Built(lambda p: partner[offsets[p]:offsets[p + 1]].tolist())
+        tail.ranks = _Built(lambda p: [None if r < 0 else r for r in
+                                       back[offsets[p]:offsets[p + 1]].tolist()])
+        tail.slots, tail.caps = slots.tolist(), caps.tolist()
+        tail.stop, tail.log = (end - start).tolist(), None
+        tail.pointer, tail.held = pointer.tolist(), held.tolist()
+        tail.halted, tail.in_queue = [False] * n, [False] * n
+        tail.heaps = _Built(heap_of)
+        tail._settle(deque(free.tolist()))
+        pointer = np.asarray(tail.pointer, dtype=np.int64)
+        redone = np.fromiter(tail.heaps, np.int64, len(tail.heaps))
+        touched[redone] = True
+        keep = ~touched[receivers]
+        heaps = tail.heaps.values()
+        receivers = np.concatenate((receivers[keep], np.repeat(
+            redone, [len(heap) for heap in heaps])))
+        holders = np.concatenate((holders[keep], np.fromiter(
+            (p for heap in heaps for _, p in heap), np.int64)))
+    return _matching(receivers, holders, proposers.side, n, n_receivers), pointer
 
 
 # by priority at one stop: a focal halt comes an entry earlier, and the
@@ -359,10 +563,11 @@ def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
     runs best first), her first entry inside a forbidden window that is not
     the focal target, and the entry after it; else at her list's end.
     """
-    table, n_proposers = proposer_prefs.source, len(proposer_prefs)
-    if not hasattr(table, "edge_d"):
+    if getattr(proposer_prefs, "side", None) != orientation:
         raise ValueError("a truncation rule needs build_preferences(assignment)")
-    owner, pos, target, u = _entries(table, orientation)
+    offsets, owner, target, _, u = proposer_prefs.csr
+    n_proposers = offsets.size - 1
+    pos = np.arange(owner.size) - offsets[owner]
 
     def at_entries(value):
         # a scalar or per-proposer value, read at each entry's proposer
@@ -378,19 +583,35 @@ def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
     none = np.iinfo(np.int64).max
     key = np.where(below, pos * 4 + 1, np.where(inside & ~focal, pos * 4 + 2, none))
     key = np.minimum(key, np.where(focal, pos * 4 + 4, none))
-    best = np.bincount(owner, minlength=n_proposers) * 4 + 3
+    best = np.diff(offsets) * 4 + 3
     np.minimum.at(best, owner, key)
     if rule.proposer_filter is not None:
         best[~np.asarray(rule.proposer_filter, dtype=bool)] = 3
     return best >> 2, [_REASONS[c] for c in (best & 3).tolist()]
 
 
-def proposal_counts(state: DAState, orientation: str) -> np.ndarray:
-    """Proposals each receiver got in a settled run over one edge table:
-    proposer p proposed to exactly prefs[p][:pointer[p]]."""
-    owner, pos, target, _ = _entries(state.prefs.source, orientation)
-    made = pos < np.asarray(state.pointer)[owner]
-    return np.bincount(target[made], minlength=len(state.caps))
+def proposal_counts(proposer_prefs: EdgeLists, pointer) -> np.ndarray:
+    """Proposals each receiver got in a settled run of the proposers'
+    orientation over one edge table: proposer p proposed to exactly her
+    first pointer[p] entries."""
+    offsets, _, partner, _, _ = proposer_prefs.csr
+    table = proposer_prefs.source
+    n_receivers = (table.n_hospitals() if proposer_prefs.side == DOCTORS_PROPOSE
+                   else table.n_doctors())
+    made = _ranges(offsets[:-1], np.asarray(pointer, dtype=np.int64))
+    return np.bincount(partner[made], minlength=n_receivers)
+
+
+def _matching(receivers: np.ndarray, proposers: np.ndarray, orientation: str,
+              n_proposers: int, n_receivers: int) -> Matching:
+    # the matching whose seats are the pairs (receivers[i], proposers[i])
+    if orientation == DOCTORS_PROPOSE:
+        doctor_of = np.full(n_proposers, -1, dtype=np.int64)
+        doctor_of[proposers] = receivers
+        return Matching(doctor_of, n_receivers)
+    doctor_of = np.full(n_receivers, -1, dtype=np.int64)
+    doctor_of[receivers] = proposers
+    return Matching(doctor_of, n_proposers)
 
 
 def matching_of(state: DAState, orientation: str) -> Matching:
@@ -399,34 +620,43 @@ def matching_of(state: DAState, orientation: str) -> Matching:
     receivers = np.repeat(np.arange(n_receivers), [len(heap) for heap in heaps])
     proposers = np.fromiter((p for heap in heaps for _, p in heap), np.int64,
                             receivers.size)
+    return _matching(receivers, proposers, orientation, len(state.slots),
+                     n_receivers)
+
+
+def prefix_da(doctor_prefs: EdgeLists,
+              hospital_prefs: EdgeLists,
+              capacities,
+              orientation: str,
+              stop: Optional[np.ndarray]) -> Tuple[Matching, np.ndarray]:
+    """The run of `orientation` over each proposer's first stop[p] entries
+    (whole lists for None), by the round engine: (matching, pointers),
+    where proposer p proposed to exactly her first pointer[p] entries
+    (proposal_counts reads them)."""
+    _table_views(doctor_prefs, hospital_prefs)
+    caps = np.asarray(capacities, dtype=np.int64)
+    ones = np.ones(len(doctor_prefs), dtype=np.int64)
     if orientation == DOCTORS_PROPOSE:
-        doctor_of = np.full(len(state.slots), -1, dtype=np.int64)
-        doctor_of[proposers] = receivers
-        return Matching(doctor_of, n_receivers)
-    doctor_of = np.full(n_receivers, -1, dtype=np.int64)
-    doctor_of[receivers] = proposers
-    return Matching(doctor_of, len(state.slots))
+        return _rounds(doctor_prefs, ones, caps, stop)
+    if orientation == HOSPITALS_PROPOSE:
+        return _rounds(hospital_prefs, caps, ones, stop)
+    raise ValueError(f"unknown orientation {orientation!r}")
 
 
 def doctor_proposing_da(doctor_prefs: EdgeLists,
                         hospital_prefs: EdgeLists,
-                        capacities,
-                        order: Optional[Sequence[int]] = None) -> Matching:
+                        capacities) -> Matching:
     """Doctor-optimal stable matching over the given preference lists."""
-    return matching_of(truncated_state(doctor_prefs, hospital_prefs, capacities,
-                                       order=order),
-                       DOCTORS_PROPOSE)
+    return prefix_da(doctor_prefs, hospital_prefs, capacities,
+                     DOCTORS_PROPOSE, None)[0]
 
 
 def hospital_proposing_da(doctor_prefs: EdgeLists,
                           hospital_prefs: EdgeLists,
-                          capacities,
-                          order: Optional[Sequence[int]] = None) -> Matching:
+                          capacities) -> Matching:
     """Hospital-optimal (doctor-pessimal) stable matching."""
-    return matching_of(truncated_state(doctor_prefs, hospital_prefs, capacities,
-                                       orientation=HOSPITALS_PROPOSE,
-                                       order=order),
-                       HOSPITALS_PROPOSE)
+    return prefix_da(doctor_prefs, hospital_prefs, capacities,
+                     HOSPITALS_PROPOSE, None)[0]
 
 
 def truncated_state(doctor_prefs: EdgeLists,
@@ -436,9 +666,10 @@ def truncated_state(doctor_prefs: EdgeLists,
                     orientation: str = DOCTORS_PROPOSE,
                     order: Optional[Sequence[int]] = None,
                     log: Optional[EventLog] = None) -> DAState:
-    """The settled run of one orientation, plain DA over each proposer's
-    prefix under `rule` (whole lists without one); `log` gets its records.
-    `DAState.insert` extends a doctor-proposing one.
+    """The settled run of one orientation by the FIFO loop, plain DA over
+    each proposer's prefix under `rule` (whole lists without one), with the
+    proposers first queued in `order` (by id without one); `log` gets its
+    records.  `DAState.insert` extends a doctor-proposing one.
     """
     if orientation == DOCTORS_PROPOSE:
         proposers, receivers = doctor_prefs, hospital_prefs
@@ -463,7 +694,8 @@ def truncated_da(doctor_prefs: EdgeLists,
                  capacities,
                  rule: TruncationRule,
                  orientation: str = DOCTORS_PROPOSE) -> Tuple[Matching, EventLog]:
-    """Truncated DA run; returns the partial matching and its event log.
+    """Truncated DA run by the FIFO loop; returns the partial matching and
+    its event log.
 
     A degenerate rule reproduces the untruncated DA.
     """
@@ -476,8 +708,10 @@ def truncated_da(doctor_prefs: EdgeLists,
 def order_invariance_check(doctor_prefs, hospital_prefs, capacities,
                            permutation: Sequence[int],
                            orientation: str = DOCTORS_PROPOSE) -> bool:
-    """True iff processing proposers in `permutation` order changes nothing."""
-    run = doctor_proposing_da if orientation == DOCTORS_PROPOSE else hospital_proposing_da
-    canonical = run(doctor_prefs, hospital_prefs, capacities)
-    permuted = run(doctor_prefs, hospital_prefs, capacities, order=permutation)
-    return np.array_equal(canonical.doctor_of, permuted.doctor_of)
+    """True iff the FIFO loop, its proposers first queued in `permutation`
+    order, ends in the round engine's matching."""
+    rounds, _ = prefix_da(doctor_prefs, hospital_prefs, capacities,
+                          orientation, None)
+    fifo = truncated_state(doctor_prefs, hospital_prefs, capacities,
+                           orientation=orientation, order=permutation)
+    return np.array_equal(rounds.doctor_of, matching_of(fifo, orientation).doctor_of)

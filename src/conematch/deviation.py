@@ -95,9 +95,10 @@ class _PatchContext:
             self._focals[focal] = None
             self._shared = None
         if self._shared is None:
-            absent = EdgeLists(prefs, prefs.ranks, None, prefs.source)
+            lists = list(prefs)
             for f in self._focals:
-                absent[f] = []
+                lists[f] = []
+            absent = EdgeLists.written(lists, prefs.ranks, None, prefs.source)
             self._shared = truncated_state(
                 absent, self.hospital_prefs, self.instance.capacities)
         state = self._shared.with_proposers(

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
-                 matching_of, proposal_counts, truncated_state)
+                 prefix_da, proposal_counts, truncation_stops)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import InterviewAssignment, build_preferences, key_order
 
@@ -223,16 +223,18 @@ def run_double_cut(instance: MarketInstance,
                    prefs: Optional[tuple] = None):
     """Execute the scenario's truncated run; returns (Matching, SurplusReport).
 
-    `prefs`, if given, is build_preferences(assignment).
+    The run is the round engine over each proposer's prefix up to her
+    truncation stop.  `prefs`, if given, is build_preferences(assignment).
     """
     lists = build_preferences(assignment) if prefs is None else prefs
     if any(getattr(p, "source", None) is not assignment for p in lists):
         raise ValueError("prefs must be build_preferences(assignment)")
-    state = truncated_state(*lists, instance.capacities,
-                            scenario_rule(instance, scenario),
-                            scenario.orientation)
-    matching = matching_of(state, scenario.orientation)
-    received = proposal_counts(state, scenario.orientation)
+    proposers = lists[scenario.orientation == HOSPITALS_PROPOSE]
+    stop, _ = truncation_stops(proposers, scenario_rule(instance, scenario),
+                               scenario.orientation)
+    matching, pointer = prefix_da(*lists, instance.capacities,
+                                  scenario.orientation, stop)
+    received = proposal_counts(proposers, pointer)
     report = _surplus_report(instance, assignment, scenario, matching, received)
     return matching, report
 

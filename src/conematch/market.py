@@ -45,7 +45,8 @@ INT64_MAX = 2 ** 63 - 1
 # least_excluded, none_valid).  Kind int takes an integer but not a bool,
 # kind float a finite float or an int that has a float value; `capacity` is
 # checked entry by entry.  Rows whose values become int64 array entries
-# (counts, ids, capacities) stop at INT64_MAX.
+# (counts, ids, capacities) stop at INT64_MAX, and so does `runs`, which
+# config_hash writes as JSON.
 FIELDS = {
     "n_doctors": (int, 1, INT64_MAX, False, False),
     "n_hospitals": (int, 1, INT64_MAX, False, False),
@@ -59,8 +60,16 @@ FIELDS = {
     # the long side's rating range has width 1 + rating_shift
     "rating_shift": (float, -1.0, math.inf, True, False),
     "seed": (int, 0, 2 ** 64 - 1, False, False),
-    "runs": (int, 1, math.inf, False, False),
+    "runs": (int, 1, INT64_MAX, False, False),
 }
+
+
+def _shown(value) -> str:
+    # repr(value), unless it holds an integer of more digits than str writes
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
 
 
 def check_field(name: str, value) -> None:
@@ -75,17 +84,18 @@ def check_field(name: str, value) -> None:
     integer = (isinstance(value, (int, np.integer))
                and not isinstance(value, (bool, np.bool_)))
     if kind is int and not integer:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
     if integer:
         value = int(value)
         if kind is float and abs(value) > sys.float_info.max:
             raise ConfigError(f"{name} must be a finite number, got an integer "
                               f"too large for a float")
     elif not isinstance(value, (float, np.floating)) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {_shown(value)}")
     if value < least or value > greatest or (least_excluded and value == least):
         raise ConfigError(f"{name} must lie in {'(' if least_excluded else '['}{least}, "
-                          f"{greatest}{')' if greatest == math.inf else ']'}, got {value!r}")
+                          f"{greatest}{')' if greatest == math.inf else ']'}, "
+                          f"got {_shown(value)}")
 
 
 def _kappa(capacity) -> int:
@@ -125,7 +135,7 @@ class MarketConfig:
                           else (getattr(self, name),)):
                 check_field(name, value)
         if self.setting not in SETTINGS:
-            raise ConfigError(f"unknown setting {self.setting!r}")
+            raise ConfigError(f"unknown setting {_shown(self.setting)}")
         if self.k < 2 and self.alpha is None and self.cone_override is None:
             raise ConfigError("k < 2 needs alpha or cone_override")
         if self.k > self.n_hospitals:

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .da import EdgeLists
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EdgeLists, _leading,
+                 _ranges)
 from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW, check_field
 
 
@@ -194,18 +195,6 @@ def _materialize(instance, d, h, nu_d, nu_h) -> InterviewAssignment:
 _WINDOW_BUDGET = 1 << 16
 
 
-def _leading(group: np.ndarray, limit) -> np.ndarray:
-    # mask of the first `limit` entries of each run of equal values in
-    # the sorted array `group`; `limit` is a scalar or one per entry
-    return np.arange(group.size) - np.searchsorted(group, group) < limit
-
-
-def _ranges(starts, lengths) -> np.ndarray:
-    # the concatenated aranges starts[i]:starts[i] + lengths[i]
-    skip = np.cumsum(lengths) - lengths
-    return np.repeat(starts - skip, lengths) + np.arange(lengths.sum())
-
-
 def _top_in_cones(instance: MarketInstance, count: int):
     """Each doctor's `count` in-cone hospitals of highest private value.
 
@@ -322,36 +311,20 @@ def build_assignment(instance: MarketInstance) -> InterviewAssignment:
     return select_interviews(instance)
 
 
-def _split(flat: list, offsets: list) -> List[list]:
-    return [flat[i:j] for i, j in zip(offsets, offsets[1:])]
-
-
 def build_preferences(assignment: InterviewAssignment):
-    """Ranked lists for both sides, read off the edge table.
+    """Ranked lists for both sides, as views of the edge table.
 
     Returns (doctor_prefs, hospital_prefs): doctor d's hospitals in order
     (-u_doc, h) and hospital h's ranked doctors in order (-u_hosp, d),
     without the edges it does not rank (RequestInterview).  Both are
     da.EdgeLists: entry by entry they carry the rank the partner gives back
-    (None if it does not) and the listing agent's own utility, so DA, the
-    double-cut runs and the deviation probe read ranks by edge.
+    (None if it does not) and the listing agent's own utility.  Each of
+    these is built as Python lists only when it is first read (the FIFO
+    runs, the event log and the deviation probe read them); the round
+    engine and the truncation stops read the table's arrays.
     """
-    a = assignment
-    d_off = a.doctor_offsets.tolist()
-    back = a.hospital_rank.tolist()
-    if a.hospital_rank.size and a.hospital_rank.min() < 0:
-        back = [None if r < 0 else r for r in back]
-    doctor_prefs = EdgeLists(_split(a.edge_h.tolist(), d_off),
-                             _split(back, d_off),
-                             _split(a.u_doc.tolist(), d_off), a)
-    ranked = a.hospital_order[a.hospital_rank[a.hospital_order] >= 0]
-    h_off = np.searchsorted(a.edge_h[ranked],
-                            np.arange(a.n_hospitals() + 1)).tolist()
-    hospital_prefs = EdgeLists(
-        _split(a.edge_d[ranked].tolist(), h_off),
-        _split((ranked - a.doctor_offsets[a.edge_d[ranked]]).tolist(), h_off),
-        _split(a.u_hosp[ranked].tolist(), h_off), a)
-    return doctor_prefs, hospital_prefs
+    return (EdgeLists(assignment, DOCTORS_PROPOSE),
+            EdgeLists(assignment, HOSPITALS_PROPOSE))
 
 
 def weighted_utilities(assignment: InterviewAssignment,

@@ -63,7 +63,7 @@ from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
                                HOSPITAL_LOSS, GroupedSeries, RunStats)
 
-from oracle_helpers import edge_lists
+from oracle_helpers import written_lists
 
 
 @dataclass
@@ -275,7 +275,7 @@ def run_double_cut(instance, asg, scenario, prefs):
     rule-checking engine; returns (matching, event log, final state)."""
     return rule_checking_double_cut(
         instance, scenario,
-        edge_lists(*prefs, asg.doctor_utils, asg.hospital_utils))
+        written_lists(*prefs, asg.doctor_utils, asg.hospital_utils))
 
 
 def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
@@ -303,8 +303,8 @@ def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
                 if d != focal]
         bisect.insort(keys, (-u_h, focal))
         hospital_prefs[h] = [d for _, d in keys]
-    matching, log = truncated_da(*edge_lists(doctor_prefs, hospital_prefs,
-                                             doctor_utils),
+    matching, log = truncated_da(*written_lists(doctor_prefs, hospital_prefs,
+                                                doctor_utils),
                                  instance.capacities, TruncationRule())
     return u_focal, matching, log
 
@@ -738,9 +738,9 @@ def rule_checking_double_cut(instance, scenario, prefs):
     ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
     if scenario.exclusions:
         p = lists[side]
-        lists[side] = da.EdgeLists([([] if i in scenario.exclusions else lst)
-                                    for i, lst in enumerate(p)],
-                                   p.ranks, p.utils, p.source)
+        lists[side] = da.EdgeLists.written(
+            [([] if i in scenario.exclusions else lst) for i, lst in enumerate(p)],
+            p.ranks, p.utils, p.source)
     rule = rule_for(scenario, len(lists[side]), ratings)
     return rule_checking_da(*lists, instance.capacities, rule,
                             scenario.orientation, ratings)

@@ -6,9 +6,11 @@ own enumeration, so the two routes stay independent.  quarter_draws puts
 every random draw on a grid of quarters, for the tie tests.
 
 The DA entry points take only the two da.EdgeLists of one edge table.
-edge_lists builds such a pair from hand-written lists, and
-manual_assignment an edge table from hand-written utilities (a truncation
-rule other than the trivial one needs the table).  proposals reads the
+edge_lists builds an edge table that holds hand-written lists and returns
+its pair, and manual_assignment an edge table from hand-written
+utilities.  written_lists wraps hand-written lists that no table holds
+(a hospital that lists a doctor who does not list it), which only the FIFO
+entry points truncated_state and truncated_da take.  proposals reads the
 proposal records out of a truncated_da event log.
 """
 
@@ -20,12 +22,41 @@ import numpy as np
 
 from conematch import rng
 from conematch.da import DISPLACE, HOLD, REJECT, EdgeLists, Matching
-from conematch.strategy import InterviewAssignment
+from conematch.strategy import InterviewAssignment, build_preferences
 
 
-def edge_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
-               hospital_utils=None, hospital_ranks=None):
-    """(doctor side, hospital side) EdgeLists over hand-written lists.
+def edge_lists(doctor_prefs, hospital_prefs, hospital_ranks=None):
+    """build_preferences of an edge table that holds hand-written lists.
+
+    The table's edges are the doctors' list entries, each doctor's
+    utility falling down her list.  Hospital h ranks doctor d at
+    hospital_ranks[h][d] (may be fractional), by default at d's position in
+    h's list; an edge whose doctor h does not rank is unranked.  A hospital
+    that ranks a doctor who does not list it is refused with ValueError:
+    no table holds that market, so written_lists and truncated_state run it.
+    """
+    if hospital_ranks is None:
+        hospital_ranks = [{d: r for r, d in enumerate(lst)}
+                          for lst in hospital_prefs]
+    d = [i for i, lst in enumerate(doctor_prefs) for _ in lst]
+    h = [j for lst in doctor_prefs for j in lst]
+    for j, ranks in enumerate(hospital_ranks):
+        if set(ranks) - {i for i, jj in zip(d, h) if jj == j}:
+            raise ValueError(f"hospital {j} ranks a doctor who does not list it")
+    u_doc = [-float(r) for lst in doctor_prefs for r in range(len(lst))]
+    u_hosp = [-hospital_ranks[j].get(i, math.inf) for i, j in zip(d, h)]
+    asg = InterviewAssignment.from_edges(
+        None, 1.0, 1.0, np.array(d, dtype=np.int64), np.array(h, dtype=np.int64),
+        np.array(u_doc), np.array(u_hosp), len(doctor_prefs),
+        len(hospital_ranks), np.array([len(r) for r in hospital_ranks]))
+    return build_preferences(asg)
+
+
+def written_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
+                  hospital_utils=None, hospital_ranks=None):
+    """(doctor side, hospital side) EdgeLists.written over hand-written
+    lists, for markets no edge table holds; only truncated_state and
+    truncated_da take them.
 
     An entry's rank is its position in the partner's list (None where the
     partner does not list it); hospital_ranks[h][d], if given, replaces the
@@ -48,10 +79,11 @@ def edge_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
     if hospital_ranks is None:
         hospital_ranks = positions(hospital_prefs)
     source = object()
-    return (EdgeLists(doctor_prefs, back(doctor_prefs, hospital_ranks),
-                      own(doctor_prefs, doctor_utils), source),
-            EdgeLists(hospital_prefs, back(hospital_prefs, positions(doctor_prefs)),
-                      own(hospital_prefs, hospital_utils), source))
+    return (EdgeLists.written(doctor_prefs, back(doctor_prefs, hospital_ranks),
+                              own(doctor_prefs, doctor_utils), source),
+            EdgeLists.written(hospital_prefs,
+                              back(hospital_prefs, positions(doctor_prefs)),
+                              own(hospital_prefs, hospital_utils), source))
 
 
 def manual_assignment(doctor_utils, hospital_utils, hospital_budget=None):

@@ -248,13 +248,13 @@ def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value)
 
 
 def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
+    # DA runs by either engine: the FIFO loop or the rounds
     calls = []
-    real = da._engine
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-    monkeypatch.setattr(da, "_engine", counting)
+    for name in ("_engine", "_rounds"):
+        def counting(*args, real=getattr(da, name)):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(da, name, counting)
     campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path,
                             audit_sample=audit_sample)
     cli._run_one(cfg, 0, campaign, cli.config_slug(cfg))
@@ -273,6 +273,22 @@ def test_audited_run_computes_each_orientation_once(tmp_path, monkeypatch,
 def test_unaudited_residency_run_is_one_da(tmp_path, monkeypatch):
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
     assert _engine_calls(monkeypatch, tmp_path, cfg, 0.0) == 1
+
+
+@pytest.mark.parametrize("audit_sample", [0.0, 1.0])
+def test_run_without_deviation_csv_builds_no_preference_lists(tmp_path,
+                                                              audit_sample):
+    # both DA orientations and the double-cut runs read the edge table's
+    # arrays: neither EdgeLists view builds its lists, ranks or utils
+    cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
+    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path,
+                            audit_sample=audit_sample)
+    _, (_, assignment, prefs), rows = cli._run_one(cfg, 0, campaign,
+                                                   cli.config_slug(cfg))
+    assert len(rows) == (2 if audit_sample else 0)
+    for side in prefs:
+        assert side.source is assignment
+        assert not {"lists", "ranks", "utils"} & vars(side).keys()
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
@@ -336,6 +352,12 @@ def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
     big = MarketConfig.from_dict(dict(base, n_hospitals=1, k=1,
                                       capacity=2 ** 63 - 1))
     assert big.capacities().tolist() == [2 ** 63 - 1]
+    # runs stops at 2**63 - 1 too, so config_hash can write every config
+    for runs in (2 ** 63, 10 ** 5000):
+        with pytest.raises(ConfigError, match="runs must"):
+            make_config(6, kappa=2, k=2, cone_override=0.4, runs=runs)
+    assert cli.config_hash(make_config(6, kappa=2, k=2, cone_override=0.4,
+                                       runs=2 ** 63 - 1))
     # a numpy scalar is stored as the Python number it holds
     numpy_cfg = make_config(np.int64(40), kappa=2, k=3, cone_override=0.3)
     plain_cfg = make_config(40, kappa=2, k=3, cone_override=0.3)
@@ -355,9 +377,11 @@ def test_huge_integers_and_numpy_scalars_end_in_a_config_or_exit_2(
 
 
 FUZZ_CASES = 4000
+# 10 ** 5000 has more digits than str() writes, so json.dumps in
+# config_hash cannot write it; no field may accept it
 FUZZ_INTS = [0, 1, 2, 3, -1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1,
              2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 10 ** 400,
-             -(2 ** 63)]
+             10 ** 5000, -(2 ** 63)]
 FUZZ_FLOATS = [0.0, -0.0, 0.4, 1.0, 1.0000001, float("inf"), float("-inf"),
                float("nan"), 2.0 ** 53, 2.0 ** 63, 2.0 ** 64, 1e308, 5e-324]
 
@@ -386,7 +410,7 @@ def _fuzz_value(gen, depth=0):
 def test_config_fuzz_gives_a_usable_config_or_a_config_error():
     # FUZZ_CASES seeded cases: one to three fields of a valid config, every
     # market.FIELDS field and the setting among them, set to integers near
-    # 2**53, 2**63 and 2**64 or of 401 digits, floats (inf, NaN, -0.0),
+    # 2**53, 2**63 and 2**64 or of 401 or 5001 digits, floats (inf, NaN, -0.0),
     # bools, strings, nested lists and numpy scalars, with n_hospitals
     # given or derived.  Each reads to a config whose to_dict, hash and
     # slug work and which reads back from its JSON, or raises ConfigError.

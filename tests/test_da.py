@@ -7,14 +7,15 @@ import pytest
 from conematch import da
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                           doctor_proposing_da, hospital_proposing_da,
-                          order_invariance_check, truncated_da)
+                          order_invariance_check, truncated_da,
+                          truncated_state)
 from conematch.market import generate, make_config
 from conematch.strategy import (build_assignment, build_preferences,
                                 select_interviews)
 
 from legacy_edges import utility_maps
 from oracle_helpers import (brute_stable_set, edge_lists, manual_assignment,
-                            proposals, random_lists)
+                            proposals, random_lists, written_lists)
 
 
 def test_singleton_market():
@@ -198,7 +199,7 @@ def test_proposer_filter_excludes():
 
 
 def test_rule_needs_the_edge_table():
-    prefs = edge_lists([[0]], [[0]], [{0: 1.0}])
+    prefs = written_lists([[0]], [[0]], [{0: 1.0}])
     with pytest.raises(ValueError, match="build_preferences"):
         truncated_da(*prefs, [1], TruncationRule(utility_floor=0.0))
 
@@ -231,7 +232,10 @@ def test_prefix_superset_never_hurts_receivers():
     gen = random.Random(7)
     cut_prefs = [lst[: gen.randint(0, len(lst))] for lst in doctor_prefs]
     caps = inst.capacities
-    cut = doctor_proposing_da(*edge_lists(cut_prefs, hospital_prefs), caps)
+    # the hospitals' lists still name the doctors who cut them, which no
+    # edge table holds: the cut run is the FIFO loop's
+    cut = da.matching_of(truncated_state(
+        *written_lists(cut_prefs, list(hospital_prefs)), caps), DOCTORS_PROPOSE)
     full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
     hospital_utils = utility_maps(asg)[1]
     for h in range(inst.config.n_hospitals):

@@ -88,8 +88,8 @@ def test_preferences_and_ranks_match_legacy(setting, k, kappa, quantised):
                                                   legacy.hospital_utils)
     doctor_prefs, hospital_prefs = build_preferences(asg)
     old_doctor, old_hospital = legacy_edges.build_preferences(legacy)
-    assert doctor_prefs == old_doctor
-    assert hospital_prefs == old_hospital
+    assert list(doctor_prefs) == old_doctor
+    assert list(hospital_prefs) == old_hospital
     hospital_ranks = legacy_edges.build_ranks(old_hospital)
     doctor_ranks = legacy_edges.build_ranks(old_doctor)
     for d, hs in enumerate(old_doctor):

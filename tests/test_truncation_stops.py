@@ -71,7 +71,7 @@ def test_prefix_runs_match_the_rule_checking_engine(setting, kappa, quantised):
                                        scenario.orientation)
             assert list(state.pointer) == old.pointer
             counts = Counter(e[2] for e in proposals(log))
-            received = da.proposal_counts(state, scenario.orientation)
+            received = da.proposal_counts(state.prefs, state.pointer)
             assert received.tolist() == [counts[i] for i in range(received.size)]
             focal = ([scenario.focal_id] if scenario.focal_id is not None
                      else inst.doctors_in_band(*scenario.interval).tolist())

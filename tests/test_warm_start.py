@@ -25,7 +25,7 @@ from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
 from conematch.strategy import build_assignment, weighted_utilities
 
 from legacy_edges import utility_maps
-from oracle_helpers import edge_lists, random_lists
+from oracle_helpers import edge_lists, random_lists, written_lists
 
 
 def _reference_run(ctx, focal, slots, iota_d, iota_h):
@@ -120,7 +120,7 @@ def test_insert_leaves_the_shared_state_untouched():
         focal = gen.randrange(9)
         absent = list(doctor_prefs)
         absent[focal] = []
-        state = truncated_state(*edge_lists(absent, hospital_prefs), caps)
+        state = truncated_state(*written_lists(absent, hospital_prefs), caps)
         before = [sorted(heap) for heap in state.heaps]
         for _ in range(3):
             focal_list = gen.sample(range(4), gen.randint(1, 4))
@@ -134,9 +134,12 @@ def test_insert_leaves_the_shared_state_untouched():
             patched_ranks = [dict(r) for r in ranks]
             for h, r in overlay.items():
                 patched_ranks[h][focal] = r
-            full = doctor_proposing_da(
-                *edge_lists(patched_prefs, hospital_prefs,
-                            hospital_ranks=patched_ranks), caps)
+            # the hospitals still rank the focal where she no longer
+            # lists them, which no edge table holds: FIFO reference
+            full = da.matching_of(truncated_state(
+                *written_lists(patched_prefs, hospital_prefs,
+                               hospital_ranks=patched_ranks), caps),
+                da.DOCTORS_PROPOSE)
             got = da.matching_of(child, da.DOCTORS_PROPOSE)
             assert np.array_equal(got.doctor_of, full.doctor_of)
             h = int(full.doctor_of[focal])
@@ -157,13 +160,7 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
     ctx = _PatchContext(inst, asg)
-    calls = []
-    real = da._engine
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-    monkeypatch.setattr(da, "_engine", counting)
+    calls = _counting_engine(monkeypatch)
     specs = [(deviation.SWAP_IN_CONE, 0.0), (deviation.TOP_K_OF_ALL, 0.0),
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, 0.1),
              (deviation.ABOVE_CONE, 0.2), (deviation.BELOW_CONE, 0.0)]
@@ -187,19 +184,21 @@ def _settled(state):
 
 def _fresh_absent(ctx, focal):
     prefs = ctx.doctor_prefs
-    lists = EdgeLists(prefs, prefs.ranks, None, prefs.source)
+    lists = list(prefs)
     lists[focal] = []
-    return truncated_state(lists, ctx.hospital_prefs, ctx.instance.capacities)
+    return truncated_state(EdgeLists.written(lists, prefs.ranks, None,
+                                             prefs.source),
+                           ctx.hospital_prefs, ctx.instance.capacities)
 
 
 def _counting_engine(monkeypatch):
+    # DA runs by either engine: the FIFO loop or the rounds
     calls = []
-    real = da._engine
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-    monkeypatch.setattr(da, "_engine", counting)
+    for name in ("_engine", "_rounds"):
+        def counting(*args, real=getattr(da, name)):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(da, name, counting)
     return calls
 
 
@@ -233,7 +232,7 @@ def test_with_proposers_refuses_what_insert_refuses():
     doctor_prefs, hospital_prefs = edge_lists(*random_lists(6, 3, 1))
     absent = list(doctor_prefs)
     absent[2] = []
-    state = truncated_state(*edge_lists(absent, hospital_prefs), [2, 2, 2])
+    state = truncated_state(*written_lists(absent, hospital_prefs), [2, 2, 2])
     entry = (doctor_prefs[2], doctor_prefs.ranks[2])
     child = state.with_proposers({2: entry})
     full = truncated_state(doctor_prefs, hospital_prefs, [2, 2, 2])
