@@ -450,7 +450,10 @@ class _Built(dict):
 
 
 # the rounds hand the proposers still free to _settle once fewer than this
-# many are: a round costs about a dozen numpy calls however few propose
+# many are: a round costs about two dozen numpy calls however few propose.
+# Swept over 8-256 at n=2000 and 20,000 in both orientations, 32 is within
+# 10 % of the best value on every whole-list run and on all double-cut runs
+# but one, whose 224 proposers finish faster when no tail is started.
 _TAIL = 32
 
 
@@ -479,17 +482,11 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
     touched = np.zeros(n_receivers, dtype=bool)
     seats = np.zeros(0, dtype=np.int64)
     free = np.flatnonzero(end > start)
-    one_slot = bool(slots.size) and slots.max() == 1
     while free.size >= _TAIL:
-        if one_slot:        # a free proposer holds nothing: one proposal each
-            new = pointer[free]
-            pointer[free] += 1
-            held[free] = 1
-        else:
-            made = np.minimum(slots[free] - held[free], end[free] - pointer[free])
-            new = _ranges(pointer[free], made)
-            pointer[free] += made
-            held[free] += made
+        made = np.minimum(slots[free] - held[free], end[free] - pointer[free])
+        new = _ranges(pointer[free], made)
+        pointer[free] += made
+        held[free] += made
         lost = []
         if unranked:
             lost.append(owner[new[back[new] < 0]])
@@ -503,14 +500,9 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
         kept = _leading(receiver, caps[receiver])
         seats = np.concatenate((seats[~rival], bids[kept]))
         lost.append(owner[bids[~kept]])
-        lost = np.concatenate(lost)
-        if one_slot:        # each proposer held one bid at most
-            held[lost] = 0
-            free = lost
-        else:
-            drop = np.bincount(lost, minlength=n)
-            held -= drop
-            free = np.flatnonzero(drop)
+        drop = np.bincount(np.concatenate(lost), minlength=n)
+        held -= drop
+        free = np.flatnonzero(drop)
         free = free[pointer[free] < end[free]]
     pointer -= start
     receivers, holders = partner[seats], owner[seats]
