@@ -375,6 +375,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print("need --config, --preset, or --verify-only", file=sys.stderr)
             return EXIT_CONFIG
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:      # a file, or a path under one
+            raise ConfigError(f"--out {exc}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,10 +13,13 @@ give the same matching and the same proposals as a FIFO run from the start.
 doctor_proposing_da, hospital_proposing_da and prefix_da (which the
 double-cut harness calls with truncation stops) run the round engine.
 truncated_state and truncated_da run the FIFO loop from the start: their
-DAState can be resumed (one proposer inserted on a copy-on-write overlay
-with `insert`, several added to a plain copy with `with_proposers`, which
-is how deviation probes avoid re-running DA), and truncated_da writes the
-event log.  order_invariance_check compares the two engines.
+DAState can be resumed (one absent proposer inserted on a copy-on-write
+overlay with `insert`, several given their lists on a plain copy with
+`with_proposers`, which is how deviation probes avoid re-running DA), and
+truncated_da writes the event log of proposals.  A proposer is absent
+when her stop is 0; where one halts, and why, is read off the settled
+state and truncation_stops.  order_invariance_check compares the two
+engines.
 
 A Matching is one int64 array, each doctor's hospital (-1: unmatched);
 matching_of reads it off a settled DAState of either orientation.
@@ -41,8 +44,8 @@ import functools
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,15 +63,13 @@ HOSPITALS_PROPOSE = "hospitals"
 Event = Tuple[int, int, Optional[int], float, str]  # step, proposer, target, utility, outcome
 
 
-@dataclass
 class EventLog:
-    """The records of one truncated_da run, in order: each proposal, and a
-    halt (target None, reason halt_reasons[proposer]) when a proposer with
-    a free slot runs out of her prefix."""
+    """The proposal records of one truncated_da run, in order.  Where a
+    proposer halts, and why, is read off the settled run (truncation_stops
+    gives her reason)."""
 
-    orientation: str
-    events: List[Event] = field(default_factory=list)
-    halt_reasons: Optional[Sequence[str]] = field(default=None, repr=False)
+    def __init__(self):
+        self.events: List[Event] = []
 
 
 @dataclass(eq=False)      # compare doctor_of with np.array_equal
@@ -265,58 +266,44 @@ class _Overlay:
 
 
 class DAState:
-    """Proposers' pointers and receivers' held sets of one DA run.
+    """One DA run: its lists, slots and capacities, each proposer's stop,
+    pointer and held count, and each receiver's held set.
 
-    `_engine` settles every proposer, and `_rounds` settles its last few on
-    a state read from its round arrays.  `insert` adds one more proposer to
-    a settled `_engine` run and follows the rejection chain it starts, on
-    copy-on-write overlays, so this state stays as it was for the next
-    insert; `with_proposers` adds several to a plain copy.  All run the
-    same proposal step, `_settle`.
+    Proposer p proposes down prefs[p][:stop[p]] while she has a free slot;
+    a stop of 0 marks her absent.  `_engine` settles every proposer, and
+    `_rounds` settles its last few on a state read from its round arrays.
+    `insert` adds one absent proposer to a settled run and follows the
+    rejection chain she starts, on copy-on-write overlays, so this state
+    stays as it was for the next insert; `with_proposers` adds several to
+    a plain copy.  All run the same proposal step, `_settle`.
     The outcome does not depend on the order in which proposals are made
     (McVitie & Wilson 1971), so a settled run plus added proposers is the
     run with them present from the start.
     """
 
-    def __init__(self, proposer_prefs, proposer_ranks, proposer_slots,
-                 receiver_caps, stop: Optional[Sequence[int]] = None,
+    def __init__(self, prefs, ranks, slots, caps, stop, pointer, held, heaps,
                  log: Optional[EventLog] = None):
-        n_prop = len(proposer_prefs)
-        self.prefs = proposer_prefs
-        self.ranks = proposer_ranks
-        self.slots = proposer_slots
-        self.caps = receiver_caps
-        self.stop = stop       # each proposer proposes to prefs[p][:stop[p]]
+        self.prefs, self.ranks, self.slots, self.caps = prefs, ranks, slots, caps
+        self.stop = stop
+        self.pointer, self.held = pointer, held
+        self.heaps = heaps     # per receiver, a heap of (-rank, proposer)
         self.log = log         # reads the utilities of prefs (EdgeLists)
-        self.pointer = [0] * n_prop
-        self.held = [0] * n_prop
-        self.halted = [False] * n_prop
-        self.in_queue = [False] * n_prop
-        self.heaps: list = [[] for _ in range(len(receiver_caps))]  # (-rank, proposer)
 
     def _settle(self, queue: deque) -> None:
         """Run proposals from a FIFO queue until no proposer can move."""
         prefs, ranks, slots, caps = self.prefs, self.ranks, self.slots, self.caps
-        pointer, held, halted = self.pointer, self.held, self.halted
-        in_queue, heaps, stop = self.in_queue, self.heaps, self.stop
+        pointer, held, heaps, stop = self.pointer, self.held, self.heaps, self.stop
         events = None if self.log is None else self.log.events
         if events is not None:
-            utils, reasons = prefs.utils, self.log.halt_reasons
-        for p in queue:
-            in_queue[p] = True
+            utils = prefs.utils
+        waiting = set(queue)
         while queue:
             p = queue.popleft()
-            in_queue[p] = False
-            if halted[p]:
-                continue
-            lst, rks = prefs[p], ranks[p]
-            end = len(lst) if stop is None else stop[p]
+            waiting.discard(p)
+            lst, rks, end = prefs[p], ranks[p], stop[p]
             while held[p] < slots[p]:
                 i = pointer[p]
                 if i >= end:
-                    halted[p] = True
-                    if events is not None:
-                        events.append((len(events), p, None, math.nan, reasons[p]))
                     break
                 t = lst[i]
                 pointer[p] = i + 1
@@ -332,9 +319,9 @@ class DAState:
                         worst = heapq.heapreplace(heap, (-rank, p))[1]
                         held[p] += 1
                         held[worst] -= 1
-                        if not halted[worst] and not in_queue[worst]:
+                        if pointer[worst] < stop[worst] and worst not in waiting:
                             queue.append(worst)
-                            in_queue[worst] = True
+                            waiting.add(worst)
                         outcome = DISPLACE
                 if events is not None:
                     u = math.nan if utils is None else utils[p][i]
@@ -344,34 +331,27 @@ class DAState:
                rank_list: Sequence[float]) -> "DAState":
         """This state with `proposer` added and settled, as a new state.
 
-        `proposer` has an empty list here.  rank_list[i] is the rank that
+        `proposer` is absent here.  rank_list[i] is the rank that
         pref_list[i] gives it: any number that orders it among the ranks
         that receiver already holds.  Only the agents on the rejection chain
         are copied.
         """
         self._check_absent((proposer,))
-        child = DAState.__new__(DAState)
-        child.prefs = _Overlay(self.prefs, {proposer: pref_list})
-        child.ranks = _Overlay(self.ranks, {proposer: rank_list})
-        child.slots, child.caps = self.slots, self.caps
-        child.stop = child.log = None
-        child.pointer, child.held, child.halted, child.in_queue = (
-            _Overlay(self.pointer), _Overlay(self.held),
-            _Overlay(self.halted), _Overlay(self.in_queue))
-        child.heaps = _Overlay(self.heaps, copy_on_read=True)
+        child = DAState(_Overlay(self.prefs, {proposer: pref_list}),
+                        _Overlay(self.ranks, {proposer: rank_list}),
+                        self.slots, self.caps,
+                        _Overlay(self.stop, {proposer: len(pref_list)}),
+                        _Overlay(self.pointer), _Overlay(self.held),
+                        _Overlay(self.heaps, copy_on_read=True))
         child._settle(deque([proposer]))
         return child
 
-    def with_proposers(self, lists: Dict[int, Tuple[Sequence[int],
-                                                    Sequence[float]]]
-                       ) -> "DAState":
-        """A plain copy of this state with more proposers added and settled.
+    def with_proposers(self, ids: Sequence[int]) -> "DAState":
+        """A plain copy of this state with the absent proposers `ids` given
+        their whole lists and settled.
 
-        lists[p] is (pref_list, rank_list) as for `insert`, for proposers
-        whose lists are empty here.  The copy shares no list that settling
-        writes, so both can be extended or inserted into afterwards.  A
-        proposer added with an empty list is not queued, as `_engine` does
-        not queue one.
+        The copy shares no list that settling writes, so both can be
+        extended or inserted into afterwards.
 
         Chaining `insert`s gives the same state, but each insert stacks one
         more overlay, and every later read descends through all of them.
@@ -379,38 +359,32 @@ class DAState:
         campaign read overlays 62k times instead of 10k, and the benchmark's
         deviation-grid workload ran 11 % slower.
         """
-        self._check_absent(lists)
-        child = DAState.__new__(DAState)
-        child.prefs, child.ranks = list(self.prefs), list(self.ranks)
-        child.slots, child.caps = self.slots, self.caps
-        child.stop = child.log = None
-        child.pointer, child.held = list(self.pointer), list(self.held)
-        child.halted, child.in_queue = list(self.halted), list(self.in_queue)
-        child.heaps = [list(heap) for heap in self.heaps]
-        for p, (pref_list, rank_list) in lists.items():
-            child.prefs[p], child.ranks[p] = pref_list, rank_list
-        child._settle(deque(p for p, (pref_list, _) in lists.items() if pref_list))
+        self._check_absent(ids)
+        child = DAState(self.prefs, self.ranks, self.slots, self.caps,
+                        list(self.stop), list(self.pointer), list(self.held),
+                        [list(heap) for heap in self.heaps])
+        for p in ids:
+            child.stop[p] = len(self.prefs[p])
+        child._settle(deque(p for p in ids if child.stop[p]))
         return child
 
     def _check_absent(self, proposers) -> None:
-        # a resumed run has no stops or log to resume, and an added
-        # proposer must not have proposed yet
-        if self.stop is not None or self.log is not None:
-            raise ValueError("adding proposers needs a run without truncation "
-                             "or event log")
+        # an added proposer must not have proposed yet, and a log would
+        # miss the proposals made before
+        if self.log is not None:
+            raise ValueError("adding proposers needs a run without an event log")
         for p in proposers:
-            if self.prefs[p]:
-                raise ValueError(f"proposer {p} already has a list")
+            if self.stop[p]:
+                raise ValueError(f"proposer {p} is not absent")
 
     def touched(self) -> Tuple[set, set]:
         """The (proposers, receivers) copied by the insert that made this state.
 
-        A proposer is touched once its pointer, held count or halt flag is
-        written, a receiver once its held set is read.  Only the agents on
-        the insert's rejection chain are.
+        A proposer is touched once its pointer or held count is written, a
+        receiver once its held set is read.  Only the agents on the insert's
+        rejection chain are.
         """
-        proposers = (self.pointer.changed.keys() | self.held.changed.keys()
-                     | self.halted.changed.keys())
+        proposers = self.pointer.changed.keys() | self.held.changed.keys()
         return proposers, set(self.heaps.changed)
 
     def partner(self, proposer: int) -> Optional[int]:
@@ -425,13 +399,14 @@ def _engine(proposer_prefs: List[List[int]],
             proposer_slots: Sequence[int],
             receiver_caps: Sequence[int],
             order: Optional[Sequence[int]],
-            stop: Optional[Sequence[int]] = None,
+            stop: Sequence[int],
             log: Optional[EventLog] = None) -> DAState:
+    n = len(proposer_prefs)
     state = DAState(proposer_prefs, proposer_ranks, proposer_slots,
-                    receiver_caps, stop, log)
-    start = range(len(proposer_prefs)) if order is None else order
-    ends = proposer_prefs if stop is None else stop
-    state._settle(deque(p for p in start if ends[p]))
+                    receiver_caps, stop, [0] * n, [0] * n,
+                    [[] for _ in receiver_caps], log)
+    state._settle(deque(p for p in (range(n) if order is None else order)
+                        if stop[p]))
     return state
 
 
@@ -520,15 +495,12 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
             heapq.heapify(heap)
             return heap
 
-        tail = DAState.__new__(DAState)
-        tail.prefs = _Built(lambda p: partner[offsets[p]:offsets[p + 1]].tolist())
-        tail.ranks = _Built(lambda p: [None if r < 0 else r for r in
-                                       back[offsets[p]:offsets[p + 1]].tolist()])
-        tail.slots, tail.caps = slots.tolist(), caps.tolist()
-        tail.stop, tail.log = (end - start).tolist(), None
-        tail.pointer, tail.held = pointer.tolist(), held.tolist()
-        tail.halted, tail.in_queue = [False] * n, [False] * n
-        tail.heaps = _Built(heap_of)
+        tail = DAState(
+            _Built(lambda p: partner[offsets[p]:offsets[p + 1]].tolist()),
+            _Built(lambda p: [None if r < 0 else r for r in
+                              back[offsets[p]:offsets[p + 1]].tolist()]),
+            slots.tolist(), caps.tolist(), (end - start).tolist(),
+            pointer.tolist(), held.tolist(), _Built(heap_of))
         tail._settle(deque(free.tolist()))
         pointer = np.asarray(tail.pointer, dtype=np.int64)
         redone = np.fromiter(tail.heaps, np.int64, len(tail.heaps))
@@ -661,7 +633,8 @@ def truncated_state(doctor_prefs: EdgeLists,
     """The settled run of one orientation by the FIFO loop, plain DA over
     each proposer's prefix under `rule` (whole lists without one), with the
     proposers first queued in `order` (by id without one); `log` gets its
-    records.  `DAState.insert` extends a doctor-proposing one.
+    proposal records.  `DAState.insert` and `with_proposers` add a
+    proposer the rule leaves out (stop 0) to a run without a log.
     """
     if orientation == DOCTORS_PROPOSE:
         proposers, receivers = doctor_prefs, hospital_prefs
@@ -672,12 +645,10 @@ def truncated_state(doctor_prefs: EdgeLists,
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
     ranks = _edge_ranks(proposers, receivers)
-    stop, reasons = None, [HALT_EXHAUSTED] * len(proposers)
-    if rule is not None and not rule.is_trivial():
-        stop, reasons = truncation_stops(proposers, rule, orientation)
-        stop = stop.tolist()
-    if log is not None:
-        log.halt_reasons = reasons
+    if rule is None or rule.is_trivial():
+        stop = [len(lst) for lst in proposers]
+    else:
+        stop = truncation_stops(proposers, rule, orientation)[0].tolist()
     return _engine(proposers, ranks, slots, caps, order, stop, log)
 
 
@@ -691,7 +662,7 @@ def truncated_da(doctor_prefs: EdgeLists,
 
     A degenerate rule reproduces the untruncated DA.
     """
-    log = EventLog(orientation)
+    log = EventLog()
     state = truncated_state(doctor_prefs, hospital_prefs, capacities, rule,
                             orientation, log=log)
     return matching_of(state, orientation), log

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, DAState, EdgeLists, matching_of,
+from .da import (DOCTORS_PROPOSE, DAState, TruncationRule, matching_of,
                  truncated_state)
 from .market import MarketInstance, SCHOOL_CHOICE
 from .strategy import (InterviewAssignment, build_preferences, compute_cone,
@@ -61,15 +61,16 @@ class DeviationResult:
 class _PatchContext:
     """The preferences of one assignment, shared by all its probes.
 
-    Every probe warm-starts.  DA runs once per context, with the list of
-    every focal doctor in the probe set emptied.  A focal's focal-absent
-    run is that shared run with the other focals' base lists added
-    (da.DAState.with_proposers), and each replicate inserts the focal into
-    it (da.DAState.insert).  Both are exact by order invariance.  A focal
-    not in `focals` joins the set, and the shared run is rebuilt once.  Only
-    the most recent focal's focal-absent state is kept, and each probe
-    utility (`utility`) and each replicate's slot draws (`slot_values`) are
-    memoised.  `prefs`, if given, is build_preferences(assignment).
+    Every probe warm-starts.  DA runs once per context, with every focal
+    doctor in the probe set absent: a proposer_filter rule gives each a
+    stop of 0.  A focal's focal-absent run is that shared run with the
+    other focals' base lists added (da.DAState.with_proposers), and each
+    replicate inserts the focal into it (da.DAState.insert).  Both are
+    exact by order invariance.  A focal not in `focals` joins the set, and
+    the shared run is rebuilt once.  Only the most recent focal's
+    focal-absent state is kept, and each probe utility (`utility`) and each
+    replicate's slot draws (`slot_values`) are memoised.  `prefs`, if
+    given, is build_preferences(assignment).
     """
 
     def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
@@ -90,19 +91,16 @@ class _PatchContext:
     def _focal_absent(self, focal: int) -> DAState:
         if self._absent is not None and self._absent[0] == focal:
             return self._absent[1]
-        prefs = self.doctor_prefs
         if focal not in self._focals:
             self._focals[focal] = None
             self._shared = None
         if self._shared is None:
-            lists = list(prefs)
-            for f in self._focals:
-                lists[f] = []
-            absent = EdgeLists.written(lists, prefs.ranks, None, prefs.source)
+            present = np.ones(len(self.doctor_prefs), dtype=bool)
+            present[list(self._focals)] = False
             self._shared = truncated_state(
-                absent, self.hospital_prefs, self.instance.capacities)
-        state = self._shared.with_proposers(
-            {f: (prefs[f], prefs.ranks[f]) for f in self._focals if f != focal})
+                self.doctor_prefs, self.hospital_prefs, self.instance.capacities,
+                TruncationRule(proposer_filter=present))
+        state = self._shared.with_proposers([f for f in self._focals if f != focal])
         self._absent = (focal, state)
         return state
 
@@ -313,9 +311,10 @@ def locality_check(instance: MarketInstance,
     absent = ctx._focal_absent(focal)
 
     def settled():
-        # the focal-absent matching, and the pointers and counts behind it
-        return (matching_of(absent, DOCTORS_PROPOSE).key(), list(absent.pointer),
-                list(absent.held), list(absent.halted))
+        # the focal-absent matching, and the stops, pointers and counts
+        # behind it
+        return (matching_of(absent, DOCTORS_PROPOSE).key(), list(absent.stop),
+                list(absent.pointer), list(absent.held))
 
     before = settled()
     old = np.array(before[0])

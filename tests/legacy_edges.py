@@ -709,7 +709,7 @@ def rule_checking_da(doctor_prefs, hospital_prefs, capacities, rule,
 
     Returns (matching, event log, final state).
     """
-    log = da.EventLog(orientation)
+    log = da.EventLog()
     if orientation == DOCTORS_PROPOSE:
         proposers = doctor_prefs
         slots, caps = [1] * len(doctor_prefs), list(capacities)

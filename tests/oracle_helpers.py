@@ -11,7 +11,8 @@ its pair, and manual_assignment an edge table from hand-written
 utilities.  written_lists wraps hand-written lists that no table holds
 (a hospital that lists a doctor who does not list it), which only the FIFO
 entry points truncated_state and truncated_da take.  proposals reads the
-proposal records out of a truncated_da event log.
+proposal records out of a truncated_da event log, and halts_of reads where
+proposers halted off a settled run.
 """
 
 import itertools
@@ -104,6 +105,14 @@ def manual_assignment(doctor_utils, hospital_utils, hospital_budget=None):
 def proposals(log):
     """The proposal records of an event log, in order (no halts)."""
     return [e for e in log.events if e[4] in (HOLD, REJECT, DISPLACE)]
+
+
+def halts_of(state, reasons):
+    """{proposer: reason} over the proposers of a settled DAState who
+    halted: those left at their stop with a free slot.  reasons[p] is why
+    p stops where she does (truncation_stops' second value)."""
+    return {p: reasons[p] for p in range(len(state.slots))
+            if state.pointer[p] == state.stop[p] and state.held[p] < state.slots[p]}
 
 
 def matching_from_key(key, n_hospitals):

@@ -467,6 +467,25 @@ def test_unreadable_or_overflowing_config_exits_2_without_traceback(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_naming_a_file_exits_2_without_traceback(tmp_path, out):
+    # --out that is a file, or a path under one, is a configuration error
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"n_doctors": 6, "capacity": 2, "k": 2,
+                                "cone_override": 0.4, "runs": 1}))
+    (tmp_path / "file").write_text("kept\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "conematch.cli", "--config", str(path),
+         "--out", str(tmp_path / out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("configuration error: --out "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 # (field, value, accepted with n_hospitals = 3 given): both sides of each
 # bound, numpy scalars, and capacity vectors
 CONFIG_BOUNDARIES = [

@@ -14,8 +14,9 @@ from conematch.strategy import (build_assignment, build_preferences,
                                 select_interviews)
 
 from legacy_edges import utility_maps
-from oracle_helpers import (brute_stable_set, edge_lists, manual_assignment,
-                            proposals, random_lists, written_lists)
+from oracle_helpers import (brute_stable_set, edge_lists, halts_of,
+                            manual_assignment, proposals, random_lists,
+                            written_lists)
 
 
 def test_singleton_market():
@@ -95,29 +96,32 @@ def test_truncated_degenerate_equals_full():
 
 
 def truncated(doctor_utils, hospital_utils, caps, rule):
-    """truncated_da over a hand-written table, with the rule's stops."""
+    """truncated_da over a hand-written table, with the rule's stops, and
+    the halts read off the settled run."""
     prefs = build_preferences(manual_assignment(doctor_utils, hospital_utils))
     m, log = truncated_da(*prefs, caps, rule, DOCTORS_PROPOSE)
     stop, reasons = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)
-    return m, log, stop.tolist(), reasons
+    halted = halts_of(truncated_state(*prefs, caps, rule), reasons)
+    return m, log, stop.tolist(), reasons, halted
 
 
 def test_focal_target_one_proposal():
     # the single doctor's first choice is the focal hospital: one proposal,
-    # held; her prefix ends there, and she holds it, so she writes no halt
-    m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
+    # held; her prefix ends there, and she holds it, so she does not halt
+    m, log, stop, reasons, halted = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
                                       [1, 1], TruncationRule(focal_target=1))
     assert m.doctor_of.tolist() == [1]
     outcomes = [e[4] for e in log.events]
     assert outcomes == [da.HOLD]
     assert stop == [1] and reasons == [da.HALT_FOCAL]
+    assert halted == {}
 
 
 def test_focal_proposal_requires_floor():
     # focal proposal under the floor is not made: her prefix is empty
     rule = TruncationRule(focal_target=1, utility_floor=5.0)
-    m, log, stop, reasons = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
-                                      [1, 1], rule)
+    m, log, stop, reasons, _ = truncated([{1: 2.0, 0: 1.0}],
+                                         [{0: 1.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1]
     assert log.events == []
     assert stop == [0] and reasons == [da.HALT_FLOOR]
@@ -148,7 +152,7 @@ def test_stop_priorities():
          da.HALT_EXHAUSTED),
     ]
     for rule, want_stop, want_reason in cases:
-        m, log, stop, reasons = truncated(utils, hospitals, [1, 1, 1], rule)
+        m, log, stop, reasons, _ = truncated(utils, hospitals, [1, 1, 1], rule)
         assert (stop, reasons) == ([want_stop], [want_reason]), rule
         # she proposes down her prefix and holds its first entry
         assert m.doctor_of.tolist() == [0 if want_stop else -1]
@@ -164,17 +168,22 @@ def test_floor_respected_in_log():
     made = proposals(log)
     assert made
     assert all(e[3] >= floor for e in made)
-    assert any(e[4] == da.HALT_FLOOR for e in log.events)
+    # a doctor who proposed runs down to her floor with no seat
+    state = truncated_state(*prefs, inst.capacities, rule)
+    reasons = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)[1]
+    assert any(reason == da.HALT_FLOOR and state.pointer[p]
+               for p, reason in halts_of(state, reasons).items())
 
 
 def test_forbidden_window_blocks_proposal():
     # doctor 0 is displaced and her next utility (2.0) falls inside the
     # window: she halts without making that proposal
     rule = TruncationRule(forbidden_windows=[(1.5, 2.5)])
-    m, log, _, _ = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
-                             [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
+    m, log, _, _, halted = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
+                                     [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1, 0]
-    assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE, da.HALT_WINDOW]
+    assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE]
+    assert halted == {0: da.HALT_WINDOW}
     assert all(not (1.5 <= e[3] < 2.5) for e in proposals(log))
 
 
@@ -183,17 +192,17 @@ def test_displaced_proposer_rechecks_floor():
     # the floor, which ends her prefix, so she halts instead of proposing
     # to h1
     rule = TruncationRule(utility_floor=1.0)
-    m, log, _, _ = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
-                             [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
+    m, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
+                                     [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1, 0]
-    floor_halts = [e for e in log.events if e[4] == da.HALT_FLOOR]
-    assert len(floor_halts) == 1 and floor_halts[0][1] == 0
+    assert [e[1:3] for e in proposals(log)] == [(0, 0), (1, 0)]
+    assert halted == {0: da.HALT_FLOOR}
 
 
 def test_proposer_filter_excludes():
     rule = TruncationRule(proposer_filter=np.array([0.2, 0.9]) >= 0.5)
-    m, log, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
-                             rule)
+    m, log, _, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
+                                rule)
     assert m.doctor_of.tolist() == [-1, 0]
     assert all(e[1] == 1 for e in proposals(log))
 
@@ -250,19 +259,19 @@ def test_prefix_superset_never_hurts_receivers():
 
 
 def test_event_log_records():
-    # (step, proposer, target, utility, outcome); a halt has no target and
-    # a NaN utility
+    # (step, proposer, target, utility, outcome), proposals only; where a
+    # proposer halts is read off the settled run
     rule = TruncationRule(utility_floor=1.0)
-    _, log, _, _ = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}], [1, 1],
-                             rule)
+    _, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}],
+                                     [1, 1], rule)
     assert log.events == [(0, 0, 0, 2.0, da.HOLD)]
-    _, log, _, _ = truncated([{0: 2.0, 1: 0.5}, {0: 1.5, 1: 0.7}],
-                             [{0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}], [1, 1], rule)
-    assert log.events[:2] == [(0, 0, 0, 2.0, da.HOLD),
-                              (1, 1, 0, 1.5, da.DISPLACE)]
-    step, proposer, target, utility, outcome = log.events[2]
-    assert (step, proposer, target, outcome) == (2, 0, None, da.HALT_FLOOR)
-    assert math.isnan(utility) and len(log.events) == 3
+    assert halted == {}
+    _, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}, {0: 1.5, 1: 0.7}],
+                                     [{0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}],
+                                     [1, 1], rule)
+    assert log.events == [(0, 0, 0, 2.0, da.HOLD),
+                          (1, 1, 0, 1.5, da.DISPLACE)]
+    assert halted == {0: da.HALT_FLOOR}
 
 
 def test_total_proposals_bounded_and_fast():

@@ -6,13 +6,26 @@ branch), audits on every run and the deviation CSV.  A refactor of the
 pipeline or the audits must leave these digests unchanged.  `summary.txt`
 is not pinned: it records wall times.
 
+PINNED_PROPOSALS pins truncated_da's proposal records under a trivial
+rule, both orientations, on four seed-42 n=2000 markets.  Each record is
+hashed from its proposer on, in order; its step is its place in that
+order (halt records are not proposals and are not hashed).  Proposals do
+not depend on how halts are recorded, so these digests hold across any
+change to the halt bookkeeping of the FIFO loop.
+
 To re-derive the digests after an intended output change, print
 `campaign_digests(tmp_path)` from a checkout of the code being pinned.
 """
 
 import hashlib
 
-from conematch import cli
+import pytest
+
+from conematch import cli, da
+from conematch.market import generate, make_config
+from conematch.strategy import build_assignment, build_preferences
+
+from oracle_helpers import proposals
 
 CONE = 0.3
 
@@ -73,3 +86,39 @@ def campaign_digests(tmp_path):
 
 def test_campaign_csv_digests(tmp_path):
     assert campaign_digests(tmp_path) == PINNED
+
+
+PINNED_PROPOSALS = {
+    ("Residency", 5, da.DOCTORS_PROPOSE):
+        "730b2c466fe84774967f84e04f8f256b4e8205ae55e4243b12891f76f5b16c3d",
+    ("Residency", 5, da.HOSPITALS_PROPOSE):
+        "6e395fa4193771473fac62afea26e3be2eb23131eb03e1dc6705a8cc2b5d096a",
+    ("Residency", 12, da.DOCTORS_PROPOSE):
+        "de6477b238fa1039b256e64dfd588f70e90a2c97794928e660fdd9da1831eec3",
+    ("Residency", 12, da.HOSPITALS_PROPOSE):
+        "a0eb366c2d7ca02455f1c29f645902e46ac3799a4b1ec7d6e7016e98706902e9",
+    ("RequestInterview", 5, da.DOCTORS_PROPOSE):
+        "12fea5d49ee8ee9fd610788446d069c7c591c9fd06f6dd17da290cbcf8d0b8b7",
+    ("RequestInterview", 5, da.HOSPITALS_PROPOSE):
+        "bf1817ce43e408de0863174cf966a047598a8e0fc0653083a8884ad56bf3e26a",
+    ("SchoolChoice", 5, da.DOCTORS_PROPOSE):
+        "d9eccd3165485e9f57758481239f67eb0685c7cb95fa66cac1f8b0835ce6262f",
+    ("SchoolChoice", 5, da.HOSPITALS_PROPOSE):
+        "e269e2ff0c2957877ae553bc7ab6b4c7fe0689f19ce715bf008113cb5df93bfd",
+}
+
+
+@pytest.mark.parametrize("setting,k", [("Residency", 5), ("Residency", 12),
+                                       ("RequestInterview", 5),
+                                       ("SchoolChoice", 5)])
+def test_truncated_da_proposal_record_digests(setting, k):
+    cfg = make_config(2000, kappa=5, k=k, cone_override=CONE, seed=42,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    prefs = build_preferences(build_assignment(inst))
+    for orientation in (da.DOCTORS_PROPOSE, da.HOSPITALS_PROPOSE):
+        _, log = da.truncated_da(*prefs, inst.capacities, da.TruncationRule(),
+                                 orientation)
+        records = [e[1:] for e in proposals(log)]
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == PINNED_PROPOSALS[setting, k, orientation]

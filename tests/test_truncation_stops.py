@@ -20,7 +20,7 @@ from conematch.market import REQUEST_INTERVIEW, SETTINGS, generate, make_config
 from conematch.strategy import (InterviewAssignment, build_assignment,
                                 build_preferences)
 
-from oracle_helpers import proposals
+from oracle_helpers import halts_of, proposals
 
 
 def market(setting, kappa, seed, quantised, n=300):
@@ -90,22 +90,24 @@ def test_prefix_runs_match_the_rule_checking_engine(setting, kappa, quantised):
 
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_halt_records_name_each_proposer_stop(setting):
-    # a halt record is written once, when the proposer runs out of her
-    # prefix with a free slot, and names the reason her stop was set for
+    # a settled run leaves each proposer at her stop or with no free slot,
+    # and never past her stop; those at their stop with a free slot halted,
+    # for the reason her stop was set for
     inst, asg = market(setting, 5, 0, False)
     prefs = build_preferences(asg)
+    halted = Counter()
     for scenario in scenarios(inst, asg):
         rule = double_cut.scenario_rule(inst, scenario)
         proposers = prefs[scenario.orientation == da.HOSPITALS_PROPOSE]
         stop, reasons = da.truncation_stops(proposers, rule,
                                             scenario.orientation)
-        log = da.EventLog(scenario.orientation)
         state = da.truncated_state(*prefs, inst.capacities, rule,
-                                   scenario.orientation, log=log)
-        halted = [e for e in log.events if e[2] is None]
-        assert len({e[1] for e in halted}) == len(halted)
-        for _, p, _, _, reason in halted:
-            assert reason == reasons[p]
-            assert state.pointer[p] == stop[p]
-            assert state.held[p] < state.slots[p]
-        assert all(state.pointer[p] <= stop[p] for p in range(stop.size))
+                                   scenario.orientation)
+        assert list(state.stop) == stop.tolist()
+        for p in range(stop.size):
+            assert state.pointer[p] <= stop[p]
+            assert state.pointer[p] == stop[p] or state.held[p] == state.slots[p]
+        # the halts of proposers who proposed, as halt records named them
+        halted.update(reason for p, reason in halts_of(state, reasons).items()
+                      if state.pointer[p])
+    assert halted[da.HALT_FLOOR] and halted[da.HALT_EXHAUSTED]

@@ -1,8 +1,9 @@
 """The warm-started deviation probe against a full DA over the same lists.
 
-`_PatchContext` runs DA once per context, with every probed focal's list
-empty.  Each focal's focal-absent state is that shared run with the other
-focals' lists added back, and each replicate inserts the focal into it.
+`_PatchContext` runs DA once per context, with every probed focal absent
+(her stop is 0).  Each focal's focal-absent state is that shared run with
+the other focals' lists added back, and each replicate inserts the focal
+into it.
 The reference here spells the patched market out (the focal's list
 re-pointed to the slot hospitals, the focal's key placed in each slot
 hospital's list by utility) and runs the full `doctor_proposing_da` over
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from conematch import cli, da, deviation
-from conematch.da import EdgeLists, doctor_proposing_da, truncated_state
+from conematch.da import (EdgeLists, TruncationRule, doctor_proposing_da,
+                          truncated_state)
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  _PatchContext, _slot_values, deviant_slots,
                                  evaluate_deviation)
@@ -175,14 +177,15 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
 
 
 def _settled(state):
-    # the matching, the pointers, held counts and halt flags, and each
+    # the matching, the stops, pointers and held counts, and each
     # receiver's heap as a set (its layout depends on the proposal order)
-    return (da.matching_of(state, da.DOCTORS_PROPOSE).key(), list(state.pointer),
-            list(state.held), list(state.halted),
+    return (da.matching_of(state, da.DOCTORS_PROPOSE).key(), list(state.stop),
+            list(state.pointer), list(state.held),
             [set(heap) for heap in state.heaps])
 
 
 def _fresh_absent(ctx, focal):
+    # the focal's list emptied by hand: her stop is 0 as its length
     prefs = ctx.doctor_prefs
     lists = list(prefs)
     lists[focal] = []
@@ -229,27 +232,29 @@ def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
 
 
 def test_with_proposers_refuses_what_insert_refuses():
-    doctor_prefs, hospital_prefs = edge_lists(*random_lists(6, 3, 1))
-    absent = list(doctor_prefs)
-    absent[2] = []
-    state = truncated_state(*written_lists(absent, hospital_prefs), [2, 2, 2])
-    entry = (doctor_prefs[2], doctor_prefs.ranks[2])
-    child = state.with_proposers({2: entry})
-    full = truncated_state(doctor_prefs, hospital_prefs, [2, 2, 2])
+    prefs = edge_lists(*random_lists(6, 3, 1))
+    caps = [2, 2, 2]
+    rule = TruncationRule(proposer_filter=np.arange(6) != 2)
+    state = truncated_state(*prefs, caps, rule)
+    assert state.stop[2] == 0
+    child = state.with_proposers([2])
+    full = truncated_state(*prefs, caps)
     assert np.array_equal(da.matching_of(child, da.DOCTORS_PROPOSE).doctor_of,
                           da.matching_of(full, da.DOCTORS_PROPOSE).doctor_of)
-    with pytest.raises(ValueError, match="already has a list"):
-        state.with_proposers({0: entry})
-    with pytest.raises(ValueError, match="already has a list"):
-        child.with_proposers({2: entry})
-    for stop, log in (([len(lst) for lst in absent], None),
-                      (None, da.EventLog(da.DOCTORS_PROPOSE))):
-        bad = da.DAState(absent, state.ranks, state.slots, state.caps,
-                         stop, log)
-        with pytest.raises(ValueError, match="truncation or event log"):
-            bad.with_proposers({2: entry})
-        with pytest.raises(ValueError, match="truncation or event log"):
-            bad.insert(2, *entry)
+    entry = (prefs[0][2], prefs[0].ranks[2])
+    # a proposer whose stop is not 0
+    with pytest.raises(ValueError, match="proposer 0 is not absent"):
+        state.with_proposers([0])
+    with pytest.raises(ValueError, match="proposer 2 is not absent"):
+        child.with_proposers([2])
+    with pytest.raises(ValueError, match="proposer 2 is not absent"):
+        child.insert(2, *entry)
+    # a logged run
+    logged = truncated_state(*prefs, caps, rule, log=da.EventLog())
+    with pytest.raises(ValueError, match="event log"):
+        logged.with_proposers([2])
+    with pytest.raises(ValueError, match="event log"):
+        logged.insert(2, *entry)
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, REQUEST_INTERVIEW])
