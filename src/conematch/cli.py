@@ -2,7 +2,7 @@
 
 Reads a flat JSON config (exactly the MarketConfig field names; list
 values are crossed into a grid, with a per-hospital capacity vector
-written as a nested list), or one of the named presets, then runs the
+given as a nested list), or one of the named presets, then runs the
 seeded Monte Carlo campaign.  Each combination is read by
 MarketConfig.from_dict: a missing n_hospitals defaults to n_doctors / kappa
 (rounded, at least 1), and market.FIELDS gives every numeric field's valid
@@ -32,8 +32,9 @@ import numpy as np
 from . import analysis, deviation, double_cut, metrics
 from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
                  order_invariance_check)
-from .market import (ConfigError, MarketConfig, RESIDENCY, REQUEST_INTERVIEW,
-                     SCHOOL_CHOICE, check_field, generate, make_config)
+from .market import (INT64_MAX, ConfigError, MarketConfig, RESIDENCY,
+                     REQUEST_INTERVIEW, SCHOOL_CHOICE, check_field, generate,
+                     make_config)
 from .strategy import build_assignment, build_preferences
 
 EXIT_OK = 0
@@ -352,8 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.verify_only:
         return verify_only(args.seed)
     try:
-        if args.group_size < 1:
-            raise ConfigError("--group-size must be >= 1")
+        if not 1 <= args.group_size <= INT64_MAX:
+            raise ConfigError(f"--group-size must lie in [1, {INT64_MAX}]")
         if not 0.0 <= args.audit_sample <= 1.0:    # also refuses NaN
             raise ConfigError("--audit-sample must lie in [0, 1]")
         if args.config is not None:

@@ -17,9 +17,8 @@ DAState can be resumed (one absent proposer inserted on a copy-on-write
 overlay with `insert`, several given their lists on a plain copy with
 `with_proposers`, which is how deviation probes avoid re-running DA), and
 truncated_da writes the event log of proposals.  A proposer is absent
-when her stop is 0; where one halts, and why, is read off the settled
-state and truncation_stops.  order_invariance_check compares the two
-engines.
+when her stop is 0, and halts where the settled state leaves her at her
+stop with a slot free.  order_invariance_check compares the two engines.
 
 A Matching is one int64 array, each doctor's hospital (-1: unmatched);
 matching_of reads it off a settled DAState of either orientation.
@@ -28,9 +27,7 @@ Every entry point takes one input form, the two EdgeLists views that
 strategy.build_preferences makes of one edge table.  A view builds its
 Python lists (each proposer's list, the rank every listed receiver gives
 it, her own utilities) only when they are read; the round engine reads the
-table's arrays instead.  truncated_state and truncated_da also take lists
-written by hand (EdgeLists.written).  Anything else is refused with
-ValueError.
+table's arrays instead.  Anything else is refused with ValueError.
 
 A truncation rule cuts each proposer's list at a point her own list
 alone decides, so it is compiled into one stop index per proposer
@@ -52,21 +49,17 @@ import numpy as np
 HOLD = "hold"
 REJECT = "reject"
 DISPLACE = "displace"
-HALT_FLOOR = "halt:floor"
-HALT_FOCAL = "halt:focal"
-HALT_WINDOW = "halt:window"
-HALT_EXHAUSTED = "halt:exhausted"
 
 DOCTORS_PROPOSE = "doctors"
 HOSPITALS_PROPOSE = "hospitals"
 
-Event = Tuple[int, int, Optional[int], float, str]  # step, proposer, target, utility, outcome
+Event = Tuple[int, int, int, float, str]  # step, proposer, target, utility, outcome
 
 
 class EventLog:
     """The proposal records of one truncated_da run, in order.  Where a
-    proposer halts, and why, is read off the settled run (truncation_stops
-    gives her reason)."""
+    proposer halts is read off the settled run: at her stop with a slot
+    free."""
 
     def __init__(self):
         self.events: List[Event] = []
@@ -118,10 +111,6 @@ class TruncationRule:
     focal_target: Optional[int] = None
     forbidden_windows: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None
 
-    def is_trivial(self) -> bool:
-        return (self.proposer_filter is None and self.utility_floor is None
-                and self.focal_target is None and not self.forbidden_windows)
-
 
 def _leading(group: np.ndarray, limit) -> np.ndarray:
     # mask of the first `limit` entries of each run of equal values in
@@ -145,27 +134,18 @@ def _split(flat: list, offsets: list) -> List[list]:
 class EdgeLists:
     """One side's preference lists, partners best first: lists[p], with per
     entry the rank the partner gives back (ranks[p][i], None: unranked)
-    and, if not None, p's own utility (utils[p][i]).
+    and p's own utility (utils[p][i]).
 
     build_preferences makes two views of one edge table (`source`), each
     the side that proposes in orientation `side`.  A view builds its lists,
     ranks and utils from the table, each on its first read; the round
     engine, truncation_stops and proposal_counts read the table's arrays
-    (`csr`) and build none of them.  EdgeLists.written holds lists given by
-    hand, for a market no edge table holds; only truncated_state and
-    truncated_da take those.  Treat both as read-only.
+    (`csr`) and build none of them.  Treat a view as read-only.
     """
 
-    def __init__(self, source, side: Optional[str]):
+    def __init__(self, source, side: str):
         self.source = source
         self.side = side
-
-    @classmethod
-    def written(cls, lists, ranks, utils, source) -> "EdgeLists":
-        """Hand-written lists; `source` is any object the pair shares."""
-        edge_lists = cls(source, None)
-        edge_lists.lists, edge_lists.ranks, edge_lists.utils = lists, ranks, utils
-        return edge_lists
 
     @functools.cached_property
     def csr(self) -> Tuple[np.ndarray, ...]:
@@ -207,7 +187,7 @@ class EdgeLists:
         return _split(own.tolist(), offsets.tolist())
 
     def __len__(self) -> int:
-        return len(self.lists) if self.side is None else self.csr[0].size - 1
+        return self.csr[0].size - 1
 
     def __getitem__(self, p):
         return self.lists[p]
@@ -216,16 +196,8 @@ class EdgeLists:
         return iter(self.lists)
 
 
-def _edge_ranks(proposer_prefs, receiver_prefs):
-    # per proposer, the rank each listed receiver gives it
-    source = getattr(proposer_prefs, "source", None)
-    if source is None or source is not getattr(receiver_prefs, "source", None):
-        raise ValueError("preferences must be build_preferences(assignment)")
-    return proposer_prefs.ranks
-
-
 def _table_views(doctor_prefs, hospital_prefs) -> None:
-    # the round engine reads the table behind build_preferences' two views
+    # every entry point reads the table behind build_preferences' two views
     if not (isinstance(doctor_prefs, EdgeLists)
             and isinstance(hospital_prefs, EdgeLists)
             and doctor_prefs.side == DOCTORS_PROPOSE
@@ -324,8 +296,7 @@ class DAState:
                             waiting.add(worst)
                         outcome = DISPLACE
                 if events is not None:
-                    u = math.nan if utils is None else utils[p][i]
-                    events.append((len(events), p, t, u, outcome))
+                    events.append((len(events), p, t, utils[p][i], outcome))
 
     def insert(self, proposer: int, pref_list: Sequence[int],
                rank_list: Sequence[float]) -> "DAState":
@@ -380,9 +351,9 @@ class DAState:
     def touched(self) -> Tuple[set, set]:
         """The (proposers, receivers) copied by the insert that made this state.
 
-        A proposer is touched once its pointer or held count is written, a
-        receiver once its held set is read.  Only the agents on the insert's
-        rejection chain are.
+        A proposer is touched once the insert sets its pointer or held
+        count, a receiver once its held set is read.  Only the agents on
+        the insert's rejection chain are.
         """
         proposers = self.pointer.changed.keys() | self.held.changed.keys()
         return proposers, set(self.heaps.changed)
@@ -514,14 +485,9 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
     return _matching(receivers, holders, proposers.side, n, n_receivers), pointer
 
 
-# by priority at one stop: a focal halt comes an entry earlier, and the
-# floor is checked before the windows
-_REASONS = (HALT_FOCAL, HALT_FLOOR, HALT_WINDOW, HALT_EXHAUSTED)
-
-
 def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
-                     orientation: str) -> Tuple[np.ndarray, List[str]]:
-    """Each proposer's stop index under `rule`, and why she halts there.
+                     orientation: str) -> np.ndarray:
+    """Each proposer's stop index under `rule` (0: she never proposes).
 
     She stops at the earliest of her first entry below her floor (her list
     runs best first), her first entry inside a forbidden window that is not
@@ -543,15 +509,15 @@ def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
     for lo, hi in rule.forbidden_windows or ():
         inside |= (at_entries(lo) <= u) & (u < at_entries(hi))
     focal = target == rule.focal_target      # all False for None
-    # stop * 4 + reason code; the least one per proposer wins
-    none = np.iinfo(np.int64).max
-    key = np.where(below, pos * 4 + 1, np.where(inside & ~focal, pos * 4 + 2, none))
-    key = np.minimum(key, np.where(focal, pos * 4 + 4, none))
-    best = np.diff(offsets) * 4 + 3
-    np.minimum.at(best, owner, key)
+    # the stop each entry sets, if any: itself below the floor or in a
+    # window off the focal, the entry after it at the focal
+    end = np.where(below | (inside & ~focal), pos,
+                   np.where(focal, pos + 1, np.iinfo(np.int64).max))
+    stop = np.diff(offsets)
+    np.minimum.at(stop, owner, end)
     if rule.proposer_filter is not None:
-        best[~np.asarray(rule.proposer_filter, dtype=bool)] = 3
-    return best >> 2, [_REASONS[c] for c in (best & 3).tolist()]
+        stop[~np.asarray(rule.proposer_filter, dtype=bool)] = 0
+    return stop
 
 
 def proposal_counts(proposer_prefs: EdgeLists, pointer) -> np.ndarray:
@@ -636,20 +602,18 @@ def truncated_state(doctor_prefs: EdgeLists,
     proposal records.  `DAState.insert` and `with_proposers` add a
     proposer the rule leaves out (stop 0) to a run without a log.
     """
+    _table_views(doctor_prefs, hospital_prefs)
     if orientation == DOCTORS_PROPOSE:
-        proposers, receivers = doctor_prefs, hospital_prefs
+        proposers = doctor_prefs
         slots, caps = [1] * len(doctor_prefs), list(capacities)
     elif orientation == HOSPITALS_PROPOSE:
-        proposers, receivers = hospital_prefs, doctor_prefs
+        proposers = hospital_prefs
         slots, caps = list(capacities), [1] * len(doctor_prefs)
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    ranks = _edge_ranks(proposers, receivers)
-    if rule is None or rule.is_trivial():
-        stop = [len(lst) for lst in proposers]
-    else:
-        stop = truncation_stops(proposers, rule, orientation)[0].tolist()
-    return _engine(proposers, ranks, slots, caps, order, stop, log)
+    stop = truncation_stops(proposers, rule or TruncationRule(), orientation)
+    return _engine(proposers, proposers.ranks, slots, caps, order,
+                   stop.tolist(), log)
 
 
 def truncated_da(doctor_prefs: EdgeLists,

@@ -230,8 +230,8 @@ def run_double_cut(instance: MarketInstance,
     if any(getattr(p, "source", None) is not assignment for p in lists):
         raise ValueError("prefs must be build_preferences(assignment)")
     proposers = lists[scenario.orientation == HOSPITALS_PROPOSE]
-    stop, _ = truncation_stops(proposers, scenario_rule(instance, scenario),
-                               scenario.orientation)
+    stop = truncation_stops(proposers, scenario_rule(instance, scenario),
+                            scenario.orientation)
     matching, pointer = prefix_da(*lists, instance.capacities,
                                   scenario.orientation, stop)
     received = proposal_counts(proposers, pointer)

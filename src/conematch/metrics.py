@@ -182,8 +182,10 @@ def group_run(s: RunStats, group_size: int = 10) -> RunGroups:
     hospitals = np.vstack((s.hospital_fully_matched.astype(float),
                            s.hospital_fill / s.config.capacities().astype(float),
                            s.hospital_loss))
-    groups = np.vstack((_rank_groups(doctors, d_order, group_size),
-                        _rank_groups(hospitals, h_order, group_size)))
+    # a group larger than a side is that whole side: pad to no wider
+    width = min(group_size, max(d_order.size, h_order.size))
+    groups = np.vstack((_rank_groups(doctors, d_order, width),
+                        _rank_groups(hospitals, h_order, width)))
     return RunGroups(s.config, group_size, _finite_row_means(groups))
 
 
@@ -227,7 +229,7 @@ def aggregate(groups: Sequence[RunGroups]) -> Dict[str, GroupedSeries]:
         n = cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals
         n_groups = -(-n // group_size)
         lo = np.arange(n_groups, dtype=np.int64) * group_size + 1
-        hi = np.minimum(lo + group_size - 1, n)
+        hi = np.minimum(lo - 1 + group_size, n)     # no int64 overflow
         part = slice(at, at + n_groups)
         out[m] = GroupedSeries(m, group_size, lo, hi, mean[part], p10[part],
                                p90[part], len(groups))

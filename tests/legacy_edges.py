@@ -15,8 +15,11 @@ tests/test_one_pass.py compares the package with them.
 
 And the deviation probe as a full logged DA over patched lists
 (patched_da), with the locality check that searched the graph of both
-logged runs' proposals (locality_graph_check).  tests/test_edge_table.py
-and tests/test_deviation.py compare the package with them.
+logged runs' proposals (locality_graph_check).  The patched lists are not
+an edge table's (a hospital still ranks the focal where she no longer
+lists it), so they run on the rule-checking engine below.
+tests/test_edge_table.py and tests/test_deviation.py compare the package
+with them.
 
 And the deviant slot search that filtered listed hospitals in Python
 loops (loop_deviant_slots).  tests/test_deviation.py compares the package
@@ -29,9 +32,12 @@ tests/test_audit_predicates.py compares the package with it.
 And the truncated DA that checked its rule before every proposal
 (RuleCheckingState, rule_checking_da), with the double-cut rule built as
 per-proposer dicts in a Python loop (rule_for) and the excluded
-proposers' lists emptied (rule_checking_double_cut).  tests/test_edge_table.py
-and tests/test_truncation_stops.py compare the package's prefix runs with
-it.
+proposers' lists emptied (rule_checking_double_cut).  It logs a halt record
+(HALT_*) where a proposer stops, and runs lists written by hand
+(HandLists, hand_lists) as well as the package's da.EdgeLists, so it also
+runs markets that no edge table holds.  tests/test_edge_table.py,
+tests/test_truncation_stops.py and tests/test_warm_start.py compare the
+package with it.
 
 And the config validator that market.FIELDS replaced: require_int,
 _require_finite and the if-chain of MarketConfig.__post_init__
@@ -51,7 +57,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from conematch import da
-from conematch.da import TruncationRule, truncated_da
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
                                  NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
                                  _nearest_at, _slot_values, deviant_slots)
@@ -63,7 +68,10 @@ from conematch.metrics import (ALL_METRICS, DOCTOR_LOSS, DOCTOR_MATCH_RATE,
                                HOSPITAL_FILL_FRACTION, HOSPITAL_FULL_RATE,
                                HOSPITAL_LOSS, GroupedSeries, RunStats)
 
-from oracle_helpers import written_lists
+HALT_FLOOR = "halt:floor"
+HALT_FOCAL = "halt:focal"
+HALT_WINDOW = "halt:window"
+HALT_EXHAUSTED = "halt:exhausted"
 
 
 @dataclass
@@ -270,12 +278,58 @@ def blocking_pairs(asg, matching, capacities, prefs):
     return out
 
 
+@dataclass
+class HandLists:
+    """One side's lists written by hand, as a da.EdgeLists view reads them:
+    lists[p], the rank each listed partner gives back (ranks[p][i], None:
+    unranked) and p's own utilities (utils[p][i]; None: not given)."""
+
+    lists: list
+    ranks: list
+    utils: Optional[list] = None
+
+    def __len__(self):
+        return len(self.lists)
+
+    def __getitem__(self, p):
+        return self.lists[p]
+
+
+def hand_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
+               hospital_utils=None, hospital_ranks=None):
+    """(doctor side, hospital side) HandLists over hand-written lists.
+
+    An entry's rank is its position in the partner's list (None where the
+    partner does not list it); hospital_ranks[h][d], if given, replaces the
+    hospitals' positions and may be fractional.  An entry's utility comes
+    from the optional per-agent dicts (-inf where missing).
+    """
+    def positions(lists):
+        return [{x: r for r, x in enumerate(lst)} for lst in lists]
+
+    def back(prefs, ranks):
+        return [[ranks[t].get(p) for t in lst] for p, lst in enumerate(prefs)]
+
+    def own(prefs, utils):
+        if utils is None:
+            return None
+        return [[utils[p].get(t, -math.inf) for t in lst]
+                for p, lst in enumerate(prefs)]
+
+    if hospital_ranks is None:
+        hospital_ranks = positions(hospital_prefs)
+    return (HandLists(doctor_prefs, back(doctor_prefs, hospital_ranks),
+                      own(doctor_prefs, doctor_utils)),
+            HandLists(hospital_prefs, back(hospital_prefs, positions(doctor_prefs)),
+                      own(hospital_prefs, hospital_utils)))
+
+
 def run_double_cut(instance, asg, scenario, prefs):
     """The truncated run of a double-cut scenario over the dicts, by the
     rule-checking engine; returns (matching, event log, final state)."""
     return rule_checking_double_cut(
         instance, scenario,
-        written_lists(*prefs, asg.doctor_utils, asg.hospital_utils))
+        hand_lists(*prefs, asg.doctor_utils, asg.hospital_utils))
 
 
 def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
@@ -303,10 +357,10 @@ def patched_da(instance, asg, prefs, nu_d, nu_h, focal, slots, iota_d, iota_h):
                 if d != focal]
         bisect.insort(keys, (-u_h, focal))
         hospital_prefs[h] = [d for _, d in keys]
-    matching, log = truncated_da(*written_lists(doctor_prefs, hospital_prefs,
-                                                doctor_utils),
-                                 instance.capacities, TruncationRule())
-    return u_focal, matching, log
+    _, log, state = rule_checking_da(
+        *hand_lists(doctor_prefs, hospital_prefs, doctor_utils),
+        instance.capacities, Rule())
+    return u_focal, da.matching_of(state, DOCTORS_PROPOSE), log
 
 
 def locality_graph_check(instance, table, spec, replicate=0):
@@ -663,15 +717,15 @@ class RuleCheckingState:
                     halted[p] = True
                     if events is not None:
                         events.append((len(events), p, None, math.nan,
-                                       da.HALT_EXHAUSTED))
+                                       HALT_EXHAUSTED))
                     break
                 t = lst[i]
                 if utils is not None:
                     u = ulst[i]
                 if rule is not None:
-                    stop = da.HALT_FLOOR if u < floor else None
+                    stop = HALT_FLOOR if u < floor else None
                     if stop is None and t != focal and any(lo <= u < hi for lo, hi in windows):
-                        stop = da.HALT_WINDOW
+                        stop = HALT_WINDOW
                     if stop is not None:
                         halted[p] = True
                         if events is not None:
@@ -699,7 +753,7 @@ class RuleCheckingState:
                 if rule is not None and t == focal:
                     halted[p] = True
                     if events is not None:
-                        events.append((len(events), p, None, u, da.HALT_FOCAL))
+                        events.append((len(events), p, None, u, HALT_FOCAL))
                     break
 
 
@@ -730,17 +784,17 @@ def rule_checking_da(doctor_prefs, hospital_prefs, capacities, rule,
 
 
 def rule_checking_double_cut(instance, scenario, prefs):
-    """A double-cut scenario's run over an EdgeLists pair, excluded
-    proposers' lists emptied, by the rule-checking engine; returns
+    """A double-cut scenario's run over an EdgeLists or HandLists pair,
+    excluded proposers' lists emptied, by the rule-checking engine; returns
     (matching, event log, final state)."""
     lists = list(prefs)
     side = 1 if scenario.orientation == HOSPITALS_PROPOSE else 0
     ratings = (instance.doctor_ratings, instance.hospital_ratings)[side]
     if scenario.exclusions:
         p = lists[side]
-        lists[side] = da.EdgeLists.written(
+        lists[side] = HandLists(
             [([] if i in scenario.exclusions else lst) for i, lst in enumerate(p)],
-            p.ranks, p.utils, p.source)
+            p.ranks, p.utils)
     rule = rule_for(scenario, len(lists[side]), ratings)
     return rule_checking_da(*lists, instance.capacities, rule,
                             scenario.orientation, ratings)

@@ -5,14 +5,14 @@ comparisons over exhaustive enumeration) without touching the package's
 own enumeration, so the two routes stay independent.  quarter_draws puts
 every random draw on a grid of quarters, for the tie tests.
 
-The DA entry points take only the two da.EdgeLists of one edge table.
-edge_lists builds an edge table that holds hand-written lists and returns
-its pair, and manual_assignment an edge table from hand-written
-utilities.  written_lists wraps hand-written lists that no table holds
-(a hospital that lists a doctor who does not list it), which only the FIFO
-entry points truncated_state and truncated_da take.  proposals reads the
-proposal records out of a truncated_da event log, and halts_of reads where
-proposers halted off a settled run.
+The DA entry points take one input form, the two da.EdgeLists views of
+one edge table.  edge_lists builds an edge table that holds hand-written
+lists and returns its pair, and manual_assignment an edge table from
+hand-written utilities.  A market that no table holds (a hospital that
+lists a doctor who does not list it) runs on the rule-checking engine of
+tests/legacy_edges.py instead.  proposals reads the proposal records out
+of a truncated_da event log, and halts_of reads off a settled run the
+proposers who halted: those at their stop with a slot free.
 """
 
 import itertools
@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from conematch import rng
-from conematch.da import DISPLACE, HOLD, REJECT, EdgeLists, Matching
+from conematch.da import DISPLACE, HOLD, REJECT, Matching
 from conematch.strategy import InterviewAssignment, build_preferences
 
 
@@ -34,7 +34,9 @@ def edge_lists(doctor_prefs, hospital_prefs, hospital_ranks=None):
     hospital_ranks[h][d] (may be fractional), by default at d's position in
     h's list; an edge whose doctor h does not rank is unranked.  A hospital
     that ranks a doctor who does not list it is refused with ValueError:
-    no table holds that market, so written_lists and truncated_state run it.
+    no table holds that market.  No doctor proposes to such an entry, so a
+    doctor-proposing run over that market is the run over the table
+    without it, its hospital's ranks keeping the gap.
     """
     if hospital_ranks is None:
         hospital_ranks = [{d: r for r, d in enumerate(lst)}
@@ -51,40 +53,6 @@ def edge_lists(doctor_prefs, hospital_prefs, hospital_ranks=None):
         np.array(u_doc), np.array(u_hosp), len(doctor_prefs),
         len(hospital_ranks), np.array([len(r) for r in hospital_ranks]))
     return build_preferences(asg)
-
-
-def written_lists(doctor_prefs, hospital_prefs, doctor_utils=None,
-                  hospital_utils=None, hospital_ranks=None):
-    """(doctor side, hospital side) EdgeLists.written over hand-written
-    lists, for markets no edge table holds; only truncated_state and
-    truncated_da take them.
-
-    An entry's rank is its position in the partner's list (None where the
-    partner does not list it); hospital_ranks[h][d], if given, replaces the
-    hospitals' positions and may be fractional.  An entry's utility comes
-    from the optional per-agent dicts (-inf where missing).  Both sides
-    share one sentinel source, as build_preferences' pair shares its table.
-    """
-    def positions(lists):
-        return [{x: r for r, x in enumerate(lst)} for lst in lists]
-
-    def back(prefs, ranks):
-        return [[ranks[t].get(p) for t in lst] for p, lst in enumerate(prefs)]
-
-    def own(prefs, utils):
-        if utils is None:
-            return None
-        return [[utils[p].get(t, -math.inf) for t in lst]
-                for p, lst in enumerate(prefs)]
-
-    if hospital_ranks is None:
-        hospital_ranks = positions(hospital_prefs)
-    source = object()
-    return (EdgeLists.written(doctor_prefs, back(doctor_prefs, hospital_ranks),
-                              own(doctor_prefs, doctor_utils), source),
-            EdgeLists.written(hospital_prefs,
-                              back(hospital_prefs, positions(doctor_prefs)),
-                              own(hospital_prefs, hospital_utils), source))
 
 
 def manual_assignment(doctor_utils, hospital_utils, hospital_budget=None):
@@ -107,11 +75,10 @@ def proposals(log):
     return [e for e in log.events if e[4] in (HOLD, REJECT, DISPLACE)]
 
 
-def halts_of(state, reasons):
-    """{proposer: reason} over the proposers of a settled DAState who
-    halted: those left at their stop with a free slot.  reasons[p] is why
-    p stops where she does (truncation_stops' second value)."""
-    return {p: reasons[p] for p in range(len(state.slots))
+def halts_of(state):
+    """The proposers of a settled DAState who halted: those left at their
+    stop with a free slot."""
+    return {p for p in range(len(state.slots))
             if state.pointer[p] == state.stop[p] and state.held[p] < state.slots[p]}
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conematch import analysis, cli, da, market
+from conematch import analysis, cli, da, market, metrics
 from conematch.market import (ConfigError, MarketConfig, RESIDENCY, SCHOOL_CHOICE,
                               make_config)
 from conematch.strategy import InterviewAssignment
@@ -186,6 +186,40 @@ def test_group_size_below_one_exits_config_error(tmp_path, monkeypatch):
     rc = cli.main(["--config", str(write_config(tmp_path)), "--group-size", "0",
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_CONFIG and not calls
+
+
+def test_group_size_beyond_int64_exits_config_error(tmp_path, monkeypatch,
+                                                    capsys):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--config", str(write_config(tmp_path)), "--group-size",
+                   "99999999999999999999999", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+    assert "configuration error: --group-size" in capsys.readouterr().err
+
+
+def test_group_larger_than_every_side_pads_to_the_agents(tmp_path,
+                                                          monkeypatch):
+    # with 6 doctors and 3 hospitals, a group of 10**6 is each whole side:
+    # its rows are no wider than 6, and its CSV is that of a group of 6
+    config = write_config(tmp_path, n_doctors=6, n_hospitals=3, capacity=2,
+                          k=2, cone_override=0.4, runs=1)
+    widths, rank_groups = [], metrics._rank_groups
+
+    def recording(*args):
+        out = rank_groups(*args)
+        widths.append(out.shape[1])
+        return out
+    monkeypatch.setattr(metrics, "_rank_groups", recording)
+
+    def csv_bytes(group_size):
+        out = tmp_path / str(group_size)
+        assert cli.main(["--config", str(config), "--out", str(out),
+                         "--group-size", str(group_size)]) == cli.EXIT_OK
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    wide = csv_bytes(10 ** 6)
+    assert wide and wide == csv_bytes(6)
+    assert widths and max(widths) <= 6
 
 
 @pytest.mark.parametrize("rate", ["nan", "-0.1", "1.5"])

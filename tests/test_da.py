@@ -15,8 +15,7 @@ from conematch.strategy import (build_assignment, build_preferences,
 
 from legacy_edges import utility_maps
 from oracle_helpers import (brute_stable_set, edge_lists, halts_of,
-                            manual_assignment, proposals, random_lists,
-                            written_lists)
+                            manual_assignment, proposals, random_lists)
 
 
 def test_singleton_market():
@@ -100,31 +99,31 @@ def truncated(doctor_utils, hospital_utils, caps, rule):
     the halts read off the settled run."""
     prefs = build_preferences(manual_assignment(doctor_utils, hospital_utils))
     m, log = truncated_da(*prefs, caps, rule, DOCTORS_PROPOSE)
-    stop, reasons = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)
-    halted = halts_of(truncated_state(*prefs, caps, rule), reasons)
-    return m, log, stop.tolist(), reasons, halted
+    stop = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)
+    halted = halts_of(truncated_state(*prefs, caps, rule))
+    return m, log, stop.tolist(), halted
 
 
 def test_focal_target_one_proposal():
     # the single doctor's first choice is the focal hospital: one proposal,
     # held; her prefix ends there, and she holds it, so she does not halt
-    m, log, stop, reasons, halted = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
-                                      [1, 1], TruncationRule(focal_target=1))
+    m, log, stop, halted = truncated([{1: 2.0, 0: 1.0}], [{0: 1.0}, {0: 1.0}],
+                                     [1, 1], TruncationRule(focal_target=1))
     assert m.doctor_of.tolist() == [1]
     outcomes = [e[4] for e in log.events]
     assert outcomes == [da.HOLD]
-    assert stop == [1] and reasons == [da.HALT_FOCAL]
-    assert halted == {}
+    assert stop == [1]
+    assert halted == set()
 
 
 def test_focal_proposal_requires_floor():
     # focal proposal under the floor is not made: her prefix is empty
     rule = TruncationRule(focal_target=1, utility_floor=5.0)
-    m, log, stop, reasons, _ = truncated([{1: 2.0, 0: 1.0}],
-                                         [{0: 1.0}, {0: 1.0}], [1, 1], rule)
+    m, log, stop, _ = truncated([{1: 2.0, 0: 1.0}],
+                                [{0: 1.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1]
     assert log.events == []
-    assert stop == [0] and reasons == [da.HALT_FLOOR]
+    assert stop == [0]
 
 
 def test_stop_priorities():
@@ -133,27 +132,22 @@ def test_stop_priorities():
     hospitals = [{0: 1.0}, {0: 1.0}, {0: 1.0}]
     cases = [
         # the focal ends the prefix before the floor would
-        (TruncationRule(focal_target=1, utility_floor=1.5), 2, da.HALT_FOCAL),
+        (TruncationRule(focal_target=1, utility_floor=1.5), 2),
         # a focal below the floor is not proposed to
-        (TruncationRule(focal_target=1, utility_floor=2.5), 1, da.HALT_FLOOR),
+        (TruncationRule(focal_target=1, utility_floor=2.5), 1),
         # a window does not stop a proposal to the focal
-        (TruncationRule(focal_target=1, forbidden_windows=[(1.5, 2.5)]), 2,
-         da.HALT_FOCAL),
-        # the floor is checked before a window on the same entry
-        (TruncationRule(utility_floor=2.5, forbidden_windows=[(1.5, 2.5)]), 1,
-         da.HALT_FLOOR),
-        (TruncationRule(forbidden_windows=[(0.5, 1.5)]), 2, da.HALT_WINDOW),
+        (TruncationRule(focal_target=1, forbidden_windows=[(1.5, 2.5)]), 2),
+        # a floor and a window on the same entry stop her there
+        (TruncationRule(utility_floor=2.5, forbidden_windows=[(1.5, 2.5)]), 1),
+        (TruncationRule(forbidden_windows=[(0.5, 1.5)]), 2),
         # per-proposer bounds: an empty window exempts her
-        (TruncationRule(forbidden_windows=[(np.array([np.inf]), 2.5)]), 3,
-         da.HALT_EXHAUSTED),
-        (TruncationRule(utility_floor=np.array([-np.inf])), 3,
-         da.HALT_EXHAUSTED),
-        (TruncationRule(proposer_filter=np.array([False])), 0,
-         da.HALT_EXHAUSTED),
+        (TruncationRule(forbidden_windows=[(np.array([np.inf]), 2.5)]), 3),
+        (TruncationRule(utility_floor=np.array([-np.inf])), 3),
+        (TruncationRule(proposer_filter=np.array([False])), 0),
     ]
-    for rule, want_stop, want_reason in cases:
-        m, log, stop, reasons, _ = truncated(utils, hospitals, [1, 1, 1], rule)
-        assert (stop, reasons) == ([want_stop], [want_reason]), rule
+    for rule, want_stop in cases:
+        m, log, stop, _ = truncated(utils, hospitals, [1, 1, 1], rule)
+        assert stop == [want_stop], rule
         # she proposes down her prefix and holds its first entry
         assert m.doctor_of.tolist() == [0 if want_stop else -1]
 
@@ -168,22 +162,24 @@ def test_floor_respected_in_log():
     made = proposals(log)
     assert made
     assert all(e[3] >= floor for e in made)
-    # a doctor who proposed runs down to her floor with no seat
+    # a doctor who proposed runs down to her floor with no seat: she halts
+    # before an entry below it
     state = truncated_state(*prefs, inst.capacities, rule)
-    reasons = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)[1]
-    assert any(reason == da.HALT_FLOOR and state.pointer[p]
-               for p, reason in halts_of(state, reasons).items())
+    utils = prefs[0].utils
+    assert any(state.pointer[p] and state.stop[p] < len(utils[p])
+               and utils[p][state.stop[p]] < floor for p in halts_of(state))
 
 
 def test_forbidden_window_blocks_proposal():
     # doctor 0 is displaced and her next utility (2.0) falls inside the
     # window: she halts without making that proposal
     rule = TruncationRule(forbidden_windows=[(1.5, 2.5)])
-    m, log, _, _, halted = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
+    m, log, stop, halted = truncated([{0: 3.0, 1: 2.0}, {0: 5.0}],
                                      [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1, 0]
     assert [e[4] for e in log.events] == [da.HOLD, da.DISPLACE]
-    assert halted == {0: da.HALT_WINDOW}
+    assert stop == [1, 1]
+    assert halted == {0}
     assert all(not (1.5 <= e[3] < 2.5) for e in proposals(log))
 
 
@@ -192,25 +188,30 @@ def test_displaced_proposer_rechecks_floor():
     # the floor, which ends her prefix, so she halts instead of proposing
     # to h1
     rule = TruncationRule(utility_floor=1.0)
-    m, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
+    m, log, stop, halted = truncated([{0: 2.0, 1: 0.5}, {0: 2.0}],
                                      [{0: 1.0, 1: 2.0}, {0: 1.0}], [1, 1], rule)
     assert m.doctor_of.tolist() == [-1, 0]
     assert [e[1:3] for e in proposals(log)] == [(0, 0), (1, 0)]
-    assert halted == {0: da.HALT_FLOOR}
+    assert stop == [1, 1]
+    assert halted == {0}
 
 
 def test_proposer_filter_excludes():
     rule = TruncationRule(proposer_filter=np.array([0.2, 0.9]) >= 0.5)
-    m, log, _, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
-                                rule)
+    m, log, _, _ = truncated([{0: 1.0}, {0: 2.0}], [{0: 2.0, 1: 1.0}], [2],
+                             rule)
     assert m.doctor_of.tolist() == [-1, 0]
     assert all(e[1] == 1 for e in proposals(log))
 
 
 def test_rule_needs_the_edge_table():
-    prefs = written_lists([[0]], [[0]], [{0: 1.0}])
+    # a rule is compiled over the proposers' view of one edge table
+    prefs = edge_lists([[0]], [[0]])
+    rule = TruncationRule(utility_floor=0.0)
     with pytest.raises(ValueError, match="build_preferences"):
-        truncated_da(*prefs, [1], TruncationRule(utility_floor=0.0))
+        truncated_da([[0]], [[0]], [1], rule)
+    with pytest.raises(ValueError, match="build_preferences"):
+        da.truncation_stops(prefs[1], rule, DOCTORS_PROPOSE)
 
 
 def test_order_invariance():
@@ -241,10 +242,12 @@ def test_prefix_superset_never_hurts_receivers():
     gen = random.Random(7)
     cut_prefs = [lst[: gen.randint(0, len(lst))] for lst in doctor_prefs]
     caps = inst.capacities
-    # the hospitals' lists still name the doctors who cut them, which no
-    # edge table holds: the cut run is the FIFO loop's
-    cut = da.matching_of(truncated_state(
-        *written_lists(cut_prefs, list(hospital_prefs)), caps), DOCTORS_PROPOSE)
+    # the hospitals' lists still name the doctors who cut them, where no
+    # doctor proposes: the cut run is over the table without those entries,
+    # each hospital ranking the doctors left as its whole list does
+    ranks = [{d: r for r, d in enumerate(lst) if h in cut_prefs[d]}
+             for h, lst in enumerate(hospital_prefs)]
+    cut = doctor_proposing_da(*edge_lists(cut_prefs, None, ranks), caps)
     full = doctor_proposing_da(doctor_prefs, hospital_prefs, caps)
     hospital_utils = utility_maps(asg)[1]
     for h in range(inst.config.n_hospitals):
@@ -262,16 +265,16 @@ def test_event_log_records():
     # (step, proposer, target, utility, outcome), proposals only; where a
     # proposer halts is read off the settled run
     rule = TruncationRule(utility_floor=1.0)
-    _, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}],
-                                     [1, 1], rule)
+    _, log, _, halted = truncated([{0: 2.0, 1: 0.5}], [{0: 1.0}, {0: 1.0}],
+                                  [1, 1], rule)
     assert log.events == [(0, 0, 0, 2.0, da.HOLD)]
-    assert halted == {}
-    _, log, _, _, halted = truncated([{0: 2.0, 1: 0.5}, {0: 1.5, 1: 0.7}],
-                                     [{0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}],
-                                     [1, 1], rule)
+    assert halted == set()
+    _, log, _, halted = truncated([{0: 2.0, 1: 0.5}, {0: 1.5, 1: 0.7}],
+                                  [{0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}],
+                                  [1, 1], rule)
     assert log.events == [(0, 0, 0, 2.0, da.HOLD),
                           (1, 1, 0, 1.5, da.DISPLACE)]
-    assert halted == {0: da.HALT_FLOOR}
+    assert halted == {0}
 
 
 def test_total_proposals_bounded_and_fast():
@@ -303,7 +306,8 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_points_take_only_one_tables_lists(entry):
     # the one input form is build_preferences(assignment): plain lists, two
-    # tables' lists, or a table's lists beside plain ones are refused
+    # tables' lists, a table's lists beside plain ones, or its two views
+    # swapped are refused
     cfg = make_config(30, kappa=2, k=3, cone_override=0.3, seed=1)
     inst = generate(cfg, 0)
     a = build_preferences(build_assignment(inst))
@@ -311,6 +315,6 @@ def test_entry_points_take_only_one_tables_lists(entry):
     run, caps = ENTRY_POINTS[entry], inst.capacities
     run(*a, caps)
     for d, h in ((list(a[0]), list(a[1])), (a[0], b[1]), (b[0], a[1]),
-                 (a[0], list(a[1])), (list(a[0]), a[1])):
+                 (a[0], list(a[1])), (list(a[0]), a[1]), (a[1], a[0])):
         with pytest.raises(ValueError, match="build_preferences"):
             run(d, h, caps)

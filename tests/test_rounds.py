@@ -67,7 +67,7 @@ def _check_against_fifo(prefs, caps, orientation, rule, monkeypatch,
     want = da.matching_of(fifo, orientation).doctor_of
     want_counts = da.proposal_counts(proposers, fifo.pointer)
     stop = (None if rule is None
-            else da.truncation_stops(proposers, rule, orientation)[0])
+            else da.truncation_stops(proposers, rule, orientation))
     settle = da.DAState._settle
     for name, tail in TAILS.items():
         calls = []

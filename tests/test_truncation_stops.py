@@ -7,6 +7,8 @@ compares the matchings, the final pointers, the proposals each receiver got
 and the sequence of proposal records, over hospital, doctor and interval
 scenarios in all three settings, kappa 1 and 5, several seeds, on drawn
 utilities and on utilities rounded down to quarters (ties at the floor).
+The proposers a settled prefix run leaves at their stop with a slot free
+are those the engine halted with a slot free.
 """
 
 from collections import Counter
@@ -84,30 +86,40 @@ def test_prefix_runs_match_the_rule_checking_engine(setting, kappa, quantised):
             halts.update(e[4] for e in log.events)
     # the floor stops proposers in every case, and a focal or a window in
     # every case too (each of the two in ten of the twelve cases)
-    assert halts[da.HALT_FLOOR]
-    assert halts[da.HALT_FOCAL] + halts[da.HALT_WINDOW]
+    assert halts[legacy_edges.HALT_FLOOR]
+    assert halts[legacy_edges.HALT_FOCAL] + halts[legacy_edges.HALT_WINDOW]
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_halt_records_name_each_proposer_stop(setting):
     # a settled run leaves each proposer at her stop or with no free slot,
-    # and never past her stop; those at their stop with a free slot halted,
-    # for the reason her stop was set for
+    # and never past her stop; those at their stop with a free slot are the
+    # proposers the rule-checking engine halted with a free slot, among
+    # those it let propose (the rule's filter passes them, and their lists,
+    # with the excluded proposers' emptied, are not empty)
     inst, asg = market(setting, 5, 0, False)
     prefs = build_preferences(asg)
     halted = Counter()
     for scenario in scenarios(inst, asg):
         rule = double_cut.scenario_rule(inst, scenario)
-        proposers = prefs[scenario.orientation == da.HOSPITALS_PROPOSE]
-        stop, reasons = da.truncation_stops(proposers, rule,
-                                            scenario.orientation)
+        side = scenario.orientation == da.HOSPITALS_PROPOSE
+        stop = da.truncation_stops(prefs[side], rule, scenario.orientation)
         state = da.truncated_state(*prefs, inst.capacities, rule,
                                    scenario.orientation)
         assert list(state.stop) == stop.tolist()
         for p in range(stop.size):
             assert state.pointer[p] <= stop[p]
             assert state.pointer[p] == stop[p] or state.held[p] == state.slots[p]
-        # the halts of proposers who proposed, as halt records named them
-        halted.update(reason for p, reason in halts_of(state, reasons).items()
-                      if state.pointer[p])
-    assert halted[da.HALT_FLOOR] and halted[da.HALT_EXHAUSTED]
+
+        _, log, old = legacy_edges.rule_checking_double_cut(inst, scenario,
+                                                            prefs)
+        ratings = (inst.doctor_ratings, inst.hospital_ratings)[side]
+        ran = {p for p in range(stop.size)
+               if ratings[p] >= scenario.proposer_threshold and old.prefs[p]}
+        want = {p for p in ran if old.halted[p] and old.held[p] < old.slots[p]}
+        assert halts_of(state) & ran == want
+        # the reasons the engine logged for the halts of proposers who
+        # proposed
+        halted.update(e[4] for e in log.events if e[4].startswith("halt:")
+                      and e[1] in want and old.pointer[e[1]])
+    assert halted[legacy_edges.HALT_FLOOR] and halted[legacy_edges.HALT_EXHAUSTED]

@@ -8,7 +8,8 @@ The reference here spells the patched market out (the focal's list
 re-pointed to the slot hospitals, the focal's key placed in each slot
 hospital's list by utility) and runs the full `doctor_proposing_da` over
 it; the focal-absent states are compared with a fresh run over lists with
-only that focal's emptied.
+only that focal's emptied, on the rule-checking engine of
+tests/legacy_edges.py, which also runs the insert's reference market.
 """
 
 import random
@@ -17,8 +18,7 @@ import numpy as np
 import pytest
 
 from conematch import cli, da, deviation
-from conematch.da import (EdgeLists, TruncationRule, doctor_proposing_da,
-                          truncated_state)
+from conematch.da import TruncationRule, doctor_proposing_da, truncated_state
 from conematch.deviation import (KINDS, NULL_DEVIATION, DeviationSpec,
                                  _PatchContext, _slot_values, deviant_slots,
                                  evaluate_deviation)
@@ -26,8 +26,9 @@ from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               generate, make_config)
 from conematch.strategy import build_assignment, weighted_utilities
 
-from legacy_edges import utility_maps
-from oracle_helpers import edge_lists, random_lists, written_lists
+from legacy_edges import (HandLists, Rule, hand_lists, rule_checking_da,
+                          utility_maps)
+from oracle_helpers import edge_lists, random_lists
 
 
 def _reference_run(ctx, focal, slots, iota_d, iota_h):
@@ -117,12 +118,14 @@ def test_insert_leaves_the_shared_state_untouched():
         doctor_prefs, hospital_prefs = random_lists(9, 4, seed, complete=False,
                                                     k=3)
         caps = [2, 1, 2, 1]
-        ranks = [{d: r for r, d in enumerate(lst)} for lst in hospital_prefs]
         gen = random.Random(seed)
         focal = gen.randrange(9)
         absent = list(doctor_prefs)
         absent[focal] = []
-        state = truncated_state(*written_lists(absent, hospital_prefs), caps)
+        # the hospitals without the absent focal, who lists none of them
+        others = [[d for d in lst if d != focal] for lst in hospital_prefs]
+        ranks = [{d: r for r, d in enumerate(lst)} for lst in others]
+        state = truncated_state(*edge_lists(absent, others), caps)
         before = [sorted(heap) for heap in state.heaps]
         for _ in range(3):
             focal_list = gen.sample(range(4), gen.randint(1, 4))
@@ -136,16 +139,12 @@ def test_insert_leaves_the_shared_state_untouched():
             patched_ranks = [dict(r) for r in ranks]
             for h, r in overlay.items():
                 patched_ranks[h][focal] = r
-            # the hospitals still rank the focal where she no longer
-            # lists them, which no edge table holds: FIFO reference
-            full = da.matching_of(truncated_state(
-                *written_lists(patched_prefs, hospital_prefs,
-                               hospital_ranks=patched_ranks), caps),
-                da.DOCTORS_PROPOSE)
+            full, _, _ = rule_checking_da(
+                *hand_lists(patched_prefs, hospital_prefs,
+                            hospital_ranks=patched_ranks), caps, Rule())
             got = da.matching_of(child, da.DOCTORS_PROPOSE)
-            assert np.array_equal(got.doctor_of, full.doctor_of)
-            h = int(full.doctor_of[focal])
-            assert child.partner(focal) == (h if h >= 0 else None)
+            assert got.key() == full.key()
+            assert child.partner(focal) == full.doctor_of[focal]
             assert [sorted(heap) for heap in state.heaps] == before
 
 
@@ -176,22 +175,25 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
     assert len(calls) == 8
 
 
-def _settled(state):
+def _settled(state, stop):
     # the matching, the stops, pointers and held counts, and each
     # receiver's heap as a set (its layout depends on the proposal order)
-    return (da.matching_of(state, da.DOCTORS_PROPOSE).key(), list(state.stop),
+    return (da.matching_of(state, da.DOCTORS_PROPOSE).key(), list(stop),
             list(state.pointer), list(state.held),
             [set(heap) for heap in state.heaps])
 
 
 def _fresh_absent(ctx, focal):
-    # the focal's list emptied by hand: her stop is 0 as its length
+    # the focal's list emptied by hand, with the table's ranks, so that the
+    # heaps hold the same (-rank, doctor) pairs; each stop is a list's
+    # length, the focal's 0
     prefs = ctx.doctor_prefs
     lists = list(prefs)
     lists[focal] = []
-    return truncated_state(EdgeLists.written(lists, prefs.ranks, None,
-                                             prefs.source),
-                           ctx.hospital_prefs, ctx.instance.capacities)
+    _, _, state = rule_checking_da(HandLists(lists, prefs.ranks),
+                                   ctx.hospital_prefs, ctx.instance.capacities,
+                                   Rule())
+    return _settled(state, [len(lst) for lst in lists])
 
 
 def _counting_engine(monkeypatch):
@@ -222,11 +224,8 @@ def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
     probes = ([order[120], order[40], order[199], order[120], order[40]]
               + empty[:1] + undeclared + [order[40], order[80]])
     for focal in probes:
-        got = _settled(ctx._focal_absent(focal))
-        engine_runs = len(calls)
-        want = _settled(_fresh_absent(ctx, focal))
-        del calls[engine_runs:]
-        assert got == want, focal
+        state = ctx._focal_absent(focal)
+        assert _settled(state, state.stop) == _fresh_absent(ctx, focal), focal
     assert len(calls) == 1 + len(undeclared)
     assert bool(empty) == (cone == 0.02)   # the sparse market lists nobody for some
 
