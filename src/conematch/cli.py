@@ -53,6 +53,13 @@ class Campaign:
     deviation_focals: int = 0      # > 0 writes a deviation CSV per config
     deviation_replicates: int = 20
 
+    def __post_init__(self):
+        # refused before the first market, on the CLI and the Python route
+        if not 1 <= self.group_size <= INT64_MAX:
+            raise ConfigError(f"--group-size must lie in [1, {INT64_MAX}]")
+        if not 0.0 <= self.audit_sample <= 1.0:    # also refuses NaN
+            raise ConfigError("--audit-sample must lie in [0, 1]")
+
 
 class AuditFailure(Exception):
     def __init__(self, config_slug: str, run_index: int, check: str):
@@ -353,10 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.verify_only:
         return verify_only(args.seed)
     try:
-        if not 1 <= args.group_size <= INT64_MAX:
-            raise ConfigError(f"--group-size must lie in [1, {INT64_MAX}]")
-        if not 0.0 <= args.audit_sample <= 1.0:    # also refuses NaN
-            raise ConfigError("--audit-sample must lie in [0, 1]")
         if args.config is not None:
             try:
                 with open(args.config) as fh:
@@ -376,6 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print("need --config, --preset, or --verify-only", file=sys.stderr)
             return EXIT_CONFIG
+        campaign = Campaign(configs=configs, out_dir=args.out,
+                            audit_sample=args.audit_sample,
+                            group_size=args.group_size)
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:      # a file, or a path under one
@@ -383,10 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    campaign = Campaign(configs=configs, out_dir=args.out,
-                        audit_sample=args.audit_sample,
-                        group_size=args.group_size)
     return run_campaign(campaign)
 
 

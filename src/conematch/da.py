@@ -4,11 +4,10 @@ Two engines give the same run.  The round engine (_rounds) is Gale &
 Shapley's simultaneous form over the table's arrays: each round every
 proposer with a free slot proposes to as many of her next entries as she
 has free slots, and each receiver keeps the best of those it holds and
-those new, with one sort for the whole round.  When fewer than _TAIL
-proposers are left free it hands them to the FIFO proposal step,
-DAState._settle, on a state whose lists and held sets are read from the
-round arrays on demand.  By McVitie & Wilson's (1971) order invariance both
-give the same matching and the same proposals as a FIFO run from the start.
+those new, with one sort for the whole round, until no proposer is left
+free.  The FIFO loop (DAState._settle) makes one proposal at a time from a
+queue.  By McVitie & Wilson's (1971) order invariance both give the same
+matching and the same proposals.
 
 doctor_proposing_da, hospital_proposing_da and prefix_da (which the
 double-cut harness calls with truncation stops) run the round engine.
@@ -242,12 +241,12 @@ class DAState:
     pointer and held count, and each receiver's held set.
 
     Proposer p proposes down prefs[p][:stop[p]] while she has a free slot;
-    a stop of 0 marks her absent.  `_engine` settles every proposer, and
-    `_rounds` settles its last few on a state read from its round arrays.
+    a stop of 0 marks her absent.  `_engine` settles every proposer.
     `insert` adds one absent proposer to a settled run and follows the
     rejection chain she starts, on copy-on-write overlays, so this state
     stays as it was for the next insert; `with_proposers` adds several to
-    a plain copy.  All run the same proposal step, `_settle`.
+    a plain copy.  All run the same proposal step, `_settle`; the round
+    engine builds no DAState.
     The outcome does not depend on the order in which proposals are made
     (McVitie & Wilson 1971), so a settled run plus added proposers is the
     run with them present from the start.
@@ -381,28 +380,6 @@ def _engine(proposer_prefs: List[List[int]],
     return state
 
 
-class _Built(dict):
-    """A per-agent list whose entries are built on first read, by `build`."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, i):
-        value = self[i] = self.build(i)
-        return value
-
-
-# the rounds hand the proposers still free to _settle once fewer than this
-# many are: a round costs about two dozen numpy calls however few propose.
-# Swept over 8-256 at n=2000 and 20,000 in both orientations, 32 is within
-# 10 % of the best value on every whole-list run and on all double-cut runs
-# but one, whose 224 proposers finish faster when no tail is started.
-_TAIL = 32
-
-
 def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
             stop: Optional[np.ndarray]) -> Tuple[Matching, np.ndarray]:
     """The settled run in which `proposers` propose down their lists
@@ -414,7 +391,8 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
     and every receiver proposed to keeps its best caps[r] of the seats it
     holds and the new proposals: one argsort of the int64 key
     receiver * width + rank over those, then _leading.  The proposers who
-    lost a seat or a proposal and have entries left are the next round's.
+    lost a seat or a proposal and have entries left are the next round's;
+    the run ends when there are none.
     """
     offsets, owner, partner, back, _ = proposers.csr
     n, n_receivers = offsets.size - 1, caps.size
@@ -428,7 +406,7 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
     touched = np.zeros(n_receivers, dtype=bool)
     seats = np.zeros(0, dtype=np.int64)
     free = np.flatnonzero(end > start)
-    while free.size >= _TAIL:
+    while free.size:
         made = np.minimum(slots[free] - held[free], end[free] - pointer[free])
         new = _ranges(pointer[free], made)
         pointer[free] += made
@@ -450,39 +428,8 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
         held -= drop
         free = np.flatnonzero(drop)
         free = free[pointer[free] < end[free]]
-    pointer -= start
-    receivers, holders = partner[seats], owner[seats]
-    if free.size:
-        # the FIFO tail: each receiver's heap is built from its seats when
-        # the tail first reads it, and only those receivers are redone
-        by_receiver = seats[np.argsort(receivers, kind="stable")]
-        bounds = np.searchsorted(partner[by_receiver],
-                                 np.arange(n_receivers + 1)).tolist()
-        seated = list(zip((-back[by_receiver]).tolist(),
-                          owner[by_receiver].tolist()))
-
-        def heap_of(r):
-            heap = seated[bounds[r]:bounds[r + 1]]
-            heapq.heapify(heap)
-            return heap
-
-        tail = DAState(
-            _Built(lambda p: partner[offsets[p]:offsets[p + 1]].tolist()),
-            _Built(lambda p: [None if r < 0 else r for r in
-                              back[offsets[p]:offsets[p + 1]].tolist()]),
-            slots.tolist(), caps.tolist(), (end - start).tolist(),
-            pointer.tolist(), held.tolist(), _Built(heap_of))
-        tail._settle(deque(free.tolist()))
-        pointer = np.asarray(tail.pointer, dtype=np.int64)
-        redone = np.fromiter(tail.heaps, np.int64, len(tail.heaps))
-        touched[redone] = True
-        keep = ~touched[receivers]
-        heaps = tail.heaps.values()
-        receivers = np.concatenate((receivers[keep], np.repeat(
-            redone, [len(heap) for heap in heaps])))
-        holders = np.concatenate((holders[keep], np.fromiter(
-            (p for heap in heaps for _, p in heap), np.int64)))
-    return _matching(receivers, holders, proposers.side, n, n_receivers), pointer
+    return (_matching(partner[seats], owner[seats], proposers.side, n,
+                      n_receivers), pointer - start)
 
 
 def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,

@@ -333,20 +333,16 @@ def locality_check(instance: MarketInstance,
 
 def epsilon_estimate(batch: Sequence[tuple],
                      offsets: Sequence[float] = (0.0,),
-                     replicates: int = 20,
-                     reference_c: Optional[float] = None) -> dict:
+                     replicates: int = 20) -> dict:
     """Max mean gain over the deviation grid, per kind and overall.
 
     `batch` holds (instance, assignment, focal_doctor) triples sharing a
     config.  Above/below-cone kinds sweep `offsets`; the report compares
-    the overall epsilon against reference_c * sqrt(ln k / k) (reference_c
-    defaults to 2a).
+    the overall epsilon against c * sqrt(ln k / k) with c = 2a.
     """
     if not batch:
         raise ValueError("empty batch")
     cfg = batch[0][0].config
-    if reference_c is None:
-        reference_c = 2.0 * cfg.a
 
     grid: List[Tuple[str, float]] = [(SWAP_IN_CONE, 0.0), (TOP_K_OF_ALL, 0.0)]
     grid += [(ABOVE_CONE, x) for x in offsets]
@@ -383,7 +379,7 @@ def epsilon_estimate(batch: Sequence[tuple],
             report["kinds"][kind] = {"gain_mean": mean, "gain_se": se, "param": x}
         overall = max(overall, mean)
     report["epsilon"] = overall
-    report["reference"] = reference_c * math.sqrt(math.log(cfg.k) / cfg.k)
+    report["reference"] = 2.0 * cfg.a * math.sqrt(math.log(cfg.k) / cfg.k)
     return report
 
 

@@ -358,18 +358,18 @@ def _binom_cdf(k_max: int, n: int, p: float) -> float:
 
 
 def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
-                         alpha: float, psi: float, taubar: float = 0.0,
+                         alpha: float, psi: float,
                          trials: int = 10000, seed: int = 0):
     """Mirror oracle for a focal hospital failing to fill its kappa seats.
 
     Surplus doctors each reach the hospital with probability
     p = (kappa * k / cone_size) * (alpha - taubar) * psi, so the closed
-    form is the binomial tail P(Binom(surplus, p) < kappa).  taubar is an
-    analysis-only slack and defaults to 0.
+    form is the binomial tail P(Binom(surplus, p) < kappa).  The
+    analysis-only slack taubar is taken as 0.
     """
     if surplus < 1:
         raise ValueError("surplus must be at least 1")
-    p = min(1.0, (kappa * k / cone_size) * max(alpha - taubar, 0.0) * psi)
+    p = min(1.0, (kappa * k / cone_size) * max(alpha, 0.0) * psi)
     closed = _binom_cdf(kappa - 1, surplus, p)
     if trials <= 0:
         return closed, closed

@@ -110,8 +110,8 @@ class MarketConfig:
     `capacity` is either one int (uniform kappa) or a per-hospital tuple.
     `alpha` overrides the derived cone scale; `cone_override` instead fixes
     the absolute cone half-width a*alpha in rating units (the bundled
-    experiment presets use cone_override=0.3).  FIELDS gives each numeric
-    field's valid values.
+    experiment presets use cone_override=0.3).  A config gives at most one
+    of the two.  FIELDS gives each numeric field's valid values.
     """
 
     n_doctors: int
@@ -138,6 +138,8 @@ class MarketConfig:
             raise ConfigError(f"unknown setting {_shown(self.setting)}")
         if self.k < 2 and self.alpha is None and self.cone_override is None:
             raise ConfigError("k < 2 needs alpha or cone_override")
+        if self.alpha is not None and self.cone_override is not None:
+            raise ConfigError("give alpha or cone_override, not both")
         if self.k > self.n_hospitals:
             raise ConfigError(
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")

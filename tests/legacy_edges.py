@@ -867,6 +867,8 @@ class LegacyMarketConfig:
             raise ConfigError("k must be >= 1")
         if self.k < 2 and self.alpha is None and self.cone_override is None:
             raise ConfigError("k < 2 needs alpha or cone_override")
+        if self.alpha is not None and self.cone_override is not None:
+            raise ConfigError("give alpha or cone_override, not both")
         if self.k > self.n_hospitals:
             raise ConfigError(
                 f"k={self.k} exceeds the number of hospitals ({self.n_hospitals})")

@@ -231,6 +231,30 @@ def test_audit_sample_out_of_range_exits_config_error(tmp_path, monkeypatch,
     assert rc == cli.EXIT_CONFIG and not calls
 
 
+@pytest.mark.parametrize("option", [dict(group_size=0),
+                                    dict(group_size=10 ** 30),
+                                    dict(audit_sample=float("nan")),
+                                    dict(audit_sample=-1.0),
+                                    dict(audit_sample=2.0)])
+def test_python_route_refuses_the_flag_ranges(tmp_path, monkeypatch, option):
+    # a Campaign built in Python meets the CLI's ranges before any market
+    calls = _generate_calls(monkeypatch)
+    configs = cli.expand_grid(json.loads(write_config(tmp_path).read_text()))
+    with pytest.raises(ConfigError, match="must lie in"):
+        cli.run_campaign(cli.Campaign(configs=configs,
+                                      out_dir=tmp_path / "out", **option))
+    assert not calls and not (tmp_path / "out").exists()
+
+
+def test_alpha_beside_cone_override_exits_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    calls = _generate_calls(monkeypatch)
+    rc = cli.main(["--config", str(write_config(tmp_path, alpha=0.05)),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG and not calls
+    assert "alpha or cone_override, not both" in capsys.readouterr().err
+
+
 def test_k1_without_cone_exits_config_error(tmp_path, monkeypatch):
     calls = _generate_calls(monkeypatch)
     path = tmp_path / "k1.json"
@@ -282,7 +306,8 @@ def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value)
 
 
 def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
-    # DA runs by either engine: the FIFO loop or the rounds
+    # DA runs by either engine: the FIFO loop (_engine) or the round
+    # engine (_rounds), which runs to its last proposer on its own
     calls = []
     for name in ("_engine", "_rounds"):
         def counting(*args, real=getattr(da, name)):
@@ -533,7 +558,7 @@ CONFIG_BOUNDARIES = [
     ("n_doctors", np.int64(6), True), ("k", np.int64(3), True),
     ("capacity", np.int64(2), True), ("seed", np.int64(7), True),
     ("a", np.float64(2.5), True), ("nu_d", np.float64(0.5), True),
-    ("alpha", np.float64(0.5), True),
+    ("alpha", np.float64(0.5), False),     # beside the base's cone_override
     ("k", np.bool_(True), False), ("nu_d", np.bool_(False), False),
     ("capacity", [[]], False), ("capacity", [[2, 2]], False),
     ("capacity", [[1, 2, 3]], True), ("capacity", [[1, 1, 2]], True),

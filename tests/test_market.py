@@ -44,6 +44,15 @@ def test_cone_override_is_absolute_half_width():
     assert not inst.cone_clamped
 
 
+def test_alpha_and_cone_override_together_are_refused():
+    # derive_alpha would return alpha while the cone ran at cone_override
+    with pytest.raises(ConfigError, match="alpha or cone_override, not both"):
+        MarketConfig(n_doctors=10, n_hospitals=10, k=5, alpha=0.05,
+                     cone_override=0.4)
+    assert derive_alpha(MarketConfig(n_doctors=10, n_hospitals=10, k=5,
+                                     alpha=0.05)) == 0.05
+
+
 def test_alpha_requires_k_at_least_2():
     with pytest.raises(ConfigError):
         cfg = MarketConfig(n_doctors=10, n_hospitals=10, k=1)

@@ -1,9 +1,7 @@
-"""The round engine against the FIFO loop it hands its tail to.
+"""The round engine against the FIFO loop.
 
-da._rounds runs Gale & Shapley's simultaneous form until fewer than
-da._TAIL proposers are free, then finishes them in DAState._settle.  Each
-case runs it with _TAIL at 1 (rounds only), at its default (rounds, then
-the tail) and above every proposer count (the tail alone), in both
+da._rounds runs Gale & Shapley's simultaneous form until no proposer is
+free, and never calls DAState._settle.  Each case runs it in both
 orientations, over whole lists and over double-cut stops, and compares the
 matching, the final pointers and the proposals each receiver got with
 truncated_state, the FIFO loop from the start.  On oracle-sized markets
@@ -22,7 +20,6 @@ from conematch.strategy import build_assignment, build_preferences
 from oracle_helpers import (brute_stable_set, edge_lists, manual_assignment,
                             random_lists)
 
-TAILS = {"rounds-only": 1, "mixed": da._TAIL, "tail-only": 10 ** 9}
 ORIENTATIONS = (DOCTORS_PROPOSE, HOSPITALS_PROPOSE)
 
 
@@ -58,33 +55,27 @@ def _runs(inst, asg):
                for s in scenarios])
 
 
-def _check_against_fifo(prefs, caps, orientation, rule, monkeypatch,
-                        settled=None):
-    """The FIFO matching, after checking the rounds at every _TAIL against
-    it; settled[name] counts the runs at each _TAIL that used the tail."""
+def _no_settle(state, queue):
+    raise AssertionError("the round engine called DAState._settle")
+
+
+def _check_against_fifo(prefs, caps, orientation, rule, monkeypatch):
+    """The FIFO matching, after checking the rounds against it and that
+    they never call the FIFO proposal step."""
     proposers = prefs[orientation == HOSPITALS_PROPOSE]
     fifo = da.truncated_state(*prefs, caps, rule, orientation)
     want = da.matching_of(fifo, orientation).doctor_of
     want_counts = da.proposal_counts(proposers, fifo.pointer)
     stop = (None if rule is None
             else da.truncation_stops(proposers, rule, orientation))
-    settle = da.DAState._settle
-    for name, tail in TAILS.items():
-        calls = []
-
-        def counting(state, queue):
-            calls.append(1)
-            return settle(state, queue)
-        monkeypatch.setattr(da.DAState, "_settle", counting)
-        monkeypatch.setattr(da, "_TAIL", tail)
+    with monkeypatch.context() as patch:
+        patch.setattr(da.DAState, "_settle", _no_settle)
         got, pointer = da.prefix_da(*prefs, caps, orientation, stop)
-        if settled is not None:
-            settled[name] = settled.get(name, 0) + len(calls)
-        assert np.array_equal(got.doctor_of, want), (orientation, tail)
-        assert pointer.tolist() == list(fifo.pointer), (orientation, tail)
-        assert np.array_equal(da.proposal_counts(proposers, pointer),
-                              want_counts), (orientation, tail)
-        got.validate(caps)
+    assert np.array_equal(got.doctor_of, want), orientation
+    assert pointer.tolist() == list(fifo.pointer), orientation
+    assert np.array_equal(da.proposal_counts(proposers, pointer),
+                          want_counts), orientation
+    got.validate(caps)
     return want
 
 
@@ -100,14 +91,9 @@ def test_rounds_match_the_fifo_loop(market, seed, monkeypatch):
     prefs = build_preferences(asg)
     if market == "request-interview":
         assert (asg.hospital_rank < 0).any()      # unranked edges reached
-    settled = {}
     for orientation, rule in _runs(inst, asg):
         _check_against_fifo(prefs, inst.capacities, orientation, rule,
-                            monkeypatch, settled)
-    # the rounds-only runs never reach the tail, the tail-only runs all do,
-    # and the default hands some run's last proposers to it
-    assert settled["rounds-only"] == 0 and settled["tail-only"] == 5
-    assert settled["mixed"] > 0
+                            monkeypatch)
 
 
 def test_rounds_match_the_fifo_loop_at_n_20000(monkeypatch):

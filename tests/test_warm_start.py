@@ -197,7 +197,8 @@ def _fresh_absent(ctx, focal):
 
 
 def _counting_engine(monkeypatch):
-    # DA runs by either engine: the FIFO loop or the rounds
+    # DA runs by either engine: the FIFO loop (_engine) or the round
+    # engine (_rounds), which runs to its last proposer on its own
     calls = []
     for name in ("_engine", "_rounds"):
         def counting(*args, real=getattr(da, name)):
