@@ -21,6 +21,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,6 +42,15 @@ EXIT_OK = 0
 EXIT_AUDIT = 1
 EXIT_CONFIG = 2
 
+# Campaign's settings in market.FIELDS' row form, the two that a flag sets
+# named as the flag
+CAMPAIGN_FIELDS = {
+    "--audit-sample": (float, 0.0, 1.0, False, False),
+    "--group-size": (int, 1, INT64_MAX, False, False),
+    "deviation_focals": (int, 0, math.inf, False, False),
+    "deviation_replicates": (int, 1, INT64_MAX, False, False),
+}
+
 
 @dataclass
 class Campaign:
@@ -55,10 +65,9 @@ class Campaign:
 
     def __post_init__(self):
         # refused before the first market, on the CLI and the Python route
-        if not 1 <= self.group_size <= INT64_MAX:
-            raise ConfigError(f"--group-size must lie in [1, {INT64_MAX}]")
-        if not 0.0 <= self.audit_sample <= 1.0:    # also refuses NaN
-            raise ConfigError("--audit-sample must lie in [0, 1]")
+        for name, rule in CAMPAIGN_FIELDS.items():
+            check_field(name, getattr(self, name.lstrip("-").replace("-", "_")),
+                        rule)
 
 
 class AuditFailure(Exception):
@@ -122,7 +131,13 @@ def _audit_this_run(cfg: MarketConfig, run_index: int, rate: float) -> bool:
     return bool(gen.random() < rate)
 
 
-def _run_one(cfg, run_index, campaign, slug):
+def _run_one(cfg, run_index, audit_sample, slug):
+    """One market and its audits: (RunStats, (instance, assignment, prefs),
+    double-cut CSV rows), or AuditFailure.  Every run is checked for
+    stability (and school uniqueness); an oracle-sized one against the
+    brute-force stable set.  Those and the runs audited at rate
+    `audit_sample` get the rural-hospital check, and the audited ones a
+    focal-hospital and a focal-doctor double cut checked for dominance."""
     instance = generate(cfg, run_index)
     assignment = build_assignment(instance)
     prefs = build_preferences(assignment)
@@ -140,19 +155,20 @@ def _run_one(cfg, run_index, campaign, slug):
     oracle_sized = (cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
                     and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
                     and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
-    if oracle_sized:
-        stable = analysis.enumerate_stable(assignment)
-        if matching.key() not in stable:
-            raise AuditFailure(slug, run_index, "oracle-membership")
-        if not analysis.rural_hospital_invariant(matching, hospital_optimal()):
-            raise AuditFailure(slug, run_index, "rural-hospital")
+    if oracle_sized and matching.key() not in analysis.enumerate_stable(assignment):
+        raise AuditFailure(slug, run_index, "oracle-membership")
+
+    audited = _audit_this_run(cfg, run_index, audit_sample)
+    if (oracle_sized or audited) and not analysis.rural_hospital_invariant(
+            matching, hospital_optimal()):
+        raise AuditFailure(slug, run_index, "rural-hospital")
 
     if cfg.setting == SCHOOL_CHOICE and not analysis.orientations_coincide(
             matching, hospital_optimal()):
         raise AuditFailure(slug, run_index, "school-uniqueness")
 
     surplus_rows = []
-    if _audit_this_run(cfg, run_index, campaign.audit_sample):
+    if audited:
         gen = np.random.default_rng((cfg.seed, run_index, 0xD0C))
         focal_h = int(gen.integers(cfg.n_hospitals))
         focal_d = int(gen.integers(cfg.n_doctors))
@@ -168,9 +184,6 @@ def _run_one(cfg, run_index, campaign, slug):
                 raise AuditFailure(slug, run_index,
                                    f"double-cut-dominance:{scenario.focal_side}")
             surplus_rows.append(report.csv_row(scenario))
-        if not oracle_sized and not analysis.rural_hospital_invariant(
-                matching, hospital_optimal()):
-            raise AuditFailure(slug, run_index, "rural-hospital")
 
     stats = metrics.run_stats(instance, assignment, matching,
                               check_stability=False, matched=matched)
@@ -245,7 +258,8 @@ def _run_campaign(campaign: Campaign) -> int:
             groups = []     # each run folded as it ends; no RunStats kept
             surplus_rows = [double_cut.SURPLUS_CSV_HEADER]
             for run_index in range(cfg.runs):
-                st, built, rows = _run_one(cfg, run_index, campaign, slug)
+                st, built, rows = _run_one(cfg, run_index,
+                                            campaign.audit_sample, slug)
                 if run_index == 0:      # the deviation CSV probes run 0
                     run0 = built
                 groups.append(metrics.group_run(st, campaign.group_size))
@@ -277,57 +291,37 @@ def _run_campaign(campaign: Campaign) -> int:
 
 
 def verify_only(seed: int, out=None) -> int:
-    """Small built-in verification sweep: oracles, stability, rural,
-    uniqueness, order invariance, and dominance on tiny instances.
+    """The campaign's per-run audits (_run_one, every run audited) on nine
+    tiny markets, six 6x3 Residency and three 60x20 SchoolChoice, each then
+    given order_invariance_check, which a campaign does not run.  Prints
+    one line per market, PASS or FAIL with the failed check's name, then
+    `ok` or the count of failed markets.
 
     Prints to `out`, or to sys.stdout as it is at the call."""
     if out is None:
         out = sys.stdout
-    failures = 0
-
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}", file=out)
-        if not ok:
-            failures += 1
-
+    # trial seeds wrap, so every 64-bit seed gives valid ones
+    markets = [(f"6x3 #{trial}",
+                MarketConfig(n_doctors=6, n_hospitals=3, capacity=2, k=2,
+                             cone_override=0.4, seed=(seed + trial) % 2 ** 64))
+               for trial in range(6)]
+    markets += [(f"60x20 #{trial}",
+                 make_config(60, kappa=3, k=3, setting=SCHOOL_CHOICE,
+                             cone_override=0.3, seed=(seed + trial) % 2 ** 64))
+                for trial in range(3)]
     gen = np.random.default_rng(seed)
-    for trial in range(6):
-        # trial seeds wrap, so every 64-bit seed gives valid ones
-        cfg = MarketConfig(n_doctors=6, n_hospitals=3, capacity=2, k=2,
-                           cone_override=0.4, seed=(seed + trial) % 2 ** 64)
-        inst = generate(cfg, 0)
-        asg = build_assignment(inst)
-        prefs = build_preferences(asg)
-        m = doctor_proposing_da(*prefs, inst.capacities)
-        hm = hospital_proposing_da(*prefs, inst.capacities)
-        check(f"stability 6x3 #{trial}",
-              not analysis.find_blocking_pairs(asg, m))
-        stable = analysis.enumerate_stable(asg)
-        check(f"oracle-membership 6x3 #{trial}", m.key() in stable)
-        check(f"rural-hospital 6x3 #{trial}",
-              analysis.rural_hospital_invariant(m, hm))
+    failures = 0
+    for label, cfg in markets:
         perm = list(gen.permutation(cfg.n_doctors))
-        check(f"order-invariance 6x3 #{trial}",
-              order_invariance_check(*prefs, inst.capacities, perm))
-        sc = double_cut.scenario_for_hospital(inst, int(gen.integers(cfg.n_hospitals)))
-        cut, _ = double_cut.run_double_cut(inst, asg, sc, prefs)
-        check(f"dominance 6x3 #{trial}",
-              double_cut.receivers_dominate(asg, sc.orientation,
-                                            asg.matched_edges(m),
-                                            asg.matched_edges(cut)))
-
-    for trial in range(3):
-        cfg = make_config(60, kappa=3, k=3, setting=SCHOOL_CHOICE,
-                          cone_override=0.3, seed=(seed + trial) % 2 ** 64)
-        inst = generate(cfg, 0)
-        prefs = build_preferences(build_assignment(inst))
-        check(f"school-uniqueness 60x20 #{trial}",
-              analysis.orientations_coincide(
-                  doctor_proposing_da(*prefs, inst.capacities),
-                  hospital_proposing_da(*prefs, inst.capacities)))
-
-    print(f"{'ok' if failures == 0 else 'FAILURES: %d' % failures}", file=out)
+        try:
+            _, (instance, _, prefs), _ = _run_one(cfg, 0, 1.0, label)
+            if not order_invariance_check(*prefs, instance.capacities, perm):
+                raise AuditFailure(label, 0, "order-invariance")
+            print(f"PASS  {label}", file=out)
+        except AuditFailure as exc:
+            failures += 1
+            print(f"FAIL  {label} check={exc.triple[2]}", file=out)
+    print("ok" if failures == 0 else f"FAILURES: {failures}", file=out)
     return EXIT_OK if failures == 0 else EXIT_AUDIT
 
 
@@ -343,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None, metavar="N")
     p.add_argument("--out", type=Path, default=Path("out"), metavar="DIR")
     p.add_argument("--verify-only", action="store_true",
-                   help="run the verification suites, write no CSVs")
+                   help="run every campaign audit plus order invariance on nine "
+                        "tiny markets, write no CSVs")
     p.add_argument("--audit-sample", type=float, default=0.0, metavar="RATE",
                    help="fraction of runs given double-cut/rural audits")
     p.add_argument("--group-size", type=int, default=10, metavar="N")

@@ -339,10 +339,7 @@ class DAState:
         return child
 
     def _check_absent(self, proposers) -> None:
-        # an added proposer must not have proposed yet, and a log would
-        # miss the proposals made before
-        if self.log is not None:
-            raise ValueError("adding proposers needs a run without an event log")
+        # an added proposer must not have proposed yet
         for p in proposers:
             if self.stop[p]:
                 raise ValueError(f"proposer {p} is not absent")
@@ -364,17 +361,27 @@ class DAState:
         return self.prefs[proposer][self.pointer[proposer] - 1]
 
 
-def _engine(proposer_prefs: List[List[int]],
-            proposer_ranks: List[List[Optional[float]]],
-            proposer_slots: Sequence[int],
-            receiver_caps: Sequence[int],
+def _engine(doctor_prefs: EdgeLists,
+            hospital_prefs: EdgeLists,
+            capacities,
+            rule: Optional[TruncationRule],
+            orientation: str,
             order: Optional[Sequence[int]],
-            stop: Sequence[int],
-            log: Optional[EventLog] = None) -> DAState:
-    n = len(proposer_prefs)
-    state = DAState(proposer_prefs, proposer_ranks, proposer_slots,
-                    receiver_caps, stop, [0] * n, [0] * n,
-                    [[] for _ in receiver_caps], log)
+            log: Optional[EventLog]) -> DAState:
+    # every FIFO run: truncated_state's, and truncated_da's with its log
+    _table_views(doctor_prefs, hospital_prefs)
+    if orientation == DOCTORS_PROPOSE:
+        proposers = doctor_prefs
+        slots, caps = [1] * len(doctor_prefs), list(capacities)
+    elif orientation == HOSPITALS_PROPOSE:
+        proposers = hospital_prefs
+        slots, caps = list(capacities), [1] * len(doctor_prefs)
+    else:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    stop = truncation_stops(proposers, rule or TruncationRule()).tolist()
+    n = len(proposers)
+    state = DAState(proposers, proposers.ranks, slots, caps, stop, [0] * n,
+                    [0] * n, [[] for _ in caps], log)
     state._settle(deque(p for p in (range(n) if order is None else order)
                         if stop[p]))
     return state
@@ -432,15 +439,15 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
                       n_receivers), pointer - start)
 
 
-def truncation_stops(proposer_prefs: EdgeLists, rule: TruncationRule,
-                     orientation: str) -> np.ndarray:
+def truncation_stops(proposer_prefs: EdgeLists,
+                     rule: TruncationRule) -> np.ndarray:
     """Each proposer's stop index under `rule` (0: she never proposes).
 
     She stops at the earliest of her first entry below her floor (her list
     runs best first), her first entry inside a forbidden window that is not
     the focal target, and the entry after it; else at her list's end.
     """
-    if getattr(proposer_prefs, "side", None) != orientation:
+    if not isinstance(proposer_prefs, EdgeLists):
         raise ValueError("a truncation rule needs build_preferences(assignment)")
     offsets, owner, target, _, u = proposer_prefs.csr
     n_proposers = offsets.size - 1
@@ -541,26 +548,15 @@ def truncated_state(doctor_prefs: EdgeLists,
                     capacities,
                     rule: Optional[TruncationRule] = None,
                     orientation: str = DOCTORS_PROPOSE,
-                    order: Optional[Sequence[int]] = None,
-                    log: Optional[EventLog] = None) -> DAState:
+                    order: Optional[Sequence[int]] = None) -> DAState:
     """The settled run of one orientation by the FIFO loop, plain DA over
     each proposer's prefix under `rule` (whole lists without one), with the
-    proposers first queued in `order` (by id without one); `log` gets its
-    proposal records.  `DAState.insert` and `with_proposers` add a
-    proposer the rule leaves out (stop 0) to a run without a log.
+    proposers first queued in `order` (by id without one).
+    `DAState.insert` and `with_proposers` add a proposer the rule leaves
+    out (stop 0).
     """
-    _table_views(doctor_prefs, hospital_prefs)
-    if orientation == DOCTORS_PROPOSE:
-        proposers = doctor_prefs
-        slots, caps = [1] * len(doctor_prefs), list(capacities)
-    elif orientation == HOSPITALS_PROPOSE:
-        proposers = hospital_prefs
-        slots, caps = list(capacities), [1] * len(doctor_prefs)
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    stop = truncation_stops(proposers, rule or TruncationRule(), orientation)
-    return _engine(proposers, proposers.ranks, slots, caps, order,
-                   stop.tolist(), log)
+    return _engine(doctor_prefs, hospital_prefs, capacities, rule,
+                   orientation, order, None)
 
 
 def truncated_da(doctor_prefs: EdgeLists,
@@ -574,8 +570,8 @@ def truncated_da(doctor_prefs: EdgeLists,
     A degenerate rule reproduces the untruncated DA.
     """
     log = EventLog()
-    state = truncated_state(doctor_prefs, hospital_prefs, capacities, rule,
-                            orientation, log=log)
+    state = _engine(doctor_prefs, hospital_prefs, capacities, rule,
+                    orientation, None, log)
     return matching_of(state, orientation), log
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                  prefix_da, proposal_counts, truncation_stops)
 from .market import MarketInstance, SCHOOL_CHOICE
-from .strategy import InterviewAssignment, build_preferences, key_order
+from .strategy import InterviewAssignment, key_order
 
 FOCAL_DOCTOR = "doctor"
 FOCAL_HOSPITAL = "hospital"
@@ -220,19 +220,17 @@ def scenario_rule(instance: MarketInstance,
 def run_double_cut(instance: MarketInstance,
                    assignment: InterviewAssignment,
                    scenario: DoubleCutScenario,
-                   prefs: Optional[tuple] = None):
+                   prefs: tuple):
     """Execute the scenario's truncated run; returns (Matching, SurplusReport).
 
     The run is the round engine over each proposer's prefix up to her
-    truncation stop.  `prefs`, if given, is build_preferences(assignment).
+    truncation stop.  `prefs` is build_preferences(assignment).
     """
-    lists = build_preferences(assignment) if prefs is None else prefs
-    if any(getattr(p, "source", None) is not assignment for p in lists):
+    if any(getattr(p, "source", None) is not assignment for p in prefs):
         raise ValueError("prefs must be build_preferences(assignment)")
-    proposers = lists[scenario.orientation == HOSPITALS_PROPOSE]
-    stop = truncation_stops(proposers, scenario_rule(instance, scenario),
-                            scenario.orientation)
-    matching, pointer = prefix_da(*lists, instance.capacities,
+    proposers = prefs[scenario.orientation == HOSPITALS_PROPOSE]
+    stop = truncation_stops(proposers, scenario_rule(instance, scenario))
+    matching, pointer = prefix_da(*prefs, instance.capacities,
                                   scenario.orientation, stop)
     received = proposal_counts(proposers, pointer)
     report = _surplus_report(instance, assignment, scenario, matching, received)

@@ -72,13 +72,14 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} too long to print"
 
 
-def check_field(name: str, value) -> None:
-    """ConfigError unless value is valid for FIELDS[name].
+def check_field(name: str, value, rule=None) -> None:
+    """ConfigError unless value is valid for `rule`, a row in FIELDS' form
+    (FIELDS[name] without one).
 
     Integers are compared as Python ints, exactly; only a float is tested
     for finiteness.
     """
-    kind, least, greatest, least_excluded, none_valid = FIELDS[name]
+    kind, least, greatest, least_excluded, none_valid = rule or FIELDS[name]
     if value is None and none_valid:
         return
     integer = (isinstance(value, (int, np.integer))

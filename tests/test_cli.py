@@ -33,9 +33,46 @@ def test_verify_only_passes():
 def test_verify_only_prints_to_the_stdout_of_the_call(capsys):
     assert cli.verify_only(3) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6 * 5 + 3 + 1
+    assert len(lines) == 6 + 3 + 1
     assert all(line.startswith("PASS  ") for line in lines[:-1])
     assert lines[-1] == "ok"
+
+
+def _failed_checks(capsys):
+    # the check each FAIL line of one verify_only(3) call names
+    assert cli.verify_only(3) == cli.EXIT_AUDIT
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"FAILURES: {len(lines) - 1}"
+    assert all(line.startswith("FAIL  ") for line in lines[:-1])
+    return [line.rsplit("check=", 1)[1] for line in lines[:-1]]
+
+
+def test_verify_only_runs_the_campaign_audits(monkeypatch, capsys):
+    # it audits through _run_one, so a campaign check that fails fails here
+    monkeypatch.setattr(analysis, "rural_hospital_invariant",
+                        lambda *args: False)
+    assert _failed_checks(capsys) == ["rural-hospital"] * 9
+
+
+def test_verify_only_names_a_failed_order_invariance(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "order_invariance_check", lambda *args: False)
+    assert _failed_checks(capsys) == ["order-invariance"] * 9
+
+
+def test_verify_only_runs_both_double_cuts_on_every_market(monkeypatch,
+                                                          capsys):
+    sides = []
+    real = cli.double_cut.run_double_cut
+
+    def recording(instance, assignment, scenario, prefs):
+        sides.append((instance.config.seed, instance.config.n_doctors,
+                      scenario.focal_side))
+        return real(instance, assignment, scenario, prefs)
+    monkeypatch.setattr(cli.double_cut, "run_double_cut", recording)
+    assert cli.verify_only(3) == cli.EXIT_OK
+    markets = [(3 + t, 6) for t in range(6)] + [(3 + t, 60) for t in range(3)]
+    assert sides == [m + (side,) for m in markets
+                     for side in ("hospital", "doctor")]
 
 
 def test_verify_only_takes_the_largest_seed():
@@ -235,12 +272,25 @@ def test_audit_sample_out_of_range_exits_config_error(tmp_path, monkeypatch,
                                     dict(group_size=10 ** 30),
                                     dict(audit_sample=float("nan")),
                                     dict(audit_sample=-1.0),
-                                    dict(audit_sample=2.0)])
+                                    dict(audit_sample=2.0),
+                                    dict(audit_sample="0.5"),
+                                    dict(audit_sample=True),
+                                    dict(group_size=2.5),
+                                    dict(group_size=True),
+                                    dict(deviation_focals=2.5),
+                                    dict(deviation_focals=True),
+                                    dict(deviation_focals=-1),
+                                    dict(deviation_focals=2,
+                                         deviation_replicates=0),
+                                    dict(deviation_replicates=2 ** 63),
+                                    dict(deviation_replicates=False)])
 def test_python_route_refuses_the_flag_ranges(tmp_path, monkeypatch, option):
-    # a Campaign built in Python meets the CLI's ranges before any market
+    # a Campaign built in Python meets the CLI's ranges and types before
+    # any market
     calls = _generate_calls(monkeypatch)
     configs = cli.expand_grid(json.loads(write_config(tmp_path).read_text()))
-    with pytest.raises(ConfigError, match="must lie in"):
+    with pytest.raises(ConfigError,
+                       match="must (lie in|be an integer|be a finite number)"):
         cli.run_campaign(cli.Campaign(configs=configs,
                                       out_dir=tmp_path / "out", **option))
     assert not calls and not (tmp_path / "out").exists()
@@ -305,7 +355,7 @@ def test_bad_field_value_exits_config_error(tmp_path, monkeypatch, field, value)
     assert rc == cli.EXIT_CONFIG and not calls
 
 
-def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
+def _engine_calls(monkeypatch, cfg, audit_sample):
     # DA runs by either engine: the FIFO loop (_engine) or the round
     # engine (_rounds), which runs to its last proposer on its own
     calls = []
@@ -314,35 +364,29 @@ def _engine_calls(monkeypatch, tmp_path, cfg, audit_sample):
             calls.append(1)
             return real(*args)
         monkeypatch.setattr(da, name, counting)
-    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path,
-                            audit_sample=audit_sample)
-    cli._run_one(cfg, 0, campaign, cli.config_slug(cfg))
+    cli._run_one(cfg, 0, audit_sample, cli.config_slug(cfg))
     return len(calls)
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
-def test_audited_run_computes_each_orientation_once(tmp_path, monkeypatch,
-                                                    setting):
+def test_audited_run_computes_each_orientation_once(monkeypatch, setting):
     # base DA, hospital-optimal DA and one truncated run per scenario
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3,
                       setting=setting)
-    assert _engine_calls(monkeypatch, tmp_path, cfg, 1.0) <= 4
+    assert _engine_calls(monkeypatch, cfg, 1.0) <= 4
 
 
-def test_unaudited_residency_run_is_one_da(tmp_path, monkeypatch):
+def test_unaudited_residency_run_is_one_da(monkeypatch):
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
-    assert _engine_calls(monkeypatch, tmp_path, cfg, 0.0) == 1
+    assert _engine_calls(monkeypatch, cfg, 0.0) == 1
 
 
 @pytest.mark.parametrize("audit_sample", [0.0, 1.0])
-def test_run_without_deviation_csv_builds_no_preference_lists(tmp_path,
-                                                              audit_sample):
+def test_run_without_deviation_csv_builds_no_preference_lists(audit_sample):
     # both DA orientations and the double-cut runs read the edge table's
     # arrays: neither EdgeLists view builds its lists, ranks or utils
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
-    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path,
-                            audit_sample=audit_sample)
-    _, (_, assignment, prefs), rows = cli._run_one(cfg, 0, campaign,
+    _, (_, assignment, prefs), rows = cli._run_one(cfg, 0, audit_sample,
                                                    cli.config_slug(cfg))
     assert len(rows) == (2 if audit_sample else 0)
     for side in prefs:
@@ -351,8 +395,7 @@ def test_run_without_deviation_csv_builds_no_preference_lists(tmp_path,
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
-def test_audited_run_computes_each_matchings_edges_once(tmp_path, monkeypatch,
-                                                        setting):
+def test_audited_run_computes_each_matchings_edges_once(monkeypatch, setting):
     # the base matching, the hospital-optimal one and one cut run per
     # scenario; the blocking scan, run_stats and the dominance checks share
     # what was computed
@@ -365,8 +408,7 @@ def test_audited_run_computes_each_matchings_edges_once(tmp_path, monkeypatch,
     monkeypatch.setattr(InterviewAssignment, "matched_edges", counting)
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3,
                       setting=setting)
-    campaign = cli.Campaign(configs=[cfg], out_dir=tmp_path, audit_sample=1.0)
-    cli._run_one(cfg, 0, campaign, cli.config_slug(cfg))
+    cli._run_one(cfg, 0, 1.0, cli.config_slug(cfg))
     assert len(calls) == 4
     assert len({id(m) for m in calls}) == 4
 

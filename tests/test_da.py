@@ -99,7 +99,7 @@ def truncated(doctor_utils, hospital_utils, caps, rule):
     the halts read off the settled run."""
     prefs = build_preferences(manual_assignment(doctor_utils, hospital_utils))
     m, log = truncated_da(*prefs, caps, rule, DOCTORS_PROPOSE)
-    stop = da.truncation_stops(prefs[0], rule, DOCTORS_PROPOSE)
+    stop = da.truncation_stops(prefs[0], rule)
     halted = halts_of(truncated_state(*prefs, caps, rule))
     return m, log, stop.tolist(), halted
 
@@ -211,7 +211,7 @@ def test_rule_needs_the_edge_table():
     with pytest.raises(ValueError, match="build_preferences"):
         truncated_da([[0]], [[0]], [1], rule)
     with pytest.raises(ValueError, match="build_preferences"):
-        da.truncation_stops(prefs[1], rule, DOCTORS_PROPOSE)
+        da.truncation_stops([[0]], rule)
 
 
 def test_order_invariance():

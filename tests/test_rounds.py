@@ -67,7 +67,7 @@ def _check_against_fifo(prefs, caps, orientation, rule, monkeypatch):
     want = da.matching_of(fifo, orientation).doctor_of
     want_counts = da.proposal_counts(proposers, fifo.pointer)
     stop = (None if rule is None
-            else da.truncation_stops(proposers, rule, orientation))
+            else da.truncation_stops(proposers, rule))
     with monkeypatch.context() as patch:
         patch.setattr(da.DAState, "_settle", _no_settle)
         got, pointer = da.prefix_da(*prefs, caps, orientation, stop)

@@ -103,7 +103,7 @@ def test_halt_records_name_each_proposer_stop(setting):
     for scenario in scenarios(inst, asg):
         rule = double_cut.scenario_rule(inst, scenario)
         side = scenario.orientation == da.HOSPITALS_PROPOSE
-        stop = da.truncation_stops(prefs[side], rule, scenario.orientation)
+        stop = da.truncation_stops(prefs[side], rule)
         state = da.truncated_state(*prefs, inst.capacities, rule,
                                    scenario.orientation)
         assert list(state.stop) == stop.tolist()

@@ -249,12 +249,6 @@ def test_with_proposers_refuses_what_insert_refuses():
         child.with_proposers([2])
     with pytest.raises(ValueError, match="proposer 2 is not absent"):
         child.insert(2, *entry)
-    # a logged run
-    logged = truncated_state(*prefs, caps, rule, log=da.EventLog())
-    with pytest.raises(ValueError, match="event log"):
-        logged.with_proposers([2])
-    with pytest.raises(ValueError, match="event log"):
-        logged.insert(2, *entry)
 
 
 @pytest.mark.parametrize("setting", [RESIDENCY, REQUEST_INTERVIEW])
