@@ -40,7 +40,7 @@ print(f"\ndoctor {d} matched to {matching.doctor_of[d]}")
 blocking = find_blocking_pairs(assignment, matching)
 print(f"blocking pairs: {len(blocking)} (deferred acceptance is stable)")
 
-stats = run_stats(inst, assignment, matching)
+stats = run_stats(assignment, matching)
 matched = stats.doctor_matched
 print(f"\nmatch rate: {matched.mean():.1%} of doctors, "
       f"{stats.hospital_fully_matched.mean():.1%} of hospitals fully matched")

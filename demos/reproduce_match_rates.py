@@ -31,8 +31,8 @@ for r in range(args.runs):
     asg = build_assignment(inst)
     prefs = build_preferences(asg)
     matching = doctor_proposing_da(*prefs, inst.capacities)
-    groups.append(group_run(run_stats(inst, asg, matching,
-                                      check_stability=False), group_size=10))
+    groups.append(group_run(run_stats(asg, matching, check_stability=False),
+                            group_size=10))
     if (r + 1) % 10 == 0:
         print(f"run {r + 1}/{args.runs}")
 

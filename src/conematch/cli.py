@@ -132,12 +132,12 @@ def _audit_this_run(cfg: MarketConfig, run_index: int, rate: float) -> bool:
 
 
 def _run_one(cfg, run_index, audit_sample, slug):
-    """One market and its audits: (RunStats, (instance, assignment, prefs),
-    double-cut CSV rows), or AuditFailure.  Every run is checked for
-    stability (and school uniqueness); an oracle-sized one against the
-    brute-force stable set.  Those and the runs audited at rate
-    `audit_sample` get the rural-hospital check, and the audited ones a
-    focal-hospital and a focal-doctor double cut checked for dominance."""
+    """One market and its audits: (RunStats, InterviewAssignment, double-cut
+    CSV rows), or AuditFailure.  Every run is checked for stability (and
+    school uniqueness); an oracle-sized one against the brute-force stable
+    set.  Those and the runs audited at rate `audit_sample` get the
+    rural-hospital check, and the audited ones a focal-hospital and a
+    focal-doctor double cut checked for dominance."""
     instance = generate(cfg, run_index)
     assignment = build_assignment(instance)
     prefs = build_preferences(assignment)
@@ -174,8 +174,7 @@ def _run_one(cfg, run_index, audit_sample, slug):
         focal_d = int(gen.integers(cfg.n_doctors))
         for scenario in (double_cut.scenario_for_hospital(instance, focal_h),
                          double_cut.scenario_for_doctor(instance, focal_d)):
-            cut, report = double_cut.run_double_cut(instance, assignment,
-                                                    scenario, prefs)
+            cut, report = double_cut.run_double_cut(assignment, scenario)
             full = matched if scenario.orientation == DOCTORS_PROPOSE \
                 else assignment.matched_edges(hospital_optimal())
             if not double_cut.receivers_dominate(
@@ -185,15 +184,15 @@ def _run_one(cfg, run_index, audit_sample, slug):
                                    f"double-cut-dominance:{scenario.focal_side}")
             surplus_rows.append(report.csv_row(scenario))
 
-    stats = metrics.run_stats(instance, assignment, matching,
-                              check_stability=False, matched=matched)
-    return stats, (instance, assignment, prefs), surplus_rows
+    stats = metrics.run_stats(assignment, matching, check_stability=False,
+                              matched=matched)
+    return stats, assignment, surplus_rows
 
 
-def _deviation_csv(cfg, campaign, run0, path):
-    # run0: run 0's (instance, assignment, prefs), as _run_one built them
+def _deviation_csv(cfg, campaign, assignment, path):
+    # assignment: run 0's, as _run_one built it
     rows = [deviation.DEVIATION_CSV_HEADER]
-    instance, assignment, prefs = run0
+    instance = assignment.instance
     half = instance.half_width
     alpha = instance.alpha_eff
     gen = np.random.default_rng((cfg.seed, 0xDE71A7E))
@@ -201,7 +200,7 @@ def _deviation_csv(cfg, campaign, run0, path):
         instance.doctor_ratings >= instance.doctor_range[0] + half)
     count = min(campaign.deviation_focals, non_bottom.size)
     focals = gen.choice(non_bottom, size=count, replace=False)
-    ctx = deviation._PatchContext(instance, assignment, prefs, focals=focals)
+    ctx = deviation._PatchContext(assignment, focals=focals)
     specs = [(deviation.SWAP_IN_CONE, 0.0), (deviation.TOP_K_OF_ALL, 0.0),
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, alpha),
              (deviation.ABOVE_CONE, 2 * alpha), (deviation.BELOW_CONE, 0.0)]
@@ -258,14 +257,14 @@ def _run_campaign(campaign: Campaign) -> int:
             groups = []     # each run folded as it ends; no RunStats kept
             surplus_rows = [double_cut.SURPLUS_CSV_HEADER]
             for run_index in range(cfg.runs):
-                st, built, rows = _run_one(cfg, run_index,
-                                            campaign.audit_sample, slug)
+                st, assignment, rows = _run_one(cfg, run_index,
+                                                campaign.audit_sample, slug)
                 if run_index == 0:      # the deviation CSV probes run 0
-                    run0 = built
+                    run0 = assignment
                 groups.append(metrics.group_run(st, campaign.group_size))
                 surplus_rows.extend(rows)
             series = metrics.aggregate(groups)
-            half = run0[0].half_width
+            half = run0.instance.half_width
             out_csv = campaign.out_dir / f"{slug}.csv"
             metrics.write_metrics_csv(out_csv, series, cfg, half)
             if len(surplus_rows) > 1:
@@ -314,8 +313,9 @@ def verify_only(seed: int, out=None) -> int:
     for label, cfg in markets:
         perm = list(gen.permutation(cfg.n_doctors))
         try:
-            _, (instance, _, prefs), _ = _run_one(cfg, 0, 1.0, label)
-            if not order_invariance_check(*prefs, instance.capacities, perm):
+            _, assignment, _ = _run_one(cfg, 0, 1.0, label)
+            if not order_invariance_check(*build_preferences(assignment),
+                                          assignment.instance.capacities, perm):
                 raise AuditFailure(label, 0, "order-invariance")
             print(f"PASS  {label}", file=out)
         except AuditFailure as exc:

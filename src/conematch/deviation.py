@@ -69,19 +69,14 @@ class _PatchContext:
     exact by order invariance.  A focal not in `focals` joins the set, and
     the shared run is rebuilt once.  Only the most recent focal's
     focal-absent state is kept, and each probe utility (`utility`) and each
-    replicate's slot draws (`slot_values`) are memoised.  `prefs`, if
-    given, is build_preferences(assignment).
+    replicate's slot draws (`slot_values`) are memoised.
     """
 
-    def __init__(self, instance: MarketInstance, assignment: InterviewAssignment,
-                 prefs: Optional[tuple] = None, focals: Sequence[int] = ()):
-        self.instance = instance
+    def __init__(self, assignment: InterviewAssignment,
+                 focals: Sequence[int] = ()):
+        self.instance = assignment.instance
         self.assignment = assignment
-        if prefs is None:
-            prefs = build_preferences(assignment)
-        if any(getattr(p, "source", None) is not assignment for p in prefs):
-            raise ValueError("prefs must be build_preferences(assignment)")
-        self.doctor_prefs, self.hospital_prefs = prefs
+        self.doctor_prefs, self.hospital_prefs = build_preferences(assignment)
         self._focals = dict.fromkeys(int(f) for f in focals)
         self._shared: Optional[DAState] = None
         self._absent: Optional[Tuple[int, DAState]] = None
@@ -188,10 +183,17 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
     Unchanged hospitals keep their base slots; replacements take over the
     vacated slots, so common-random-number draws line up edge for edge.
     """
+    if instance is not assignment.instance:
+        raise ValueError("instance is not the assignment's instance")
     if spec.kind not in KINDS and spec.kind != NULL_DEVIATION:
         raise ValueError(f"unknown deviation kind {spec.kind!r}")
     focal = spec.focal_doctor
     inst = instance
+    if not 0 <= focal < inst.config.n_doctors:
+        raise ValueError(f"focal doctor {focal} lies outside "
+                         f"[0, {inst.config.n_doctors})")
+    if not math.isfinite(spec.offset):
+        raise ValueError(f"offset must be finite, got {spec.offset}")
     base = assignment.doctor_list(focal)
     if spec.kind == NULL_DEVIATION or not base:
         return base, 0.0
@@ -260,9 +262,9 @@ def _slot_values(instance, focal, n_slots, replicate):
     return iota_d, iota_h
 
 
-def _context_for(instance, assignment, context) -> _PatchContext:
+def _context_for(assignment, context) -> _PatchContext:
     if context is None:
-        return _PatchContext(instance, assignment)
+        return _PatchContext(assignment)
     if context.assignment is not assignment:
         raise ValueError("context was built for another assignment")
     return context
@@ -275,10 +277,10 @@ def evaluate_deviation(instance: MarketInstance,
     """Monte Carlo (base, deviant, gain) for one deviation spec."""
     if spec.replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {spec.replicates}")
-    ctx = _context_for(instance, assignment, context)
+    dev_slots, realized = deviant_slots(instance, assignment, spec)
+    ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
     base_slots = assignment.doctor_list(focal)
-    dev_slots, realized = deviant_slots(instance, assignment, spec)
     reps = range(spec.replicates)
     base_u = np.array([ctx.utility(focal, base_slots, t) for t in reps])
     dev_u = np.array([ctx.utility(focal, dev_slots, t) for t in reps])
@@ -302,10 +304,10 @@ def locality_check(instance: MarketInstance,
     every agent whose match differs between the two inserts lies in the
     union of the two touched sets.
     """
-    ctx = _context_for(instance, assignment, context)
+    dev_slots, _ = deviant_slots(instance, assignment, spec)
+    ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
     base_slots = assignment.doctor_list(focal)
-    dev_slots, _ = deviant_slots(instance, assignment, spec)
     n_slots = max(len(base_slots), len(dev_slots))
     iota_d, iota_h = ctx.slot_values(focal, n_slots, replicate)
     absent = ctx._focal_absent(focal)
@@ -356,8 +358,7 @@ def epsilon_estimate(batch: Sequence[tuple],
     for instance, assignment, focal in batch:
         key = id(assignment)
         if key not in contexts:
-            contexts[key] = _PatchContext(instance, assignment,
-                                          focals=focals[key])
+            contexts[key] = _PatchContext(assignment, focals=focals[key])
         ctx = contexts[key]
         for kind, x in grid:
             res = evaluate_deviation(

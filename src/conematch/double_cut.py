@@ -26,7 +26,7 @@ import numpy as np
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                  prefix_da, proposal_counts, truncation_stops)
 from .market import MarketInstance, SCHOOL_CHOICE
-from .strategy import InterviewAssignment, key_order
+from .strategy import InterviewAssignment, build_preferences, key_order
 
 FOCAL_DOCTOR = "doctor"
 FOCAL_HOSPITAL = "hospital"
@@ -43,18 +43,15 @@ def _nu_h_weight(instance: MarketInstance) -> float:
 class DoubleCutScenario:
     """Cutoffs and stop rules for one truncated run.
 
-    For a focal hospital, doctors propose; for a focal doctor or doctor
-    interval, hospitals propose.  `proposer_threshold` is the rating below
-    which agents do not propose (focal rating minus a*alpha) and
-    `floor_band` the proposer-rating band subject to the utility floor (the
-    focal's cone).  `exclusions` lists proposer ids removed by interval
-    preprocessing.
+    `proposer_threshold` is the rating below which agents do not propose
+    (focal rating minus a*alpha) and `floor_band` the proposer-rating band
+    subject to the utility floor (the focal's cone).  `exclusions` lists
+    proposer ids removed by interval preprocessing.
     """
 
     focal_side: str
     focal_id: Optional[int] = None
     interval: Optional[Tuple[float, float]] = None
-    orientation: str = HOSPITALS_PROPOSE
     proposer_threshold: float = -math.inf
     utility_floor: float = -math.inf
     floor_band: Tuple[float, float] = (-math.inf, -math.inf)
@@ -62,27 +59,40 @@ class DoubleCutScenario:
     exclusions: frozenset = frozenset()
     bottommost: bool = False
 
+    @property
+    def orientation(self) -> str:
+        """Doctors propose around a focal hospital, hospitals otherwise."""
+        return (DOCTORS_PROPOSE if self.focal_side == FOCAL_HOSPITAL
+                else HOSPITALS_PROPOSE)
+
+
+def _check_focal(side: str, focal: int, n: int) -> None:
+    if not 0 <= focal < n:
+        raise ValueError(f"focal {side} {focal} lies outside [0, {n})")
+
 
 def scenario_for_hospital(instance: MarketInstance, hospital: int) -> DoubleCutScenario:
     """Doctor-proposing double-cut run centered on one hospital."""
+    _check_focal(FOCAL_HOSPITAL, hospital, instance.config.n_hospitals)
     r = instance.hospital_ratings[hospital]
     alpha, half = instance.alpha_eff, instance.half_width
     ceiling = r + 1.0 + instance.config.nu_d
     return DoubleCutScenario(
         focal_side=FOCAL_HOSPITAL, focal_id=hospital,
-        orientation=DOCTORS_PROPOSE, proposer_threshold=r - half,
+        proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
         bottommost=bool(r < instance.hospital_range[0] + half))
 
 
 def scenario_for_doctor(instance: MarketInstance, doctor: int) -> DoubleCutScenario:
     """Hospital-proposing double-cut run centered on one doctor."""
+    _check_focal(FOCAL_DOCTOR, doctor, instance.config.n_doctors)
     r = instance.doctor_ratings[doctor]
     alpha, half = instance.alpha_eff, instance.half_width
     ceiling = r + _nu_h_weight(instance)
     return DoubleCutScenario(
         focal_side=FOCAL_DOCTOR, focal_id=doctor,
-        orientation=HOSPITALS_PROPOSE, proposer_threshold=r - half,
+        proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
         bottommost=bool(r < instance.doctor_range[0] + half))
 
@@ -98,8 +108,7 @@ class PreprocessResult:
     l_prime_size: int
 
 
-def interval_preprocess(instance: MarketInstance,
-                        assignment: InterviewAssignment,
+def interval_preprocess(assignment: InterviewAssignment,
                         interval: Tuple[float, float]) -> PreprocessResult:
     """Exclusion set for the interval double-cut over doctors I = [f, g).
 
@@ -112,6 +121,7 @@ def interval_preprocess(instance: MarketInstance,
     f, g = interval
     if g < f:
         raise ValueError("interval must satisfy f <= g")
+    instance = assignment.instance
     alpha, half = instance.alpha_eff, instance.half_width
     if g - f >= alpha:
         raise ValueError(f"interval width {g - f} must be below alpha={alpha}")
@@ -145,8 +155,7 @@ def interval_preprocess(instance: MarketInstance,
                             len(l_hospitals), len(l_prime))
 
 
-def scenario_for_interval(instance: MarketInstance,
-                          assignment: InterviewAssignment,
+def scenario_for_interval(assignment: InterviewAssignment,
                           interval: Tuple[float, float]) -> DoubleCutScenario:
     """Hospital-proposing double-cut run for a doctor interval I = [f, g).
 
@@ -155,14 +164,15 @@ def scenario_for_interval(instance: MarketInstance,
     utility band shared by every doctor in I.
     """
     f, g = interval
-    pre = interval_preprocess(instance, assignment, interval)
+    pre = interval_preprocess(assignment, interval)
+    instance = assignment.instance
     alpha, half = instance.alpha_eff, instance.half_width
     nu = _nu_h_weight(instance)
     # complement of [g+nu-alpha, f+nu) within the union of member bands
     windows = ((f + nu - alpha, g + nu - alpha), (f + nu, g + nu))
     return DoubleCutScenario(
         focal_side=FOCAL_DOCTOR_INTERVAL, interval=(f, g),
-        orientation=HOSPITALS_PROPOSE, proposer_threshold=g - half,
+        proposer_threshold=g - half,
         utility_floor=g + nu - alpha, floor_band=(g - half, f + half),
         forbidden_windows=windows, exclusions=pre.excluded_hospitals,
         bottommost=bool(g < instance.doctor_range[0] + half))
@@ -217,17 +227,15 @@ def scenario_rule(instance: MarketInstance,
                            for wlo, whi in scenario.forbidden_windows])
 
 
-def run_double_cut(instance: MarketInstance,
-                   assignment: InterviewAssignment,
-                   scenario: DoubleCutScenario,
-                   prefs: tuple):
+def run_double_cut(assignment: InterviewAssignment,
+                   scenario: DoubleCutScenario):
     """Execute the scenario's truncated run; returns (Matching, SurplusReport).
 
     The run is the round engine over each proposer's prefix up to her
-    truncation stop.  `prefs` is build_preferences(assignment).
+    truncation stop.
     """
-    if any(getattr(p, "source", None) is not assignment for p in prefs):
-        raise ValueError("prefs must be build_preferences(assignment)")
+    instance = assignment.instance
+    prefs = build_preferences(assignment)
     proposers = prefs[scenario.orientation == HOSPITALS_PROPOSE]
     stop = truncation_stops(proposers, scenario_rule(instance, scenario))
     matching, pointer = prefix_da(*prefs, instance.capacities,
@@ -240,11 +248,6 @@ def run_double_cut(instance: MarketInstance,
 def _count_not_fully_matched_hospitals(instance, matching, lo, hi) -> int:
     ids = instance.hospitals_in_band(lo, hi)
     return int(np.count_nonzero(matching.fills()[ids] < instance.capacities[ids]))
-
-
-def _count_unmatched_doctors(instance, matching, lo, hi) -> int:
-    ids = instance.doctors_in_band(lo, hi)
-    return int(np.count_nonzero(matching.doctor_of[ids] < 0))
 
 
 def _surplus_report(instance, assignment, scenario, matching, received) -> SurplusReport:
@@ -263,8 +266,8 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
                     + instance.doctors_in_band(r + half + alpha, d_hi).size)
         competing_places = int(instance.capacities[
             instance.hospitals_in_band(r - alpha, h_hi)].sum())
-        unmatched_above = _count_unmatched_doctors(
-            instance, matching, r + half + alpha, d_hi)
+        above = instance.doctors_in_band(r + half + alpha, d_hi)
+        unmatched_above = int(np.count_nonzero(matching.doctor_of[above] < 0))
         surplus = max(0, int(in_scope) - competing_places - unmatched_above)
         held = np.flatnonzero(matching.doctor_of == h)
         utility = (float(np.mean(assignment.u_hosp[
@@ -316,28 +319,30 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
                          scenario.bottommost)
 
 
+def _check_oracle(surplus, cone_size, alpha, psi) -> None:
+    if surplus < 1 or cone_size < 1:
+        raise ValueError(f"surplus ({surplus}) and cone_size ({cone_size}) "
+                         f"must be at least 1")
+    if not all(math.isfinite(x) and x >= 0.0 for x in (alpha, psi)):
+        raise ValueError(f"alpha ({alpha}) and psi ({psi}) must be finite "
+                         f"and >= 0")
+
+
 def independent_proposal_oracle(surplus: int, cone_size: int, k: int,
-                                alpha: float, psi: float,
-                                trials: int = 10000, seed: int = 0):
+                                alpha: float, psi: float) -> float:
     """No-qualifying-proposal probability under independent proposals.
 
     Each of `surplus` counter-side agents independently reaches the focal
     doctor with probability p = (k / cone_size) * alpha * psi (selected by
     the doctor, clears the proposer's floor, and qualifies on the doctor's
-    interview value).  Returns (monte_carlo_estimate, closed_form) for the
-    probability that none do, the closed form being (1 - p) ** surplus.
+    interview value).  Returns the probability that none do,
+    (1 - p) ** surplus.
     """
-    if surplus < 1:
-        raise ValueError("surplus must be at least 1")
+    _check_oracle(surplus, cone_size, alpha, psi)
     if cone_size < k:
         raise ValueError("cone must hold at least k hospitals")
     p = min(1.0, (k / cone_size) * alpha * psi)
-    closed = (1.0 - p) ** surplus
-    if trials <= 0:
-        return closed, closed
-    gen = np.random.default_rng(seed)
-    hits = gen.binomial(surplus, p, size=trials)
-    return float(np.mean(hits == 0)), closed
+    return (1.0 - p) ** surplus
 
 
 def _binom_cdf(k_max: int, n: int, p: float) -> float:
@@ -356,24 +361,17 @@ def _binom_cdf(k_max: int, n: int, p: float) -> float:
 
 
 def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
-                         alpha: float, psi: float,
-                         trials: int = 10000, seed: int = 0):
+                         alpha: float, psi: float) -> float:
     """Mirror oracle for a focal hospital failing to fill its kappa seats.
 
     Surplus doctors each reach the hospital with probability
-    p = (kappa * k / cone_size) * (alpha - taubar) * psi, so the closed
-    form is the binomial tail P(Binom(surplus, p) < kappa).  The
-    analysis-only slack taubar is taken as 0.
+    p = (kappa * k / cone_size) * (alpha - taubar) * psi; returns the
+    binomial tail P(Binom(surplus, p) < kappa).  The analysis-only slack
+    taubar is taken as 0.
     """
-    if surplus < 1:
-        raise ValueError("surplus must be at least 1")
-    p = min(1.0, (kappa * k / cone_size) * max(alpha, 0.0) * psi)
-    closed = _binom_cdf(kappa - 1, surplus, p)
-    if trials <= 0:
-        return closed, closed
-    gen = np.random.default_rng(seed)
-    hits = gen.binomial(surplus, p, size=trials)
-    return float(np.mean(hits < kappa)), closed
+    _check_oracle(surplus, cone_size, alpha, psi)
+    p = min(1.0, (kappa * k / cone_size) * alpha * psi)
+    return _binom_cdf(kappa - 1, surplus, p)
 
 
 def _seats(assignment: InterviewAssignment, e: np.ndarray) -> np.ndarray:

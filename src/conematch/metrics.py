@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import find_blocking_pairs
 from .da import Matching
-from .market import MarketConfig, MarketInstance, SCHOOL_CHOICE
+from .market import MarketConfig, SCHOOL_CHOICE
 from .strategy import InterviewAssignment
 
 CSV_HEADER = "group_lo,group_hi,metric,mean,p10,p90,runs,setting,n,k,kappa,cone,seed"
@@ -52,8 +52,7 @@ class RunStats:
     hospital_non_bottommost: np.ndarray
 
 
-def run_stats(instance: MarketInstance,
-              assignment: InterviewAssignment,
+def run_stats(assignment: InterviewAssignment,
               matching: Matching,
               check_stability: bool = True,
               matched: Optional[np.ndarray] = None) -> RunStats:
@@ -69,6 +68,7 @@ def run_stats(instance: MarketInstance,
             raise ValueError(f"matching is unstable: {len(blocking)} blocking pairs, "
                              f"first {blocking[0]}")
 
+    instance = assignment.instance
     cfg = instance.config
     n_doc, n_hosp = cfg.n_doctors, cfg.n_hospitals
     caps = instance.capacities

@@ -42,7 +42,7 @@ def pipeline(cfg, run, check_stability=False):
     asg = build_assignment(inst)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    return inst, asg, prefs, m, run_stats(inst, asg, m,
+    return inst, asg, prefs, m, run_stats(asg, m,
                                           check_stability=check_stability)
 
 
@@ -51,9 +51,9 @@ def both_orientations(inst, prefs):
             hospital_proposing_da(*prefs, inst.capacities))
 
 
-def dominated(inst, asg, prefs, full, scenario):
+def dominated(asg, full, scenario):
     # full: each orientation's DA matched edges
-    cut, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
+    cut, _ = double_cut.run_double_cut(asg, scenario)
     return double_cut.receivers_dominate(asg, scenario.orientation,
                                          full[scenario.orientation],
                                          asg.matched_edges(cut))
@@ -189,9 +189,9 @@ def test_criterion_4_double_cut_dominance():
         gen = np.random.default_rng(seed)
         d = int(gen.integers(cfg.n_doctors))
         h = int(gen.integers(cfg.n_hospitals))
-        assert dominated(inst, asg, prefs, full,
+        assert dominated(asg, full,
                          double_cut.scenario_for_doctor(inst, d))
-        assert dominated(inst, asg, prefs, full,
+        assert dominated(asg, full,
                          double_cut.scenario_for_hospital(inst, h))
         total += 2
     for seed in range(25):
@@ -204,9 +204,9 @@ def test_criterion_4_double_cut_dominance():
         for _ in range(5):
             d = int(gen.integers(cfg.n_doctors))
             h = int(gen.integers(cfg.n_hospitals))
-            assert dominated(inst, asg, prefs, full,
+            assert dominated(asg, full,
                              double_cut.scenario_for_doctor(inst, d))
-            assert dominated(inst, asg, prefs, full,
+            assert dominated(asg, full,
                              double_cut.scenario_for_hospital(inst, h))
             total += 2
     report(4, total == 500, f"{total} double-cut scenarios all dominated")
@@ -316,7 +316,7 @@ def test_criterion_10_deviation_epsilon():
     two_a_alpha = 2.0 * cfg.a * alpha
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
 
     gen = np.random.default_rng(SEED)
     non_bottom = np.flatnonzero(
@@ -372,23 +372,21 @@ def test_criterion_11_failure_probability_oracle():
     for run in range(10):
         inst = generate(cfg, run)
         asg = build_assignment(inst)
-        prefs = build_preferences(asg)
         gen = np.random.default_rng(run)
         non_bottom = np.flatnonzero(
             inst.doctor_ratings >= inst.doctor_range[0] + inst.half_width)
         for focal in gen.choice(non_bottom, size=10, replace=False):
             focal = int(focal)
             scenario = double_cut.scenario_for_doctor(inst, focal)
-            _, rep = double_cut.run_double_cut(inst, asg, scenario, prefs)
+            _, rep = double_cut.run_double_cut(asg, scenario)
             cone_size = inst.hospitals_in_band(
                 max(inst.hospital_range[0],
                     inst.doctor_ratings[focal] - inst.half_width),
                 min(inst.hospital_range[1],
                     inst.doctor_ratings[focal] + inst.half_width)).size
             s = max(1, math.floor(inst.alpha_eff * cfg.n_doctors / cfg.kappa))
-            _, closed = double_cut.independent_proposal_oracle(
-                s, int(cone_size), cfg.k, inst.alpha_eff, 1.0, trials=0)
-            closed_forms.append(closed)
+            closed_forms.append(double_cut.independent_proposal_oracle(
+                s, int(cone_size), cfg.k, inst.alpha_eff, 1.0))
             if rep.proposals_to_focal == 0:
                 failures += 1
             count += 1

@@ -90,7 +90,7 @@ def test_receivers_dominate_matches_the_seat_list_version(setting):
                         inst, int(gen.integers(inst.config.n_hospitals))),
                     double_cut.scenario_for_doctor(
                         inst, int(gen.integers(inst.config.n_doctors)))):
-                cut, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
+                cut, _ = double_cut.run_double_cut(asg, scenario)
                 full = held[scenario.orientation]
                 cut = asg.matched_edges(cut)
                 for pair in ((full, cut), (cut, full),

@@ -64,10 +64,10 @@ def test_verify_only_runs_both_double_cuts_on_every_market(monkeypatch,
     sides = []
     real = cli.double_cut.run_double_cut
 
-    def recording(instance, assignment, scenario, prefs):
-        sides.append((instance.config.seed, instance.config.n_doctors,
-                      scenario.focal_side))
-        return real(instance, assignment, scenario, prefs)
+    def recording(assignment, scenario):
+        cfg = assignment.instance.config
+        sides.append((cfg.seed, cfg.n_doctors, scenario.focal_side))
+        return real(assignment, scenario)
     monkeypatch.setattr(cli.double_cut, "run_double_cut", recording)
     assert cli.verify_only(3) == cli.EXIT_OK
     markets = [(3 + t, 6) for t in range(6)] + [(3 + t, 60) for t in range(3)]
@@ -382,14 +382,24 @@ def test_unaudited_residency_run_is_one_da(monkeypatch):
 
 
 @pytest.mark.parametrize("audit_sample", [0.0, 1.0])
-def test_run_without_deviation_csv_builds_no_preference_lists(audit_sample):
+def test_run_without_deviation_csv_builds_no_preference_lists(
+        monkeypatch, audit_sample):
     # both DA orientations and the double-cut runs read the edge table's
-    # arrays: neither EdgeLists view builds its lists, ranks or utils
+    # arrays: no EdgeLists view, the run's or a double cut's, builds its
+    # lists, ranks or utils
+    views = []
+    real = da.EdgeLists.__init__
+
+    def keeping(self, *args):
+        views.append(self)
+        real(self, *args)
+    monkeypatch.setattr(da.EdgeLists, "__init__", keeping)
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3)
-    _, (_, assignment, prefs), rows = cli._run_one(cfg, 0, audit_sample,
-                                                   cli.config_slug(cfg))
+    _, assignment, rows = cli._run_one(cfg, 0, audit_sample,
+                                       cli.config_slug(cfg))
     assert len(rows) == (2 if audit_sample else 0)
-    for side in prefs:
+    assert len(views) == (6 if audit_sample else 2)
+    for side in views:
         assert side.source is assignment
         assert not {"lists", "ranks", "utils"} & vars(side).keys()
 

@@ -40,7 +40,7 @@ def test_null_deviation_gain_exactly_zero():
 def test_null_deviation_matchings_identical_every_replicate():
     inst, asg = make_market(seed=2)
     focal = pick_focal(inst)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     base = list(asg.doctor_lists[focal])
     for t in range(5):
         iota_d, iota_h = deviation._slot_values(inst, focal, len(base), t)
@@ -131,7 +131,7 @@ def test_school_above_cone_full_school_rejects():
     base = list(asg.doctor_lists[focal])
     dev, _ = deviant_slots(inst, asg, spec)
     target = next(h for h in dev if h not in base)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     r_focal = inst.doctor_ratings[focal]
     checked = 0
     for t in range(10):
@@ -154,7 +154,7 @@ def test_locality_of_changes():
         for kappa in (1, 5):
             inst, asg = make_market(seed=10, n=150, kappa=kappa, k=3,
                                     setting=setting)
-            ctx = _PatchContext(inst, asg)
+            ctx = _PatchContext(asg)
             for q in (0.2, 0.55, 0.9):
                 focal = pick_focal(inst, q)
                 for kind in KINDS + (NULL_DEVIATION,):
@@ -229,7 +229,7 @@ def test_epsilon_estimate_probes_each_assignment_with_its_own_context():
 
 def test_evaluate_deviation_refuses_another_assignments_context():
     inst, asg = make_market(seed=3)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     spec = DeviationSpec(pick_focal(inst), SWAP_IN_CONE, replicates=2)
     evaluate_deviation(inst, asg, spec, context=ctx)
     with pytest.raises(ValueError, match="another assignment"):
@@ -288,3 +288,37 @@ def test_evaluate_deviation_needs_a_replicate(replicates):
     spec = DeviationSpec(pick_focal(inst), SWAP_IN_CONE, replicates=replicates)
     with pytest.raises(ValueError, match="replicates"):
         evaluate_deviation(inst, asg, spec)
+
+
+@pytest.mark.parametrize("focal", [-1, 120, 10 ** 6])
+def test_deviant_slots_refuses_a_focal_outside_the_market(focal):
+    # refused up front, not as an OverflowError or IndexError from inside
+    inst, asg = make_market(seed=15)
+    for kind in KINDS + (NULL_DEVIATION,):
+        with pytest.raises(ValueError, match="outside"):
+            deviant_slots(inst, asg, DeviationSpec(focal, kind))
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_deviation(inst, asg, DeviationSpec(focal, SWAP_IN_CONE))
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [ABOVE_CONE, BELOW_CONE])
+def test_deviant_slots_refuses_a_non_finite_offset(kind, offset):
+    # a non-finite target rating would be nearest to no hospital, and
+    # argmin would pick the first unlisted one
+    inst, asg = make_market(seed=1)
+    spec = DeviationSpec(pick_focal(inst), kind, offset=offset)
+    with pytest.raises(ValueError, match="offset"):
+        deviant_slots(inst, asg, spec)
+
+
+def test_deviations_refuse_an_instance_not_the_assignments():
+    # the deviant list would be read off the other market's ratings
+    inst, asg = make_market(seed=1)
+    other, _ = make_market(seed=2)
+    spec = DeviationSpec(pick_focal(inst), ABOVE_CONE, replicates=2)
+    for call in (deviant_slots, evaluate_deviation, locality_check):
+        with pytest.raises(ValueError, match="instance"):
+            call(other, asg, spec)
+    with pytest.raises(ValueError, match="instance"):
+        epsilon_estimate([(other, asg, spec.focal_doctor)], replicates=2)

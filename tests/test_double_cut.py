@@ -6,7 +6,8 @@ import pytest
 from conematch.da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                           doctor_proposing_da, hospital_proposing_da,
                           truncated_da)
-from conematch.double_cut import (hospital_fill_oracle,
+from conematch.double_cut import (FOCAL_DOCTOR, FOCAL_HOSPITAL,
+                                  DoubleCutScenario, hospital_fill_oracle,
                                   independent_proposal_oracle,
                                   interval_preprocess, receivers_dominate,
                                   run_double_cut,
@@ -32,7 +33,7 @@ def make_market(seed=0, n=60, kappa=3, k=3, cone=0.3, **kw):
 def logged_run(inst, asg, scenario, prefs):
     """The proposal records of the scenario's truncated run, checked to be
     run_double_cut's run."""
-    matching, report = run_double_cut(inst, asg, scenario, prefs)
+    matching, report = run_double_cut(asg, scenario)
     logged, log = truncated_da(*prefs, inst.capacities,
                                scenario_rule(inst, scenario),
                                scenario.orientation)
@@ -46,8 +47,7 @@ def test_focal_hospital_dominated_by_full_run():
     inst, asg, prefs = make_market(seed=2, n=60, kappa=2, k=3)
     full = doctor_proposing_da(*prefs, inst.capacities)
     mid = int(np.argsort(inst.hospital_ratings)[inst.config.n_hospitals // 2])
-    cut, report = run_double_cut(inst, asg,
-                                 scenario_for_hospital(inst, mid), prefs)
+    cut, report = run_double_cut(asg, scenario_for_hospital(inst, mid))
     utils = utility_maps(asg)[1][mid]
     cut_seats = sorted((utils[d] for d in np.flatnonzero(cut.doctor_of == mid)),
                        reverse=True)
@@ -105,11 +105,11 @@ def test_prefix_property():
 
 
 def test_bottommost_flagged_but_runs():
-    inst, asg, prefs = make_market(seed=6, n=60, kappa=3, k=3)
+    inst, asg, _ = make_market(seed=6, n=60, kappa=3, k=3)
     lowest = int(np.argmin(inst.doctor_ratings))
     scenario = scenario_for_doctor(inst, lowest)
     assert scenario.bottommost
-    _, report = run_double_cut(inst, asg, scenario, prefs)
+    _, report = run_double_cut(asg, scenario)
     assert report.bottommost
 
 
@@ -118,7 +118,7 @@ def dominated(inst, asg, prefs, scenario):
     full_da = doctor_proposing_da if scenario.orientation == DOCTORS_PROPOSE \
         else hospital_proposing_da
     full = full_da(*prefs, inst.capacities)
-    cut, _ = run_double_cut(inst, asg, scenario, prefs)
+    cut, _ = run_double_cut(asg, scenario)
     return receivers_dominate(asg, scenario.orientation,
                               asg.matched_edges(full), asg.matched_edges(cut))
 
@@ -164,7 +164,7 @@ def test_interval_preprocess_band_exclusions_when_no_collision():
     inst, asg, _ = make_market(seed=8, n=200, kappa=1, k=1, cone=0.2)
     alpha = inst.alpha_eff
     f, g = 0.60, 0.60 + 0.4 * alpha
-    pre = interval_preprocess(inst, asg, (f, g))
+    pre = interval_preprocess(asg, (f, g))
     half = inst.half_width
     band = set(int(h) for h in inst.hospitals_in_band(f + half, g + half))
     if not pre.excluded_doctors:
@@ -181,7 +181,7 @@ def test_interval_preprocess_collision_structure():
     found = False
     for lo in np.arange(half, 1.0 - half, 0.01):
         f, g = float(lo), float(lo) + 0.5 * alpha
-        pre = interval_preprocess(inst, asg, (f, g))
+        pre = interval_preprocess(asg, (f, g))
         if pre.excluded_doctors:
             found = True
             docs = set(int(d) for d in inst.doctors_in_band(f, g))
@@ -207,14 +207,14 @@ def test_interval_preprocess_collision_structure():
 
 def test_interval_preprocess_empty_interval():
     inst, asg, _ = make_market(seed=10, n=100, kappa=2, k=3)
-    pre = interval_preprocess(inst, asg, (0.5, 0.5))
+    pre = interval_preprocess(asg, (0.5, 0.5))
     assert pre.i_size == 0 and not pre.excluded_hospitals
 
 
 def test_interval_preprocess_requires_narrow_interval():
     inst, asg, _ = make_market(seed=10, n=100, kappa=2, k=3)
     with pytest.raises(ValueError):
-        interval_preprocess(inst, asg, (0.2, 0.2 + 2 * inst.alpha_eff))
+        interval_preprocess(asg, (0.2, 0.2 + 2 * inst.alpha_eff))
 
 
 def test_interval_survivor_bound_empirical():
@@ -226,7 +226,7 @@ def test_interval_survivor_bound_empirical():
         inst = generate(cfg, run)
         asg = select_interviews(inst)
         alpha = inst.alpha_eff
-        pre = interval_preprocess(inst, asg, (0.5, 0.5 + 0.5 * alpha))
+        pre = interval_preprocess(asg, (0.5, 0.5 + 0.5 * alpha))
         sizes.append(pre.i_size)
         survivors.append(pre.i_prime_size)
     theta = math.exp(-inst.alpha_eff * cfg.k / (2.0 * (4 * cfg.a + 1)))
@@ -237,8 +237,8 @@ def test_interval_survivor_bound_empirical():
 def test_interval_scenario_runs_and_reports():
     inst, asg, prefs = make_market(seed=12, n=300, kappa=3, k=3, cone=0.3)
     alpha = inst.alpha_eff
-    scenario = scenario_for_interval(inst, asg, (0.55, 0.55 + 0.5 * alpha))
-    matching, report = run_double_cut(inst, asg, scenario, prefs)
+    scenario = scenario_for_interval(asg, (0.55, 0.55 + 0.5 * alpha))
+    matching, report = run_double_cut(asg, scenario)
     assert report.surplus >= 0
     assert 0.0 <= report.focal_utility <= 1.0 or math.isnan(report.focal_utility)
     # excluded hospitals never propose
@@ -250,13 +250,13 @@ def test_interval_hospital_count_skips_exclusions_below_the_band():
     # interval_preprocess also excludes the other hospitals of removed
     # doctors, and here one of them rates below g - half, outside the band
     # the count is taken over
-    inst, asg, prefs = make_market(seed=1, n=300, kappa=3, k=3, cone=0.3)
+    inst, asg, _ = make_market(seed=1, n=300, kappa=3, k=3, cone=0.3)
     f, g = 0.5, 0.5 + 0.5 * inst.alpha_eff
-    scenario = scenario_for_interval(inst, asg, (f, g))
+    scenario = scenario_for_interval(asg, (f, g))
     lo = g - inst.half_width
     assert any(inst.hospital_ratings[h] < lo for h in scenario.exclusions)
     band = set(inst.hospitals_in_band(lo, inst.hospital_range[1]).tolist())
-    _, report = run_double_cut(inst, asg, scenario, prefs)
+    _, report = run_double_cut(asg, scenario)
     assert report.participants_each_side[1] == len(band - scenario.exclusions)
 
 
@@ -273,14 +273,14 @@ def test_interval_bottommost_judged_on_the_doctor_range():
         assert docs.size
         assert all(scenario_for_doctor(inst, int(d)).bottommost == flagged
                    for d in docs)
-        assert scenario_for_interval(inst, asg, (f, g)).bottommost == flagged
+        assert scenario_for_interval(asg, (f, g)).bottommost == flagged
 
 
 def test_interval_windows_respected():
     inst, asg, prefs = make_market(seed=13, n=300, kappa=3, k=3, cone=0.3)
     alpha = inst.alpha_eff
     f, g = 0.5, 0.5 + 0.6 * alpha
-    scenario = scenario_for_interval(inst, asg, (f, g))
+    scenario = scenario_for_interval(asg, (f, g))
     lo, hi = scenario.floor_band
     for _, proposer, _, utility, _ in logged_run(inst, asg, scenario, prefs):
         r = inst.hospital_ratings[proposer]
@@ -290,22 +290,17 @@ def test_interval_windows_respected():
 
 
 def test_oracle_psi_zero_certain_failure():
-    mc, closed = independent_proposal_oracle(10, 50, 5, 0.3, 0.0, trials=500)
-    assert closed == 1.0 and mc == 1.0
+    assert independent_proposal_oracle(10, 50, 5, 0.3, 0.0) == 1.0
 
 
 def test_oracle_single_trial_half():
-    mc, closed = independent_proposal_oracle(1, 2, 1, 1.0, 1.0, trials=0)
-    assert closed == pytest.approx(0.5)
+    assert independent_proposal_oracle(1, 2, 1, 1.0, 1.0) == pytest.approx(0.5)
 
 
-def test_oracle_closed_form_and_mc_agree():
+def test_oracle_closed_form():
     # s=100, k=5, |C|=200, alpha=0.3, psi=1: (1 - 0.0075)^100
-    mc, closed = independent_proposal_oracle(100, 200, 5, 0.3, 1.0,
-                                             trials=20000, seed=4)
-    assert closed == pytest.approx(0.4710332268715166, rel=1e-12)
-    sigma = math.sqrt(closed * (1 - closed) / 20000)
-    assert abs(mc - closed) <= 3 * sigma
+    assert independent_proposal_oracle(100, 200, 5, 0.3, 1.0) == \
+        pytest.approx(0.4710332268715166, rel=1e-12)
 
 
 def test_oracle_preconditions():
@@ -313,14 +308,25 @@ def test_oracle_preconditions():
         independent_proposal_oracle(0, 50, 5, 0.3, 1.0)
     with pytest.raises(ValueError):
         independent_proposal_oracle(10, 3, 5, 0.3, 1.0)
+    # no probability follows from these (surplus, cone, alpha, psi): a cone
+    # of 0 divides by zero, and a negative alpha gives p < 0 and a
+    # "probability" above 1
+    for s, cone, alpha, psi in [(0, 10, 0.3, 1.0), (5, 0, 0.3, 1.0),
+                                (5, 10, -0.3, 1.0), (5, 10, 0.3, -1.0),
+                                (5, 10, math.nan, 1.0), (5, 10, 0.3, math.inf)]:
+        with pytest.raises(ValueError):
+            independent_proposal_oracle(s, cone, 2, alpha, psi)
+        with pytest.raises(ValueError):
+            hospital_fill_oracle(s, cone, 1, 1, alpha, psi)
 
 
 def test_hospital_fill_oracle():
-    mc, closed = hospital_fill_oracle(200, 120, 3, 5, 0.3, 1.0,
-                                      trials=20000, seed=9)
-    assert 0.0 <= closed <= 1.0
-    sigma = math.sqrt(max(closed * (1 - closed), 1e-6) / 20000)
-    assert abs(mc - closed) <= 4 * sigma
+    # P(Binom(200, p) < 3) with p = 3 * 5 / 120 * 0.3
+    p = 3 * 5 / 120 * 0.3
+    want = sum(math.comb(200, i) * p ** i * (1 - p) ** (200 - i)
+               for i in range(3))
+    assert hospital_fill_oracle(200, 120, 3, 5, 0.3, 1.0) == \
+        pytest.approx(want, rel=1e-12)
 
 
 def test_surplus_positive_at_experiment_scale():
@@ -331,14 +337,39 @@ def test_surplus_positive_at_experiment_scale():
     for run in range(2):
         inst = generate(cfg, run)
         asg = select_interviews(inst)
-        prefs = build_preferences(asg)
         target = 0.5 * inst.alpha_eff * cfg.n_doctors / cfg.kappa
         gen = np.random.default_rng(run)
         non_bottom = np.flatnonzero(inst.doctor_ratings >= inst.half_width)
         for focal in gen.choice(non_bottom, size=15, replace=False):
             _, report = run_double_cut(
-                inst, asg, scenario_for_doctor(inst, int(focal)), prefs)
+                asg, scenario_for_doctor(inst, int(focal)))
             total += 1
             if report.surplus >= target:
                 ok += 1
     assert ok / total >= 0.9
+
+
+def test_orientation_follows_the_focal():
+    # doctors propose around a focal hospital, hospitals around a focal
+    # doctor or a doctor interval, a hand-built scenario included
+    inst, asg, _ = make_market(seed=2)
+    assert scenario_for_hospital(inst, 0).orientation == DOCTORS_PROPOSE
+    assert scenario_for_doctor(inst, 0).orientation == HOSPITALS_PROPOSE
+    assert scenario_for_interval(asg, (0.5, 0.5)).orientation \
+        == HOSPITALS_PROPOSE
+    assert DoubleCutScenario(FOCAL_HOSPITAL, focal_id=0).orientation \
+        == DOCTORS_PROPOSE
+    with pytest.raises(TypeError):
+        DoubleCutScenario(FOCAL_DOCTOR, focal_id=0,
+                          orientation=DOCTORS_PROPOSE)
+
+
+def test_scenarios_refuse_a_focal_outside_the_market():
+    # -1 would index the last agent's rating while, as the focal target,
+    # matching no list entry
+    inst, _, _ = make_market(seed=2)
+    for scenario_for, n in ((scenario_for_doctor, inst.config.n_doctors),
+                            (scenario_for_hospital, inst.config.n_hospitals)):
+        for focal in (-1, n, 10 ** 6):
+            with pytest.raises(ValueError, match="outside"):
+                scenario_for(inst, focal)

@@ -137,7 +137,7 @@ def test_double_cut_runs_match_legacy(setting, quantised):
         order = np.argsort(inst.doctor_ratings)
         mid = inst.doctor_ratings[order[len(order) // 2]]
         scenarios = [double_cut.scenario_for_interval(
-            inst, asg, (mid, mid + 0.5 * inst.alpha_eff))]
+            asg, (mid, mid + 0.5 * inst.alpha_eff))]
         for i in (0.1, 0.5, 0.9):
             scenarios.append(double_cut.scenario_for_doctor(
                 inst, int(order[int(i * (len(order) - 1))])))
@@ -145,7 +145,7 @@ def test_double_cut_runs_match_legacy(setting, quantised):
                 inst, int(i * (inst.config.n_hospitals - 1))))
         excluded += len(scenarios[0].exclusions)
         for scenario in scenarios:
-            got, _ = double_cut.run_double_cut(inst, asg, scenario, prefs)
+            got, _ = double_cut.run_double_cut(asg, scenario)
             want, log, _ = legacy_edges.run_double_cut(inst, legacy, scenario,
                                                        old)
             same_matching(got, want)
@@ -164,7 +164,7 @@ def test_double_cut_runs_match_legacy(setting, quantised):
 def test_patched_run_matches_legacy(setting, quantised):
     inst, asg, legacy = market(setting, 5, 5, quantised, n=200)
     old = legacy_edges.build_preferences(legacy)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     order = np.argsort(inst.doctor_ratings)
     for focal in (int(order[i]) for i in (5, 100, 190)):
         for kind in KINDS + (NULL_DEVIATION,):
@@ -186,7 +186,7 @@ def test_focal_rank_keeps_the_key_order_with_ties(setting):
     # the focal's half rank at h splits h's list exactly where its key
     # (-utility, focal) falls, also between doctors of equal utility
     inst, asg, _ = market(setting, 5, 5, quantised=True)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     gen = random.Random(3)
     ties = 0
     for h, ds in enumerate(ctx.hospital_prefs):
@@ -212,7 +212,7 @@ def test_run_stats_match_legacy(setting, k, kappa, quantised):
                                n=600 if kappa == 12 else 150)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    got = run_stats(inst, asg, m)
+    got = run_stats(asg, m)
     want = legacy_edges.run_stats(inst, legacy, m)
     for f in dataclasses.fields(got):
         a, b = getattr(got, f.name), getattr(want, f.name)

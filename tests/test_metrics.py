@@ -22,7 +22,7 @@ def one_run(seed=0, run=0, **kw):
     asg = select_interviews(inst)
     prefs = build_preferences(asg)
     m = doctor_proposing_da(*prefs, inst.capacities)
-    return inst, asg, m, run_stats(inst, asg, m)
+    return inst, asg, m, run_stats(asg, m)
 
 
 def test_loss_arithmetic():
@@ -76,7 +76,7 @@ def test_hospital_loss_sums_seats_in_ascending_doctor_id(setting):
     if setting == REQUEST_INTERVIEW:
         assert (asg.hospital_rank < 0).any()     # unranked edges
     m = doctor_proposing_da(*build_preferences(asg), inst.capacities)
-    got = run_stats(inst, asg, m).hospital_loss
+    got = run_stats(asg, m).hospital_loss
 
     def loop(order):
         want = np.full(cfg.n_hospitals, np.nan)
@@ -101,7 +101,7 @@ def test_unstable_matching_refused():
         if m.doctor_of[a] != m.doctor_of[b]:
             m.doctor_of[[a, b]] = m.doctor_of[[b, a]]
             with pytest.raises((ValueError, AssertionError)):
-                run_stats(inst, asg, m)
+                run_stats(asg, m)
 
 
 def test_non_bottommost_flag():

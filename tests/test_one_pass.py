@@ -91,7 +91,7 @@ def campaigns():
             asg = build_assignment(inst)
             prefs = build_preferences(asg)
             m = doctor_proposing_da(*prefs, inst.capacities)
-            stats.append(metrics.run_stats(inst, asg, m, check_stability=False))
+            stats.append(metrics.run_stats(asg, m, check_stability=False))
         assert sum((~s.doctor_matched).sum() for s in stats) > RUNS
         assert sum((s.hospital_fill == 0).sum() for s in stats) > 50
         out.append(stats)

@@ -49,7 +49,7 @@ def _runs(inst, asg):
     scenarios = (double_cut.scenario_for_hospital(inst, hospital),
                  double_cut.scenario_for_doctor(inst, int(order[len(order) // 3])),
                  double_cut.scenario_for_interval(
-                     inst, asg, (lo, lo + 0.5 * inst.alpha_eff)))
+                     asg, (lo, lo + 0.5 * inst.alpha_eff)))
     return ([(o, None) for o in ORIENTATIONS]
             + [(s.orientation, double_cut.scenario_rule(inst, s))
                for s in scenarios])

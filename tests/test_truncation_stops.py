@@ -45,7 +45,7 @@ def scenarios(inst, asg):
     for i in (0.3, 0.5, 0.7):
         lo = inst.doctor_ratings[order[int(i * (len(order) - 1))]]
         out.append(double_cut.scenario_for_interval(
-            inst, asg, (lo, lo + 0.5 * inst.alpha_eff)))
+            asg, (lo, lo + 0.5 * inst.alpha_eff)))
     for i in (0.05, 0.5, 0.9):
         out.append(double_cut.scenario_for_doctor(
             inst, int(order[int(i * (len(order) - 1))])))
@@ -65,7 +65,7 @@ def test_prefix_runs_match_the_rule_checking_engine(setting, kappa, quantised):
         for scenario in scenarios(inst, asg):
             want, log, old = legacy_edges.rule_checking_double_cut(
                 inst, scenario, prefs)
-            got, report = double_cut.run_double_cut(inst, asg, scenario, prefs)
+            got, report = double_cut.run_double_cut(asg, scenario)
             assert got.key() == want.key()
 
             rule = double_cut.scenario_rule(inst, scenario)

@@ -63,7 +63,7 @@ def test_patched_run_matches_full_da(setting, kappa):
                           seed=seed, setting=setting)
         inst = generate(cfg, 0)
         asg = build_assignment(inst)
-        ctx = _PatchContext(inst, asg)
+        ctx = _PatchContext(asg)
         order = np.argsort(inst.doctor_ratings)
         focals = [int(order[i]) for i in (0, 3, 60, 120, 199)]
         for focal in focals:
@@ -96,7 +96,7 @@ def test_patched_run_uses_the_assignment_weights(setting):
     inst = generate(cfg, 0)
     full = build_assignment(inst)
     asg = weighted_utilities(full, 0.0, 0.0)
-    ctx, full_ctx = _PatchContext(inst, asg), _PatchContext(inst, full)
+    ctx, full_ctx = _PatchContext(asg), _PatchContext(full)
     order = np.argsort(inst.doctor_ratings)
     moved = 0
     for focal in (int(order[i]) for i in (3, 60, 120, 199)):
@@ -160,7 +160,7 @@ def test_full_engine_runs_once_per_focal(monkeypatch):
     cfg = make_config(300, kappa=5, k=5, cone_override=0.3, seed=4)
     inst = generate(cfg, 0)
     asg = build_assignment(inst)
-    ctx = _PatchContext(inst, asg)
+    ctx = _PatchContext(asg)
     calls = _counting_engine(monkeypatch)
     specs = [(deviation.SWAP_IN_CONE, 0.0), (deviation.TOP_K_OF_ALL, 0.0),
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, 0.1),
@@ -219,7 +219,7 @@ def test_focal_absent_states_match_a_fresh_run(setting, cone, monkeypatch):
     empty = [d for d in order if not asg.doctor_list(d)]
     declared = [order[40], order[120], order[40], order[199]] + empty[:1]
     undeclared = [order[80], order[7]]
-    ctx = _PatchContext(inst, asg, focals=np.asarray(declared))
+    ctx = _PatchContext(asg, focals=np.asarray(declared))
     calls = _counting_engine(monkeypatch)
     # interleaved, repeated, then undeclared focals, then declared ones again
     probes = ([order[120], order[40], order[199], order[120], order[40]]
@@ -259,13 +259,13 @@ def test_one_declared_context_gives_the_results_of_fresh_ones(setting):
     asg = build_assignment(inst)
     order = np.argsort(inst.doctor_ratings)
     focals = [int(order[i]) for i in (30, 110, 170)]
-    shared = _PatchContext(inst, asg, focals=focals)
+    shared = _PatchContext(asg, focals=focals)
     for focal in focals:
         for kind in KINDS + (NULL_DEVIATION,):
             spec = DeviationSpec(focal, kind, offset=0.05, replicates=3)
             assert (evaluate_deviation(inst, asg, spec, context=shared)
                     == evaluate_deviation(inst, asg, spec,
-                                          context=_PatchContext(inst, asg)))
+                                          context=_PatchContext(asg)))
 
 
 def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
