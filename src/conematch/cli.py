@@ -10,6 +10,17 @@ values.  A campaign writes per-config grouped CSVs in the metrics
 schema, an optional deviation CSV, and a line-delimited key=value summary.
 Identical flags give byte-identical CSVs.
 
+Configs that draw the same market (market.market_key: seed, sizes, rating
+ranges and cone) run together, run by run: run r of each, in config
+order, then run r + 1.  At each run they share one in-cone selection
+(strategy.SharedSelection), hashed once at the largest count any of them
+needs and cut to each config's own, so each config's CSVs are the bytes
+it writes alone.  The first audit failure in that order stops the
+campaign.  A config's CSVs are written when its group's last run ends,
+and summary.txt lists the configs in config order.  A config's wall_s
+counts its own runs and outputs, and each shared selection it made: the
+first config of the group at that run makes it.
+
 Exit codes: 0 ok, 1 audit failure, 2 configuration error.
 """
 
@@ -24,7 +35,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -34,9 +45,10 @@ from . import analysis, deviation, double_cut, metrics
 from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
                  order_invariance_check)
 from .market import (INT64_MAX, ConfigError, MarketConfig, RESIDENCY,
-                     REQUEST_INTERVIEW, SCHOOL_CHOICE, check_field, generate,
-                     make_config)
-from .strategy import build_assignment, build_preferences
+                     REQUEST_INTERVIEW, SCHOOL_CHOICE, check_field,
+                     cone_half_width, generate, make_config, market_key)
+from .strategy import (InterviewAssignment, SharedSelection, build_assignment,
+                       build_preferences, selection_count)
 
 EXIT_OK = 0
 EXIT_AUDIT = 1
@@ -131,15 +143,16 @@ def _audit_this_run(cfg: MarketConfig, run_index: int, rate: float) -> bool:
     return bool(gen.random() < rate)
 
 
-def _run_one(cfg, run_index, audit_sample, slug):
+def _run_one(cfg, run_index, audit_sample, slug, selection=None):
     """One market and its audits: (RunStats, InterviewAssignment, double-cut
     CSV rows), or AuditFailure.  Every run is checked for stability (and
     school uniqueness); an oracle-sized one against the brute-force stable
     set.  Those and the runs audited at rate `audit_sample` get the
     rural-hospital check, and the audited ones a focal-hospital and a
-    focal-doctor double cut checked for dominance."""
+    focal-doctor double cut checked for dominance.  The interviews are
+    picked from `selection`, a SharedSelection of this market, if given."""
     instance = generate(cfg, run_index)
-    assignment = build_assignment(instance)
+    assignment = build_assignment(instance, selection)
     prefs = build_preferences(assignment)
     matching = doctor_proposing_da(*prefs, instance.capacities)
     # the audits are predicates over the matchings held here: each DA
@@ -248,45 +261,87 @@ def run_campaign(campaign: Campaign) -> int:
             gc.enable()
 
 
+@dataclass
+class _ConfigRuns:
+    """One config's campaign state while its market group runs."""
+
+    cfg: MarketConfig
+    slug: str
+    groups: list = field(default_factory=list)   # each run folded as it ends
+    surplus_rows: list = field(
+        default_factory=lambda: [double_cut.SURPLUS_CSV_HEADER])
+    run0: Optional[InterviewAssignment] = None   # kept for the deviation CSV
+    wall: float = 0.0
+
+
+def _market_groups(todo: List[_ConfigRuns]) -> List[List[_ConfigRuns]]:
+    # configs that draw the same market (market_key), in order of first
+    # appearance, each group in config order
+    groups: Dict[tuple, List[_ConfigRuns]] = {}
+    for item in todo:
+        groups.setdefault(market_key(item.cfg), []).append(item)
+    return list(groups.values())
+
+
+def _run_group(campaign: Campaign, group: List[_ConfigRuns]) -> None:
+    # run by run: run r of every config in the group, then run r + 1.  Two
+    # or more configs at a run share one selection, made by the first
+    # one's build_assignment at the largest count any of them needs
+    for run_index in range(max(item.cfg.runs for item in group)):
+        active = [item for item in group if run_index < item.cfg.runs]
+        selection = (SharedSelection(max(selection_count(item.cfg)
+                                         for item in active))
+                     if len(active) > 1 else None)
+        for item in active:
+            started = time.perf_counter()
+            st, assignment, rows = _run_one(item.cfg, run_index,
+                                            campaign.audit_sample, item.slug,
+                                            selection)
+            if run_index == 0 and campaign.deviation_focals > 0:
+                item.run0 = assignment      # the deviation CSV probes run 0
+            item.groups.append(metrics.group_run(st, campaign.group_size))
+            item.surplus_rows.extend(rows)
+            item.wall += time.perf_counter() - started
+
+
+def _write_outputs(campaign: Campaign, item: _ConfigRuns) -> str:
+    # the config's CSVs; returns its summary.txt line
+    started = time.perf_counter()
+    cfg, slug = item.cfg, item.slug
+    series = metrics.aggregate(item.groups)
+    out_csv = campaign.out_dir / f"{slug}.csv"
+    metrics.write_metrics_csv(out_csv, series, cfg, cone_half_width(cfg)[0])
+    if len(item.surplus_rows) > 1:
+        (campaign.out_dir / f"{slug}_double_cut.csv").write_text(
+            "\n".join(item.surplus_rows) + "\n")
+    if campaign.deviation_focals > 0:
+        _deviation_csv(cfg, campaign, item.run0,
+                       campaign.out_dir / f"{slug}_deviation.csv")
+    wall = item.wall + time.perf_counter() - started
+    return (f"config={slug} hash={config_hash(cfg)} runs={cfg.runs} "
+            f"wall_s={wall:.2f} audits=ok csv={out_csv.name}")
+
+
 def _run_campaign(campaign: Campaign) -> int:
     campaign.out_dir.mkdir(parents=True, exist_ok=True)
-    summary_lines: List[str] = []
+    todo = [_ConfigRuns(cfg, slug) for cfg, slug in
+            zip(campaign.configs, _unique_slugs(campaign.configs))]
+    done: Dict[str, str] = {}     # summary line by slug
+    failure: List[str] = []
     try:
-        for cfg, slug in zip(campaign.configs, _unique_slugs(campaign.configs)):
-            started = time.perf_counter()
-            groups = []     # each run folded as it ends; no RunStats kept
-            surplus_rows = [double_cut.SURPLUS_CSV_HEADER]
-            for run_index in range(cfg.runs):
-                st, assignment, rows = _run_one(cfg, run_index,
-                                                campaign.audit_sample, slug)
-                if run_index == 0:      # the deviation CSV probes run 0
-                    run0 = assignment
-                groups.append(metrics.group_run(st, campaign.group_size))
-                surplus_rows.extend(rows)
-            series = metrics.aggregate(groups)
-            half = run0.instance.half_width
-            out_csv = campaign.out_dir / f"{slug}.csv"
-            metrics.write_metrics_csv(out_csv, series, cfg, half)
-            if len(surplus_rows) > 1:
-                (campaign.out_dir / f"{slug}_double_cut.csv").write_text(
-                    "\n".join(surplus_rows) + "\n")
-            if campaign.deviation_focals > 0:
-                _deviation_csv(cfg, campaign, run0,
-                               campaign.out_dir / f"{slug}_deviation.csv")
-            wall = time.perf_counter() - started
-            summary_lines.append(
-                f"config={slug} hash={config_hash(cfg)} runs={cfg.runs} "
-                f"wall_s={wall:.2f} audits=ok csv={out_csv.name}")
+        for group in _market_groups(todo):
+            _run_group(campaign, group)
+            for item in group:
+                done[item.slug] = _write_outputs(campaign, item)
+                item.groups = item.run0 = None      # not kept past the group
     except AuditFailure as exc:
         slug, run_index, check = exc.triple
-        summary_lines.append(
-            f"config={slug} run={run_index} check={check} audits=FAIL")
-        (campaign.out_dir / "summary.txt").write_text(
-            "\n".join(summary_lines) + "\n")
+        failure.append(f"config={slug} run={run_index} check={check} audits=FAIL")
         print(exc, file=sys.stderr)
-        return EXIT_AUDIT
+    summary_lines = [done[item.slug] for item in todo
+                     if item.slug in done] + failure
     (campaign.out_dir / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-    return EXIT_OK
+    return EXIT_AUDIT if failure else EXIT_OK
 
 
 def verify_only(seed: int, out=None) -> int:

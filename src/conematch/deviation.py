@@ -24,7 +24,7 @@ import numpy as np
 
 from .da import (DOCTORS_PROPOSE, DAState, TruncationRule, matching_of,
                  truncated_state)
-from .market import MarketInstance, SCHOOL_CHOICE
+from .market import MarketInstance, SCHOOL_CHOICE, check_agent_id
 from .strategy import (InterviewAssignment, build_preferences, compute_cone,
                        key_order)
 
@@ -189,9 +189,7 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
         raise ValueError(f"unknown deviation kind {spec.kind!r}")
     focal = spec.focal_doctor
     inst = instance
-    if not 0 <= focal < inst.config.n_doctors:
-        raise ValueError(f"focal doctor {focal} lies outside "
-                         f"[0, {inst.config.n_doctors})")
+    check_agent_id("focal doctor", focal, inst.config.n_doctors)
     if not math.isfinite(spec.offset):
         raise ValueError(f"offset must be finite, got {spec.offset}")
     base = assignment.doctor_list(focal)

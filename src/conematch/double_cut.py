@@ -25,7 +25,7 @@ import numpy as np
 
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                  prefix_da, proposal_counts, truncation_stops)
-from .market import MarketInstance, SCHOOL_CHOICE
+from .market import MarketConfig, MarketInstance, SCHOOL_CHOICE, check_agent_id
 from .strategy import InterviewAssignment, build_preferences, key_order
 
 FOCAL_DOCTOR = "doctor"
@@ -46,7 +46,9 @@ class DoubleCutScenario:
     `proposer_threshold` is the rating below which agents do not propose
     (focal rating minus a*alpha) and `floor_band` the proposer-rating band
     subject to the utility floor (the focal's cone).  `exclusions` lists
-    proposer ids removed by interval preprocessing.
+    proposer ids removed by interval preprocessing.  `market` is the
+    (config, run_index) of the instance the scenario was built for; a
+    scenario runs on that market only.
     """
 
     focal_side: str
@@ -58,6 +60,7 @@ class DoubleCutScenario:
     forbidden_windows: Tuple[Tuple[float, float], ...] = ()
     exclusions: frozenset = frozenset()
     bottommost: bool = False
+    market: Optional[Tuple[MarketConfig, int]] = None
 
     @property
     def orientation(self) -> str:
@@ -66,14 +69,13 @@ class DoubleCutScenario:
                 else HOSPITALS_PROPOSE)
 
 
-def _check_focal(side: str, focal: int, n: int) -> None:
-    if not 0 <= focal < n:
-        raise ValueError(f"focal {side} {focal} lies outside [0, {n})")
+def _market(instance: MarketInstance) -> Tuple[MarketConfig, int]:
+    return instance.config, instance.run_index
 
 
 def scenario_for_hospital(instance: MarketInstance, hospital: int) -> DoubleCutScenario:
     """Doctor-proposing double-cut run centered on one hospital."""
-    _check_focal(FOCAL_HOSPITAL, hospital, instance.config.n_hospitals)
+    check_agent_id("focal hospital", hospital, instance.config.n_hospitals)
     r = instance.hospital_ratings[hospital]
     alpha, half = instance.alpha_eff, instance.half_width
     ceiling = r + 1.0 + instance.config.nu_d
@@ -81,12 +83,13 @@ def scenario_for_hospital(instance: MarketInstance, hospital: int) -> DoubleCutS
         focal_side=FOCAL_HOSPITAL, focal_id=hospital,
         proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
-        bottommost=bool(r < instance.hospital_range[0] + half))
+        bottommost=bool(r < instance.hospital_range[0] + half),
+        market=_market(instance))
 
 
 def scenario_for_doctor(instance: MarketInstance, doctor: int) -> DoubleCutScenario:
     """Hospital-proposing double-cut run centered on one doctor."""
-    _check_focal(FOCAL_DOCTOR, doctor, instance.config.n_doctors)
+    check_agent_id("focal doctor", doctor, instance.config.n_doctors)
     r = instance.doctor_ratings[doctor]
     alpha, half = instance.alpha_eff, instance.half_width
     ceiling = r + _nu_h_weight(instance)
@@ -94,7 +97,8 @@ def scenario_for_doctor(instance: MarketInstance, doctor: int) -> DoubleCutScena
         focal_side=FOCAL_DOCTOR, focal_id=doctor,
         proposer_threshold=r - half,
         utility_floor=ceiling - alpha, floor_band=(r - half, r + half),
-        bottommost=bool(r < instance.doctor_range[0] + half))
+        bottommost=bool(r < instance.doctor_range[0] + half),
+        market=_market(instance))
 
 
 @dataclass
@@ -175,7 +179,8 @@ def scenario_for_interval(assignment: InterviewAssignment,
         proposer_threshold=g - half,
         utility_floor=g + nu - alpha, floor_band=(g - half, f + half),
         forbidden_windows=windows, exclusions=pre.excluded_hospitals,
-        bottommost=bool(g < instance.doctor_range[0] + half))
+        bottommost=bool(g < instance.doctor_range[0] + half),
+        market=_market(instance))
 
 
 SURPLUS_CSV_HEADER = ("focal_side,focal,doctors,hospitals,unmatched_above,"
@@ -211,7 +216,10 @@ def scenario_rule(instance: MarketInstance,
                   scenario: DoubleCutScenario) -> TruncationRule:
     """The scenario's cuts as a TruncationRule: proposers rated below the
     threshold, or excluded, never propose; floor and windows bind floor_band.
+    Raises ValueError unless the scenario was built for this market.
     """
+    if scenario.market != _market(instance):
+        raise ValueError("the scenario was built for another market")
     ratings = (instance.hospital_ratings
                if scenario.orientation == HOSPITALS_PROPOSE
                else instance.doctor_ratings)
@@ -232,7 +240,8 @@ def run_double_cut(assignment: InterviewAssignment,
     """Execute the scenario's truncated run; returns (Matching, SurplusReport).
 
     The run is the round engine over each proposer's prefix up to her
-    truncation stop.
+    truncation stop.  Raises ValueError for a scenario built for another
+    market than the assignment's.
     """
     instance = assignment.instance
     prefs = build_preferences(assignment)
@@ -370,6 +379,8 @@ def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
     taubar is taken as 0.
     """
     _check_oracle(surplus, cone_size, alpha, psi)
+    if kappa < 1:
+        raise ValueError(f"kappa ({kappa}) must be at least 1")
     p = min(1.0, (kappa * k / cone_size) * alpha * psi)
     return _binom_cdf(kappa - 1, surplus, p)
 

@@ -99,6 +99,16 @@ def check_field(name: str, value, rule=None) -> None:
                           f"got {_shown(value)}")
 
 
+def check_agent_id(what: str, value, n: int) -> None:
+    """ValueError unless value is an integer id in [0, n): a Python or numpy
+    integer, not a bool."""
+    if (not isinstance(value, (int, np.integer))
+            or isinstance(value, (bool, np.bool_))):
+        raise ValueError(f"{what} must be an integer id, got {_shown(value)}")
+    if not 0 <= value < n:
+        raise ValueError(f"{what} {value} lies outside [0, {n})")
+
+
 def _kappa(capacity) -> int:
     # the mean capacity, rounded half to even; a uniform one is its own mean
     return round(float(np.mean(capacity)))
@@ -240,6 +250,30 @@ def shift_ranges(config: MarketConfig) -> tuple:
     return (off, 1.0 + off), (0.0, 1.0 + off)
 
 
+def cone_half_width(config: MarketConfig) -> tuple:
+    """(half_width, clamped): the effective cone half-width a*alpha, capped
+    at the width of the hospitals' rating range, and whether the cap bound.
+    """
+    if config.cone_override is not None:
+        half = config.cone_override
+    else:
+        half = config.a * derive_alpha(config)
+    h_lo, h_hi = shift_ranges(config)[1]
+    return min(half, h_hi - h_lo), half > h_hi - h_lo
+
+
+def market_key(config: MarketConfig) -> tuple:
+    """What fixes a config's ratings, cones and v(d,h) at every run.
+
+    Two configs with equal keys draw the same public ratings, the same
+    cones and the same private values v(d,h) at each run index, so their
+    in-cone selections agree.  Capacities enter only through the rating
+    ranges, and k and the setting only through a derived cone.
+    """
+    return (config.seed, config.n_doctors, config.n_hospitals,
+            shift_ranges(config), cone_half_width(config)[0])
+
+
 def _draw_ratings(state, count, lo, hi, what):
     # redraws with a bumped salt until all values are distinct
     for salt in range(_RATING_RETRIES):
@@ -278,13 +312,7 @@ class MarketInstance:
         self.doctor_order = np.argsort(self.doctor_ratings, kind="stable")
         self.doctor_sorted = self.doctor_ratings[self.doctor_order]
 
-        if config.cone_override is not None:
-            half = config.cone_override
-        else:
-            half = config.a * derive_alpha(config)
-        range_width = self.hospital_range[1] - self.hospital_range[0]
-        self.cone_clamped = half > range_width
-        self.half_width = min(half, range_width)   # effective a*alpha
+        self.half_width, self.cone_clamped = cone_half_width(config)
         self.alpha_eff = self.half_width / config.a
 
         # stream states: v(d,h) is rng.uniform(private_dh_state, d, h), and

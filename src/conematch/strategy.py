@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import rng
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, EdgeLists, _leading,
                  _ranges)
-from .market import MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW, check_field
+from .market import (MarketInstance, SCHOOL_CHOICE, REQUEST_INTERVIEW,
+                     check_field, market_key)
 
 
 @dataclass
@@ -260,7 +261,50 @@ def _top_in_cones(instance: MarketInstance, count: int):
     return d[keep], h[keep]
 
 
-def select_interviews(instance: MarketInstance) -> InterviewAssignment:
+def selection_count(config) -> int:
+    """How many in-cone hospitals each doctor picks: k^2 requests under
+    RequestInterview, k interviews otherwise."""
+    return config.k * config.k if config.setting == REQUEST_INTERVIEW else config.k
+
+
+class SharedSelection:
+    """One market's in-cone top-`count` lists, for every config that draws it.
+
+    The first top() call hashes the market's cones once, at `count`; each
+    call then returns the first `n` <= count entries of every doctor's
+    list, which are _top_in_cones(instance, n) exactly, since the lists
+    run in one total order (value descending, id ascending).  Calls must
+    come from instances of one market: equal market.market_key and run
+    index.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self._market = None
+        self._d = self._h = None
+
+    def top(self, instance: MarketInstance, n: int):
+        market = (market_key(instance.config), instance.run_index)
+        if self._market is None:
+            self._market = market
+            self._d, self._h = _top_in_cones(instance, self.count)
+        elif market != self._market:
+            raise ValueError("the selection was made for another market")
+        if n > self.count:
+            raise ValueError(f"{n} entries asked of a top-{self.count} selection")
+        keep = _leading(self._d, n)
+        return self._d[keep], self._h[keep]
+
+
+def _top(instance, count, selection):
+    if selection is None:
+        return _top_in_cones(instance, count)
+    return selection.top(instance, count)
+
+
+def select_interviews(instance: MarketInstance,
+                      selection: Optional[SharedSelection] = None
+                      ) -> InterviewAssignment:
     """Each doctor interviews her top-k in-cone hospitals by private value.
 
     A doctor whose cone holds fewer than k hospitals interviews all of
@@ -268,23 +312,25 @@ def select_interviews(instance: MarketInstance) -> InterviewAssignment:
     Equal private values go to the lower hospital id.  The top k come from
     a partition of padded cone windows, chunk by chunk (_top_in_cones), so
     the working memory is a fixed cell budget, not a sort over every cone
-    member of every doctor.
+    member of every doctor; or from `selection`, when given.
     """
     cfg = instance.config
-    d, h = _top_in_cones(instance, cfg.k)
+    d, h = _top(instance, cfg.k, selection)
     return _materialize(instance, d, h, cfg.nu_d, cfg.nu_h)
 
 
-def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
+def request_interview_protocol(instance: MarketInstance,
+                               selection: Optional[SharedSelection] = None
+                               ) -> InterviewAssignment:
     """Request/grant variant: k^2 requests, capacity*k^1.5 grants.
 
     Doctors request their in-cone top k^2 hospitals by private value, with
-    the window selection of select_interviews.  Each hospital grants up to
-    floor(capacity * k^1.5) (at least 1) of the requests it received,
-    keeping the doctors with its highest private values v(h,d), equal
-    values going to the lower doctor id; one flat key_order over all
-    requests, by hospital, then the integer behind v(h,d) descending, then
-    doctor id, orders every hospital's at once.
+    the window selection of select_interviews (or from `selection`).  Each
+    hospital grants up to floor(capacity * k^1.5) (at least 1) of the
+    requests it received, keeping the doctors with its highest private
+    values v(h,d), equal values going to the lower doctor id; one flat
+    key_order over all requests, by hospital, then the integer behind
+    v(h,d) descending, then doctor id, orders every hospital's at once.
     Each hospital ranks only its capacity*k best interviews (the table's
     hospital_rank is -1 on the rest).
     """
@@ -292,7 +338,7 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
     if cfg.setting != REQUEST_INTERVIEW:
         raise ValueError("request_interview_protocol needs setting=RequestInterview")
     k = cfg.k
-    req_d, req_h = _top_in_cones(instance, k * k)
+    req_d, req_h = _top(instance, k * k, selection)
     hospital_keys = rng.half_i(instance.private_hd_state,
                                np.arange(cfg.n_hospitals))
     v = rng.bits(hospital_keys[req_h], rng.half_j(req_d))
@@ -304,11 +350,14 @@ def request_interview_protocol(instance: MarketInstance) -> InterviewAssignment:
                         cfg.nu_d, cfg.nu_h)
 
 
-def build_assignment(instance: MarketInstance) -> InterviewAssignment:
-    """Run whichever interview protocol the instance's setting calls for."""
+def build_assignment(instance: MarketInstance,
+                     selection: Optional[SharedSelection] = None
+                     ) -> InterviewAssignment:
+    """Run whichever interview protocol the instance's setting calls for,
+    picking from `selection` if given (see SharedSelection)."""
     if instance.config.setting == REQUEST_INTERVIEW:
-        return request_interview_protocol(instance)
-    return select_interviews(instance)
+        return request_interview_protocol(instance, selection)
+    return select_interviews(instance, selection)
 
 
 def build_preferences(assignment: InterviewAssignment):

@@ -301,6 +301,23 @@ def test_deviant_slots_refuses_a_focal_outside_the_market(focal):
         evaluate_deviation(inst, asg, DeviationSpec(focal, SWAP_IN_CONE))
 
 
+@pytest.mark.parametrize("focal", [1.5, True])
+def test_deviant_slots_refuses_a_focal_that_is_no_integer(focal):
+    # 1.5 passed the range check and ended in numpy's IndexError
+    inst, asg = make_market(seed=1, n=300)
+    for kind in KINDS + (NULL_DEVIATION,):
+        with pytest.raises(ValueError, match="integer"):
+            deviant_slots(inst, asg, DeviationSpec(focal, kind))
+
+
+def test_deviant_slots_takes_a_numpy_integer_focal():
+    # the campaign's focals come from Generator.choice
+    inst, asg = make_market(seed=1, n=300)
+    for kind in KINDS:
+        assert deviant_slots(inst, asg, DeviationSpec(np.int64(3), kind)) \
+            == deviant_slots(inst, asg, DeviationSpec(3, kind))
+
+
 @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", [ABOVE_CONE, BELOW_CONE])
 def test_deviant_slots_refuses_a_non_finite_offset(kind, offset):

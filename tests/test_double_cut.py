@@ -329,6 +329,12 @@ def test_hospital_fill_oracle():
         pytest.approx(want, rel=1e-12)
 
 
+def test_hospital_fill_oracle_refuses_kappa_below_one():
+    # P(Binom(s, p) < 0) is 0, where kappa 0 gave 1.0
+    with pytest.raises(ValueError, match="kappa"):
+        hospital_fill_oracle(5, 10, 0, 1, 0.3, 1.0)
+
+
 def test_surplus_positive_at_experiment_scale():
     # measured surplus >= 0.5 * alpha * n / kappa for most focal doctors
     cfg = make_config(2000, kappa=5, k=5, cone_override=0.3, seed=21)
@@ -373,3 +379,43 @@ def test_scenarios_refuse_a_focal_outside_the_market():
         for focal in (-1, n, 10 ** 6):
             with pytest.raises(ValueError, match="outside"):
                 scenario_for(inst, focal)
+
+
+def market_300(seed):
+    inst = generate(make_config(300, kappa=5, k=3, cone_override=0.3,
+                                seed=seed), 0)
+    return inst, build_assignment(inst)
+
+
+@pytest.mark.parametrize("focal", [1.5, True])
+def test_scenarios_refuse_a_focal_that_is_no_integer(focal):
+    # 1.5 passed the range check and ended in numpy's IndexError
+    inst, _ = market_300(1)
+    for scenario_for in (scenario_for_doctor, scenario_for_hospital):
+        with pytest.raises(ValueError, match="integer"):
+            scenario_for(inst, focal)
+
+
+def test_scenarios_take_a_numpy_integer_focal():
+    inst, _ = market_300(1)
+    for scenario_for in (scenario_for_doctor, scenario_for_hospital):
+        assert scenario_for(inst, np.int64(3)) == scenario_for(inst, 3)
+
+
+def test_run_double_cut_refuses_a_scenario_of_another_market():
+    # seed 2's cutoffs on seed 1's table gave surplus 3, and no error
+    inst, asg = market_300(1)
+    other, _ = market_300(2)
+    for scenario in (scenario_for_doctor(other, 50),
+                     scenario_for_hospital(other, 20),
+                     scenario_for_doctor(generate(inst.config, 1), 50),
+                     scenario_for_interval(build_assignment(other),
+                                           (0.5, 0.51))):
+        with pytest.raises(ValueError, match="another market"):
+            run_double_cut(asg, scenario)
+    # the matching pair writes the row it wrote before the check, also
+    # for the same market generated anew
+    for built_on in (inst, generate(inst.config, 0)):
+        scenario = scenario_for_doctor(built_on, 50)
+        assert run_double_cut(asg, scenario)[1].csv_row(scenario) \
+            == "doctor,50,171,50,0,11,0,0,,0"
