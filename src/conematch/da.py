@@ -11,11 +11,13 @@ matching and the same proposals.
 
 doctor_proposing_da, hospital_proposing_da and prefix_da (which the
 double-cut harness calls with truncation stops) run the round engine.
-truncated_state and truncated_da run the FIFO loop from the start: their
-DAState can be resumed (one absent proposer inserted on a copy-on-write
-overlay with `insert`, several given their lists on a plain copy with
-`with_proposers`, which is how deviation probes avoid re-running DA), and
-truncated_da writes the event log of proposals.  A proposer is absent
+round_state runs it too, and builds a DAState from its seats: the
+deviation probes' shared run.  truncated_state and truncated_da run the
+FIFO loop from the start, and truncated_da writes the event log of
+proposals.  A DAState of either can be resumed by the FIFO loop (one
+absent proposer inserted on a copy-on-write overlay with `insert`,
+several given their lists on a plain copy with `with_proposers`, which
+is how deviation probes avoid re-running DA).  A proposer is absent
 when her stop is 0, and halts where the settled state leaves her at her
 stop with a slot free.  order_invariance_check compares the two engines.
 
@@ -241,12 +243,12 @@ class DAState:
     pointer and held count, and each receiver's held set.
 
     Proposer p proposes down prefs[p][:stop[p]] while she has a free slot;
-    a stop of 0 marks her absent.  `_engine` settles every proposer.
-    `insert` adds one absent proposer to a settled run and follows the
-    rejection chain she starts, on copy-on-write overlays, so this state
-    stays as it was for the next insert; `with_proposers` adds several to
-    a plain copy.  All run the same proposal step, `_settle`; the round
-    engine builds no DAState.
+    a stop of 0 marks her absent.  `_engine` settles every proposer by
+    the FIFO loop, or round_state builds the state from a round engine
+    run's seats.  `insert` adds one absent proposer to a settled run and
+    follows the rejection chain she starts, on copy-on-write overlays, so
+    this state stays as it was for the next insert; `with_proposers` adds
+    several to a plain copy.  Both run the FIFO proposal step, `_settle`.
     The outcome does not depend on the order in which proposals are made
     (McVitie & Wilson 1971), so a settled run plus added proposers is the
     run with them present from the start.
@@ -541,6 +543,36 @@ def hospital_proposing_da(doctor_prefs: EdgeLists,
     """Hospital-optimal (doctor-pessimal) stable matching."""
     return prefix_da(doctor_prefs, hospital_prefs, capacities,
                      HOSPITALS_PROPOSE, None)[0]
+
+
+def round_state(doctor_prefs: EdgeLists,
+                hospital_prefs: EdgeLists,
+                capacities,
+                rule: Optional[TruncationRule] = None) -> DAState:
+    """The doctor-proposing run under `rule` by the round engine, as a
+    DAState that `insert` and `with_proposers` resume, as they resume
+    truncated_state's.
+
+    Each matched doctor holds her last proposal (she has one slot), so her
+    seat is entry pointer[d] - 1 of her list.  A hospital's heap holds its
+    seats as (-rank, doctor) in ascending order, which is a heap.
+    """
+    stop = truncation_stops(doctor_prefs, rule or TruncationRule())
+    matching, pointer = prefix_da(doctor_prefs, hospital_prefs, capacities,
+                                  DOCTORS_PROPOSE, stop)
+    offsets, _, _, back, _ = doctor_prefs.csr
+    doctor_of = matching.doctor_of
+    doctors = np.flatnonzero(doctor_of >= 0)
+    hospitals = doctor_of[doctors]
+    neg_rank = -back[offsets[doctors] + pointer[doctors] - 1]
+    order = np.lexsort((doctors, neg_rank, hospitals))
+    seats = list(zip(neg_rank[order].tolist(), doctors[order].tolist()))
+    ends = np.searchsorted(hospitals[order], np.arange(len(capacities) + 1))
+    n = doctor_of.size
+    return DAState(doctor_prefs, doctor_prefs.ranks, [1] * n, list(capacities),
+                   stop.tolist(), pointer.tolist(),
+                   (doctor_of >= 0).astype(np.int64).tolist(),
+                   _split(seats, ends.tolist()))
 
 
 def truncated_state(doctor_prefs: EdgeLists,

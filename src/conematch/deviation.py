@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .da import (DOCTORS_PROPOSE, DAState, TruncationRule, matching_of,
-                 truncated_state)
+                 round_state)
 from .market import MarketInstance, SCHOOL_CHOICE, check_agent_id
 from .strategy import (InterviewAssignment, build_preferences, compute_cone,
                        key_order)
@@ -61,25 +61,32 @@ class DeviationResult:
 class _PatchContext:
     """The preferences of one assignment, shared by all its probes.
 
-    Every probe warm-starts.  DA runs once per context, with every focal
-    doctor in the probe set absent: a proposer_filter rule gives each a
-    stop of 0.  A focal's focal-absent run is that shared run with the
-    other focals' base lists added (da.DAState.with_proposers), and each
-    replicate inserts the focal into it (da.DAState.insert).  Both are
-    exact by order invariance.  A focal not in `focals` joins the set, and
-    the shared run is rebuilt once.  Only the most recent focal's
-    focal-absent state is kept, and each probe utility (`utility`) and each
-    replicate's slot draws (`slot_values`) are memoised.
+    Every probe warm-starts.  DA runs once per context, on the round
+    engine (da.round_state), with every focal doctor in the probe set
+    absent: a proposer_filter rule gives each a stop of 0.  A focal's
+    focal-absent run is that shared run with the other focals' base lists
+    added (da.DAState.with_proposers), and each replicate inserts the
+    focal into it (da.DAState.insert).  Both are exact by order
+    invariance.  A focal not in `focals` joins the set, and the shared run
+    is rebuilt once; an id in `focals` that is not a doctor's raises
+    ValueError.  Only the most recent focal's focal-absent state and facts
+    (`facts`: her list, cone, bands and private values) are kept, and each
+    probe utility (`utility`) and each replicate's slot draws
+    (`slot_values`) are memoised.
     """
 
     def __init__(self, assignment: InterviewAssignment,
                  focals: Sequence[int] = ()):
+        n_doctors = assignment.instance.config.n_doctors
+        for f in focals:
+            check_agent_id("focal doctor", f, n_doctors)
         self.instance = assignment.instance
         self.assignment = assignment
         self.doctor_prefs, self.hospital_prefs = build_preferences(assignment)
         self._focals = dict.fromkeys(int(f) for f in focals)
         self._shared: Optional[DAState] = None
         self._absent: Optional[Tuple[int, DAState]] = None
+        self._facts: Optional[_Focal] = None
         self._utilities: Dict[tuple, float] = {}
         self._slot_draws: Dict[tuple, tuple] = {}
 
@@ -92,12 +99,18 @@ class _PatchContext:
         if self._shared is None:
             present = np.ones(len(self.doctor_prefs), dtype=bool)
             present[list(self._focals)] = False
-            self._shared = truncated_state(
+            self._shared = round_state(
                 self.doctor_prefs, self.hospital_prefs, self.instance.capacities,
                 TruncationRule(proposer_filter=present))
         state = self._shared.with_proposers([f for f in self._focals if f != focal])
         self._absent = (focal, state)
         return state
+
+    def facts(self, focal: int) -> "_Focal":
+        """The focal's _Focal, rebuilt when the focal changes."""
+        if self._facts is None or self._facts.focal != focal:
+            self._facts = _Focal.of(self.assignment, focal)
+        return self._facts
 
     def _focal_rank(self, h: int, u: float, focal: int) -> float:
         # positions in h's list, ordered by keys (-utility, doctor), are the
@@ -147,8 +160,7 @@ class _PatchContext:
         hs = np.asarray(slot_hospitals, dtype=np.int64)
 
         u_focal = dict(zip(slot_hospitals, (
-            inst.hospital_ratings[hs] + inst.private_dh(focal, hs)
-            + asg.nu_d * iota_d[:n]).tolist()))
+            self.facts(focal).pre[hs] + asg.nu_d * iota_d[:n]).tolist()))
         if inst.config.setting == SCHOOL_CHOICE:
             u_hosp = dict.fromkeys(slot_hospitals, float(r_focal))
         else:
@@ -163,10 +175,48 @@ class _PatchContext:
         return utility, state
 
 
-def _marginal_slot(instance, base_list: List[int], focal: int) -> int:
-    # the slot holding the smallest private value: the marginal choice
-    v = instance.private_dh(focal, np.asarray(base_list, dtype=np.int64))
-    return int(np.argmin(v))
+@dataclass(frozen=True, eq=False)
+class _Focal:
+    """What every probe of one focal reads, built once per focal.
+
+    base is her interview list (ascending id) and listed its mask over the
+    hospitals.  cone_out, above and below are the unlisted hospitals of her
+    cone and of the bands above and below it, ascending id.  v is her
+    private value for every hospital, one draw (rng.uniform is elementwise
+    pure, so v[ids] equals instance.private_dh(focal, ids) bit for bit),
+    and pre her pre-interview utility r(h) + v(focal, h).
+    """
+
+    focal: int
+    base: List[int]
+    listed: np.ndarray
+    cone_out: np.ndarray
+    above: np.ndarray
+    below: np.ndarray
+    v: np.ndarray
+    pre: np.ndarray
+
+    @classmethod
+    def of(cls, assignment: InterviewAssignment, focal: int) -> "_Focal":
+        inst = assignment.instance
+        base = assignment.doctor_list(focal)
+        listed = np.zeros(inst.config.n_hospitals, dtype=bool)
+        listed[base] = True
+        cone = compute_cone(inst, focal)
+        lo, hi = inst.hospital_range
+
+        def unlisted(ids):
+            return ids[~listed[ids]]
+
+        v = inst.private_dh(focal, np.arange(listed.size, dtype=np.int64))
+        return cls(focal, base, listed, unlisted(cone.member_hospitals),
+                   unlisted(inst.hospitals_in_band(cone.high, hi)),
+                   unlisted(inst.hospitals_in_band(lo, cone.low)),
+                   v, inst.hospital_ratings + v)
+
+    def marginal_slot(self) -> int:
+        # the slot holding the smallest private value: the marginal choice
+        return int(np.argmin(self.v[self.base]))
 
 
 def _nearest_at(instance, target_rating: float, candidates: np.ndarray) -> Optional[int]:
@@ -176,6 +226,19 @@ def _nearest_at(instance, target_rating: float, candidates: np.ndarray) -> Optio
     return int(candidates[int(np.argmin(np.abs(ratings - target_rating)))])
 
 
+def _check_spec(instance: MarketInstance, assignment: InterviewAssignment,
+                spec: DeviationSpec) -> None:
+    # deviant_slots' refusals, before anything of the focal is read
+    if instance is not assignment.instance:
+        raise ValueError("instance is not the assignment's instance")
+    if spec.kind not in KINDS and spec.kind != NULL_DEVIATION:
+        raise ValueError(f"unknown deviation kind {spec.kind!r}")
+    check_agent_id("focal doctor", spec.focal_doctor,
+                   instance.config.n_doctors)
+    if not math.isfinite(spec.offset):
+        raise ValueError(f"offset must be finite, got {spec.offset}")
+
+
 def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
                   spec: DeviationSpec) -> Tuple[List[int], float]:
     """Slot-to-hospital map after the deviation, plus the realized offset.
@@ -183,57 +246,48 @@ def deviant_slots(instance: MarketInstance, assignment: InterviewAssignment,
     Unchanged hospitals keep their base slots; replacements take over the
     vacated slots, so common-random-number draws line up edge for edge.
     """
-    if instance is not assignment.instance:
-        raise ValueError("instance is not the assignment's instance")
-    if spec.kind not in KINDS and spec.kind != NULL_DEVIATION:
-        raise ValueError(f"unknown deviation kind {spec.kind!r}")
-    focal = spec.focal_doctor
-    inst = instance
-    check_agent_id("focal doctor", focal, inst.config.n_doctors)
-    if not math.isfinite(spec.offset):
-        raise ValueError(f"offset must be finite, got {spec.offset}")
-    base = assignment.doctor_list(focal)
+    _check_spec(instance, assignment, spec)
+    return _slots(instance, _Focal.of(assignment, spec.focal_doctor), spec)
+
+
+def _slots(inst: MarketInstance, facts: _Focal,
+           spec: DeviationSpec) -> Tuple[List[int], float]:
+    # deviant_slots over the focal's facts, once spec is checked
+    base = facts.base
     if spec.kind == NULL_DEVIATION or not base:
         return base, 0.0
-    cone = compute_cone(inst, focal)
-    r = inst.doctor_ratings[focal]
+    r = inst.doctor_ratings[facts.focal]
     half = inst.half_width
 
-    def unlisted(ids):
-        return ids[~np.isin(ids, base)]
-
     if spec.kind == SWAP_IN_CONE:
-        outside = unlisted(cone.member_hospitals)
+        outside = facts.cone_out
         if outside.size == 0:
             return base, 0.0
-        vals = inst.private_dh(focal, outside)
-        target = int(outside[int(np.argmax(vals))])
+        target = int(outside[int(np.argmax(facts.v[outside]))])
         slots = list(base)
-        slots[_marginal_slot(inst, base, focal)] = target
+        slots[facts.marginal_slot()] = target
         return slots, float(inst.hospital_ratings[target] - r)
 
     if spec.kind in (ABOVE_CONE, BELOW_CONE):
         if spec.kind == ABOVE_CONE:
             wanted = r + half + spec.offset
-            band = inst.hospitals_in_band(cone.high, inst.hospital_range[1])
+            band = facts.above
         else:
             wanted = r - half - spec.offset
-            band = inst.hospitals_in_band(inst.hospital_range[0], cone.low)
-        band = unlisted(band)
+            band = facts.below
         if band.size == 0:   # no hospital beyond the cone; fall back to nearest
-            band = unlisted(np.arange(inst.config.n_hospitals, dtype=np.int64))
+            band = np.flatnonzero(~facts.listed)
         target = _nearest_at(inst, wanted, band)
         if target is None:
             return base, 0.0
         slots = list(base)
-        slots[_marginal_slot(inst, base, focal)] = target
+        slots[facts.marginal_slot()] = target
         return slots, float(inst.hospital_ratings[target] - r)
 
     # TOP_K_OF_ALL
     k = inst.config.k
     all_h = np.arange(inst.config.n_hospitals, dtype=np.int64)
-    pre = inst.hospital_ratings + inst.private_dh(focal, all_h)
-    order = key_order(-pre, all_h)
+    order = key_order(-facts.pre, all_h)
     chosen = sorted(int(all_h[i]) for i in order[:k])
     slots = list(base)
     keep = [s for s, h in enumerate(slots) if h in chosen]
@@ -275,10 +329,12 @@ def evaluate_deviation(instance: MarketInstance,
     """Monte Carlo (base, deviant, gain) for one deviation spec."""
     if spec.replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {spec.replicates}")
-    dev_slots, realized = deviant_slots(instance, assignment, spec)
+    _check_spec(instance, assignment, spec)
     ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
-    base_slots = assignment.doctor_list(focal)
+    facts = ctx.facts(focal)
+    dev_slots, realized = _slots(instance, facts, spec)
+    base_slots = facts.base
     reps = range(spec.replicates)
     base_u = np.array([ctx.utility(focal, base_slots, t) for t in reps])
     dev_u = np.array([ctx.utility(focal, dev_slots, t) for t in reps])
@@ -302,10 +358,12 @@ def locality_check(instance: MarketInstance,
     every agent whose match differs between the two inserts lies in the
     union of the two touched sets.
     """
-    dev_slots, _ = deviant_slots(instance, assignment, spec)
+    _check_spec(instance, assignment, spec)
     ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
-    base_slots = assignment.doctor_list(focal)
+    facts = ctx.facts(focal)
+    dev_slots, _ = _slots(instance, facts, spec)
+    base_slots = facts.base
     n_slots = max(len(base_slots), len(dev_slots))
     iota_d, iota_h = ctx.slot_values(focal, n_slots, replicate)
     absent = ctx._focal_absent(focal)

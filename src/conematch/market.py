@@ -329,20 +329,20 @@ class MarketInstance:
         return rng.uniform(self.private_dh_state, doctor, hospital)
 
     def interview_dh(self, doctor, hospital, salt: int = 0):
-        """iota(d,h).  A nonzero salt addresses replicate redraws."""
-        st = self._st_interview_dh if not salt else rng.key_state(
-            self.config.seed, self.run_index, rng.KIND_INTERVIEW_DH, salt)
+        """iota(d,h).  A nonzero salt addresses replicate redraws: the
+        stream key_state(seed, run, KIND_INTERVIEW_DH, salt), which is the
+        unsalted state's half_i at the salt."""
+        st = self._st_interview_dh
+        if salt:
+            st = rng.half_i(st, salt)[()]
         return rng.uniform(st, doctor, hospital)
 
     def interview_hd(self, hospital, doctor, salt: int = 0):
-        """iota(h,d)."""
-        st = self._st_interview_hd if not salt else rng.key_state(
-            self.config.seed, self.run_index, rng.KIND_INTERVIEW_HD, salt)
+        """iota(h,d), salted as interview_dh."""
+        st = self._st_interview_hd
+        if salt:
+            st = rng.half_i(st, salt)[()]
         return rng.uniform(st, hospital, doctor)
-
-    def private_hd(self, hospital, doctor):
-        """v(h,d), used by hospitals to grant interview requests."""
-        return rng.uniform(self.private_hd_state, hospital, doctor)
 
     # -- geometry helpers ----------------------------------------------
 

@@ -58,8 +58,8 @@ import numpy as np
 
 from conematch import da
 from conematch.deviation import (ABOVE_CONE, BELOW_CONE, KINDS,
-                                 NULL_DEVIATION, SWAP_IN_CONE, _marginal_slot,
-                                 _nearest_at, _slot_values, deviant_slots)
+                                 NULL_DEVIATION, SWAP_IN_CONE, _nearest_at,
+                                 _slot_values, deviant_slots)
 from conematch.double_cut import DOCTORS_PROPOSE, HOSPITALS_PROPOSE
 from conematch.market import (REQUEST_INTERVIEW, RESIDENCY, SCHOOL_CHOICE,
                               SETTINGS, ConfigError)
@@ -551,6 +551,12 @@ def aggregate(stats, group_size=10):
                         cfg.n_doctors if m.startswith("doctor") else cfg.n_hospitals)
         out[m] = GroupedSeries(m, group_size, lo, hi, mean, p10, p90, len(stats))
     return out
+
+
+def _marginal_slot(instance, base, focal):
+    # the slot holding the smallest private value, drawn one hospital at a time
+    values = [float(instance.private_dh(focal, h)) for h in base]
+    return values.index(min(values))
 
 
 def loop_deviant_slots(instance, assignment, spec):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conematch import rng
+from conematch import market, rng
+from conematch.deviation import _replicate_salt
 
 
 def test_identical_keys_identical_values():
@@ -91,3 +92,30 @@ def test_uniform_is_scaled_bits(i, j):
     hj = rng.half_j(j)
     if hj.shape == b.shape:      # finished in place over the second halves
         assert np.array_equal(rng.bits(rng.half_i(s, i), hj, out=hj), b)
+
+
+def test_a_salted_state_is_the_unsalted_states_half_at_the_salt():
+    # MarketInstance.interview_dh/hd salt their kept state this way, for
+    # every salt a deviation replicate addresses
+    top = _replicate_salt(19_999, 999)
+    salts = [1, 2, 3, 1_000_003, 2**32, top - 1, top]
+    salts += [_replicate_salt(f, t) for f in (0, 1, 7, 19_999)
+              for t in (0, 1, 19, 999)]
+    for seed, run in ((0, 0), (42, 3), (2**64 - 1, 2**32)):
+        for kind in (rng.KIND_INTERVIEW_DH, rng.KIND_INTERVIEW_HD):
+            state = rng.key_state(seed, run, kind)
+            halves = rng.half_i(state, np.array(salts, dtype=np.uint64))
+            assert halves.tolist() == [int(rng.key_state(seed, run, kind, s))
+                                       for s in salts]
+            assert isinstance(rng.half_i(state, top)[()], np.uint64)
+
+
+def test_salted_interview_draws_use_the_salted_stream():
+    inst = market.generate(market.make_config(50, kappa=5, k=3,
+                                              cone_override=0.3, seed=9), 2)
+    salt = _replicate_salt(49, 19)
+    slots = np.arange(5)
+    dh = rng.uniform(rng.key_state(9, 2, rng.KIND_INTERVIEW_DH, salt), 7, slots)
+    hd = rng.uniform(rng.key_state(9, 2, rng.KIND_INTERVIEW_HD, salt), slots, 7)
+    assert _same_bits(inst.interview_dh(7, slots, salt), dh)
+    assert _same_bits(inst.interview_hd(slots, 7, salt), hd)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conematch import market, strategy
+from conematch import market, rng, strategy
 from conematch.market import MarketConfig, generate, make_config
 from conematch.strategy import (build_preferences, compute_cone, key_order,
                                 request_interview_protocol, select_interviews,
@@ -259,7 +259,8 @@ def reference_request(inst):
             continue
         budget = max(1, int(inst.capacities[h] * k ** 1.5))
         arr = np.asarray(ds, dtype=np.int64)
-        for d in _reference_top(arr, inst.private_hd(h, arr), budget):
+        values = rng.uniform(inst.private_hd_state, h, arr)
+        for d in _reference_top(arr, values, budget):
             lists[d].append(h)
     return [sorted(hs) for hs in lists]
 
