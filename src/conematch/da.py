@@ -3,11 +3,13 @@
 Two engines give the same run.  The round engine (_rounds) is Gale &
 Shapley's simultaneous form over the table's arrays: each round every
 proposer with a free slot proposes to as many of her next entries as she
-has free slots, and each receiver keeps the best of those it holds and
-those new, with one sort for the whole round, until no proposer is left
-free.  The FIFO loop (DAState._settle) makes one proposal at a time from a
-queue.  By McVitie & Wilson's (1971) order invariance both give the same
-matching and the same proposals.
+has free slots, passing over those whose receiver is full and holds only
+seats it ranks above her, and each receiver keeps the best of those it
+holds and those new, with one sort for the whole round, until no proposer
+is left free.  The FIFO loop (DAState._settle) makes one proposal at a
+time from a queue.  By McVitie & Wilson's (1971) order invariance both
+give the same matching and the same proposals: a skipped entry is a
+proposal made and refused at once.
 
 doctor_proposing_da, hospital_proposing_da and prefix_da (which the
 double-cut harness calls with truncation stops) run the round engine.
@@ -113,13 +115,18 @@ class TruncationRule:
     forbidden_windows: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None
 
 
-def _leading(group: np.ndarray, limit) -> np.ndarray:
-    # mask of the first `limit` entries of each run of equal values in
-    # the sorted array `group`; `limit` is a scalar or one per entry
+def _positions(group: np.ndarray) -> np.ndarray:
+    # each entry's place in its run of equal values in the sorted `group`
     at = np.arange(group.size)
     first = np.ones(group.size, dtype=bool)
     np.not_equal(group[1:], group[:-1], out=first[1:])
-    return at - np.maximum.accumulate(np.where(first, at, 0)) < limit
+    return at - np.maximum.accumulate(np.where(first, at, 0))
+
+
+def _leading(group: np.ndarray, limit) -> np.ndarray:
+    # mask of the first `limit` entries of each run of equal values in
+    # the sorted array `group`; `limit` is a scalar or one per entry
+    return _positions(group) < limit
 
 
 def _ranges(starts, lengths) -> np.ndarray:
@@ -389,19 +396,38 @@ def _engine(doctor_prefs: EdgeLists,
     return state
 
 
+# entries a free proposer looks at beyond her free slots, from round 2 on;
+# on the seed-42 n=2000 markets the rounds stop falling at 8 (4 leaves up
+# to 6 more, 16 and 32 save at most one), and a wider window lengthens
+# each round's arrays
+_LOOKAHEAD = 8
+
+
 def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
             stop: Optional[np.ndarray]) -> Tuple[Matching, np.ndarray]:
     """The settled run in which `proposers` propose down their lists
     (prefixes stop[p], whole lists for None): (matching, pointers), where
     proposer p proposed to exactly her first pointer[p] entries.
 
-    Held seats are entries of the edge table.  Each round, every free
-    proposer proposes to her next min(free slots, entries left) entries,
-    and every receiver proposed to keeps its best caps[r] of the seats it
+    Held seats are entries of the edge table.  A receiver's bar is the
+    rank of its worst seat once it is full, the rank width before; it only
+    improves as DA runs, so a receiver refuses, now and at any later time,
+    a proposal whose rank is not below its bar (an unranked one, -1, read
+    as uint64, never is).  Each round, every free proposer (a free slot
+    and entries left) looks at her next free-slots entries, plus
+    _LOOKAHEAD from round 2 on (in round 1 no receiver is full), cut at
+    her stop, and proposes to the first of them that lie below their
+    receiver's bar, up to her free slots.  Her pointer passes every entry
+    she skipped, as making those proposals and losing them at once would.
+    Every receiver proposed to keeps its best caps[r] of the seats it
     holds and the new proposals: one argsort of the int64 key
-    receiver * width + rank over those, then _leading.  The proposers who
-    lost a seat or a proposal and have entries left are the next round's;
-    the run ends when there are none.
+    receiver * width + rank over those, then _positions; the seat at
+    place caps[r] - 1, in a receiver that fills or stays full, sets its
+    bar.  A proposer who found fewer entries below a bar than free slots
+    stays free.  The loop ends: a free proposer's pointer passes at least
+    one entry a round, never goes back and stops at her stop.  By order
+    invariance the matching, the pointers and the proposals each
+    receiver gets are the FIFO loop's.
     """
     offsets, owner, partner, back, _ = proposers.csr
     n, n_receivers = offsets.size - 1, caps.size
@@ -410,33 +436,46 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
     pointer = start.copy()
     held = np.zeros(n, dtype=np.int64)
     width = int(back.max()) + 1 if back.size else 1
-    key = partner * width + back      # an unranked entry is never sorted
-    unranked = bool(back.size) and back.min() < 0
+    key = partner * width + back      # only ranked entries are sorted
+    rank = np.asarray(back, np.int64).view(np.uint64)   # -1: above any bar
+    bar = np.full(n_receivers, width, dtype=np.uint64)
     touched = np.zeros(n_receivers, dtype=bool)
     seats = np.zeros(0, dtype=np.int64)
-    free = np.flatnonzero(end > start)
-    while free.size:
-        made = np.minimum(slots[free] - held[free], end[free] - pointer[free])
-        new = _ranges(pointer[free], made)
-        pointer[free] += made
-        held[free] += made
-        lost = []
-        if unranked:
-            lost.append(owner[new[back[new] < 0]])
-            new = new[back[new] >= 0]
-        touched[partner[new]] = True
+    ahead = 0                         # no receiver is full in round 1
+    while True:
+        free = np.flatnonzero((held < slots) & (pointer < end))
+        if not free.size:
+            break
+        at = pointer[free]
+        want = slots[free] - held[free]
+        size = np.minimum(want + ahead, end[free] - at)
+        last = np.cumsum(size)
+        first = last - size           # each window's start in `look`
+        look = np.repeat(at - first, size) + np.arange(last[-1])
+        viable = rank[look] < bar[partner[look]]
+        seen = np.zeros(look.size + 1, dtype=np.int64)
+        np.cumsum(viable, out=seen[1:])       # viable entries before each
+        base = seen[first]
+        goal = base + want
+        new = look[viable & (seen[1:] <= np.repeat(goal, size))]
+        pointer[free] = at + np.minimum(np.searchsorted(seen, goal) - first,
+                                        size)
+        held[free] += np.minimum(seen[last], goal) - base
+        to = partner[new]
+        touched[to] = True
         rival = touched[partner[seats]]
-        touched[partner[new]] = False
+        touched[to] = False
         bids = np.concatenate((seats[rival], new))
         bids = bids[np.argsort(key[bids])]
         receiver = partner[bids]
-        kept = _leading(receiver, caps[receiver])
+        place = _positions(receiver)
+        cap = caps[receiver]
+        worst = bids[place == cap - 1]
+        bar[partner[worst]] = rank[worst]
+        kept = place < cap
         seats = np.concatenate((seats[~rival], bids[kept]))
-        lost.append(owner[bids[~kept]])
-        drop = np.bincount(np.concatenate(lost), minlength=n)
-        held -= drop
-        free = np.flatnonzero(drop)
-        free = free[pointer[free] < end[free]]
+        held -= np.bincount(owner[bids[~kept]], minlength=n)
+        ahead = _LOOKAHEAD
     return (_matching(partner[seats], owner[seats], proposers.side, n,
                       n_receivers), pointer - start)
 
