@@ -15,6 +15,14 @@ drawing a whole matrix can key each row and each column once:
 * ``half_j(j)`` = gamma*(j+1), the second index's half;
 * ``bits(half_i, half_j)`` = mix(half_i + half_j) >> 11, a 53-bit integer.
 
+``bits`` is itself two stages, ``bits_tail(bits_head(half_i, half_j))``.
+The head is the add and the finalizer up to its second multiply, y; the
+tail is the finalizer's last xor-shift, z = y ^ (y >> 31), and z >> 11.
+The xor leaves the top 31 bits of y as they are, so head >> 33 equals
+bits >> 22: a threshold on the top 31 bits of the head splits the draws
+exactly, every cell below it drawing strictly less than every cell at or
+above it, before any tail is computed.
+
 ``uniform`` is ``bits * 2**-53``, which is exact and strictly increasing, so
 the integers order and tie exactly as the floats do.
 """
@@ -38,16 +46,27 @@ _U64 = np.uint64
 _INV_2_53 = float(2.0 ** -53)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, in place on the uint64 array x (wraps mod 2**64)
-    tmp = np.empty_like(x)
+def _mix_head(x: np.ndarray, tmp=None) -> np.ndarray:
+    # splitmix64 finalizer up to its second multiply, in place on the
+    # uint64 array x (wraps mod 2**64); tmp, if given, is scratch of x's shape
+    if tmp is None:
+        tmp = np.empty_like(x)
     for shift, mult in ((30, _M1), (27, _M2)):
         np.right_shift(x, _U64(shift), out=tmp)
         x ^= tmp
         x *= mult
-    np.right_shift(x, _U64(31), out=tmp)
-    x ^= tmp
     return x
+
+
+def _mix_tail(x: np.ndarray) -> np.ndarray:
+    # the finalizer's last xor-shift, in place
+    x ^= x >> _U64(31)
+    return x
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer, in place on the uint64 array x
+    return _mix_tail(_mix_head(x))
 
 
 def half_j(j) -> np.ndarray:
@@ -73,20 +92,38 @@ def key_state(seed: int, run: int, kind: int, salt: int = 0) -> np.uint64:
     return s[()]
 
 
-def bits(hi, hj, out=None) -> np.ndarray:
-    """53-bit integer draws mix(hi + hj) >> 11 from broadcastable halves.
+def bits_head(hi, hj, out=None, tmp=None) -> np.ndarray:
+    """The head of bits(hi, hj): hi + hj through the finalizer's second
+    multiply, as uint64.
 
-    The draws are finished in place: in `out` if given (a uint64 array of
-    the broadcast shape, which may be `hi` or `hj` itself), else in a new
-    array.
+    Its top 31 bits are those of the 53-bit draw's top 31: head >> 33
+    equals bits >> 22.  Made in `out` if given (a uint64 array of the
+    broadcast shape, which may be `hi` or `hj` itself), else in a new
+    array; `tmp`, if given, is a uint64 scratch array of that shape.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(hi), np.shape(hj)),
                        dtype=np.uint64)
     np.add(hi, hj, out=out)
-    _mix(out)
-    out >>= _U64(11)
-    return out
+    return _mix_head(out, tmp)
+
+
+def bits_tail(y) -> np.ndarray:
+    """The 53-bit draws that the heads y finish into, in place on y."""
+    _mix_tail(y)
+    y >>= _U64(11)
+    return y
+
+
+def bits(hi, hj, out=None) -> np.ndarray:
+    """53-bit integer draws mix(hi + hj) >> 11 from broadcastable halves.
+
+    bits(hi, hj) is bits_tail(bits_head(hi, hj)) bit for bit.  The draws
+    are finished in place: in `out` if given (a uint64 array of the
+    broadcast shape, which may be `hi` or `hj` itself), else in a new
+    array.
+    """
+    return bits_tail(bits_head(hi, hj, out))
 
 
 def uniform(state: np.uint64, i, j) -> np.ndarray:

@@ -10,6 +10,7 @@ hospitals grant a budgeted subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -230,6 +231,34 @@ def _materialize(instance, d, h, nu_d, nu_h) -> InterviewAssignment:
 # elements of one padded (doctors x widest cone) chunk; bounds the
 # selection's working memory independently of n and the cone width
 _WINDOW_BUDGET = 1 << 16
+# a chunk whose threshold would keep more than this share of its narrowest
+# row's cells sends every row to the exact cut (_exact_survivors); at a
+# share of 1 or more every chunk takes a threshold, which keeps every cell
+# of a chunk no wider than _threshold_keep.  0.1 and the keep's two
+# standard deviations are measured choices: neither 0.05-0.2 nor one to
+# three deviations moved any workload beyond noise
+_DENSE_CUT = 0.1
+
+
+def _threshold_keep(count: int) -> int:
+    # cells a chunk's threshold keeps, on average, of its narrowest row:
+    # count plus about two standard deviations of the kept count
+    return count + math.ceil(2 * math.sqrt(count)) + 2
+
+
+def _exact_survivors(heads, w, count):
+    # (row, col) of each in-cone cell at or above its row's exact cut: the
+    # top 31 bits of the row's count-th largest head, padding at 0 (no
+    # head undercuts it); changes the padding of `heads` in place
+    width = heads.shape[1]
+    np.put(heads, _ranges(np.arange(w.size) * width + w, width - w), 0)
+    kth = max(0, width - count)
+    cut = np.partition(heads, kth, axis=1)[:, kth]
+    cut >>= np.uint64(33)
+    cut <<= np.uint64(33)
+    row, col = np.divmod(np.flatnonzero(heads >= cut[:, None]), width)
+    inside = col < w[row]
+    return row[inside], col[inside]
 
 
 def _top_in_cones(instance: MarketInstance, count: int):
@@ -245,13 +274,21 @@ def _top_in_cones(instance: MarketInstance, count: int):
     hospitals' halves of the keys are made once, in rating order, and each
     doctor's half once.  Doctors are taken in a stable order of cone
     width, and each chunk of them becomes a (rows x its widest cone)
-    matrix of at most _WINDOW_BUDGET cells (one row if a cone is wider):
-    one gather of sliding windows over the hospital halves, finished into
-    draws in place.  The cells past a row's cone are set to 0, which no
-    draw undercuts.  Every in-cone entry at least as large as its row's
-    count-th largest draw survives the partition, ties at the cut
-    included; only the survivors' hospital ids are gathered, and the exact
-    order (value descending, id ascending) is applied to them alone.
+    matrix of at most _WINDOW_BUDGET cells (one row if a cone is wider),
+    in one buffer reused by every chunk: one gather of sliding windows
+    over the hospital halves, hashed in place to the head of each draw
+    (rng.bits_head).  The head's top 31 bits are the draw's, so a cell
+    whose head is under a threshold t = T << 33 draws strictly less than
+    every cell at or above it.  A chunk takes one t, set to keep about
+    _threshold_keep(count) cells of its narrowest row; the padding cells
+    past a row's cone are dropped by column.  A row left with fewer than
+    min(count, cone) cells, and every row of a chunk whose threshold
+    would keep more than _DENSE_CUT of its narrowest row, takes the exact
+    cut instead: the top 31 bits of its count-th largest head, ties
+    included (_exact_survivors).  Either way a row's top `count` all
+    survive, and only the survivors are finished into draws
+    (rng.bits_tail), have their hospital ids gathered and are sorted
+    exactly (value descending, id ascending).
     """
     lo_bound, hi_bound = instance.hospital_range
     lows = np.maximum(lo_bound, instance.doctor_ratings - instance.half_width)
@@ -266,6 +303,9 @@ def _top_in_cones(instance: MarketInstance, count: int):
     windows = sliding_window_view(rng.half_j(padded), widest)
     doctor_keys = rng.half_i(instance.private_dh_state,
                              np.arange(widths.size))
+    cells = max(_WINDOW_BUDGET, widest)
+    buf, tmp = np.empty(cells, np.uint64), np.empty(cells, np.uint64)
+    target = _threshold_keep(count)
     empty = np.zeros(0, dtype=np.int64)
     cand_d, cand_h, cand_v = [empty], [empty], [np.zeros(0, np.uint64)]
     lo = int(np.searchsorted(sorted_w, 1))       # empty cones draw nothing
@@ -276,21 +316,38 @@ def _top_in_cones(instance: MarketInstance, count: int):
         fits = np.arange(1, ahead.size + 1) * ahead <= _WINDOW_BUDGET
         hi = lo + max(1, int(np.count_nonzero(fits)))
         rows, w = by_width[lo:hi], sorted_w[lo:hi]
-        width = int(w[-1])
+        width, narrowest = int(w[-1]), int(w[0])
         starts = i0[rows]
-        draws = windows[starts, :width]
-        rng.bits(doctor_keys[rows, None], draws, out=draws)
-        np.put(draws, _ranges(np.arange(rows.size) * width + w, width - w), 0)
-        kth = max(0, width - count)
-        cut = np.partition(draws, kth, axis=1)[:, kth]
-        row, col = np.divmod(np.flatnonzero(draws >= cut[:, None]), width)
-        inside = col < w[row]        # a padding cell never survives
-        row, col = row[inside], col[inside]
+        shape = (rows.size, width)
+        heads = buf[:rows.size * width].reshape(shape)
+        rng.bits_head(doctor_keys[rows, None], windows[starts, :width],
+                      out=heads, tmp=tmp[:heads.size].reshape(shape))
+        row, col = empty, empty
+        short = np.ones(rows.size, dtype=bool)
+        if target <= _DENSE_CUT * narrowest:
+            # keeps the cells that draw T << 22 or more: about a share
+            # 1 - T / 2**31 = target / narrowest of each row
+            t = np.uint64(((max(0, narrowest - target) << 31) // narrowest)
+                          << 33)
+            row, col = np.divmod(np.flatnonzero(heads >= t), width)
+            inside = col < w[row]        # a padding cell never survives
+            row, col = row[inside], col[inside]
+            short = (np.bincount(row, minlength=rows.size)
+                     < np.minimum(count, w))
+            kept = ~short[row]
+            row, col = row[kept], col[kept]
+        if short.any():
+            exact = np.flatnonzero(short)
+            r, c = _exact_survivors(    # a whole chunk in place, no copy
+                heads if exact.size == rows.size else heads[exact],
+                w[exact], count)
+            row, col = np.concatenate((row, exact[r])), np.concatenate((col, c))
         cand_d.append(rows[row])
         cand_h.append(padded[starts[row] + col])
-        cand_v.append(draws[row, col])
+        cand_v.append(heads[row, col])
         lo = hi
     d, h, v = (np.concatenate(c) for c in (cand_d, cand_h, cand_v))
+    rng.bits_tail(v)
     order = key_order(d, ~v, h)
     d, h = d[order], h[order]
     keep = _leading(d, count)
@@ -346,9 +403,13 @@ def select_interviews(instance: MarketInstance,
     A doctor whose cone holds fewer than k hospitals interviews all of
     them; an empty cone leaves her with no interviews (strategy-unmatched).
     Equal private values go to the lower hospital id.  The top k come from
-    a partition of padded cone windows, chunk by chunk (_top_in_cones), so
-    the working memory is a fixed cell budget, not a sort over every cone
-    member of every doctor; or from `selection`, when given.
+    padded cone windows, chunk by chunk (_top_in_cones): each cell is
+    hashed only to the head of its draw, a threshold on the heads' top 31
+    bits (or, for a row it leaves short and for a dense chunk, the exact
+    cut at the k-th largest head) keeps a few cells a row, and only those
+    are finished into draws and sorted.  The working memory is a fixed
+    cell budget, not a sort over every cone member of every doctor.  Or
+    they come from `selection`, when given.
     """
     cfg = instance.config
     d, h = _top(instance, cfg.k, selection)

@@ -3,7 +3,9 @@
 These deliberately re-derive stability from first principles (rank
 comparisons over exhaustive enumeration) without touching the package's
 own enumeration, so the two routes stay independent.  quarter_draws puts
-every random draw on a grid of quarters, for the tie tests.
+every random draw on a grid of quarters, for the tie tests, and
+same_selection compares the selection kernel with the one it replaced
+(tests/legacy_edges.py).
 
 The DA entry points take one input form, the two da.EdgeLists views of
 one edge table.  edge_lists builds an edge table that holds hand-written
@@ -21,7 +23,8 @@ import random
 
 import numpy as np
 
-from conematch import rng
+import legacy_edges
+from conematch import rng, strategy
 from conematch.da import DISPLACE, HOLD, REJECT, Matching
 from conematch.strategy import InterviewAssignment, build_preferences
 
@@ -158,14 +161,36 @@ def quarter_draws(monkeypatch):
 
     Clears the low 51 of the 53 bits of rng.bits, the one integer draw
     behind both rng.uniform (so every value oracle) and the selection
-    kernel, so the two see the same ties.  Generate markets before calling:
-    ratings drawn on the grid are not distinct.
+    kernel, so the two see the same ties.  rng.bits is
+    rng.bits_tail(rng.bits_head(...)), and the kernel calls the two
+    stages itself, so the stages are patched to agree: the head is the
+    quantised draw << 11, whose top 31 bits are the draw's top 31 as a
+    real head's are, and the tail is >> 11.
+    Generate markets before calling: ratings drawn on the grid are not
+    distinct.
     """
-    bits, low = rng.bits, np.uint64((1 << 51) - 1)
+    head, tail = rng.bits_head, rng.bits_tail
+    low = np.uint64((1 << 51) - 1)
 
-    def quantised(hi, hj, out=None):
-        out = bits(hi, hj, out)
+    def quantised_head(hi, hj, out=None, tmp=None):
+        out = tail(head(hi, hj, out, tmp))
         out &= ~low
+        out <<= np.uint64(11)
         return out
 
-    monkeypatch.setattr(rng, "bits", quantised)
+    def quantised_tail(y):
+        y >>= np.uint64(11)
+        return y
+
+    monkeypatch.setattr(rng, "bits_head", quantised_head)
+    monkeypatch.setattr(rng, "bits_tail", quantised_tail)
+
+
+def same_selection(inst, count):
+    """The doctors of the selected pairs, once strategy._top_in_cones and
+    legacy_edges.top_in_cones agree on `inst` at `count`, dtypes included."""
+    want = legacy_edges.top_in_cones(inst, count)
+    got = strategy._top_in_cones(inst, count)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return want[0]

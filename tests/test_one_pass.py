@@ -16,22 +16,13 @@ import numpy as np
 import pytest
 
 import legacy_edges
-from oracle_helpers import quarter_draws
+from oracle_helpers import quarter_draws, same_selection
 from conematch import metrics, strategy
 from conematch.da import doctor_proposing_da
 from conematch.market import SETTINGS, generate, make_config
 from conematch.strategy import build_assignment, build_preferences
 
 K = 5
-
-
-def same_selection(inst, count):
-    """The doctors of the selected pairs, once both ways agree."""
-    want = legacy_edges.top_in_cones(inst, count)
-    got = strategy._top_in_cones(inst, count)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    return want[0]
 
 
 @pytest.mark.parametrize("setting", SETTINGS)

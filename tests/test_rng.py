@@ -94,6 +94,26 @@ def test_uniform_is_scaled_bits(i, j):
         assert np.array_equal(rng.bits(rng.half_i(s, i), hj, out=hj), b)
 
 
+def test_bits_is_the_tail_of_the_head_and_the_head_tops_it():
+    # random halves, and halves at 0 and 2**64 - 1, whose sums wrap
+    gen = np.random.default_rng(5)
+    edge = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    hi = np.concatenate((edge, gen.integers(0, 2**64, 60, dtype=np.uint64,
+                                            endpoint=False)))[:, None]
+    hj = np.concatenate((edge, gen.integers(0, 2**64, 50, dtype=np.uint64,
+                                            endpoint=False)))[None, :]
+    b = rng.bits(hi, hj)
+    head = rng.bits_head(hi, hj)
+    assert head.dtype == np.uint64 and head.shape == b.shape
+    # the head's top 31 bits are the draw's: a threshold on them is exact
+    assert np.array_equal(head >> np.uint64(33), b >> np.uint64(22))
+    assert rng.bits_tail(head) is head and np.array_equal(head, b)
+    # made in a caller's buffers, the heads are the same
+    out, tmp = np.empty(b.shape, np.uint64), np.empty(b.shape, np.uint64)
+    assert rng.bits_head(hi, hj, out=out, tmp=tmp) is out
+    assert np.array_equal(rng.bits_tail(out), b)
+
+
 def test_a_salted_state_is_the_unsalted_states_half_at_the_salt():
     # MarketInstance.interview_dh/hd salt their kept state this way, for
     # every salt a deviation replicate addresses
