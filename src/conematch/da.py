@@ -375,7 +375,6 @@ def _engine(doctor_prefs: EdgeLists,
             capacities,
             rule: Optional[TruncationRule],
             orientation: str,
-            order: Optional[Sequence[int]],
             log: Optional[EventLog]) -> DAState:
     # every FIFO run: truncated_state's, and truncated_da's with its log
     _table_views(doctor_prefs, hospital_prefs)
@@ -391,8 +390,7 @@ def _engine(doctor_prefs: EdgeLists,
     n = len(proposers)
     state = DAState(proposers, proposers.ranks, slots, caps, stop, [0] * n,
                     [0] * n, [[] for _ in caps], log)
-    state._settle(deque(p for p in (range(n) if order is None else order)
-                        if stop[p]))
+    state._settle(deque(p for p in range(n) if stop[p]))
     return state
 
 
@@ -618,16 +616,15 @@ def truncated_state(doctor_prefs: EdgeLists,
                     hospital_prefs: EdgeLists,
                     capacities,
                     rule: Optional[TruncationRule] = None,
-                    orientation: str = DOCTORS_PROPOSE,
-                    order: Optional[Sequence[int]] = None) -> DAState:
+                    orientation: str = DOCTORS_PROPOSE) -> DAState:
     """The settled run of one orientation by the FIFO loop, plain DA over
     each proposer's prefix under `rule` (whole lists without one), with the
-    proposers first queued in `order` (by id without one).
+    proposers first queued by id.
     `DAState.insert` and `with_proposers` add a proposer the rule leaves
     out (stop 0).
     """
     return _engine(doctor_prefs, hospital_prefs, capacities, rule,
-                   orientation, order, None)
+                   orientation, None)
 
 
 def truncated_da(doctor_prefs: EdgeLists,
@@ -642,17 +639,20 @@ def truncated_da(doctor_prefs: EdgeLists,
     """
     log = EventLog()
     state = _engine(doctor_prefs, hospital_prefs, capacities, rule,
-                    orientation, None, log)
+                    orientation, log)
     return matching_of(state, orientation), log
 
 
 def order_invariance_check(doctor_prefs, hospital_prefs, capacities,
                            permutation: Sequence[int],
                            orientation: str = DOCTORS_PROPOSE) -> bool:
-    """True iff the FIFO loop, its proposers first queued in `permutation`
-    order, ends in the round engine's matching."""
+    """True iff the FIFO loop, its proposers queued in `permutation` order
+    (with_proposers on the run in which all are absent), ends in the round
+    engine's matching."""
     rounds, _ = prefix_da(doctor_prefs, hospital_prefs, capacities,
                           orientation, None)
-    fifo = truncated_state(doctor_prefs, hospital_prefs, capacities,
-                           orientation=orientation, order=permutation)
+    n = len(doctor_prefs if orientation == DOCTORS_PROPOSE else hospital_prefs)
+    absent = TruncationRule(proposer_filter=np.zeros(n, dtype=bool))
+    fifo = truncated_state(doctor_prefs, hospital_prefs, capacities, absent,
+                           orientation).with_proposers(permutation)
     return np.array_equal(rounds.doctor_of, matching_of(fifo, orientation).doctor_of)

@@ -26,7 +26,7 @@ import numpy as np
 from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
                  prefix_da, proposal_counts, truncation_stops)
 from .market import MarketConfig, MarketInstance, SCHOOL_CHOICE, check_agent_id
-from .strategy import InterviewAssignment, build_preferences, key_order
+from .strategy import InterviewAssignment, build_preferences
 
 FOCAL_DOCTOR = "doctor"
 FOCAL_HOSPITAL = "hospital"
@@ -386,10 +386,13 @@ def hospital_fill_oracle(surplus: int, cone_size: int, kappa: int, k: int,
 
 
 def _seats(assignment: InterviewAssignment, e: np.ndarray) -> np.ndarray:
-    # the matched edges among e, hospital by hospital, best seat first
+    # the matched edges among e, hospital by hospital, best seat first: in
+    # their order in the table's hospital_order
     e = e[e >= 0]
-    return e[key_order(assignment.edge_h[e], -assignment.u_hosp[e],
-                       assignment.edge_d[e])]
+    order = assignment.hospital_order
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return e[np.argsort(place[e])]
 
 
 def receivers_dominate(assignment: InterviewAssignment, orientation: str,

@@ -348,15 +348,19 @@ class MarketInstance:
 
     def hospitals_in_band(self, lo: float, hi: float) -> np.ndarray:
         """Hospital ids with rating in [lo, hi), ascending id order."""
-        i = np.searchsorted(self.hospital_sorted, lo, side="left")
-        j = np.searchsorted(self.hospital_sorted, hi, side="left")
-        ids = self.hospital_order[i:j]
-        return np.sort(ids)
+        return _in_band(self.hospital_sorted, self.hospital_order, lo, hi)
 
     def doctors_in_band(self, lo: float, hi: float) -> np.ndarray:
-        i = np.searchsorted(self.doctor_sorted, lo, side="left")
-        j = np.searchsorted(self.doctor_sorted, hi, side="left")
-        return np.sort(self.doctor_order[i:j])
+        """Doctor ids with rating in [lo, hi), ascending id order."""
+        return _in_band(self.doctor_sorted, self.doctor_order, lo, hi)
+
+
+def _in_band(sorted_ratings: np.ndarray, order: np.ndarray, lo: float,
+             hi: float) -> np.ndarray:
+    # the ids, ascending, whose ratings (order sorts them into
+    # sorted_ratings) lie in [lo, hi)
+    i, j = np.searchsorted(sorted_ratings, (lo, hi), side="left")
+    return np.sort(order[i:j])
 
 
 def generate(config: MarketConfig, run_index: int) -> MarketInstance:

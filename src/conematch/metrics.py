@@ -265,25 +265,26 @@ def write_metrics_csv(path, series_by_metric: Mapping[str, GroupedSeries],
 def doctor_non_match_fraction(stats: Sequence[RunStats],
                               non_bottommost_only: bool = True) -> float:
     """Unmatched fraction pooled over runs (non-bottommost doctors by default)."""
-    bad = 0
-    total = 0
-    for s in stats:
-        mask = s.doctor_non_bottommost if non_bottommost_only else \
-            np.ones_like(s.doctor_matched, dtype=bool)
-        total += int(mask.sum())
-        bad += int((~s.doctor_matched[mask]).sum())
-    return bad / total if total else math.nan
+    return _miss_fraction([(s.doctor_matched, s.doctor_non_bottommost)
+                           for s in stats], non_bottommost_only)
 
 
 def hospital_non_full_fraction(stats: Sequence[RunStats],
                                non_bottommost_only: bool = True) -> float:
-    bad = 0
-    total = 0
-    for s in stats:
-        mask = s.hospital_non_bottommost if non_bottommost_only else \
-            np.ones_like(s.hospital_fully_matched, dtype=bool)
-        total += int(mask.sum())
-        bad += int((~s.hospital_fully_matched[mask]).sum())
+    """Non-full fraction pooled over runs (non-bottommost hospitals by default)."""
+    return _miss_fraction([(s.hospital_fully_matched, s.hospital_non_bottommost)
+                           for s in stats], non_bottommost_only)
+
+
+def _miss_fraction(runs, non_bottommost_only: bool) -> float:
+    # the pooled share of agents whose `hit` flag is False over runs of
+    # (hit, non_bottommost), among the non-bottommost ones if asked
+    bad = total = 0
+    for hit, non_bottommost in runs:
+        if non_bottommost_only:
+            hit = hit[non_bottommost]
+        total += hit.size
+        bad += hit.size - int(np.count_nonzero(hit))
     return bad / total if total else math.nan
 
 

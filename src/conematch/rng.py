@@ -115,15 +115,13 @@ def bits_tail(y) -> np.ndarray:
     return y
 
 
-def bits(hi, hj, out=None) -> np.ndarray:
-    """53-bit integer draws mix(hi + hj) >> 11 from broadcastable halves.
+def bits(hi, hj) -> np.ndarray:
+    """53-bit integer draws mix(hi + hj) >> 11 from broadcastable halves,
+    in a new array.
 
-    bits(hi, hj) is bits_tail(bits_head(hi, hj)) bit for bit.  The draws
-    are finished in place: in `out` if given (a uint64 array of the
-    broadcast shape, which may be `hi` or `hj` itself), else in a new
-    array.
+    bits(hi, hj) is bits_tail(bits_head(hi, hj)) bit for bit.
     """
-    return bits_tail(bits_head(hi, hj, out))
+    return bits_tail(bits_head(hi, hj))
 
 
 def uniform(state: np.uint64, i, j) -> np.ndarray:

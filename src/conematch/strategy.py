@@ -46,73 +46,59 @@ def compute_cone(instance: MarketInstance, doctor_id: int) -> Cone:
 def key_order(*keys) -> np.ndarray:
     """The stable order of rows sorted by keys[0], then keys[1], ...
 
-    The rows' key tuples must be distinct; the order is then the only one,
-    and a stable sort's.  Where exactly one key is not a signed integer (a
-    float utility or an unsigned draw), _value_order tries that one sort
-    first.  Otherwise, and wherever it finds two rows it cannot tell
-    apart, one unstable argsort of a packed int64 key: signed integer keys
-    (ids) enter as their offset from their least value, every other key as
-    its dense rank, equal values sharing one rank, so ties stay ties,
-    -0.0 ties with 0.0 and every NaN shares the last rank.
-    Raises ValueError when a tuple repeats or the packed range does not
-    fit in int64.
+    np.lexsort(keys[::-1]) by one chain of sorts: the last key first, then
+    stably by each earlier one, a signed integer key that spans under
+    2**15 as int16 (numpy radix-sorts it).  Equal values tie, -0.0 ties
+    with 0.0, NaN sorts last and ties with NaN.  Where exactly one key is
+    not a signed integer (a float utility or an unsigned draw), the chain
+    first runs only up to it, from one unstable sort of it; if no two
+    adjacent rows are then equal in those keys, that order is the only
+    one and is returned.  Raises ValueError when a row repeats.
     """
     keys = [np.asarray(key) for key in keys]
-    packed = np.zeros(len(keys[0]), dtype=np.int64)
-    if packed.size == 0:
-        return packed
+    if keys[0].size == 0:
+        return np.zeros(0, dtype=np.int64)
     values = [i for i, key in enumerate(keys) if key.dtype.kind != "i"]
     if len(values) == 1:
-        order = _value_order(keys[:values[0] + 1])
-        if order is not None:
+        head = [_sort_key(key) for key in keys[:values[0] + 1]]
+        order = _chain(head, np.argsort(head[-1]))
+        if not _repeats(head, order):
             return order
-    span = 1
-    for key in keys:
-        if key.dtype.kind == "i":
-            low = key.min()
-            size = int(key.max()) - int(low) + 1
-            # in int64, where it wraps only when size is refused below
-            digit = np.subtract(key, low, dtype=np.int64)
-        else:
-            uniq, digit = np.unique(key, return_inverse=True)
-            size = uniq.size
-        span *= size
-        if span > 1 << 63:
-            raise ValueError("sort keys span more than int64 holds")
-        packed *= size
-        packed += digit
-    order = np.argsort(packed)
-    ranked = packed[order]
-    if np.any(ranked[1:] == ranked[:-1]):
+    keys = [_sort_key(key) for key in keys]
+    order = _chain(keys, np.argsort(keys[-1], kind="stable"))
+    if _repeats(keys, order):
         raise ValueError("sort keys repeat a row")
     return order
 
 
-def _value_order(keys) -> Optional[np.ndarray]:
-    # key_order of signed integer ids, then one value key, or None where
-    # two adjacent rows are equal in all of them, or a value is NaN: the
-    # value argsorted once, then stable sorts by each id, the last first,
-    # an id that spans under 2**15 as int16 (numpy radix-sorts it), a
-    # wider one as it is.  No two adjacent rows equal means no two rows
-    # equal, so the rows are distinct on these keys and the order is the
-    # only one; keys after the value never decide it.
-    *ids, value = keys
-    order = np.argsort(value)
-    if value[order[-1]] != value[order[-1]]:    # NaN sorts last
-        return None
-    id_keys = []
-    for key in ids:
+def _sort_key(key: np.ndarray) -> np.ndarray:
+    # a signed integer key spanning under 2**15 as its int16 offset from
+    # its least value; every other key as it is
+    if key.dtype.kind == "i":
         low = int(key.min())
         if int(key.max()) - low < 1 << 15:
-            key = np.subtract(key, low, dtype=np.int64).astype(np.int16)
-        id_keys.append(key)
-    for key in reversed(id_keys):
+            return np.subtract(key, low, dtype=np.int64).astype(np.int16)
+    return key
+
+
+def _chain(keys, order: np.ndarray) -> np.ndarray:
+    # `order` sorted by keys[-1], then stably by each earlier key
+    for key in reversed(keys[:-1]):
         order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
+def _repeats(keys, order: np.ndarray) -> bool:
+    # whether two adjacent rows of `order` are equal in every key, NaN
+    # equal to NaN
     same = np.ones(order.size - 1, dtype=bool)
-    for key in id_keys + [value]:
+    for key in keys:
         ranked = key[order]
-        same &= ranked[1:] == ranked[:-1]
-    return None if same.any() else order
+        tie = ranked[1:] == ranked[:-1]
+        if ranked.dtype.kind == "f" and np.isnan(ranked.min()):
+            tie |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+        same &= tie
+    return bool(same.any())
 
 
 @dataclass

@@ -85,13 +85,6 @@ def test_uniform_is_scaled_bits(i, j):
     b = rng.bits(rng.half_i(s, i), rng.half_j(j))
     assert b.dtype == np.uint64 and int(b.max()) < 2 ** 53
     assert _same_bits(u, b.astype(np.float64) * 2.0 ** -53)
-    # finished in a caller's buffer, the draws are the same
-    out = np.empty(b.shape, dtype=np.uint64)
-    assert rng.bits(rng.half_i(s, i), rng.half_j(j), out=out) is out
-    assert np.array_equal(out, b)
-    hj = rng.half_j(j)
-    if hj.shape == b.shape:      # finished in place over the second halves
-        assert np.array_equal(rng.bits(rng.half_i(s, i), hj, out=hj), b)
 
 
 def test_bits_is_the_tail_of_the_head_and_the_head_tops_it():

@@ -371,10 +371,8 @@ def test_key_order_ids_at_the_edge_of_int64():
     h = np.array([0, top_h, top_h, 0, 5])
     assert_stable_order(d, h)
     assert_stable_order(d + (2 ** 63 - 2 ** 32), h)  # offset from the least
-    with pytest.raises(ValueError, match="int64"):
-        key_order(d, h + np.array([0, 1, 0, 0, 0]))   # one more hospital id
-    with pytest.raises(ValueError, match="int64"):
-        key_order(np.array([-2 ** 63, 2 ** 63 - 1]), np.array([0, 0]))
+    assert_stable_order(d, h + np.array([0, 1, 0, 0, 0]))  # past 2**63
+    assert_stable_order(np.array([-2 ** 63, 2 ** 63 - 1]), np.array([0, 0]))
 
 
 def test_key_order_refuses_repeated_rows():
@@ -382,20 +380,30 @@ def test_key_order_refuses_repeated_rows():
         key_order(np.array([1, 0, 1]), np.array([0.5, 0.5, 0.5]))
 
 
-# -- key_order's one-sort path, where one key is a value (_value_order) --
-
-def value_path_taken(*keys):
-    # whether key_order returns from its one-sort path on these keys
-    keys = [np.asarray(key) for key in keys]
-    value = next(i for i, key in enumerate(keys) if key.dtype.kind != "i")
-    return strategy._value_order(keys[:value + 1]) is not None
+def test_key_order_refuses_rows_repeated_in_nan():
+    with pytest.raises(ValueError, match="repeat"):
+        key_order(np.array([0, 0]), np.array([np.nan, np.nan]))
 
 
-def test_key_order_value_path_beside_ids_at_the_edge_of_int64():
-    # the packed path refuses these spans; the one-sort path offsets no
-    # wide id, so it cannot wrap, and gives the stable order
+# -- key_order's one-sort path, where one key is a value --
+
+def value_path_taken(monkeypatch, *keys):
+    # whether key_order returns from its one-sort path on these keys: its
+    # chain of sorts then runs once, not a second time over every key
+    chains = []
+    chain = strategy._chain
+    with monkeypatch.context() as m:
+        m.setattr(strategy, "_chain",
+                  lambda *args: chains.append(1) or chain(*args))
+        key_order(*keys)
+    return len(chains) == 1
+
+
+def test_key_order_value_path_beside_ids_at_the_edge_of_int64(monkeypatch):
+    # the one-sort path offsets no wide id, so it cannot wrap, and gives
+    # the stable order
     d = np.array([-2 ** 63, 2 ** 63 - 1])
-    assert value_path_taken(d, np.array([0.5, 0.25]))
+    assert value_path_taken(monkeypatch, d, np.array([0.5, 0.25]))
     assert_stable_order(d, np.array([0.5, 0.25]))
     assert_stable_order(d[::-1], d, np.array([0.5, 0.25]))
     gen = np.random.default_rng(0)
@@ -405,18 +413,18 @@ def test_key_order_value_path_beside_ids_at_the_edge_of_int64():
     v = gen.integers(0, 2 ** 64 - 1, size=500, dtype=np.uint64,
                      endpoint=True)
     for value in (u, -u, ~v):
-        assert value_path_taken(ids[0], ids[1], value)
+        assert value_path_taken(monkeypatch, ids[0], ids[1], value)
         assert_stable_order(ids[0], value, np.arange(500))
         assert_stable_order(ids[0], ids[1], value)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_key_order_nan_values_tie_and_the_next_key_decides(seed):
+def test_key_order_nan_values_tie_and_the_next_key_decides(seed, monkeypatch):
     gen = np.random.default_rng(seed)
     d, h = distinct_pairs(gen, 2000, 60, 60)
     u = gen.random(d.size)
     u[gen.random(d.size) < 0.2] = np.nan
-    assert not value_path_taken(d, u, h)       # NaNs hand over to ranks
+    assert not value_path_taken(monkeypatch, d, u, h)  # NaNs tie: full chain
     for value in (u, -u):
         assert_stable_order(d, value, h)
         assert_stable_order(h, value, d)
@@ -427,7 +435,7 @@ def test_key_order_nan_values_tie_and_the_next_key_decides(seed):
 
 @pytest.mark.parametrize("top", [2 ** 15 - 2, 2 ** 15 - 1, 2 ** 15,
                                  40000, 2 ** 40])
-def test_key_order_value_path_over_narrow_and_wide_id_spans(top):
+def test_key_order_value_path_over_narrow_and_wide_id_spans(top, monkeypatch):
     # an id spanning under 2**15 is sorted as int16, a wider one as it is
     gen = np.random.default_rng(top)
     d = gen.integers(0, top + 1, size=3000)
@@ -437,7 +445,7 @@ def test_key_order_value_path_over_narrow_and_wide_id_spans(top):
                      endpoint=True)
     for ids in (d, d - 2 ** 14, d + (2 ** 63 - 1 - top)):
         for value in (-u, ~v):
-            assert value_path_taken(ids, value)
+            assert value_path_taken(monkeypatch, ids, value)
             assert_stable_order(ids, value, np.arange(d.size))
             assert_stable_order(ids[::-1], ids, value)
 
@@ -453,11 +461,11 @@ def test_key_order_ids_of_narrow_integer_types():
     assert_stable_order(h.astype(np.int16), d8)
 
 
-def test_key_order_value_path_refuses_repeated_rows():
+def test_key_order_value_path_refuses_repeated_rows(monkeypatch):
     d = np.array([3, 1, 3, 2])
     u = np.array([0.5, 0.25, 0.5, 0.75])
-    assert not value_path_taken(d, u)
     with pytest.raises(ValueError, match="repeat"):
         key_order(d, -u, np.array([0, 1, 0, 2]))
     # rows equal in the ids and the value, told apart by the next key
+    assert not value_path_taken(monkeypatch, d, -u, np.array([1, 1, 0, 2]))
     assert_stable_order(d, -u, np.array([1, 1, 0, 2]))
