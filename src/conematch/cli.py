@@ -218,12 +218,13 @@ def _deviation_csv(cfg, campaign, assignment, path):
              (deviation.ABOVE_CONE, 0.0), (deviation.ABOVE_CONE, alpha),
              (deviation.ABOVE_CONE, 2 * alpha), (deviation.BELOW_CONE, 0.0)]
     for focal in focals:
-        for kind, x in specs:
-            res = deviation.evaluate_deviation(
-                instance, assignment,
-                deviation.DeviationSpec(int(focal), kind, offset=x,
-                                        replicates=campaign.deviation_replicates),
-                context=ctx)
+        focal_specs = [deviation.DeviationSpec(
+            int(focal), kind, offset=x, replicates=campaign.deviation_replicates)
+            for kind, x in specs]
+        ctx.prime(focal_specs)      # one batch; each spec then reads the memo
+        for spec in focal_specs:
+            res = deviation.evaluate_deviation(instance, assignment, spec,
+                                               context=ctx)
             rows.extend(deviation.deviation_rows([res]))
     path.write_text("\n".join(rows) + "\n")
 

@@ -15,7 +15,6 @@ finite.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,14 +64,16 @@ class _PatchContext:
     engine (da.round_state), with every focal doctor in the probe set
     absent: a proposer_filter rule gives each a stop of 0.  A focal's
     focal-absent run is that shared run with the other focals' base lists
-    added (da.DAState.with_proposers), and each replicate inserts the
-    focal into it (da.DAState.insert).  Both are exact by order
-    invariance.  A focal not in `focals` joins the set, and the shared run
-    is rebuilt once; an id in `focals` that is not a doctor's raises
-    ValueError.  Only the most recent focal's focal-absent state and facts
-    (`facts`: her list, cone, bands and private values) are kept, and each
-    probe utility (`utility`) and each replicate's slot draws
-    (`slot_values`) are memoised.
+    added (da.DAState.with_proposers), and each probe inserts the focal
+    into it (da.DAState.insert).  Both are exact by order invariance.  A
+    focal not in `focals` joins the set, and the shared run is rebuilt
+    once; an id in `focals` that is not a doctor's raises ValueError.
+    Only the most recent focal's focal-absent state and facts (`facts`:
+    her list, cone, bands and private values) are kept.
+
+    `utilities` memoises each probe's utility and runs the missing ones as
+    one batch (`_probes`), in which only the inserts run in Python;
+    `prime` runs all of a focal's specs' probes that way.
     """
 
     def __init__(self, assignment: InterviewAssignment,
@@ -88,7 +89,7 @@ class _PatchContext:
         self._absent: Optional[Tuple[int, DAState]] = None
         self._facts: Optional[_Focal] = None
         self._utilities: Dict[tuple, float] = {}
-        self._slot_draws: Dict[tuple, tuple] = {}
+        self._deviant: Dict[tuple, Tuple[List[int], float]] = {}
 
     def _focal_absent(self, focal: int) -> DAState:
         if self._absent is not None and self._absent[0] == focal:
@@ -112,67 +113,120 @@ class _PatchContext:
             self._facts = _Focal.of(self.assignment, focal)
         return self._facts
 
-    def _focal_rank(self, h: int, u: float, focal: int) -> float:
-        # positions in h's list, ordered by keys (-utility, doctor), are the
-        # base ranks; the focal ranks half a position before the first key
-        # greater than (-u, focal) (its old key, on either side, is never
-        # compared)
-        utils = self.hospital_prefs.utils[h]
-        i = bisect.bisect_left(utils, -u, key=float.__neg__)
-        j = bisect.bisect_right(utils, -u, i, key=float.__neg__)
-        return bisect.bisect_left(self.hospital_prefs[h], focal, i, j) - 0.5
+    def slots(self, spec: "DeviationSpec") -> Tuple[List[int], float]:
+        # _slots of a checked spec, memoised by (focal, kind, offset)
+        key = (spec.focal_doctor, spec.kind, spec.offset)
+        if key not in self._deviant:
+            self._deviant[key] = _slots(self.instance,
+                                        self.facts(spec.focal_doctor), spec)
+        return self._deviant[key]
 
-    def utility(self, focal: int, slots: Sequence[int], replicate: int) -> float:
-        """The focal's utility in one replicate's probe with these slots.
+    def prime(self, specs: Sequence["DeviationSpec"]) -> None:
+        """Probe the specs' base and deviant lists, one batch per focal, so
+        that evaluate_deviation finds every probe in the memo."""
+        by_focal: Dict[int, List[DeviationSpec]] = {}
+        for spec in specs:
+            _check_spec(self.instance, self.assignment, spec)
+            by_focal.setdefault(spec.focal_doctor, []).append(spec)
+        for focal, group in by_focal.items():
+            wanted = [(self.facts(focal).base,
+                       range(max(s.replicates for s in group)))]
+            wanted += [(self.slots(s)[0], range(s.replicates)) for s in group]
+            self.utilities(focal, wanted)
 
-        Memoised: slot s draws are keyed by the slot index, so the utility
-        is a pure function of (focal, slots, replicate).
+    def utilities(self, focal: int, wanted) -> List[np.ndarray]:
+        """For each (slots, replicates) pair of `wanted`, the focal's utility
+        in those replicates' probes with those slot hospitals.
+
+        A probe's utility is a pure function of (focal, slots, replicate),
+        since slot s draws its values by the slot index, so it is memoised;
+        the missing probes run as one batch, on one _slot_values draw.
         """
-        key = (focal, tuple(slots), replicate)
-        if key not in self._utilities:
-            iota_d, iota_h = self.slot_values(focal, len(slots), replicate)
-            self._utilities[key] = self.patched_run(focal, slots,
-                                                    iota_d, iota_h)[0]
-        return self._utilities[key]
-
-    def slot_values(self, focal: int, n_slots: int, replicate: int):
-        """_slot_values, memoised: a pure function of its arguments."""
-        key = (focal, n_slots, replicate)
-        if key not in self._slot_draws:
-            self._slot_draws[key] = _slot_values(self.instance, focal, n_slots,
-                                                 replicate)
-        return self._slot_draws[key]
+        memo = self._utilities
+        need: Dict[tuple, dict] = {}     # slots: the replicates to probe
+        for slots, replicates in wanted:
+            key = tuple(slots)
+            for t in replicates:
+                if (focal, key, t) not in memo:
+                    need.setdefault(key, {})[t] = None
+        if need:
+            drawn = sorted({t for ts in need.values() for t in ts})
+            iota = _slot_values(self.instance, focal, max(map(len, need)),
+                                np.array(drawn))
+            batch = [(key, np.searchsorted(drawn, list(ts)))
+                     for key, ts in need.items()]
+            probes = self._probes(focal, batch, *iota)
+            for key, ts in need.items():
+                for t in ts:
+                    memo[(focal, key, t)] = next(probes)[0]
+        return [np.array([memo[(focal, tuple(slots), t)] for t in replicates])
+                for slots, replicates in wanted]
 
     def patched_run(self, focal: int, slot_hospitals: Sequence[int],
                     iota_d: np.ndarray, iota_h: np.ndarray):
-        """Doctor-proposing DA with the focal doctor's edges re-pointed.
-
-        slot_hospitals[s] is the hospital occupying slot s; iota_d/iota_h
-        are that slot's fresh interview values for the two sides (at least
-        one per slot), weighted as the assignment weights every other edge.
-        The focal is inserted into the focal-absent run.  Returns (focal
-        utility, the inserted DAState); da.matching_of reads its matching.
+        """Doctor-proposing DA with the focal doctor's edges re-pointed, as
+        a batch of one probe: slot_hospitals[s] holds slot s, and
+        iota_d/iota_h are one replicate's fresh interview values for the
+        two sides (at least one per slot).  Returns (focal utility, the
+        inserted DAState); da.matching_of reads its matching.
         """
-        inst = self.instance
-        asg = self.assignment
+        return next(self._probes(focal, [(slot_hospitals, [0])],
+                                 np.asarray(iota_d)[None], np.asarray(iota_h)[None]))
+
+    def _probes(self, focal: int, batch, iota_d: np.ndarray,
+                iota_h: np.ndarray):
+        """Yield (focal utility, the inserted DAState) for each probe of
+        `batch`, (slot hospitals, rows) pairs: one probe per row of
+        iota_d/iota_h, that replicate's fresh interview values per slot,
+        weighted as the assignment weights every other edge.  One lexsort
+        orders every probe's list by (-utility, hospital), and _rank_at
+        ranks the focal at every slot hospital; only the inserts run in
+        Python.
+        """
+        inst, asg = self.instance, self.assignment
+        probes = [(slots, r) for slots, rows in batch for r in rows]
+        lengths = [len(slots) for slots, _ in probes]
+        h = np.array([x for slots, _ in probes for x in slots], dtype=np.int64)
+        slot = np.array([s for n in lengths for s in range(n)], dtype=np.int64)
+        row = np.repeat(np.array([r for _, r in probes], dtype=np.int64), lengths)
+        u = self.facts(focal).pre[h] + asg.nu_d * iota_d[row, slot]
         r_focal = inst.doctor_ratings[focal]
-        n = len(slot_hospitals)
-        hs = np.asarray(slot_hospitals, dtype=np.int64)
-
-        u_focal = dict(zip(slot_hospitals, (
-            self.facts(focal).pre[hs] + asg.nu_d * iota_d[:n]).tolist()))
         if inst.config.setting == SCHOOL_CHOICE:
-            u_hosp = dict.fromkeys(slot_hospitals, float(r_focal))
+            u_hosp = np.full_like(u, r_focal)
         else:
-            u_hosp = dict(zip(slot_hospitals,
-                              (r_focal + asg.nu_h * iota_h[:n]).tolist()))
-        focal_list = sorted(u_focal, key=lambda h: (-u_focal[h], h))
-        focal_ranks = [self._focal_rank(h, u_hosp[h], focal) for h in focal_list]
+            u_hosp = r_focal + asg.nu_h * iota_h[row, slot]
+        probe = np.repeat(np.arange(len(lengths)), lengths)
+        order = np.lexsort((h, -u, probe))
+        h = h[order]
+        ranks = (self._rank_at(h, u_hosp[order], focal) - 0.5).tolist()
+        h, u = h.tolist(), u[order].tolist()
+        absent = self._focal_absent(focal)
+        at = 0
+        for n in lengths:
+            end = at + n
+            state = absent.insert(focal, h[at:end], ranks[at:end])
+            yield (u[at + state.pointer[focal] - 1] if state.held[focal]
+                   else UNMATCHED_UTILITY), state
+            at = end
 
-        state = self._focal_absent(focal).insert(focal, focal_list, focal_ranks)
-        h_match = state.partner(focal)
-        utility = UNMATCHED_UTILITY if h_match is None else u_focal[h_match]
-        return utility, state
+    def _rank_at(self, hospitals: np.ndarray, u: np.ndarray,
+                 focal: int) -> np.ndarray:
+        # how many entries of each hospital's list have a key
+        # (-utility, doctor) below (-u, focal), by one binary search for all
+        # queries: a list runs in that key's order.  Her own old entry may
+        # be counted; it holds no seat, so the half rank orders her the same
+        offsets, _, doctor, _, own = self.hospital_prefs.csr
+        lo, hi = offsets[hospitals], offsets[hospitals + 1]
+        last = max(own.size - 1, 0)
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            at = np.minimum(mid, last)
+            key = own[at]
+            ahead = (key > u) | ((key == u) & (doctor[at] < focal))
+            ahead &= lo < hi
+            lo = np.where(ahead, mid + 1, lo)
+            hi = np.where(ahead, hi, mid)     # mid is lo where lo == hi
+        return lo - offsets[hospitals]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +360,12 @@ def _replicate_salt(focal: int, replicate: int) -> int:
     return (focal + 1) * _SALT_STRIDE + replicate + 1
 
 
-def _slot_values(instance, focal, n_slots, replicate):
-    salt = _replicate_salt(focal, replicate)
+def _slot_values(instance, focal, n_slots, replicates):
+    # the focal's fresh interview values (hers, the slot hospitals') for
+    # slots 0 to n_slots - 1: one row per replicate of an array of them, one
+    # row for an int; one rng call per stream, elementwise, so each row is
+    # that replicate's own draw bit for bit
+    salt = np.expand_dims(_replicate_salt(focal, np.asarray(replicates)), -1)
     slots = np.arange(n_slots)
     iota_d = instance.interview_dh(focal, slots, salt=salt)
     iota_h = instance.interview_hd(slots, focal, salt=salt)
@@ -333,11 +391,9 @@ def evaluate_deviation(instance: MarketInstance,
     ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
     facts = ctx.facts(focal)
-    dev_slots, realized = _slots(instance, facts, spec)
-    base_slots = facts.base
+    dev_slots, realized = ctx.slots(spec)
     reps = range(spec.replicates)
-    base_u = np.array([ctx.utility(focal, base_slots, t) for t in reps])
-    dev_u = np.array([ctx.utility(focal, dev_slots, t) for t in reps])
+    base_u, dev_u = ctx.utilities(focal, [(facts.base, reps), (dev_slots, reps)])
     diff = dev_u - base_u
     se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
     return DeviationResult(spec, float(base_u.mean()), float(dev_u.mean()),
@@ -362,10 +418,10 @@ def locality_check(instance: MarketInstance,
     ctx = _context_for(assignment, context)
     focal = spec.focal_doctor
     facts = ctx.facts(focal)
-    dev_slots, _ = _slots(instance, facts, spec)
+    dev_slots, _ = ctx.slots(spec)
     base_slots = facts.base
     n_slots = max(len(base_slots), len(dev_slots))
-    iota_d, iota_h = ctx.slot_values(focal, n_slots, replicate)
+    iota_d, iota_h = _slot_values(instance, focal, n_slots, [replicate])
     absent = ctx._focal_absent(focal)
 
     def settled():
@@ -376,8 +432,8 @@ def locality_check(instance: MarketInstance,
 
     before = settled()
     old = np.array(before[0])
-    for slots in (base_slots, dev_slots):
-        state = ctx.patched_run(focal, slots, iota_d, iota_h)[1]
+    for _, state in ctx._probes(focal, [(base_slots, [0]), (dev_slots, [0])],
+                                iota_d, iota_h):
         doctors, hospitals = state.touched()
         new = matching_of(state, DOCTORS_PROPOSE).doctor_of
         moved = np.flatnonzero(new != old)
@@ -416,12 +472,12 @@ def epsilon_estimate(batch: Sequence[tuple],
         if key not in contexts:
             contexts[key] = _PatchContext(assignment, focals=focals[key])
         ctx = contexts[key]
-        for kind, x in grid:
-            res = evaluate_deviation(
-                instance, assignment,
-                DeviationSpec(focal, kind, offset=x, replicates=replicates),
-                context=ctx)
-            cells[(kind, x)].append(res.gain)
+        specs = [DeviationSpec(focal, kind, offset=x, replicates=replicates)
+                 for kind, x in grid]
+        ctx.prime(specs)
+        for spec in specs:
+            res = evaluate_deviation(instance, assignment, spec, context=ctx)
+            cells[(spec.kind, spec.offset)].append(res.gain)
 
     report: dict = {"kinds": {}, "grid": {}}
     overall = -math.inf

@@ -328,21 +328,17 @@ class MarketInstance:
         """v(d,h); scalar or broadcast over arrays."""
         return rng.uniform(self.private_dh_state, doctor, hospital)
 
-    def interview_dh(self, doctor, hospital, salt: int = 0):
+    def interview_dh(self, doctor, hospital, salt=0):
         """iota(d,h).  A nonzero salt addresses replicate redraws: the
         stream key_state(seed, run, KIND_INTERVIEW_DH, salt), which is the
-        unsalted state's half_i at the salt."""
-        st = self._st_interview_dh
-        if salt:
-            st = rng.half_i(st, salt)[()]
-        return rng.uniform(st, doctor, hospital)
+        unsalted state's half_i at the salt.  An array of nonzero salts
+        draws each salt's stream, broadcast against the ids (salts of shape
+        (R, 1) against n hospitals give an (R, n) array)."""
+        return rng.uniform(_salted(self._st_interview_dh, salt), doctor, hospital)
 
-    def interview_hd(self, hospital, doctor, salt: int = 0):
+    def interview_hd(self, hospital, doctor, salt=0):
         """iota(h,d), salted as interview_dh."""
-        st = self._st_interview_hd
-        if salt:
-            st = rng.half_i(st, salt)[()]
-        return rng.uniform(st, hospital, doctor)
+        return rng.uniform(_salted(self._st_interview_hd, salt), hospital, doctor)
 
     # -- geometry helpers ----------------------------------------------
 
@@ -353,6 +349,12 @@ class MarketInstance:
     def doctors_in_band(self, lo: float, hi: float) -> np.ndarray:
         """Doctor ids with rating in [lo, hi), ascending id order."""
         return _in_band(self.doctor_sorted, self.doctor_order, lo, hi)
+
+
+def _salted(state, salt):
+    # the stream state at a nonzero salt, or at each of an array of them;
+    # the unsalted state at 0
+    return rng.half_i(state, salt)[()] if np.any(salt) else state
 
 
 def _in_band(sorted_ratings: np.ndarray, order: np.ndarray, lo: float,

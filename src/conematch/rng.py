@@ -78,9 +78,11 @@ def half_j(j) -> np.ndarray:
 
 
 def half_i(state, i) -> np.ndarray:
-    """The first index's half of a key, mix(state + gamma*(i+1))."""
-    x = half_j(i)
-    x += state
+    """The first index's half of a key, mix(state + gamma*(i+1)), broadcast
+    over `state` and `i` (an array of states keys one stream per state)."""
+    hj = half_j(i)
+    x = np.empty(np.broadcast(hj, state).shape, dtype=np.uint64)
+    np.add(hj, state, out=x)
     return _mix(x)
 
 
@@ -127,8 +129,9 @@ def bits(hi, hj) -> np.ndarray:
 def uniform(state: np.uint64, i, j) -> np.ndarray:
     """Uniform [0,1) draw(s) addressed by (state, i, j).
 
-    `i` and `j` may be scalars or broadcastable integer arrays; the result
-    follows numpy broadcasting.  uniform(state, i, j) is a pure function,
+    `i` and `j` may be scalars or broadcastable integer arrays, and `state`
+    an array of stream states broadcast with them; the result follows
+    numpy broadcasting.  uniform(state, i, j) is a pure function,
     and equals bits(half_i(state, i), half_j(j)) * 2**-53 bitwise.
     """
     return bits(half_i(state, i), half_j(j)).astype(np.float64) * _INV_2_53

@@ -184,17 +184,20 @@ def test_patched_run_matches_legacy(setting, quantised):
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_focal_rank_keeps_the_key_order_with_ties(setting):
     # the focal's half rank at h splits h's list exactly where its key
-    # (-utility, focal) falls, also between doctors of equal utility
+    # (-utility, focal) falls, also between doctors of equal utility; five
+    # queries per hospital, each hospital's in one array
     inst, asg, _ = market(setting, 5, 5, quantised=True)
     ctx = _PatchContext(asg)
     gen = random.Random(3)
     ties = 0
     for h, ds in enumerate(ctx.hospital_prefs):
         utils = ctx.hospital_prefs.utils[h]
-        for _ in range(5 if ds else 0):
-            u = gen.choice(utils)
-            focal = gen.randrange(inst.config.n_doctors)
-            rank = ctx._focal_rank(h, u, focal)
+        if not ds:
+            continue
+        us = [gen.choice(utils) for _ in range(5)]
+        focal = gen.randrange(inst.config.n_doctors)
+        ranks = ctx._rank_at(np.full(5, h), np.array(us), focal) - 0.5
+        for u, rank in zip(us, ranks.tolist()):
             for i, (d, ud) in enumerate(zip(ds, utils)):
                 if d != focal:
                     assert (i < rank) == ((-ud, d) < (-u, focal))

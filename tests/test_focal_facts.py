@@ -24,14 +24,14 @@ def _market(setting, kappa, cone, n=90):
 
 
 def _probed_slots(monkeypatch):
-    # the slot lists each probe of evaluate_deviation runs, in order
+    # the slot lists evaluate_deviation asks the probe batch for, in order
     runs = []
-    utility = _PatchContext.utility
+    utilities = _PatchContext.utilities
 
-    def keeping(self, focal, slots, replicate):
-        runs.append(list(slots))
-        return utility(self, focal, slots, replicate)
-    monkeypatch.setattr(_PatchContext, "utility", keeping)
+    def keeping(self, focal, wanted):
+        runs.extend(list(slots) for slots, _ in wanted)
+        return utilities(self, focal, wanted)
+    monkeypatch.setattr(_PatchContext, "utilities", keeping)
     return runs
 
 

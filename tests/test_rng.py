@@ -123,6 +123,20 @@ def test_a_salted_state_is_the_unsalted_states_half_at_the_salt():
             assert isinstance(rng.half_i(state, top)[()], np.uint64)
 
 
+@pytest.mark.parametrize("i", [5, np.array(2**64 - 1, dtype=np.uint64),
+                               np.arange(4)])
+def test_half_i_broadcasts_an_array_of_states(i):
+    # one stream per state, each cell the scalar call's; a deviation batch
+    # keys one salted state per replicate against one doctor id (a scalar
+    # id once failed: the sum was written into the id's shape)
+    base = rng.key_state(42, 0, rng.KIND_INTERVIEW_DH)
+    states = rng.half_i(base, np.arange(1, 7, dtype=np.uint64))[:, None]
+    got = rng.half_i(states, i)
+    assert got.dtype == np.uint64 and got.shape == (6, np.size(i))
+    assert got.tolist() == [[int(rng.half_i(s, x)) for x in np.ravel(i)]
+                            for s in states[:, 0]]
+
+
 def test_salted_interview_draws_use_the_salted_stream():
     inst = market.generate(market.make_config(50, kappa=5, k=3,
                                               cone_override=0.3, seed=9), 2)
@@ -132,3 +146,11 @@ def test_salted_interview_draws_use_the_salted_stream():
     hd = rng.uniform(rng.key_state(9, 2, rng.KIND_INTERVIEW_HD, salt), slots, 7)
     assert _same_bits(inst.interview_dh(7, slots, salt), dh)
     assert _same_bits(inst.interview_hd(slots, 7, salt), hd)
+    # an array of salts draws one row per salt, each the salt's own draw
+    salts = np.array([[_replicate_salt(49, t)] for t in range(4)])
+    rows_dh = inst.interview_dh(7, slots, salts)
+    rows_hd = inst.interview_hd(slots, 7, salts)
+    assert rows_dh.shape == rows_hd.shape == (4, 5)
+    for t in range(4):
+        assert _same_bits(rows_dh[t], inst.interview_dh(7, slots, salts[t, 0]))
+        assert _same_bits(rows_hd[t], inst.interview_hd(slots, 7, salts[t, 0]))

@@ -113,6 +113,47 @@ def test_patched_run_uses_the_assignment_weights(setting):
     assert moved      # the weights reach the focal's utility
 
 
+@pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE,
+                                     REQUEST_INTERVIEW])
+@pytest.mark.parametrize("cone", [0.15, 0.02])
+def test_batched_utilities_match_full_da(setting, cone):
+    # Cases: one batch per focal over every kind's slots and 3 replicates,
+    # for focals across the rating range and, in the sparse market, one
+    # whose TOP_K_OF_ALL list is longer than her base list; each probe
+    # against a full DA over its patched lists, with that replicate's own
+    # interview_dh/interview_hd draws
+    cfg = make_config(200, kappa=5, k=3, cone_override=cone, seed=2,
+                      setting=setting)
+    inst = generate(cfg, 0)
+    asg = build_assignment(inst)
+    order = [int(d) for d in np.argsort(inst.doctor_ratings)]
+    focals = [order[i] for i in (3, 60, 120, 199)]
+
+    def lists(focal):
+        return [deviant_slots(inst, asg, DeviationSpec(focal, kind,
+                                                       offset=0.05))[0]
+                for kind in (NULL_DEVIATION,) + KINDS]
+    focals += [d for d in order
+               if 0 < len(asg.doctor_list(d)) < len(lists(d)[-1])][:1]
+    ctx = _PatchContext(asg, focals=focals)
+    reps = range(3)
+    longer = 0
+    for focal in focals:
+        probed = lists(focal)
+        for slots, got in zip(probed, ctx.utilities(
+                focal, [(slots, reps) for slots in probed])):
+            for t in reps:
+                salt = deviation._replicate_salt(focal, t)
+                at = np.arange(len(slots))
+                want, _ = _reference_run(
+                    ctx, focal, slots, inst.interview_dh(focal, at, salt=salt),
+                    inst.interview_hd(at, focal, salt=salt))
+                assert got[t] == want
+            longer += len(slots) > len(probed[0])
+    if cone == 0.02:
+        assert longer      # a TOP_K_OF_ALL list longer than the base list
+
+
 def test_insert_leaves_the_shared_state_untouched():
     for seed in range(20):
         doctor_prefs, hospital_prefs = random_lists(9, 4, seed, complete=False,
@@ -279,16 +320,16 @@ def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
     campaign_runs = len(calls)
 
     probes, specs = [], []
-    patched, evaluate = _PatchContext.patched_run, deviation.evaluate_deviation
+    insert, evaluate = da.DAState.insert, deviation.evaluate_deviation
 
-    def counting_probe(self, focal, slots, *args):
+    def counting_probe(self, proposer, *args):
         probes.append(1)
-        return patched(self, focal, slots, *args)
+        return insert(self, proposer, *args)
 
     def keeping_spec(instance, assignment, spec, **kwargs):
         specs.append((instance, assignment, spec))
         return evaluate(instance, assignment, spec, **kwargs)
-    monkeypatch.setattr(_PatchContext, "patched_run", counting_probe)
+    monkeypatch.setattr(da.DAState, "insert", counting_probe)
     monkeypatch.setattr(deviation, "evaluate_deviation", keeping_spec)
     del calls[:]
     probed = cli.Campaign(configs=configs, out_dir=tmp_path / "probed",
@@ -308,19 +349,17 @@ def test_deviation_csv_runs_the_engine_once_and_each_probe_once(tmp_path,
 
 def test_deviation_csv_draws_each_replicates_slots_once(tmp_path,
                                                         monkeypatch):
+    # each (focal, replicate) is drawn once, in one draw per focal; drawn
+    # one replicate at a time instead, the CSVs are the same bytes
     raw = {"n_doctors": 120, "n_hospitals": 24, "capacity": 5, "k": 3,
            "cone_override": 0.15, "seed": 5, "runs": 1}
     configs = cli.expand_grid(raw)
-    draws, keys = [], set()
-    slot_values, utility = deviation._slot_values, _PatchContext.utility
+    draws = []
+    slot_values = deviation._slot_values
 
-    def counting_draws(instance, focal, n_slots, replicate):
-        draws.append((focal, n_slots, replicate))
-        return slot_values(instance, focal, n_slots, replicate)
-
-    def keeping_key(self, focal, slots, replicate):
-        keys.add((focal, len(slots), replicate))
-        return utility(self, focal, slots, replicate)
+    def counting_draws(instance, focal, n_slots, replicates):
+        draws.append([(focal, t) for t in np.ravel(replicates).tolist()])
+        return slot_values(instance, focal, n_slots, replicates)
 
     def campaign(name):
         out = tmp_path / name
@@ -330,12 +369,17 @@ def test_deviation_csv_draws_each_replicates_slots_once(tmp_path,
         return {p.name: p.read_bytes() for p in out.glob("*.csv")}
 
     monkeypatch.setattr(deviation, "_slot_values", counting_draws)
-    monkeypatch.setattr(_PatchContext, "utility", keeping_key)
-    memoised = campaign("memoised")
-    assert sorted(draws) == sorted(keys) and len(keys) >= 3 * 4
-    # the same bytes with a fresh draw for every probe
-    monkeypatch.setattr(_PatchContext, "slot_values",
-                        lambda self, *key: slot_values(self.instance, *key))
-    fresh = campaign("fresh")
-    assert any("deviation" in name for name in memoised)
-    assert fresh == memoised
+    batched = campaign("batched")
+    keys = [key for draw in draws for key in draw]
+    assert len(draws) == 3 and len(set(keys)) == len(keys) == 3 * 4
+
+    def one_at_a_time(instance, focal, n_slots, replicates):
+        rows = [slot_values(instance, focal, n_slots, t)
+                for t in np.ravel(replicates).tolist()]
+        shape = np.shape(replicates) + (n_slots,)
+        return tuple(np.reshape([row[i] for row in rows], shape)
+                     for i in (0, 1))
+    monkeypatch.setattr(deviation, "_slot_values", one_at_a_time)
+    single = campaign("single")
+    assert any("deviation" in name for name in batched)
+    assert single == batched
