@@ -12,14 +12,22 @@ Identical flags give byte-identical CSVs.
 
 Configs that draw the same market (market.market_key: seed, sizes, rating
 ranges and cone) run together, run by run: run r of each, in config
-order, then run r + 1.  At each run they share one in-cone selection
-(strategy.SharedSelection), hashed once at the largest count any of them
-needs and cut to each config's own, so each config's CSVs are the bytes
-it writes alone.  The first audit failure in that order stops the
-campaign.  A config's CSVs are written when its group's last run ends,
-and summary.txt lists the configs in config order.  A config's wall_s
-counts its own runs and outputs, and each shared selection it made: the
-first config of the group at that run makes it.
+order, then run r + 1.  A run goes in phases (_run_markets).  The market
+is drawn once (MarketInstance.with_config gives each config its own
+instance over the shared draws), and each config's interviews are picked
+from one in-cone selection (strategy.SharedSelection), hashed once at the
+largest count any of them needs and cut to each config's own.  Then one
+DA engine call per orientation (da.batch_da) runs every config's doctor
+DA, the hospital DA of the configs whose audits read it, and the audited
+configs' double cuts, one call per double-cut orientation; the engine
+hands back each matching's edges, which every audit reads.  Then each
+config's audits and stats run, in config order.  So each config's CSVs
+are the bytes it writes alone, and the first audit failure in run and
+config order stops the campaign.  A config's CSVs are written when its
+group's last run ends, and summary.txt lists the configs in config order.
+A config's wall_s counts its own runs and outputs, and the shared draw,
+selection and engine calls of each run at which it is the group's first
+config.
 
 Exit codes: 0 ok, 1 audit failure, 2 configuration error.
 """
@@ -27,7 +35,6 @@ Exit codes: 0 ok, 1 audit failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import hashlib
 import itertools
@@ -42,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import analysis, deviation, double_cut, metrics
-from .da import (DOCTORS_PROPOSE, doctor_proposing_da, hospital_proposing_da,
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, DARun, batch_da,
                  order_invariance_check)
 from .market import (INT64_MAX, ConfigError, MarketConfig, RESIDENCY,
                      REQUEST_INTERVIEW, SCHOOL_CHOICE, check_field,
@@ -143,63 +150,132 @@ def _audit_this_run(cfg: MarketConfig, run_index: int, rate: float) -> bool:
     return bool(gen.random() < rate)
 
 
-def _run_one(cfg, run_index, audit_sample, slug, selection=None):
-    """One market and its audits: (RunStats, InterviewAssignment, double-cut
-    CSV rows), or AuditFailure.  Every run is checked for stability (and
-    school uniqueness); an oracle-sized one against the brute-force stable
-    set.  Those and the runs audited at rate `audit_sample` get the
-    rural-hospital check, and the audited ones a focal-hospital and a
-    focal-doctor double cut checked for dominance.  The interviews are
-    picked from `selection`, a SharedSelection of this market, if given."""
-    instance = generate(cfg, run_index)
-    assignment = build_assignment(instance, selection)
-    prefs = build_preferences(assignment)
-    matching = doctor_proposing_da(*prefs, instance.capacities)
-    # the audits are predicates over the matchings held here: each DA
-    # orientation runs at most once, the hospital-proposing one on first use
-    hospital_optimal = functools.cache(
-        lambda: hospital_proposing_da(*prefs, instance.capacities))
-    # every check below reads the matching's edges from this one array
-    matched = assignment.matched_edges(matching)
+@dataclass(eq=False)
+class _Market:
+    """One config's market at one run, as _run_markets takes it through
+    its phases."""
 
+    cfg: MarketConfig
+    slug: str
+    assignment: InterviewAssignment
+    prefs: tuple
+    oracle_sized: bool
+    audited: bool
+    scenarios: tuple          # an audited run's two double cuts
+    wall: float               # seconds spent on this market
+    doctor_run: Optional[DARun] = None
+    hospital_run: Optional[DARun] = None
+    cuts: list = field(default_factory=list)    # (DARun, SurplusReport)
+
+
+def _run_markets(cfgs, run_index, audit_sample, slugs, selection=None):
+    """Run `run_index` of configs that draw one market (market_key), with
+    their audits: per config, in order, (RunStats, InterviewAssignment,
+    double-cut CSV rows, seconds), or the first AuditFailure in config
+    order.
+
+    Every run is checked for stability (and school uniqueness); an
+    oracle-sized one against the brute-force stable set.  Those and the
+    runs audited at rate `audit_sample` get the rural-hospital check, and
+    the audited ones a focal-hospital and a focal-doctor double cut checked
+    for dominance.  The interviews are picked from `selection`, a
+    SharedSelection of this market, if given.
+
+    It runs in the phases the module docstring gives; the seconds of the
+    shared draw, selection and engine calls count on the first config.
+    """
+    markets = []
+    instance = None
+    for cfg, slug in zip(cfgs, slugs):
+        started = time.perf_counter()
+        instance = (generate(cfg, run_index) if instance is None
+                    else instance.with_config(cfg))
+        assignment = build_assignment(instance, selection)
+        audited = _audit_this_run(cfg, run_index, audit_sample)
+        scenarios = ()
+        if audited:
+            gen = np.random.default_rng((cfg.seed, run_index, 0xD0C))
+            focal_h = int(gen.integers(cfg.n_hospitals))
+            focal_d = int(gen.integers(cfg.n_doctors))
+            scenarios = (double_cut.scenario_for_hospital(instance, focal_h),
+                         double_cut.scenario_for_doctor(instance, focal_d))
+        oracle_sized = (cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
+                        and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
+                        and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
+        markets.append(_Market(cfg, slug, assignment,
+                               build_preferences(assignment), oracle_sized,
+                               audited, scenarios,
+                               time.perf_counter() - started))
+
+    started = time.perf_counter()
+    for m, run in zip(markets, _full_da(markets, DOCTORS_PROPOSE)):
+        m.doctor_run = run
+    # the rural-hospital and school-uniqueness checks read both orientations
+    both = [m for m in markets if m.oracle_sized or m.audited
+            or m.cfg.setting == SCHOOL_CHOICE]
+    for m, run in zip(both, _full_da(both, HOSPITALS_PROPOSE)):
+        m.hospital_run = run
+    cuts = iter(double_cut.run_double_cuts(
+        [(m.prefs, scenario) for m in markets for scenario in m.scenarios]))
+    for m in markets:
+        m.cuts = [next(cuts) for _ in m.scenarios]
+    markets[0].wall += time.perf_counter() - started
+
+    results = []
+    for m in markets:
+        started = time.perf_counter()
+        stats, rows = _audit(m, run_index)
+        results.append((stats, m.assignment, rows,
+                        m.wall + time.perf_counter() - started))
+    return results
+
+
+def _full_da(markets: List[_Market], orientation: str) -> List[DARun]:
+    # one engine call over the markets' whole lists, none for no market
+    if not markets:
+        return []
+    return batch_da([(*m.prefs, m.assignment.instance.capacities, None)
+                     for m in markets], orientation)
+
+
+def _audit(m: _Market, run_index: int):
+    # the market's audits in order, then its stats: (RunStats, double-cut
+    # CSV rows), or AuditFailure
+    assignment, doctor_run = m.assignment, m.doctor_run
+    matching, matched = doctor_run.matching, doctor_run.matched
     if analysis.find_blocking_pairs(assignment, matching, matched=matched):
-        raise AuditFailure(slug, run_index, "stability")
+        raise AuditFailure(m.slug, run_index, "stability")
 
-    oracle_sized = (cfg.n_doctors <= analysis.MAX_ORACLE_DOCTORS
-                    and cfg.n_hospitals <= analysis.MAX_ORACLE_HOSPITALS
-                    and cfg.total_places() <= analysis.MAX_ORACLE_PLACES)
-    if oracle_sized and matching.key() not in analysis.enumerate_stable(assignment):
-        raise AuditFailure(slug, run_index, "oracle-membership")
+    if m.oracle_sized and matching.key() not in analysis.enumerate_stable(assignment):
+        raise AuditFailure(m.slug, run_index, "oracle-membership")
 
-    audited = _audit_this_run(cfg, run_index, audit_sample)
-    if (oracle_sized or audited) and not analysis.rural_hospital_invariant(
-            matching, hospital_optimal()):
-        raise AuditFailure(slug, run_index, "rural-hospital")
+    if (m.oracle_sized or m.audited) and not analysis.rural_hospital_invariant(
+            matching, m.hospital_run.matching):
+        raise AuditFailure(m.slug, run_index, "rural-hospital")
 
-    if cfg.setting == SCHOOL_CHOICE and not analysis.orientations_coincide(
-            matching, hospital_optimal()):
-        raise AuditFailure(slug, run_index, "school-uniqueness")
+    if m.cfg.setting == SCHOOL_CHOICE and not analysis.orientations_coincide(
+            matching, m.hospital_run.matching):
+        raise AuditFailure(m.slug, run_index, "school-uniqueness")
 
-    surplus_rows = []
-    if audited:
-        gen = np.random.default_rng((cfg.seed, run_index, 0xD0C))
-        focal_h = int(gen.integers(cfg.n_hospitals))
-        focal_d = int(gen.integers(cfg.n_doctors))
-        for scenario in (double_cut.scenario_for_hospital(instance, focal_h),
-                         double_cut.scenario_for_doctor(instance, focal_d)):
-            cut, report = double_cut.run_double_cut(assignment, scenario)
-            full = matched if scenario.orientation == DOCTORS_PROPOSE \
-                else assignment.matched_edges(hospital_optimal())
-            if not double_cut.receivers_dominate(
-                    assignment, scenario.orientation, full,
-                    assignment.matched_edges(cut)):
-                raise AuditFailure(slug, run_index,
-                                   f"double-cut-dominance:{scenario.focal_side}")
-            surplus_rows.append(report.csv_row(scenario))
+    rows = []
+    for scenario, (cut, report) in zip(m.scenarios, m.cuts):
+        full = (doctor_run if scenario.orientation == DOCTORS_PROPOSE
+                else m.hospital_run)
+        if not double_cut.receivers_dominate(
+                assignment, scenario.orientation, full.matched, cut.matched):
+            raise AuditFailure(m.slug, run_index,
+                               f"double-cut-dominance:{scenario.focal_side}")
+        rows.append(report.csv_row(scenario))
 
     stats = metrics.run_stats(assignment, matching, check_stability=False,
                               matched=matched)
-    return stats, assignment, surplus_rows
+    return stats, rows
+
+
+def _run_one(cfg, run_index, audit_sample, slug, selection=None):
+    """One market and its audits: (RunStats, InterviewAssignment, double-cut
+    CSV rows), or AuditFailure.  _run_markets of one config."""
+    return _run_markets([cfg], run_index, audit_sample, [slug], selection)[0][:3]
 
 
 def _deviation_csv(cfg, campaign, assignment, path):
@@ -287,22 +363,23 @@ def _market_groups(todo: List[_ConfigRuns]) -> List[List[_ConfigRuns]]:
 def _run_group(campaign: Campaign, group: List[_ConfigRuns]) -> None:
     # run by run: run r of every config in the group, then run r + 1.  Two
     # or more configs at a run share one selection, made by the first
-    # one's build_assignment at the largest count any of them needs
+    # one's build_assignment at the largest count any of them needs, and
+    # one _run_markets call
     for run_index in range(max(item.cfg.runs for item in group)):
         active = [item for item in group if run_index < item.cfg.runs]
         selection = (SharedSelection(max(selection_count(item.cfg)
                                          for item in active))
                      if len(active) > 1 else None)
-        for item in active:
+        results = _run_markets([item.cfg for item in active], run_index,
+                               campaign.audit_sample,
+                               [item.slug for item in active], selection)
+        for item, (st, assignment, rows, wall) in zip(active, results):
             started = time.perf_counter()
-            st, assignment, rows = _run_one(item.cfg, run_index,
-                                            campaign.audit_sample, item.slug,
-                                            selection)
             if run_index == 0 and campaign.deviation_focals > 0:
                 item.run0 = assignment      # the deviation CSV probes run 0
             item.groups.append(metrics.group_run(st, campaign.group_size))
             item.surplus_rows.extend(rows)
-            item.wall += time.perf_counter() - started
+            item.wall += wall + time.perf_counter() - started
 
 
 def _write_outputs(campaign: Campaign, item: _ConfigRuns) -> str:

@@ -11,10 +11,15 @@ time from a queue.  By McVitie & Wilson's (1971) order invariance both
 give the same matching and the same proposals: a skipped entry is a
 proposal made and refused at once.
 
-doctor_proposing_da, hospital_proposing_da and prefix_da (which the
-double-cut harness calls with truncation stops) run the round engine.
-round_state runs it too, and builds a DAState from its seats: the
-deviation probes' shared run.  truncated_state and truncated_da run the
+batch_da runs one orientation in several markets by one round-engine
+call: their edge tables, joined with offset agent ids, form one market
+whose run is each market's own run side by side.  It hands back each
+market's matching, pointers and matched table edges; the campaign runner
+and the double-cut harness call it once per orientation for all the
+configs of a run.  prefix_da (a batch of one),
+doctor_proposing_da and hospital_proposing_da run it too, and so does
+round_state, which builds a DAState from its seats: the deviation probes'
+shared run.  truncated_state and truncated_da run the
 FIFO loop from the start, and truncated_da writes the event log of
 proposals.  A DAState of either can be resumed by the FIFO loop (one
 absent proposer inserted on a copy-on-write overlay with `insert`,
@@ -406,40 +411,42 @@ def _engine(doctor_prefs: EdgeLists,
 _LOOKAHEAD = 8
 
 
-def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
-            stop: Optional[np.ndarray]) -> Tuple[Matching, np.ndarray]:
-    """The settled run in which `proposers` propose down their lists
-    (prefixes stop[p], whole lists for None): (matching, pointers), where
-    proposer p proposed to exactly her first pointer[p] entries.
+def _rounds(start: np.ndarray, end: np.ndarray, owner: np.ndarray,
+            partner: np.ndarray, back: np.ndarray, slots: np.ndarray,
+            caps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The settled run in which proposer p proposes down her entries
+    start[p] to end[p], best first: (seats, pointer), the entries held at
+    the end and each proposer's pointer, where p proposed to exactly the
+    entries start[p] to pointer[p].
 
-    Held seats are entries of the edge table.  A receiver's bar is the
-    rank of its worst seat once it is full, the rank width before; it only
-    improves as DA runs, so a receiver refuses, now and at any later time,
-    a proposal whose rank is not below its bar (an unranked one, -1, read
-    as uint64, never is).  Each round, every free proposer (a free slot
-    and entries left) looks at her next free-slots entries, plus
-    _LOOKAHEAD from round 2 on (in round 1 no receiver is full), cut at
-    her stop, and proposes to the first of them that lie below their
-    receiver's bar, up to her free slots.  Her pointer passes every entry
-    she skipped, as making those proposals and losing them at once would.
-    Every receiver proposed to keeps its best caps[r] of the seats it
-    holds and the new proposals: one argsort of the int64 key
-    receiver * width + rank over those, then _positions; the seat at
-    place caps[r] - 1, in a receiver that fills or stays full, sets its
-    bar.  A proposer who found fewer entries below a bar than free slots
-    stays free.  The loop ends: a free proposer's pointer passes at least
-    one entry a round, never goes back and stops at her stop.  By order
-    invariance the matching, the pointers and the proposals each
+    Entry e is owner[e]'s, listing receiver partner[e], who ranks her
+    back[e] (-1: unranked); p has slots[p] slots and receiver r caps[r]
+    seats (EdgeLists.csr's arrays, or batch_da's join of several).
+    A receiver's bar is the rank of its worst seat once it is full, the
+    rank width before; it only improves as DA runs, so a receiver refuses,
+    now and at any later time, a proposal whose rank is not below its bar
+    (an unranked one, -1, read as uint64, never is).  Each round, every
+    free proposer (a free slot and entries left) looks at her next
+    free-slots entries, plus _LOOKAHEAD from round 2 on (in round 1 no
+    receiver is full), cut at `end`, and proposes to the first of them
+    that lie below their receiver's bar, up to her free slots.  Her
+    pointer passes every entry she skipped, as making those proposals and
+    losing them at once would.  Every receiver proposed to keeps its best
+    caps[r] of the seats it holds and the new proposals: one argsort of
+    the int64 key receiver * width + rank over those, then _positions; the
+    seat at place caps[r] - 1, in a receiver that fills or stays full,
+    sets its bar.  A proposer who found fewer entries below a bar than
+    free slots stays free.  The loop ends: a free proposer's pointer
+    passes at least one entry a round, never goes back and stops at `end`.
+    By order invariance the matching, the pointers and the proposals each
     receiver gets are the FIFO loop's.
     """
-    offsets, owner, partner, back, _ = proposers.csr
-    n, n_receivers = offsets.size - 1, caps.size
-    start = offsets[:-1]
-    end = offsets[1:] if stop is None else start + stop
+    n, n_receivers = start.size, caps.size
     pointer = start.copy()
     held = np.zeros(n, dtype=np.int64)
     width = int(back.max()) + 1 if back.size else 1
-    key = partner * width + back      # only ranked entries are sorted
+    key = np.multiply(partner, width, dtype=np.int64)
+    key += back                       # only ranked entries are sorted
     rank = np.asarray(back, np.int64).view(np.uint64)   # -1: above any bar
     bar = np.full(n_receivers, width, dtype=np.uint64)
     touched = np.zeros(n_receivers, dtype=bool)
@@ -479,8 +486,95 @@ def _rounds(proposers: EdgeLists, slots: np.ndarray, caps: np.ndarray,
         seats = np.concatenate((seats[~rival], bids[kept]))
         held -= np.bincount(owner[bids[~kept]], minlength=n)
         ahead = _LOOKAHEAD
-    return (_matching(partner[seats], owner[seats], proposers.side, n,
-                      n_receivers), pointer - start)
+    return seats, pointer
+
+
+@dataclass(eq=False)
+class DARun:
+    """One market's settled run out of batch_da: its matching, each
+    proposer's pointer (she proposed to exactly her first pointer[p]
+    entries; proposal_counts reads them) and each doctor's matched edge of
+    the table (-1: unmatched), which InterviewAssignment.matched_edges
+    would give."""
+
+    matching: Matching
+    pointer: np.ndarray
+    matched: np.ndarray
+
+
+def _join(arrays, bases=None, dtype=np.int64) -> np.ndarray:
+    # the arrays end to end, each plus its base (0 for None); one array
+    # with base 0 as it is
+    if bases is None:
+        bases = [0] * len(arrays)
+    if len(arrays) == 1 and not bases[0]:
+        return arrays[0]
+    out = np.empty(sum(a.size for a in arrays), dtype=dtype)
+    at = 0
+    for a, base in zip(arrays, bases):
+        np.add(a, base, out=out[at:at + a.size])
+        at += a.size
+    return out
+
+
+def batch_da(markets, orientation: str) -> List[DARun]:
+    """The run of `orientation` in each market, by one round-engine call.
+
+    A market is (doctor_prefs, hospital_prefs, capacities, stop), which
+    prefix_da takes.  The markets' entries, end to end with their proposer,
+    receiver and entry ids offset, form one market in which no proposal
+    crosses from one market to another, so its run is each market's own
+    run side by side, round by round: the same matchings, pointers and
+    proposals per receiver as a prefix_da call per market.  Ids are joined
+    as int32 where they fit.  The seats are then sorted, which groups them
+    by market, and read back in each market's own ids: on the doctor side
+    a seat is a table edge, and on the hospital side the entry of the
+    doctor's list that its back rank points to.  A batch of one joins
+    nothing.
+    """
+    if orientation not in (DOCTORS_PROPOSE, HOSPITALS_PROPOSE):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    hospitals_propose = orientation == HOSPITALS_PROPOSE
+    csrs, tables, starts, ends, slots, caps = [], [], [], [], [], []
+    for doctor_prefs, hospital_prefs, capacities, stop in markets:
+        _table_views(doctor_prefs, hospital_prefs)
+        csr = (hospital_prefs if hospitals_propose else doctor_prefs).csr
+        capacities = np.asarray(capacities, dtype=np.int64)
+        ones = np.ones(doctor_prefs.source.n_doctors(), dtype=np.int64)
+        csrs.append(csr)
+        tables.append(doctor_prefs.source)
+        starts.append(csr[0][:-1])
+        ends.append(csr[0][1:] if stop is None else csr[0][:-1] + stop)
+        slots.append(capacities if hospitals_propose else ones)
+        caps.append(ones if hospitals_propose else capacities)
+    proposer_base = np.cumsum([0] + [a.size for a in slots]).tolist()
+    receiver_base = np.cumsum([0] + [a.size for a in caps]).tolist()
+    entry_base = np.cumsum([0] + [csr[1].size for csr in csrs]).tolist()
+    ids = (np.int32 if max(proposer_base[-1], receiver_base[-1],
+                           entry_base[-1]) < 2 ** 31 else np.int64)
+    start = _join(starts, entry_base)
+    seats, pointer = _rounds(
+        start, _join(ends, entry_base),
+        _join([csr[1] for csr in csrs], proposer_base, ids),
+        _join([csr[2] for csr in csrs], receiver_base, ids),
+        _join([csr[3] for csr in csrs]), _join(slots), _join(caps))
+    pointer -= start
+    seats.sort()
+    cuts = np.searchsorted(seats, entry_base).tolist()
+    runs = []
+    for m, ((_, owner, partner, back, _), table) in enumerate(zip(csrs, tables)):
+        held = seats[cuts[m]:cuts[m + 1]] - entry_base[m]
+        if hospitals_propose:
+            doctors, hospitals = partner[held], owner[held]
+            edges = table.doctor_offsets[doctors] + back[held]
+        else:
+            doctors, hospitals, edges = owner[held], partner[held], held
+        matched = np.full(table.n_doctors(), -1, dtype=np.int64)
+        matched[doctors] = edges
+        runs.append(DARun(
+            _matching(doctors, hospitals, table.n_doctors(), table.n_hospitals()),
+            pointer[proposer_base[m]:proposer_base[m + 1]], matched))
+    return runs
 
 
 def truncation_stops(proposer_prefs: EdgeLists,
@@ -530,16 +624,12 @@ def proposal_counts(proposer_prefs: EdgeLists, pointer) -> np.ndarray:
     return np.bincount(partner[made], minlength=n_receivers)
 
 
-def _matching(receivers: np.ndarray, proposers: np.ndarray, orientation: str,
-              n_proposers: int, n_receivers: int) -> Matching:
-    # the matching whose seats are the pairs (receivers[i], proposers[i])
-    if orientation == DOCTORS_PROPOSE:
-        doctor_of = np.full(n_proposers, -1, dtype=np.int64)
-        doctor_of[proposers] = receivers
-        return Matching(doctor_of, n_receivers)
-    doctor_of = np.full(n_receivers, -1, dtype=np.int64)
-    doctor_of[receivers] = proposers
-    return Matching(doctor_of, n_proposers)
+def _matching(doctors: np.ndarray, hospitals: np.ndarray, n_doctors: int,
+              n_hospitals: int) -> Matching:
+    # the matching whose pairs are (doctors[i], hospitals[i])
+    doctor_of = np.full(n_doctors, -1, dtype=np.int64)
+    doctor_of[doctors] = hospitals
+    return Matching(doctor_of, n_hospitals)
 
 
 def matching_of(state: DAState, orientation: str) -> Matching:
@@ -548,8 +638,9 @@ def matching_of(state: DAState, orientation: str) -> Matching:
     receivers = np.repeat(np.arange(n_receivers), [len(heap) for heap in heaps])
     proposers = np.fromiter((p for heap in heaps for _, p in heap), np.int64,
                             receivers.size)
-    return _matching(receivers, proposers, orientation, len(state.slots),
-                     n_receivers)
+    if orientation == DOCTORS_PROPOSE:
+        return _matching(proposers, receivers, len(state.slots), n_receivers)
+    return _matching(receivers, proposers, n_receivers, len(state.slots))
 
 
 def prefix_da(doctor_prefs: EdgeLists,
@@ -560,15 +651,10 @@ def prefix_da(doctor_prefs: EdgeLists,
     """The run of `orientation` over each proposer's first stop[p] entries
     (whole lists for None), by the round engine: (matching, pointers),
     where proposer p proposed to exactly her first pointer[p] entries
-    (proposal_counts reads them)."""
-    _table_views(doctor_prefs, hospital_prefs)
-    caps = np.asarray(capacities, dtype=np.int64)
-    ones = np.ones(len(doctor_prefs), dtype=np.int64)
-    if orientation == DOCTORS_PROPOSE:
-        return _rounds(doctor_prefs, ones, caps, stop)
-    if orientation == HOSPITALS_PROPOSE:
-        return _rounds(hospital_prefs, caps, ones, stop)
-    raise ValueError(f"unknown orientation {orientation!r}")
+    (proposal_counts reads them).  A batch_da of one market."""
+    run, = batch_da([(doctor_prefs, hospital_prefs, capacities, stop)],
+                    orientation)
+    return run.matching, run.pointer
 
 
 def doctor_proposing_da(doctor_prefs: EdgeLists,

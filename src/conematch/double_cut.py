@@ -7,7 +7,10 @@ Because every proposer uses a prefix of her list, the full run's outcome
 weakly dominates the truncated one for every receiver.  receivers_dominate
 is that inequality as a predicate over the matched edges of two matchings
 the caller holds: the full DA of the scenario's orientation and the
-double-cut run.
+double-cut run.  run_double_cuts runs many scenarios, of one market or of
+several, with one round-engine call per orientation (da.batch_da), and
+hands back each run's matched edges with it; run_double_cut is one
+scenario of it.
 
 The floor is the proposer's ceiling utility at the focal minus alpha: for
 doctors proposing to hospital h that is r(h) + 1 + nu_d - alpha, and for
@@ -23,8 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, TruncationRule,
-                 prefix_da, proposal_counts, truncation_stops)
+from .da import (DOCTORS_PROPOSE, HOSPITALS_PROPOSE, DARun, TruncationRule,
+                 batch_da, proposal_counts, truncation_stops)
 from .market import MarketConfig, MarketInstance, SCHOOL_CHOICE, check_agent_id
 from .strategy import InterviewAssignment, build_preferences
 
@@ -239,19 +242,41 @@ def run_double_cut(assignment: InterviewAssignment,
                    scenario: DoubleCutScenario):
     """Execute the scenario's truncated run; returns (Matching, SurplusReport).
 
-    The run is the round engine over each proposer's prefix up to her
-    truncation stop.  Raises ValueError for a scenario built for another
-    market than the assignment's.
+    run_double_cuts of one scenario.  Raises ValueError for a scenario
+    built for another market than the assignment's.
     """
-    instance = assignment.instance
-    prefs = build_preferences(assignment)
-    proposers = prefs[scenario.orientation == HOSPITALS_PROPOSE]
-    stop = truncation_stops(proposers, scenario_rule(instance, scenario))
-    matching, pointer = prefix_da(*prefs, instance.capacities,
-                                  scenario.orientation, stop)
-    received = proposal_counts(proposers, pointer)
-    report = _surplus_report(instance, assignment, scenario, matching, received)
-    return matching, report
+    run, report = run_double_cuts([(build_preferences(assignment), scenario)])[0]
+    return run.matching, report
+
+
+def run_double_cuts(cuts) -> List[Tuple[DARun, SurplusReport]]:
+    """Each scenario's truncated run: (DARun, SurplusReport) per
+    (prefs, scenario) pair of `cuts`, in order, where prefs is
+    build_preferences of the assignment the scenario's market drew.
+
+    A run is the round engine over each proposer's prefix up to her
+    truncation stop.  The runs of each orientation go to the engine in
+    one call (da.batch_da), which runs every market's own run exactly.
+    Raises ValueError for a scenario built for another market than its
+    prefs'.
+    """
+    markets, proposers = [], []
+    for prefs, scenario in cuts:
+        instance = prefs[0].source.instance
+        proposers.append(prefs[scenario.orientation == HOSPITALS_PROPOSE])
+        stop = truncation_stops(proposers[-1], scenario_rule(instance, scenario))
+        markets.append((*prefs, instance.capacities, stop))
+    runs = [None] * len(cuts)
+    for orientation in (DOCTORS_PROPOSE, HOSPITALS_PROPOSE):
+        at = [i for i, (_, scenario) in enumerate(cuts)
+              if scenario.orientation == orientation]
+        if at:
+            for i, run in zip(at, batch_da([markets[i] for i in at],
+                                           orientation)):
+                runs[i] = run
+    return [(run, _surplus_report(prefs[0].source, scenario, run,
+                                  proposal_counts(side, run.pointer)))
+            for (prefs, scenario), side, run in zip(cuts, proposers, runs)]
 
 
 def _count_not_fully_matched_hospitals(instance, matching, lo, hi) -> int:
@@ -259,7 +284,8 @@ def _count_not_fully_matched_hospitals(instance, matching, lo, hi) -> int:
     return int(np.count_nonzero(matching.fills()[ids] < instance.capacities[ids]))
 
 
-def _surplus_report(instance, assignment, scenario, matching, received) -> SurplusReport:
+def _surplus_report(assignment, scenario, run, received) -> SurplusReport:
+    instance, matching = assignment.instance, run.matching
     alpha, half = instance.alpha_eff, instance.half_width
     kappa = max(instance.capacities.mean(), 1.0)
     d_hi = instance.doctor_range[1]
@@ -279,9 +305,8 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
         unmatched_above = int(np.count_nonzero(matching.doctor_of[above] < 0))
         surplus = max(0, int(in_scope) - competing_places - unmatched_above)
         held = np.flatnonzero(matching.doctor_of == h)
-        utility = (float(np.mean(assignment.u_hosp[
-            assignment.edge_index(held, np.full(held.size, h))]))
-            if held.size else math.nan)
+        utility = (float(np.mean(assignment.u_hosp[run.matched[held]]))
+                   if held.size else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
                              int(received[h]), bool(held.size), utility,
                              scenario.bottommost)
@@ -298,7 +323,7 @@ def _surplus_report(instance, assignment, scenario, matching, received) -> Surpl
             instance, matching, r + half + alpha, h_hi)
         surplus = max(0, math.floor(in_scope - competitors - unmatched_above))
         hm = int(matching.doctor_of[d])
-        utility = (float(assignment.u_doc[assignment.edge_index([d], [hm])[0]])
+        utility = (float(assignment.u_doc[run.matched[d]])
                    if hm >= 0 else math.nan)
         return SurplusReport((n_docs, n_hosp), unmatched_above, surplus,
                              int(received[d]), hm >= 0, utility,
@@ -399,7 +424,8 @@ def receivers_dominate(assignment: InterviewAssignment, orientation: str,
                        full: np.ndarray, cut: np.ndarray) -> bool:
     """True iff `full` weakly dominates `cut` for every receiver.
 
-    `full` and `cut` are two matchings' assignment.matched_edges arrays.
+    `full` and `cut` are two matchings' matched-edge arrays (a DARun's
+    `matched`, or assignment.matched_edges).
     Receivers are the side that does not propose in `orientation`; a
     hospital's outcome dominates when its fill count does not drop and its
     sorted seat utilities are pointwise at least the cut run's.  Unmatched

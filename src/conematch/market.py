@@ -18,6 +18,7 @@ band [r(d) - a*alpha, r(d) + a*alpha).
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -290,12 +291,12 @@ class MarketInstance:
     Immutable after construction; safe to share across workers.  Pairwise
     values are not stored, they are recomputed on demand from the key
     (seed, run, kind, doctor, hospital), so two processes always agree.
+    The ratings and their orders are read-only arrays, which `with_config`
+    shares with the instances of every config that draws this market.
     """
 
     def __init__(self, config: MarketConfig, run_index: int):
-        self.config = config
         self.run_index = run_index
-        self.capacities = config.capacities()
         self.doctor_range, self.hospital_range = shift_ranges(config)
 
         seed, run = config.seed, run_index
@@ -311,9 +312,10 @@ class MarketInstance:
         self.hospital_sorted = self.hospital_ratings[self.hospital_order]
         self.doctor_order = np.argsort(self.doctor_ratings, kind="stable")
         self.doctor_sorted = self.doctor_ratings[self.doctor_order]
-
-        self.half_width, self.cone_clamped = cone_half_width(config)
-        self.alpha_eff = self.half_width / config.a
+        for shared in (self.doctor_ratings, self.hospital_ratings,
+                       self.hospital_order, self.hospital_sorted,
+                       self.doctor_order, self.doctor_sorted):
+            shared.flags.writeable = False
 
         # stream states: v(d,h) is rng.uniform(private_dh_state, d, h), and
         # v(h,d) is rng.uniform(private_hd_state, h, d)
@@ -321,6 +323,26 @@ class MarketInstance:
         self._st_interview_dh = rng.key_state(seed, run, rng.KIND_INTERVIEW_DH)
         self._st_interview_hd = rng.key_state(seed, run, rng.KIND_INTERVIEW_HD)
         self.private_hd_state = rng.key_state(seed, run, rng.KIND_PRIVATE_HD)
+        self._configure(config)
+
+    def _configure(self, config: MarketConfig) -> None:
+        # what is the config's own: every other attribute is the market's
+        self.config = config
+        self.capacities = config.capacities()
+        self.half_width, self.cone_clamped = cone_half_width(config)
+        self.alpha_eff = self.half_width / config.a
+
+    def with_config(self, config: MarketConfig) -> "MarketInstance":
+        """generate(config, run_index) for a config that draws this market
+        (equal market_key), sharing this instance's ratings, orders and
+        stream states; the config, capacities, cone clamp and alpha_eff
+        are config's own.  Raises ValueError for a config of another
+        market."""
+        if market_key(config) != market_key(self.config):
+            raise ValueError("the config draws another market")
+        instance = copy.copy(self)
+        instance._configure(config)
+        return instance
 
     # -- value oracle -------------------------------------------------
 

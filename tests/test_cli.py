@@ -62,13 +62,14 @@ def test_verify_only_names_a_failed_order_invariance(monkeypatch, capsys):
 def test_verify_only_runs_both_double_cuts_on_every_market(monkeypatch,
                                                           capsys):
     sides = []
-    real = cli.double_cut.run_double_cut
+    real = cli.double_cut.run_double_cuts
 
-    def recording(assignment, scenario):
-        cfg = assignment.instance.config
-        sides.append((cfg.seed, cfg.n_doctors, scenario.focal_side))
-        return real(assignment, scenario)
-    monkeypatch.setattr(cli.double_cut, "run_double_cut", recording)
+    def recording(cuts):
+        for prefs, scenario in cuts:
+            cfg = prefs[0].source.instance.config
+            sides.append((cfg.seed, cfg.n_doctors, scenario.focal_side))
+        return real(cuts)
+    monkeypatch.setattr(cli.double_cut, "run_double_cuts", recording)
     assert cli.verify_only(3) == cli.EXIT_OK
     markets = [(3 + t, 6) for t in range(6)] + [(3 + t, 60) for t in range(3)]
     assert sides == [m + (side,) for m in markets
@@ -385,8 +386,8 @@ def test_unaudited_residency_run_is_one_da(monkeypatch):
 def test_run_without_deviation_csv_builds_no_preference_lists(
         monkeypatch, audit_sample):
     # both DA orientations and the double-cut runs read the edge table's
-    # arrays: no EdgeLists view, the run's or a double cut's, builds its
-    # lists, ranks or utils
+    # arrays: no EdgeLists view builds its lists, ranks or utils, and the
+    # double cuts run on the run's own two views
     views = []
     real = da.EdgeLists.__init__
 
@@ -398,7 +399,7 @@ def test_run_without_deviation_csv_builds_no_preference_lists(
     _, assignment, rows = cli._run_one(cfg, 0, audit_sample,
                                        cli.config_slug(cfg))
     assert len(rows) == (2 if audit_sample else 0)
-    assert len(views) == (6 if audit_sample else 2)
+    assert len(views) == 2
     for side in views:
         assert side.source is assignment
         assert not {"lists", "ranks", "utils"} & vars(side).keys()
@@ -406,21 +407,66 @@ def test_run_without_deviation_csv_builds_no_preference_lists(
 
 @pytest.mark.parametrize("setting", [RESIDENCY, SCHOOL_CHOICE])
 def test_audited_run_computes_each_matchings_edges_once(monkeypatch, setting):
-    # the base matching, the hospital-optimal one and one cut run per
-    # scenario; the blocking scan, run_stats and the dominance checks share
-    # what was computed
+    # the engine hands back the matched edges of the base matching, the
+    # hospital-optimal one and each cut run; the blocking scan, run_stats,
+    # the surplus rows and the dominance checks read those, and nothing
+    # looks an edge up again
     calls = []
-    real = InterviewAssignment.matched_edges
-
-    def counting(self, matching):
-        calls.append(matching)
-        return real(self, matching)
-    monkeypatch.setattr(InterviewAssignment, "matched_edges", counting)
+    for name in ("matched_edges", "edge_index"):
+        def counting(self, *args, real=getattr(InterviewAssignment, name)):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(InterviewAssignment, name, counting)
     cfg = make_config(120, kappa=3, k=5, cone_override=0.3, seed=3,
                       setting=setting)
-    cli._run_one(cfg, 0, 1.0, cli.config_slug(cfg))
-    assert len(calls) == 4
-    assert len({id(m) for m in calls}) == 4
+    _, _, rows = cli._run_one(cfg, 0, 1.0, cli.config_slug(cfg))
+    assert len(rows) == 2
+    assert calls == []
+
+
+def test_paper_campaign_makes_one_engine_call_per_orientation(tmp_path,
+                                                              monkeypatch):
+    # four configs, every run audited: one doctor DA call, one hospital DA
+    # call and one call per double-cut orientation over all four, where
+    # each config alone makes four; the market is drawn once, and no edge
+    # is looked up outside the engine
+    calls = []
+    for module, name in ((da, "_rounds"), (cli, "generate"),
+                         (InterviewAssignment, "matched_edges"),
+                         (InterviewAssignment, "edge_index")):
+        def counting(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    # the paper-campaign workload's four configs, which draw one market
+    grid = dict(n_doctors=200, capacity=5, cone_override=0.3, seed=42, runs=1)
+    configs = (cli.expand_grid(dict(grid, setting="Residency", k=[5, 12]))
+               + cli.expand_grid(dict(grid, setting="RequestInterview", k=5))
+               + cli.expand_grid(dict(grid, setting="SchoolChoice", k=5)))
+    campaign = cli.Campaign(configs=configs, out_dir=tmp_path, audit_sample=1.0)
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    assert calls.count("_rounds") == 4
+    assert calls.count("generate") == 1
+    assert calls.count("matched_edges") == calls.count("edge_index") == 0
+    assert len(list(tmp_path.glob("*_double_cut.csv"))) == 4
+
+
+def test_unaudited_residency_campaign_runs_no_hospital_proposing_da(
+        tmp_path, monkeypatch):
+    # no audit reads the hospital-optimal matching: every engine call has
+    # one-slot proposers, the doctors, one call per run for both configs
+    slots = []
+    real = da._rounds
+
+    def recording(*args):
+        slots.append(int(args[5].max()))
+        return real(*args)
+    monkeypatch.setattr(da, "_rounds", recording)
+    configs = cli.expand_grid(dict(n_doctors=120, capacity=3, k=[3, 5],
+                                   cone_override=0.3, seed=4, runs=2))
+    campaign = cli.Campaign(configs=configs, out_dir=tmp_path)
+    assert cli.run_campaign(campaign) == cli.EXIT_OK
+    assert slots == [1, 1]
 
 
 SWEEP_VALUES = [True, 0, -1, 1.5, "x", None, [], {}, float("nan"),

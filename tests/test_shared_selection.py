@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conematch import cli, strategy
+from conematch import analysis, cli, double_cut, strategy
 from conematch.market import MarketConfig, generate, make_config, market_key
 from conematch.strategy import SharedSelection, _top_in_cones
 
@@ -84,15 +84,30 @@ def test_one_selection_per_market_and_run(tmp_path, monkeypatch):
     assert counts == [5, 5]
 
 
+def _failing_audits(monkeypatch, stability=lambda cfg, run: False,
+                    dominance=lambda cfg, run: False):
+    # fail the stability scan, or the dominance check, of the markets whose
+    # (config, run index) the predicate picks
+    scan, dominate = analysis.find_blocking_pairs, double_cut.receivers_dominate
+
+    def scanning(assignment, *args, **kwargs):
+        inst = assignment.instance
+        if stability(inst.config, inst.run_index):
+            return [None]
+        return scan(assignment, *args, **kwargs)
+
+    def dominating(assignment, *args):
+        inst = assignment.instance
+        return (not dominance(inst.config, inst.run_index)
+                and dominate(assignment, *args))
+    monkeypatch.setattr(analysis, "find_blocking_pairs", scanning)
+    monkeypatch.setattr(double_cut, "receivers_dominate", dominating)
+
+
 def test_failure_is_the_first_in_run_order(tmp_path, monkeypatch):
     # run 0 of every config in the group runs before run 1 of any
-    real = cli._run_one
-
-    def failing(cfg, run_index, audit_sample, slug, selection=None):
-        if cfg.k == 4 and run_index == 0:
-            raise cli.AuditFailure(slug, run_index, "stability")
-        return real(cfg, run_index, audit_sample, slug, selection)
-    monkeypatch.setattr(cli, "_run_one", failing)
+    _failing_audits(monkeypatch,
+                    stability=lambda cfg, run: cfg.k == 4 and run == 0)
     configs = cli.expand_grid(dict(n_doctors=60, capacity=3, k=[3, 4],
                                    cone_override=0.3, runs=2))
     out = tmp_path / "fail"
@@ -101,6 +116,23 @@ def test_failure_is_the_first_in_run_order(tmp_path, monkeypatch):
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary == [f"config={cli.config_slug(configs[1])} run=0 "
                        f"check=stability audits=FAIL"]
+    assert not list(out.glob("*.csv"))
+
+
+def test_failure_is_the_first_in_config_order(tmp_path, monkeypatch):
+    # both configs of one run fail: the first config its last audit, the
+    # second its first.  Each config's audits run in full before the next
+    # config's, so the first config's failure is named
+    _failing_audits(monkeypatch, stability=lambda cfg, run: cfg.k == 4,
+                    dominance=lambda cfg, run: cfg.k == 3)
+    configs = cli.expand_grid(dict(n_doctors=60, capacity=3, k=[3, 4],
+                                   cone_override=0.3, runs=2))
+    out = tmp_path / "fail"
+    campaign = cli.Campaign(configs=configs, out_dir=out, audit_sample=1.0)
+    assert cli.run_campaign(campaign) == cli.EXIT_AUDIT
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary == [f"config={cli.config_slug(configs[0])} run=0 "
+                       f"check=double-cut-dominance:hospital audits=FAIL"]
     assert not list(out.glob("*.csv"))
 
 
@@ -182,3 +214,49 @@ def test_configs_of_one_market_draw_it_alike(one, other):
         np.testing.assert_array_equal(a.hospital_ratings, b.hospital_ratings)
         assert a.half_width == b.half_width
         assert a.private_dh_state == b.private_dh_state
+
+
+# -- one draw per market and run: MarketInstance.with_config --
+
+@pytest.mark.parametrize("one,other", [
+    ({}, dict(setting="SchoolChoice")), ({}, dict(setting="RequestInterview")),
+    ({}, dict(k=5)), ({}, dict(a=2.0)), ({}, dict(nu_d=0.5, nu_h=0.0)),
+    # equal total places: the same rating ranges
+    ({}, dict(capacity=tuple([2, 4] * 20))),
+    ({}, dict(capacity=tuple([1, 5] * 20), setting="RequestInterview", k=2)),
+    # both cones clamp to the hospitals' whole rating range, [0, 1)
+    (dict(cone_override=7.5), dict(cone_override=None, a=40.0)),
+])
+def test_a_market_drawn_once_is_each_configs_fresh_draw(one, other):
+    one = MarketConfig(**dict(BASE, **one))
+    other = MarketConfig(**dict(BASE, **other))
+    assert market_key(one) == market_key(other)
+    for run in range(3):
+        first = generate(one, run)
+        shared, fresh = first.with_config(other), generate(other, run)
+        assert shared.config is other and first.config is one
+        assert vars(shared).keys() == vars(fresh).keys()
+        for name, want in vars(fresh).items():
+            got = getattr(shared, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            else:
+                assert type(got) is type(want) and got == want, name
+        # the market's arrays are the first instance's, read-only; the
+        # capacities are each config's own
+        assert shared.doctor_ratings is first.doctor_ratings
+        assert shared.hospital_order is first.hospital_order
+        assert not shared.doctor_ratings.flags.writeable
+        assert shared.capacities is not first.capacities
+        # every pairwise draw, and so the interview table, agrees
+        np.testing.assert_array_equal(
+            strategy.build_assignment(shared).u_doc,
+            strategy.build_assignment(fresh).u_doc)
+
+
+def test_a_market_is_not_recast_as_another():
+    inst = generate(MarketConfig(**BASE), 0)
+    for change in (dict(seed=8), dict(capacity=2), dict(cone_override=0.2)):
+        with pytest.raises(ValueError, match="another market"):
+            inst.with_config(MarketConfig(**dict(BASE, **change)))
